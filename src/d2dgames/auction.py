@@ -288,22 +288,23 @@ def auction_instance_from_radio(
     sigma = radio.effective_noise_w(params)
     n = len(items)
 
-    per_bidder = {}
-    for rb in bidders:
-        cell_tx = radio.cellular_tx_node(params, rb)
-        cell_rx = radio.cellular_rx_node(params, rb)
-        p_cell = radio.default_power_w(params, cell_tx)
-        p_d = params.p_d2d_w
-        s_c = p_cell * gains.get(cell_tx, cell_rx, rb)
-        w = np.array([p_d * gains.get(("dtx", j), cell_rx, rb) for j in items])
-        direct = np.array([p_d * gains.get(("dtx", j), ("drx", j), rb) for j in items])
-        cross = np.array([p_cell * gains.get(cell_tx, ("drx", j), rb) for j in items])
-        m = np.zeros((n, n))
-        for a, k in enumerate(items):
-            for b, j in enumerate(items):
-                if a != b:
-                    m[a, b] = p_d * gains.get(("dtx", k), ("drx", j), rb)
-        per_bidder[rb] = (s_c, w, direct, cross, m)
+    rbs = np.asarray(bidders, dtype=np.intp)
+    cell_tx, cell_rx, p_cell = radio.cellular_links(gains, params, bidders)
+    dtx = gains.tx_indices([("dtx", j) for j in items])
+    drx = gains.rx_indices([("drx", j) for j in items])
+    p_d = params.p_d2d_w
+    # one row per bidder: cellular signal, package members' interference at
+    # the cellular receiver, direct D2D signals, cross-tier interference at the
+    # D2D receivers, and member-to-member interference m[k, a, b] (a's tx at b's rx)
+    s_c = p_cell * gains.gather(cell_tx, cell_rx, rbs)
+    w = p_d * gains.gather(dtx, cell_rx[:, None], rbs[:, None])
+    direct = p_d * gains.gather(dtx, drx, rbs[:, None])
+    cross = p_cell[:, None] * gains.gather(cell_tx[:, None], drx, rbs[:, None])
+    m = p_d * gains.gather(dtx[:, None], drx, rbs[:, None, None])
+    m[:, np.arange(n), np.arange(n)] = 0.0
+    per_bidder = {
+        rb: (float(s_c[k]), w[k], direct[k], cross[k], m[k]) for k, rb in enumerate(bidders)
+    }
 
     def batch_valuation(bidder: int, masks: np.ndarray) -> np.ndarray:
         s_c, w, direct, cross, m = per_bidder[bidder]

@@ -157,37 +157,49 @@ def _content_links(inst: ContentInstance):
     return links
 
 
+def content_pathloss(inst: ContentInstance, params: radio.RadioParams) -> radio.LinkPathLoss:
+    """Path loss of every content link; fixed for the instance's geometry."""
+    return radio.link_pathloss(_content_links(inst), inst.scenario.m_cue, params)
+
+
 def draw_content_gains(
-    inst: ContentInstance, params: radio.RadioParams, rng_seed: int
+    inst: ContentInstance,
+    params: radio.RadioParams,
+    rng_seed: int,
+    pathloss: radio.LinkPathLoss | None = None,
 ) -> radio.GainTensor:
-    return radio.build_gain_tensor(
-        _content_links(inst), inst.scenario.m_cue, params, rng_seed
-    )
+    """One fading realization of the instance's channel.
+
+    ``pathloss`` is :func:`content_pathloss` of the same instance and
+    parameters, to reuse it across draws; it is computed when omitted.
+    """
+    if pathloss is None:
+        pathloss = content_pathloss(inst, params)
+    return pathloss.draw(rng_seed)
 
 
 class _ContentChannel:
-    """Dense received-power arrays for fast coalition-value evaluation."""
+    """Received-power arrays sliced from the gain tensor for coalition-value evaluation."""
 
     def __init__(self, inst: ContentInstance, gains: radio.GainTensor, params: radio.RadioParams):
         n = inst.scenario.n_d2d
         m = inst.scenario.m_cue
         p_d = params.p_d2d_w
+        rbs = np.arange(m)
+        ue = [("ue", i) for i in range(n)]
+        ue_tx, ue_rx = gains.tx_indices(ue), gains.rx_indices(ue)
+        cell_tx, cell_rx, p_cell = radio.cellular_links(gains, params, rbs)
         self.sigma = radio.effective_noise_w(params)
-        self.uu = np.zeros((n, n, m))          # seed tx -> ue rx power, per RB
-        self.cell_at_ue = np.zeros((n, m))     # cellular tx -> ue rx power on its RB
-        self.ue_at_cellrx = np.zeros((n, m))   # ue tx -> cellular rx power, per RB
-        self.cell_signal = np.zeros(m)
-        for rb in range(m):
-            cell_tx = radio.cellular_tx_node(params, rb)
-            cell_rx = radio.cellular_rx_node(params, rb)
-            p_cell = radio.default_power_w(params, cell_tx)
-            self.cell_signal[rb] = p_cell * gains.get(cell_tx, cell_rx, rb)
-            for i in range(n):
-                self.cell_at_ue[i, rb] = p_cell * gains.get(cell_tx, ("ue", i), rb)
-                self.ue_at_cellrx[i, rb] = p_d * gains.get(("ue", i), cell_rx, rb)
-                for j in range(n):
-                    if i != j:
-                        self.uu[i, j, rb] = p_d * gains.get(("ue", i), ("ue", j), rb)
+        # cellular tx -> its own rx, per RB
+        self.cell_signal = p_cell * gains.gather(cell_tx, cell_rx, rbs)
+        # cellular tx -> ue rx power on its RB, (n, m)
+        self.cell_at_ue = p_cell * gains.gather(cell_tx, ue_rx[:, None], rbs)
+        # ue tx -> cellular rx power, per RB, (n, m)
+        self.ue_at_cellrx = p_d * gains.gather(ue_tx[:, None], cell_rx, rbs)
+        # seed tx -> ue rx power, per RB, (n, n, m); no ue hears itself
+        self.uu = np.zeros((n, n, m))
+        tx, rx = np.nonzero(~np.eye(n, dtype=bool))
+        self.uu[tx, rx] = p_d * gains.gather(ue_tx[tx], ue_rx[rx])
 
 
 def _coalition_detail(
@@ -223,29 +235,20 @@ def _coalition_detail(
     return value, rates
 
 
-def coalition_value(
-    anchor: int,
-    members: frozenset[int],
-    gains: radio.GainTensor,
-    params: radio.RadioParams,
-    inst: ContentInstance,
-    seeds: frozenset[int] | None = None,
-) -> float:
-    """Cellular rate on the anchor RB plus the coalition's internal D2D rates."""
-    channel = _ContentChannel(inst, gains, params)
-    use_seeds = inst.seeds if seeds is None else seeds
-    value, _ = _coalition_detail(channel, inst.distances(), use_seeds, anchor, members)
-    return value
-
-
 def make_value_fn(
     inst: ContentInstance,
     gains: radio.GainTensor,
     params: radio.RadioParams,
     seeds: frozenset[int] | None = None,
+    channel: _ContentChannel | None = None,
 ) -> Callable[[int, frozenset], float]:
-    """Memoized coalition-value function for one channel realization."""
-    channel = _ContentChannel(inst, gains, params)
+    """Memoized coalition-value function for one channel realization.
+
+    ``channel`` is the ``_ContentChannel`` of these gains when the caller
+    already built one; it is built when omitted.
+    """
+    if channel is None:
+        channel = _ContentChannel(inst, gains, params)
     dist = inst.distances()
     use_seeds = inst.seeds if seeds is None else frozenset(seeds)
     cache: dict[tuple[int, frozenset], float] = {}
@@ -399,16 +402,19 @@ def noncooperative_baseline(
     seeds: frozenset[int] | None = None,
     partition0: Partition | None = None,
     max_sweeps: int = 50,
+    channel: _ContentChannel | None = None,
 ) -> Partition:
     """Selfish channel selection: every normal UE chases its own best SINR.
 
     Seeds sit in their warm-start coalition (initially: nearest anchor) and do
     not act. Normal UEs repeatedly jump to the (RB, nearest-seed) choice with
     the best own SINR given everyone else's previous choice, ignoring the harm
-    to others, until a fixed point or the sweep cap.
+    to others, until a fixed point or the sweep cap. ``channel`` is as in
+    :func:`make_value_fn`.
     """
     use_seeds = inst.seeds if seeds is None else frozenset(seeds)
-    channel = _ContentChannel(inst, gains, params)
+    if channel is None:
+        channel = _ContentChannel(inst, gains, params)
     dist = inst.distances()
     n = inst.scenario.n_d2d
     m = inst.scenario.m_cue
@@ -480,18 +486,19 @@ def simulate_content_distribution(
     for s in seeds:
         packets[s] = total_file
     partition = initial_partition(inst)
+    pathloss = content_pathloss(inst, params)
     curve = ServiceCurve(allocator=allocator, cumulative=[int(packets.sum())])
     for t in range(1, rounds + 1):
-        gains = draw_content_gains(inst, params, derive_seed(rng_seed, t))
+        gains = draw_content_gains(inst, params, derive_seed(rng_seed, t), pathloss=pathloss)
+        channel = _ContentChannel(inst, gains, params)
         frozen_seeds = frozenset(seeds)
         if allocator == "coalition":
-            value_fn = make_value_fn(inst, gains, params, seeds=frozen_seeds)
+            value_fn = make_value_fn(inst, gains, params, seeds=frozen_seeds, channel=channel)
             partition = run_switch_dynamics(partition, value_fn)
         else:
             partition = noncooperative_baseline(
-                gains, params, inst, seeds=frozen_seeds, partition0=partition
+                gains, params, inst, seeds=frozen_seeds, partition0=partition, channel=channel
             )
-        channel = _ContentChannel(inst, gains, params)
         round_value = 0.0
         for anchor, members in enumerate(partition.members):
             value, rates = _coalition_detail(channel, dist, frozen_seeds, anchor, members)

@@ -124,15 +124,12 @@ def power_game_from_radio(
 ) -> PowerGameInstance:
     """Build the co-channel game for a set of D2D pairs sharing one RB."""
     n = len(pair_indices)
-    g = np.zeros((n, n))
-    noise = np.zeros(n)
     sigma = radio.effective_noise_w(params)
-    cell_tx = radio.cellular_tx_node(params, rb)
-    p_cell = radio.default_power_w(params, cell_tx)
-    for a, i in enumerate(pair_indices):
-        for b, j in enumerate(pair_indices):
-            g[a, b] = gains.get(("dtx", j), ("drx", i), rb)
-        noise[a] = sigma + p_cell * gains.get(cell_tx, ("drx", i), rb)
+    cell_tx, _, p_cell = radio.cellular_links(gains, params, [rb])
+    dtx = gains.tx_indices([("dtx", j) for j in pair_indices])
+    drx = gains.rx_indices([("drx", i) for i in pair_indices])
+    g = gains.gather(dtx, drx[:, None], rb)  # g[a, b]: pair b's tx at pair a's rx
+    noise = sigma + p_cell[0] * gains.gather(cell_tx[0], drx, rb)
     target = 10.0 ** (target_db / 10.0)
     return PowerGameInstance(
         gains=g,

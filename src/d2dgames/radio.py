@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,12 +34,6 @@ def dbm_to_watt(p_dbm: float) -> float:
     if not math.isfinite(p_dbm):
         raise ValueError(f"power must be finite, got {p_dbm!r}")
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(p_w: float) -> float:
-    if p_w <= 0.0:
-        raise ValueError(f"power must be > 0 W, got {p_w!r}")
-    return 10.0 * math.log10(p_w) + 30.0
 
 
 @dataclass(frozen=True)
@@ -153,26 +147,105 @@ class Topology:
         return cls.from_jsonable(json.loads(text))
 
 
+# Node order inside a GainTensor: the eNB, then cellular users, then devices.
+_KIND_RANK = {"enb": 0, "cue": 1, "dtx": 2, "drx": 2, "ue": 2}
+
+
+def _node_axis(nodes: Iterable[Node]) -> tuple[tuple[Node, ...], dict[Node, int]]:
+    """Distinct nodes in tensor order, and each node's index along that axis."""
+    axis = tuple(sorted(set(nodes), key=lambda node: (_KIND_RANK[node[0]], node)))
+    return axis, {node: i for i, node in enumerate(axis)}
+
+
+def _check_gains(values: np.ndarray) -> None:
+    bad = ~((values > 0.0) & np.isfinite(values))
+    if bad.any():
+        raise ValueError(
+            f"gains must be positive and finite, got {float(values[bad][0])} "
+            f"({int(bad.sum())} bad entries)"
+        )
+
+
 @dataclass
 class GainTensor:
-    """Per-RB linear power gains for every modeled transmitter→receiver link."""
+    """Per-RB linear power gains for every modeled transmitter→receiver link.
 
-    rb_count: int
-    gains: dict[tuple[Node, Node, int], float]
+    Dense layout: ``g[tx_index[tx], rx_index[rx], rb]``, where ``tx_nodes`` and
+    ``rx_nodes`` list the transmitters and receivers in index order (eNB,
+    cellular users, then devices). Links that are not modeled hold NaN and
+    :meth:`get` raises ``KeyError`` for them; every modeled gain must be
+    positive and finite.
+    """
+
+    tx_nodes: tuple[Node, ...]
+    rx_nodes: tuple[Node, ...]
+    g: np.ndarray
 
     def __post_init__(self):
-        for key, g in self.gains.items():
-            if not (g > 0.0 and math.isfinite(g)):
-                raise ValueError(f"gain for {key} must be positive and finite, got {g}")
+        self.g = np.asarray(self.g, dtype=float)
+        if self.g.shape[:2] != (len(self.tx_nodes), len(self.rx_nodes)) or self.g.ndim != 3:
+            raise ValueError(
+                f"gain array of shape {self.g.shape} does not match "
+                f"{len(self.tx_nodes)} transmitters x {len(self.rx_nodes)} receivers x RBs"
+            )
+        self.tx_index = {node: i for i, node in enumerate(self.tx_nodes)}
+        self.rx_index = {node: i for i, node in enumerate(self.rx_nodes)}
+        _check_gains(self.g[~np.isnan(self.g)])
+
+    @property
+    def rb_count(self) -> int:
+        return self.g.shape[2]
 
     def get(self, tx: Node, rx: Node, rb: int) -> float:
-        return self.gains[(tx, rx, rb)]
+        try:
+            if rb < 0:
+                raise IndexError(rb)
+            value = self.g.item(self.tx_index[tx], self.rx_index[rx], rb)
+        except (KeyError, IndexError):
+            raise KeyError((tx, rx, rb)) from None
+        if value != value:  # NaN: the link is not modeled
+            raise KeyError((tx, rx, rb))
+        return value
+
+    def tx_indices(self, nodes: Sequence[Node]) -> np.ndarray:
+        return np.array([self.tx_index[node] for node in nodes], dtype=np.intp)
+
+    def rx_indices(self, nodes: Sequence[Node]) -> np.ndarray:
+        return np.array([self.rx_index[node] for node in nodes], dtype=np.intp)
+
+    def gather(self, tx, rx, rb=slice(None)) -> np.ndarray:
+        """``g[tx, rx, rb]`` for index arrays (numpy broadcasting); every link must be modeled."""
+        out = self.g[tx, rx, rb]
+        if np.isnan(out).any():
+            raise KeyError("gathered a link that is not modeled")
+        return out
+
+    def entries(self) -> Iterator[tuple[tuple[Node, Node, int], float]]:
+        """``((tx, rx, rb), gain)`` for every modeled link, in index order."""
+        for i, j, rb in zip(*np.nonzero(~np.isnan(self.g))):
+            yield (self.tx_nodes[i], self.rx_nodes[j], int(rb)), self.g.item(i, j, rb)
+
+    @classmethod
+    def from_entries(
+        cls, entries: Mapping[tuple[Node, Node, int], float], rb_count: int
+    ) -> "GainTensor":
+        keys = list(entries)
+        # checked here too: a NaN entry would otherwise read as "not modeled"
+        values = np.array([entries[k] for k in keys], dtype=float)
+        _check_gains(values)
+        if any(not 0 <= rb < rb_count for _, _, rb in keys):
+            raise ValueError(f"entry RB outside 0..{rb_count - 1}")
+        tx_nodes, tx_index = _node_axis(tx for tx, _, _ in keys)
+        rx_nodes, rx_index = _node_axis(rx for _, rx, _ in keys)
+        g = np.full((len(tx_nodes), len(rx_nodes), rb_count), np.nan)
+        for (tx, rx, rb), value in zip(keys, values):
+            g[tx_index[tx], rx_index[rx], rb] = value
+        return cls(tx_nodes, rx_nodes, g)
 
     def to_jsonable(self) -> dict:
-        entries = [
-            [tx[0], tx[1], rx[0], rx[1], rb, g]
-            for (tx, rx, rb), g in sorted(self.gains.items())
-        ]
+        entries = sorted(
+            [tx[0], tx[1], rx[0], rx[1], rb, g] for (tx, rx, rb), g in self.entries()
+        )
         return {"rb_count": self.rb_count, "entries": entries}
 
     @classmethod
@@ -181,7 +254,7 @@ class GainTensor:
             ((tk, ti), (rk, ri), rb): g
             for tk, ti, rk, ri, rb, g in obj["entries"]
         }
-        return cls(rb_count=obj["rb_count"], gains=gains)
+        return cls.from_entries(gains, obj["rb_count"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), sort_keys=True)
@@ -189,6 +262,37 @@ class GainTensor:
     @classmethod
     def from_json(cls, text: str) -> "GainTensor":
         return cls.from_jsonable(json.loads(text))
+
+
+@dataclass(frozen=True)
+class LinkPathLoss:
+    """Per-geometry half of a gain draw: the modeled links and their linear path loss.
+
+    Link ``l`` runs from ``tx_nodes[tx[l]]`` to ``rx_nodes[rx[l]]``; the link
+    order fixes the order of the fading draw. :meth:`draw` adds one fading
+    realization, so a fixed geometry can be redrawn without recomputing path
+    loss.
+    """
+
+    tx_nodes: tuple[Node, ...]
+    rx_nodes: tuple[Node, ...]
+    tx: np.ndarray
+    rx: np.ndarray
+    pathloss: np.ndarray
+    rb_count: int
+
+    def draw(self, rng_seed: int) -> GainTensor:
+        """Path loss times per-(link, RB) unit-mean exponential fading power.
+
+        One ``(links, RBs)`` draw consumes the generator stream exactly as one
+        draw of ``RBs`` values per link in link order would, so identical
+        inputs give a bit-identical tensor.
+        """
+        rng = np.random.default_rng(rng_seed)
+        fading = rng.exponential(1.0, size=(len(self.pathloss), self.rb_count))
+        g = np.full((len(self.tx_nodes), len(self.rx_nodes), self.rb_count), np.nan)
+        g[self.tx, self.rx] = self.pathloss[:, None] * fading
+        return GainTensor(self.tx_nodes, self.rx_nodes, g)
 
 
 @dataclass
@@ -253,26 +357,30 @@ def is_los(tx: Node, rx: Node) -> bool:
     return tx[0] in _DEVICE_KINDS and rx[0] in _DEVICE_KINDS
 
 
-def build_gain_tensor(
+def link_pathloss(
     links: Sequence[tuple[Node, Point, Node, Point]],
     rb_count: int,
     params: RadioParams,
-    rng_seed: int,
-) -> GainTensor:
-    """Path loss times per-(link, RB) unit-mean exponential fading power.
+) -> LinkPathLoss:
+    """Linear path loss of every link, in link order.
 
-    The fading draw order is fixed by the link order, so identical inputs give
-    a bit-identical tensor.
+    Kept as a scalar loop over ``math.hypot`` and :func:`pathloss_db`: their
+    numpy counterparts differ in the last bit on some inputs.
     """
-    rng = np.random.default_rng(rng_seed)
-    gains: dict[tuple[Node, Node, int], float] = {}
-    for tx, tx_pos, rx, rx_pos in links:
+    tx_nodes, tx_index = _node_axis(link[0] for link in links)
+    rx_nodes, rx_index = _node_axis(link[2] for link in links)
+    pathloss = np.empty(len(links))
+    for l, (tx, tx_pos, rx, rx_pos) in enumerate(links):
         d = max(math.hypot(tx_pos[0] - rx_pos[0], tx_pos[1] - rx_pos[1]), 1e-9)
-        pl_lin = 10.0 ** (-pathloss_db(d, params.carrier_ghz, is_los(tx, rx)) / 10.0)
-        fading = rng.exponential(1.0, size=rb_count)
-        for rb in range(rb_count):
-            gains[(tx, rx, rb)] = pl_lin * float(fading[rb])
-    return GainTensor(rb_count=rb_count, gains=gains)
+        pathloss[l] = 10.0 ** (-pathloss_db(d, params.carrier_ghz, is_los(tx, rx)) / 10.0)
+    return LinkPathLoss(
+        tx_nodes=tx_nodes,
+        rx_nodes=rx_nodes,
+        tx=np.array([tx_index[link[0]] for link in links], dtype=np.intp),
+        rx=np.array([rx_index[link[2]] for link in links], dtype=np.intp),
+        pathloss=pathloss,
+        rb_count=rb_count,
+    )
 
 
 def _topology_links(topology: Topology) -> list[tuple[Node, Point, Node, Point]]:
@@ -295,9 +403,7 @@ def _topology_links(topology: Topology) -> list[tuple[Node, Point, Node, Point]]
 def draw_gains(topology: Topology, params: RadioParams, rng_seed: int) -> GainTensor:
     """Draw the full gain tensor for one fading realization of a topology."""
     params.validate()
-    return build_gain_tensor(
-        _topology_links(topology), topology.rb_count, params, rng_seed
-    )
+    return link_pathloss(_topology_links(topology), topology.rb_count, params).draw(rng_seed)
 
 
 def cellular_tx_node(params: RadioParams, rb: int) -> Node:
@@ -317,6 +423,17 @@ def default_power_w(params: RadioParams, node: Node) -> float:
     if kind in ("dtx", "ue"):
         return params.p_d2d_w
     raise ValueError(f"node {node!r} is not a transmitter")
+
+
+def cellular_links(
+    gains: GainTensor, params: RadioParams, rbs: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per RB in ``rbs``: tensor index of the cellular transmitter and receiver,
+    and the transmitter's default power."""
+    tx = [cellular_tx_node(params, rb) for rb in rbs]
+    rx = [cellular_rx_node(params, rb) for rb in rbs]
+    power = np.array([default_power_w(params, node) for node in tx])
+    return gains.tx_indices(tx), gains.rx_indices(rx), power
 
 
 def tx_power_w(allocation: Allocation, params: RadioParams, node: Node) -> float:
@@ -368,7 +485,8 @@ def _relay_rate(allocation: Allocation, gains: GainTensor, params: RadioParams, 
     # relay occupies two scheduling slots.
     rb = allocation.rb_of_d2d[j]
     sigma = effective_noise_w(params)
-    up = rate(params.p_cue_w * gains.get(("dtx", j), ("enb", 0), rb) / sigma)
+    p_src = tx_power_w(allocation, params, ("dtx", j))
+    up = rate(p_src * gains.get(("dtx", j), ("enb", 0), rb) / sigma)
     down = rate(params.p_enb_w * gains.get(("enb", 0), ("drx", j), rb) / sigma)
     return 0.5 * min(up, down)
 

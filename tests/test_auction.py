@@ -323,13 +323,48 @@ class TestAllCellularAllocation:
             )
             two_hop = single_hop = 0.0
             for j, rb in alloc.rb_of_d2d.items():
-                up = math.log2(1 + params.p_cue_w * gains.get(("dtx", j), ("enb", 0), rb) / sigma)
+                up = math.log2(1 + params.p_d2d_w * gains.get(("dtx", j), ("enb", 0), rb) / sigma)
                 down = math.log2(1 + params.p_enb_w * gains.get(("enb", 0), ("drx", j), rb) / sigma)
                 two_hop += 0.5 * min(up, down)
                 single_hop += max(up, down)
             relay = radio.sum_rate(alloc, gains, params) - cellular
             assert relay == pytest.approx(two_hop, rel=1e-9)
             assert relay <= single_hop
+
+    def test_relay_source_hop_priced_at_transmitter_power(self):
+        # the source hop (D2D transmitter -> eNB) follows p_d2d_dbm and a
+        # per-node override, and not the cellular users' p_cue_dbm
+        topo = radio.generate_topology(PARAMS, m=3, n=4, rng_seed=55)
+        gains = radio.draw_gains(topo, PARAMS, rng_seed=56)
+        alloc = all_cellular_allocation(topo)
+
+        def relay(params, allocation=alloc):
+            return radio.sum_rate(allocation, gains, params) - radio.sum_rate(
+                radio.Allocation(), gains, params
+            )
+
+        def expected(params, p_src):
+            sigma = radio.effective_noise_w(params)
+            total = 0.0
+            for j, rb in alloc.rb_of_d2d.items():
+                up = math.log2(1 + p_src(j) * gains.get(("dtx", j), ("enb", 0), rb) / sigma)
+                down = math.log2(1 + params.p_enb_w * gains.get(("enb", 0), ("drx", j), rb) / sigma)
+                total += 0.5 * min(up, down)
+            return total
+
+        base = relay(PARAMS)
+        quiet = replace(PARAMS, p_d2d_dbm=0.0).validate()
+        assert relay(quiet) == pytest.approx(expected(quiet, lambda j: quiet.p_d2d_w), rel=1e-12)
+        assert relay(quiet) < base
+        loud_cue = replace(PARAMS, p_cue_dbm=0.0).validate()
+        assert relay(loud_cue) == base
+        override = {("dtx", 0): 1e-4, ("dtx", 2): 1e-3}
+        alloc_o = radio.Allocation(
+            rb_of_d2d=alloc.rb_of_d2d, relay_d2d=alloc.relay_d2d, tx_power_w=override
+        )
+        want = expected(PARAMS, lambda j: override.get(("dtx", j), PARAMS.p_d2d_w))
+        assert relay(PARAMS, alloc_o) == pytest.approx(want, rel=1e-12)
+        assert relay(PARAMS, alloc_o) < base
 
     def test_nearest_rb_chosen(self):
         topo = radio.Topology(

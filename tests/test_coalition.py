@@ -8,7 +8,6 @@ from d2dgames import radio
 from d2dgames.coalition import (
     ContentScenario,
     Partition,
-    coalition_value,
     draw_content_gains,
     generate_content_instance,
     initial_partition,
@@ -34,7 +33,7 @@ class TestCoalitionValue:
         gains = draw_content_gains(inst, PARAMS, rng_seed=2)
         sigma = radio.effective_noise_w(PARAMS)
         for rb in range(2):
-            got = coalition_value(rb, frozenset(), gains, PARAMS, inst)
+            got = make_value_fn(inst, gains, PARAMS)(rb, frozenset())
             want = math.log2(
                 1.0
                 + PARAMS.p_enb_w * gains.get(("enb", 0), ("cue", rb), rb) / sigma
@@ -45,7 +44,7 @@ class TestCoalitionValue:
         inst = _instance(n=2, k=1, m=2, seed=3)
         gains = draw_content_gains(inst, PARAMS, rng_seed=4)
         sigma = radio.effective_noise_w(PARAMS)
-        got = coalition_value(0, frozenset({0, 1}), gains, PARAMS, inst)
+        got = make_value_fn(inst, gains, PARAMS)(0, frozenset({0, 1}))
         # one seed (0) serving one normal (1): cellular link suffers the seed,
         # the normal suffers only cross-tier interference from the eNB
         cell = math.log2(
@@ -66,8 +65,8 @@ class TestCoalitionValue:
         inst = _instance(n=3, k=1, m=2, seed=5)
         gains = draw_content_gains(inst, PARAMS, rng_seed=6)
         # coalition of normals only (UE 1, 2): value equals the bare cellular rate
-        got = coalition_value(1, frozenset({1, 2}), gains, PARAMS, inst)
-        want = coalition_value(1, frozenset(), gains, PARAMS, inst)
+        got = make_value_fn(inst, gains, PARAMS)(1, frozenset({1, 2}))
+        want = make_value_fn(inst, gains, PARAMS)(1, frozenset())
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_matches_link_by_link_oracle(self):
@@ -76,7 +75,7 @@ class TestCoalitionValue:
         sigma = radio.effective_noise_w(PARAMS)
         members = frozenset({0, 1, 2, 3, 4})
         anchor = 1
-        got = coalition_value(anchor, members, gains, PARAMS, inst)
+        got = make_value_fn(inst, gains, PARAMS)(anchor, members)
         # independent recomputation: nearest-seed pairing and explicit sums
         pos = inst.ue_pos
         seeds = sorted(members & inst.seeds)
@@ -192,13 +191,15 @@ class TestSwitchDynamics:
     def test_local_optimum_below_global(self):
         from d2dgames.oracle import exhaustive_best_partition
 
-        for seed in range(10):
-            inst = _instance(n=4, k=2, m=2, seed=500 + seed)
-            gains = draw_content_gains(inst, PARAMS, rng_seed=600 + seed)
-            value_fn = make_value_fn(inst, gains, PARAMS)
-            result = run_switch_dynamics(initial_partition(inst), value_fn)
-            _, best = exhaustive_best_partition(inst, gains, PARAMS)
-            assert result.total_value(value_fn) <= best + 1e-9
+        for direction in (radio.DOWNLINK, radio.UPLINK):
+            params = radio.RadioParams(link_direction=direction).validate()
+            for seed in range(10):
+                inst = _instance(n=4, k=2, m=2, seed=500 + seed)
+                gains = draw_content_gains(inst, params, rng_seed=600 + seed)
+                value_fn = make_value_fn(inst, gains, params)
+                result = run_switch_dynamics(initial_partition(inst), value_fn)
+                _, best = exhaustive_best_partition(inst, gains, params)
+                assert result.total_value(value_fn) <= best + 1e-9
 
 
 class TestMergeSplit:

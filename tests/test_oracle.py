@@ -21,6 +21,7 @@ from d2dgames.coalition import (
 from d2dgames.oracle import (
     OracleBudget,
     _assignment_sum_rate,
+    _partition_value,
     exhaustive_best_allocation,
     exhaustive_best_partition,
     grid_equilibrium,
@@ -30,6 +31,9 @@ from d2dgames.power_control import PowerGameInstance
 from d2dgames.stackelberg import StackelbergInstance
 
 PARAMS = radio.RadioParams().validate()
+BOTH_DIRECTIONS = tuple(
+    replace(PARAMS, link_direction=d).validate() for d in (radio.DOWNLINK, radio.UPLINK)
+)
 
 
 class TestExhaustiveBestAllocation:
@@ -72,53 +76,99 @@ class TestExhaustiveBestAllocation:
                 )
 
     def test_dominates_auction(self):
-        for seed in range(10):
-            topo = radio.generate_topology(PARAMS, m=2, n=3, rng_seed=100 + seed)
-            gains = radio.draw_gains(topo, PARAMS, rng_seed=200 + seed)
-            inst = auction_instance_from_radio(topo, gains, PARAMS)
-            state = run_auction(inst)
-            assert state.terminated
-            auction_rate = radio.sum_rate(
-                allocation_from_auction(state, topo), gains, PARAMS
-            )
-            _, best = exhaustive_best_allocation(topo, gains, PARAMS)
-            assert best >= auction_rate - 1e-9
+        for params in BOTH_DIRECTIONS:
+            for seed in range(10):
+                topo = radio.generate_topology(params, m=2, n=3, rng_seed=100 + seed)
+                gains = radio.draw_gains(topo, params, rng_seed=200 + seed)
+                inst = auction_instance_from_radio(topo, gains, params)
+                state = run_auction(inst)
+                assert state.terminated
+                auction_rate = radio.sum_rate(
+                    allocation_from_auction(state, topo), gains, params
+                )
+                _, best = exhaustive_best_allocation(topo, gains, params)
+                assert best >= auction_rate - 1e-9
+
+    def test_auction_valuation_matches_assignment_sum_rate(self):
+        # bidder valuations plus signaling cost, summed over RBs, recompose
+        # the oracle's link-by-link sum rate of the same assignment
+        c0 = 0.05
+        rng = np.random.default_rng(7)
+        for params in BOTH_DIRECTIONS:
+            for seed in range(6):
+                topo = radio.generate_topology(params, m=3, n=4, rng_seed=600 + seed)
+                gains = radio.draw_gains(topo, params, rng_seed=700 + seed)
+                inst = auction_instance_from_radio(topo, gains, params, c0=c0)
+                for _ in range(5):
+                    assignment = [int(a) for a in rng.integers(-1, 3, topo.n_pairs)]
+                    total = 0.0
+                    for rb in inst.bidders:
+                        pkg = frozenset(j for j, a in enumerate(assignment) if a == rb)
+                        total += inst.valuation(rb, pkg) + c0 * len(pkg)
+                    assert total == pytest.approx(
+                        _assignment_sum_rate(assignment, topo, gains, params), rel=1e-9
+                    )
 
 
 class TestExhaustiveBestPartition:
     def test_single_ue_best_of_m(self):
-        scenario = ContentScenario(n_d2d=1, k_seeds=1, m_cue=3)
-        inst = generate_content_instance(scenario, PARAMS, rng_seed=7)
-        gains = draw_content_gains(inst, PARAMS, rng_seed=8)
-        part, value = exhaustive_best_partition(inst, gains, PARAMS)
-        value_fn = make_value_fn(inst, gains, PARAMS)
-        candidates = []
-        for rb in range(3):
-            members = tuple(
-                frozenset({0}) if r == rb else frozenset() for r in range(3)
-            )
-            from d2dgames.coalition import Partition
+        from d2dgames.coalition import Partition
 
-            candidates.append(Partition(members=members).total_value(value_fn))
-        assert value == pytest.approx(max(candidates), rel=1e-12)
+        for params in BOTH_DIRECTIONS:
+            scenario = ContentScenario(n_d2d=1, k_seeds=1, m_cue=3)
+            inst = generate_content_instance(scenario, params, rng_seed=7)
+            gains = draw_content_gains(inst, params, rng_seed=8)
+            part, value = exhaustive_best_partition(inst, gains, params)
+            value_fn = make_value_fn(inst, gains, params)
+            candidates = []
+            for rb in range(3):
+                members = tuple(
+                    frozenset({0}) if r == rb else frozenset() for r in range(3)
+                )
+                candidates.append(Partition(members=members).total_value(value_fn))
+            assert value == pytest.approx(max(candidates), rel=1e-12)
 
     def test_three_ues_two_anchors_direct_enumeration(self):
-        scenario = ContentScenario(n_d2d=3, k_seeds=1, m_cue=2)
-        inst = generate_content_instance(scenario, PARAMS, rng_seed=9)
-        gains = draw_content_gains(inst, PARAMS, rng_seed=10)
-        part, value = exhaustive_best_partition(inst, gains, PARAMS)
-        value_fn = make_value_fn(inst, gains, PARAMS)
-        assert part.total_value(value_fn) == pytest.approx(value, rel=1e-9)
+        for params in BOTH_DIRECTIONS:
+            scenario = ContentScenario(n_d2d=3, k_seeds=1, m_cue=2)
+            inst = generate_content_instance(scenario, params, rng_seed=9)
+            gains = draw_content_gains(inst, params, rng_seed=10)
+            part, value = exhaustive_best_partition(inst, gains, params)
+            value_fn = make_value_fn(inst, gains, params)
+            assert part.total_value(value_fn) == pytest.approx(value, rel=1e-9)
+
+    def test_value_fn_matches_partition_value(self):
+        from d2dgames.coalition import Partition
+
+        rng = np.random.default_rng(11)
+        for params in BOTH_DIRECTIONS:
+            for seed in range(6):
+                scenario = ContentScenario(n_d2d=5, k_seeds=2, m_cue=3)
+                inst = generate_content_instance(scenario, params, rng_seed=500 + seed)
+                gains = draw_content_gains(inst, params, rng_seed=510 + seed)
+                value_fn = make_value_fn(inst, gains, params)
+                for _ in range(5):
+                    anchors = [int(a) for a in rng.integers(0, 3, 5)]
+                    part = Partition(
+                        members=tuple(
+                            frozenset(u for u, a in enumerate(anchors) if a == rb)
+                            for rb in range(3)
+                        )
+                    )
+                    assert part.total_value(value_fn) == pytest.approx(
+                        _partition_value(anchors, inst, gains, params, inst.seeds), rel=1e-12
+                    )
 
     def test_dominates_switch_dynamics(self):
-        for seed in range(8):
-            scenario = ContentScenario(n_d2d=4, k_seeds=2, m_cue=2)
-            inst = generate_content_instance(scenario, PARAMS, rng_seed=300 + seed)
-            gains = draw_content_gains(inst, PARAMS, rng_seed=400 + seed)
-            value_fn = make_value_fn(inst, gains, PARAMS)
-            stable = run_switch_dynamics(initial_partition(inst), value_fn)
-            _, best = exhaustive_best_partition(inst, gains, PARAMS)
-            assert stable.total_value(value_fn) <= best + 1e-9
+        for params in BOTH_DIRECTIONS:
+            for seed in range(8):
+                scenario = ContentScenario(n_d2d=4, k_seeds=2, m_cue=2)
+                inst = generate_content_instance(scenario, params, rng_seed=300 + seed)
+                gains = draw_content_gains(inst, params, rng_seed=400 + seed)
+                value_fn = make_value_fn(inst, gains, params)
+                stable = run_switch_dynamics(initial_partition(inst), value_fn)
+                _, best = exhaustive_best_partition(inst, gains, params)
+                assert stable.total_value(value_fn) <= best + 1e-9
 
     def test_budget_refusal(self):
         scenario = ContentScenario(n_d2d=8, k_seeds=2, m_cue=3)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from d2dgames import radio
+from d2dgames import coalition, radio
+from d2dgames.coalition import (
+    ContentScenario,
+    content_pathloss,
+    draw_content_gains,
+    generate_content_instance,
+)
 from d2dgames.radio import (
     Allocation,
     GainTensor,
@@ -135,13 +141,14 @@ class TestDrawGains:
     def test_all_positive(self):
         topo = generate_topology(PARAMS, m=3, n=2, rng_seed=2)
         gains = draw_gains(topo, PARAMS, rng_seed=3)
-        assert all(g > 0 for g in gains.gains.values())
+        assert all(g > 0 for _, g in gains.entries())
 
     def test_deterministic(self):
         topo = generate_topology(PARAMS, m=3, n=2, rng_seed=2)
         a = draw_gains(topo, PARAMS, rng_seed=3)
         b = draw_gains(topo, PARAMS, rng_seed=3)
-        assert a.gains == b.gains
+        assert a.tx_nodes == b.tx_nodes and a.rx_nodes == b.rx_nodes
+        assert np.array_equal(a.g, b.g, equal_nan=True)
 
     def test_fading_factor_unit_mean(self):
         # Monte Carlo over >= 1e4 draws: gain / pathloss should average to 1.
@@ -159,7 +166,7 @@ class TestDrawGains:
         factors = []
         for seed in range(1200):
             gains = draw_gains(topo, PARAMS, rng_seed=seed)
-            for (tx, rx, rb), g in gains.gains.items():
+            for (tx, rx, rb), g in gains.entries():
                 factors.append(g / pl_lin[(tx, rx)])
         assert len(factors) >= 10_000
         assert np.mean(factors) == pytest.approx(1.0, abs=0.05)
@@ -176,11 +183,94 @@ class TestDrawGains:
         gains = draw_gains(topo, PARAMS, rng_seed=6)
         restored = GainTensor.from_json(gains.to_json())
         assert restored.rb_count == gains.rb_count
-        assert restored.gains == gains.gains
+        assert restored.to_json() == gains.to_json()
+        assert np.array_equal(restored.g, gains.g, equal_nan=True)
+
+
+def _reference_gains(links, rb_count, params, rng_seed):
+    # the per-link loop the dense draw replaced: one fading draw of rb_count
+    # values per link, in link order
+    rng = np.random.default_rng(rng_seed)
+    ref = {}
+    for tx, tx_pos, rx, rx_pos in links:
+        d = max(math.hypot(tx_pos[0] - rx_pos[0], tx_pos[1] - rx_pos[1]), 1e-9)
+        pl_lin = 10.0 ** (-pathloss_db(d, params.carrier_ghz, radio.is_los(tx, rx)) / 10.0)
+        fading = rng.exponential(1.0, size=rb_count)
+        for rb in range(rb_count):
+            ref[(tx, rx, rb)] = pl_lin * float(fading[rb])
+    return ref
+
+
+class TestDenseGainTensor:
+    DIRECTIONS = (radio.DOWNLINK, radio.UPLINK)
+
+    def test_draw_gains_matches_per_link_loop(self):
+        for direction in self.DIRECTIONS:
+            params = RadioParams(link_direction=direction).validate()
+            for seed in range(6):
+                topo = generate_topology(params, m=1 + seed % 4, n=seed, rng_seed=60 + seed)
+                gains = draw_gains(topo, params, rng_seed=70 + seed)
+                ref = _reference_gains(radio._topology_links(topo), topo.rb_count, params, 70 + seed)
+                assert dict(gains.entries()) == ref
+
+    def test_draw_content_gains_matches_per_link_loop(self):
+        for direction in self.DIRECTIONS:
+            params = RadioParams(link_direction=direction).validate()
+            for seed in range(6):
+                scenario = ContentScenario(n_d2d=2 + seed, k_seeds=1, m_cue=1 + seed % 3)
+                inst = generate_content_instance(scenario, params, rng_seed=80 + seed)
+                gains = draw_content_gains(inst, params, rng_seed=90 + seed)
+                ref = _reference_gains(
+                    coalition._content_links(inst), scenario.m_cue, params, 90 + seed
+                )
+                assert dict(gains.entries()) == ref
+                reused = draw_content_gains(
+                    inst, params, 90 + seed, pathloss=content_pathloss(inst, params)
+                )
+                assert np.array_equal(reused.g, gains.g, equal_nan=True)
+
+    def test_unmodelled_link_raises_key_error(self):
+        topo = generate_topology(PARAMS, m=3, n=2, rng_seed=61)
+        gains = draw_gains(topo, PARAMS, rng_seed=62)
+        with pytest.raises(KeyError):
+            gains.get(("cue", 0), ("cue", 1), 0)
+        with pytest.raises(KeyError):
+            gains.get(("dtx", 5), ("drx", 0), 0)
+        for rb in (-1, 3):
+            with pytest.raises(KeyError):
+                gains.get(("enb", 0), ("cue", 0), rb)
+        with pytest.raises(KeyError):
+            gains.gather(gains.tx_indices([("cue", 0)]), gains.rx_indices([("cue", 1)]))
+        inst = generate_content_instance(ContentScenario(n_d2d=3, k_seeds=1, m_cue=2), PARAMS, 63)
+        content = draw_content_gains(inst, PARAMS, rng_seed=64)
+        with pytest.raises(KeyError):
+            content.get(("ue", 1), ("ue", 1), 0)
+        assert content.get(("ue", 0), ("ue", 1), 1) > 0
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan, math.inf])
+    def test_bad_gain_rejected(self, bad):
+        entries = {(("dtx", 0), ("drx", 0), 0): 1e-9, (("enb", 0), ("drx", 0), 0): bad}
+        with pytest.raises(ValueError, match="positive and finite"):
+            GainTensor.from_entries(entries, rb_count=1)
+        if not math.isnan(bad):  # NaN in the dense array marks an unmodelled link
+            g = np.full((1, 1, 2), 1e-9)
+            g[0, 0, 1] = bad
+            with pytest.raises(ValueError, match="positive and finite"):
+                GainTensor((("dtx", 0),), (("drx", 0),), g)
+
+    def test_json_round_trip_byte_identical(self):
+        topo = generate_topology(PARAMS, m=3, n=4, rng_seed=65)
+        inst = generate_content_instance(ContentScenario(n_d2d=4, k_seeds=2, m_cue=3), PARAMS, 66)
+        for gains in (draw_gains(topo, PARAMS, 67), draw_content_gains(inst, PARAMS, 68)):
+            text = gains.to_json()
+            restored = GainTensor.from_json(text)
+            assert restored.to_json() == text
+            assert restored.tx_nodes == gains.tx_nodes and restored.rx_nodes == gains.rx_nodes
+            assert np.array_equal(restored.g, gains.g, equal_nan=True)
 
 
 def _synthetic_gains(entries, rb_count):
-    return GainTensor(rb_count=rb_count, gains=dict(entries))
+    return GainTensor.from_entries(dict(entries), rb_count)
 
 
 class TestSinr:
@@ -320,12 +410,12 @@ class TestSumRate:
                 return ("cue", perm.index(node[1]))
             return node
 
-        gains_p = GainTensor(
-            rb_count=3,
-            gains={
+        gains_p = GainTensor.from_entries(
+            {
                 (remap(tx), remap(rx), perm.index(rb)): g
-                for (tx, rx, rb), g in gains.gains.items()
+                for (tx, rx, rb), g in gains.entries()
             },
+            rb_count=3,
         )
         alloc_p = Allocation(
             rb_of_d2d={j: perm.index(rb) for j, rb in alloc.rb_of_d2d.items()}
