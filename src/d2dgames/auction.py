@@ -8,10 +8,20 @@ winning bidder's RB; undemanded pairs stay silent.
 
 Demand is the exact surplus-maximizing package (exhaustive over all subsets)
 up to ``exact_cap`` items, and a greedy marginal-surplus construction beyond
-that. A bidder whose demanded items saw no price change keeps its demand: a
-price rise elsewhere can only lower competing packages' surpluses, so the
-cached argmax (and the greedy path) is unchanged. This keeps big instances
-cheap without altering the outcome.
+that. Valuations have one interface, ``AuctionInstance.batch_valuation``, which
+values a batch of 0/1 package masks; ``AuctionInstance.valuation`` is a
+one-row call to it. Two caches keep big instances cheap without altering the
+outcome:
+
+- Stale demand: a bidder whose demanded items saw no price change keeps its
+  demand. A price rise elsewhere can only lower competing packages'
+  surpluses, so the cached argmax (and the greedy path) is unchanged.
+- Greedy memo: the candidate values of one greedy step depend on the bidder
+  and the current package only, not on prices. The engine of one auction
+  stores them per (bidder, package bitmask), so greedy paths that repeat
+  their prefixes over many clock rounds cost one valuation call per new
+  package instead of one per step. ``valuation_calls`` still counts every
+  candidate row a cache-free engine would evaluate.
 """
 
 from __future__ import annotations
@@ -32,12 +42,11 @@ Package = frozenset
 class AuctionInstance:
     items: tuple[int, ...]
     bidders: tuple[int, ...]
-    valuation: Callable[[int, Package], float]
+    # the one valuation path: (bidder, masks (B, n_items) of 0/1 rows) -> (B,)
+    batch_valuation: Callable[[int, np.ndarray], np.ndarray]
     epsilon: float
     p0: float = 0.0
     exact_cap: int = 12
-    # optional vectorized valuation: (bidder, masks (B, n_items) of 0/1) -> (B,)
-    batch_valuation: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -53,9 +62,24 @@ class AuctionInstance:
     def n_items(self) -> int:
         return len(self.items)
 
+    def valuation(self, bidder: int, package: Package) -> float:
+        """Value of one package: a one-row call to ``batch_valuation``."""
+        mask = np.zeros((1, self.n_items))
+        mask[0, [self.items.index(item) for item in package]] = 1.0
+        return float(self.batch_valuation(bidder, mask)[0])
+
 
 @dataclass
 class AuctionState:
+    """Outcome of :func:`run_auction`.
+
+    ``valuation_calls`` counts logical valuation queries: the non-empty
+    candidate packages a cache-free engine would evaluate (the whole table
+    once per bidder in exact mode, every candidate of every greedy step in
+    greedy mode). Rows served from the greedy memo count as well, so the
+    number does not depend on caching; ``per_round_calls`` splits it by round.
+    """
+
     items: tuple[int, ...]
     prices: dict[int, float]
     demand: dict[int, Package]
@@ -76,48 +100,25 @@ class _DemandEngine:
         self.exact = self.n <= instance.exact_cap
         self.calls = 0
         self._tables: dict[int, np.ndarray] = {}
-        self._single_cache: dict[tuple[int, int], float] = {}
-        if self.exact and self.n > 0:
+        # (bidder, package mask) -> (value of the empty package when mask == 0
+        # else None, items outside the mask, values of mask plus each of them)
+        self._steps: dict[tuple[int, int], tuple[Optional[float], np.ndarray, np.ndarray]] = {}
+        if self.exact:
             bits = (np.arange(2**self.n)[:, None] >> np.arange(self.n)) & 1
             self._masks = bits.astype(float)
-            self._sizes = self._masks.sum(axis=1)
-        elif self.exact:
-            self._masks = np.zeros((1, 0))
-            self._sizes = np.zeros(1)
 
     def _package(self, mask: int) -> Package:
         return frozenset(
             self.inst.items[i] for i in range(self.n) if (mask >> i) & 1
         )
 
-    def _eval_masks(self, bidder: int, masks: np.ndarray) -> np.ndarray:
-        if self.inst.batch_valuation is not None:
-            return np.asarray(self.inst.batch_valuation(bidder, masks), dtype=float)
-        out = np.empty(len(masks))
-        for r, row in enumerate(masks):
-            pkg = frozenset(
-                self.inst.items[i] for i in range(self.n) if row[i] > 0.5
-            )
-            out[r] = self.inst.valuation(bidder, pkg)
-        return out
-
     def _table(self, bidder: int) -> np.ndarray:
         tab = self._tables.get(bidder)
         if tab is None:
-            tab = self._eval_masks(bidder, self._masks)
+            tab = np.asarray(self.inst.batch_valuation(bidder, self._masks), dtype=float)
             self._tables[bidder] = tab
             self.calls += 2**self.n - 1  # non-empty packages evaluated
         return tab
-
-    def value_of_mask(self, bidder: int, mask_row: np.ndarray) -> float:
-        key = (bidder, int(mask_row @ (1 << np.arange(self.n))) if self.n else 0)
-        v = self._single_cache.get(key)
-        if v is None:
-            v = float(self._eval_masks(bidder, mask_row[None, :])[0])
-            self._single_cache[key] = v
-            if mask_row.sum() > 0:
-                self.calls += 1
-        return v
 
     def demand(self, bidder: int, prices: np.ndarray) -> Package:
         if self.exact:
@@ -139,25 +140,45 @@ class _DemandEngine:
             chosen = candidates[0]
         return self._package(int(chosen))
 
+    def _greedy_step(self, bidder: int, mask: int):
+        """Candidate rows of one greedy step from package ``mask``, memoized.
+
+        The rows depend on (bidder, mask) only, never on prices, so a repeat
+        of the step returns the stored arrays without a valuation call. From
+        the empty package the same call also values the empty row.
+        """
+        step = self._steps.get((bidder, mask))
+        if step is None:
+            out_idx = np.array([i for i in range(self.n) if not (mask >> i) & 1], dtype=np.intp)
+            lead = int(mask == 0)  # leading all-zero row for the empty package
+            rows = np.zeros((lead + len(out_idx), self.n))
+            rows[lead:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
+            rows[lead + np.arange(len(out_idx)), out_idx] = 1.0
+            vals = np.asarray(self.inst.batch_valuation(bidder, rows), dtype=float)
+            step = (float(vals[0]) if lead else None, out_idx, vals[lead:])
+            self._steps[(bidder, mask)] = step
+        return step
+
     def _demand_greedy(self, bidder: int, prices: np.ndarray) -> Package:
-        mask = np.zeros(self.n)
-        value = self.value_of_mask(bidder, mask)
-        while True:
-            out_idx = [i for i in range(self.n) if mask[i] < 0.5]
-            if not out_idx:
-                break
-            cand = np.repeat(mask[None, :], len(out_idx), axis=0)
-            for r, i in enumerate(out_idx):
-                cand[r, i] = 1.0
-            vals = self._eval_masks(bidder, cand)
+        """Add the item of largest marginal surplus until none is positive.
+
+        Ties go to the smallest item index. A package's value is carried from
+        the step that added its last item, the empty package's from its step.
+        """
+        mask = 0
+        full = (1 << self.n) - 1
+        while mask != full:
+            empty_value, out_idx, vals = self._greedy_step(bidder, mask)
+            if mask == 0:
+                value = empty_value
             self.calls += len(out_idx)
             marginals = vals - value - prices[out_idx]
             best = int(np.argmax(marginals))  # first max = smallest item index
             if marginals[best] <= 0.0:
                 break
-            mask[out_idx[best]] = 1.0
+            mask |= 1 << int(out_idx[best])
             value = vals[best]
-        return frozenset(self.inst.items[i] for i in range(self.n) if mask[i] > 0.5)
+        return self._package(mask)
 
 
 def bidder_demand(instance: AuctionInstance, prices, bidder: int) -> Package:
@@ -170,11 +191,7 @@ def bidder_demand(instance: AuctionInstance, prices, bidder: int) -> Package:
     )
     if np.any(prices < 0):
         raise ValueError("prices must be >= 0")
-    engine = getattr(instance, "_engine", None)
-    if engine is None:
-        engine = _DemandEngine(instance)
-        object.__setattr__(instance, "_engine", engine)
-    return engine.demand(bidder, prices)
+    return _DemandEngine(instance).demand(bidder, prices)
 
 
 def run_auction(instance: AuctionInstance, max_rounds: int = 1_000_000) -> AuctionState:
@@ -316,14 +333,6 @@ def auction_instance_from_radio(
         d2d = (member_rates * masks).sum(axis=1)
         return cell + d2d - c0 * masks.sum(axis=1)
 
-    item_pos = {j: i for i, j in enumerate(items)}
-
-    def valuation(bidder: int, package: Package) -> float:
-        mask = np.zeros(n)
-        for j in package:
-            mask[item_pos[j]] = 1.0
-        return float(batch_valuation(bidder, mask[None, :])[0])
-
     if epsilon is None:
         single = []
         eye = np.eye(n)
@@ -338,9 +347,8 @@ def auction_instance_from_radio(
     return AuctionInstance(
         items=items,
         bidders=bidders,
-        valuation=valuation,
+        batch_valuation=batch_valuation,
         epsilon=epsilon,
         p0=p0,
         exact_cap=exact_cap,
-        batch_valuation=batch_valuation,
     )

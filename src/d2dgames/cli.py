@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 oracle-check failure.
+Exit codes: 0 success, 2 configuration error, 3 oracle-check failure,
+4 run finished with error rows (written as ``nan`` rows).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {err}")
     if config.output_path:
         print(f"outputs written to {config.output_path}")
-    return 0
+    return 4 if summary.errors else 0
 
 
 if __name__ == "__main__":

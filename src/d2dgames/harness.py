@@ -336,9 +336,13 @@ def oracle_check(config: ExperimentConfig, budget: oracle_mod.OracleBudget | Non
         if not state.terminated:
             ok = False
             continue
-        got = radio.sum_rate(auction_mod.allocation_from_auction(state, topo), gains, params)
+        alloc = auction_mod.allocation_from_auction(state, topo)
+        got = radio.sum_rate(alloc, gains, params)
+        # without this agreement an under-reporting sum_rate passes best >= got
+        assignment = [alloc.rb_of_d2d.get(j, -1) for j in range(topo.n_pairs)]
+        direct = oracle_mod._assignment_sum_rate(assignment, topo, gains, params)
         _, best = oracle_mod.exhaustive_best_allocation(topo, gains, params, budget)
-        ok = ok and best >= got - 1e-9
+        ok = ok and math.isclose(got, direct, rel_tol=1e-9) and best >= got - 1e-9
     checks["auction_below_exhaustive_optimum"] = ok
 
     ok = True

@@ -154,13 +154,16 @@ def test_criterion_3_auction_properties():
         bidders = tuple(range(n_bidders))
         values = _random_auction_values(rng, n_items, bidders)
 
-        def valuation(b, pkg, _v=values):
-            return _v[(b, frozenset(pkg))]
+        def batch_valuation(b, masks, _v=values):
+            # 0/1 mask rows -> frozenset lookups
+            return np.array(
+                [_v[(b, frozenset(np.flatnonzero(row > 0.5).tolist()))] for row in masks]
+            )
 
         inst = AuctionInstance(
             items=tuple(range(n_items)),
             bidders=bidders,
-            valuation=valuation,
+            batch_valuation=batch_valuation,
             epsilon=float(rng.uniform(0.1, 0.5)),
             p0=float(rng.choice([0.0, 0.2])),
         )

@@ -7,6 +7,7 @@ import pytest
 from d2dgames import radio
 from d2dgames.auction import (
     AuctionInstance,
+    _DemandEngine,
     all_cellular_allocation,
     allocation_from_auction,
     auction_instance_from_radio,
@@ -18,16 +19,23 @@ from d2dgames.auction import (
 PARAMS = radio.RadioParams().validate()
 
 
+def _lookup_batch(values):
+    """Batch valuation that maps each 0/1 mask row to its frozenset lookup."""
+
+    def batch_valuation(bidder, masks):
+        return np.array(
+            [values[(bidder, frozenset(np.flatnonzero(row > 0.5).tolist()))] for row in masks]
+        )
+
+    return batch_valuation
+
+
 def _table_instance(values, n_items, bidders=(0,), epsilon=0.5, p0=0.0, **kw):
     """Instance whose valuation is a lookup on frozensets (synthetic tests)."""
-
-    def valuation(bidder, package):
-        return values[(bidder, frozenset(package))]
-
     return AuctionInstance(
         items=tuple(range(n_items)),
         bidders=tuple(bidders),
-        valuation=valuation,
+        batch_valuation=_lookup_batch(values),
         epsilon=epsilon,
         p0=p0,
         **kw,
@@ -163,10 +171,6 @@ class TestRunAuction:
             n_bidders = int(rng.integers(1, 4))
             bidders = tuple(range(n_bidders))
             values = _random_values(rng, n_items, bidders)
-
-            def valuation(b, pkg, _v=values):
-                return _v[(b, frozenset(pkg))]
-
             exact_cap = int(rng.choice([12, 1]))  # exercise greedy mode too
             inst = _table_instance(
                 values,
@@ -224,6 +228,110 @@ class TestRunAuction:
                 pkg = state.demand.get(b, frozenset())
                 surplus = values[(b, pkg)] - sum(state.prices[i] for i in pkg)
                 assert surplus >= -1e-9
+
+
+def _greedy_reference(batch_valuation, n, bidder, prices):
+    """Cache-free greedy demand, as item indices, and the candidate rows it valued.
+
+    From the empty package, add the outside item of largest marginal surplus
+    (value gain minus price; the smallest index on ties) while that marginal
+    is positive.
+    """
+    package = []
+    value = float(batch_valuation(bidder, np.zeros((1, n)))[0])
+    calls = 0
+    while len(package) < n:
+        out = [i for i in range(n) if i not in package]
+        rows = np.zeros((len(out), n))
+        rows[:, package] = 1.0
+        for r, i in enumerate(out):
+            rows[r, i] = 1.0
+        vals = batch_valuation(bidder, rows)
+        calls += len(out)
+        marginals = [vals[r] - value - prices[i] for r, i in enumerate(out)]
+        best = max(range(len(out)), key=lambda r: (marginals[r], -r))
+        if marginals[best] <= 0.0:
+            break
+        package.append(out[best])
+        value = vals[best]
+    return frozenset(package), calls
+
+
+class TestGreedyMemo:
+    """Memoized greedy demand equals a cache-free greedy on one warm engine."""
+
+    @staticmethod
+    def _replay(inst, price_seq):
+        # one engine over the whole non-decreasing price sequence, so later
+        # queries are served from the memo; returns (demand queries, batch
+        # calls the engine made, whether some bidder's demand changed)
+        reference = inst.batch_valuation
+        batch_calls = 0
+
+        def counted(bidder, masks):
+            nonlocal batch_calls
+            batch_calls += 1
+            return reference(bidder, masks)
+
+        inst.batch_valuation = counted
+        engine = _DemandEngine(inst)
+        assert not engine.exact
+        seen = {b: set() for b in inst.bidders}
+        for prices in price_seq:
+            for b in inst.bidders:
+                want, want_calls = _greedy_reference(reference, inst.n_items, b, prices)
+                before = engine.calls
+                got = engine.demand(b, prices)
+                assert got == frozenset(inst.items[i] for i in want)
+                assert engine.calls - before == want_calls
+                seen[b].add(got)
+        queries = len(price_seq) * len(inst.bidders)
+        return queries, batch_calls, any(len(pkgs) > 1 for pkgs in seen.values())
+
+    @staticmethod
+    def _rising_prices(rng, n, steps, step_scale, share):
+        prices = np.zeros(n)
+        seq = []
+        for _ in range(steps):
+            seq.append(prices.copy())
+            prices = prices + step_scale * rng.uniform(0.0, 1.0, n) * (rng.random(n) < share)
+        return seq
+
+    def test_synthetic_instances_match_cache_free_greedy(self):
+        rng = np.random.default_rng(23)
+        queries = batch_calls = changed = 0
+        n_instances = 40
+        for _ in range(n_instances):
+            n_items = int(rng.integers(3, 8))
+            bidders = tuple(range(int(rng.integers(1, 4))))
+            values = _random_values(rng, n_items, bidders)
+            inst = _table_instance(
+                values, n_items=n_items, bidders=bidders,
+                exact_cap=int(rng.integers(0, n_items)),
+            )
+            seq = self._rising_prices(rng, n_items, 25, 0.4, 0.4)
+            q, c, moved = self._replay(inst, seq)
+            queries, batch_calls, changed = queries + q, batch_calls + c, changed + moved
+        # without the memo every query makes at least two batch calls
+        assert batch_calls < queries
+        assert changed >= n_instances // 2
+
+    def test_radio_instances_match_cache_free_greedy(self):
+        rng = np.random.default_rng(29)
+        for direction in (radio.DOWNLINK, radio.UPLINK):
+            params = replace(PARAMS, link_direction=direction).validate()
+            topo = radio.generate_topology(params, m=3, n=14, rng_seed=61)
+            gains = radio.draw_gains(topo, params, rng_seed=62)
+            inst = auction_instance_from_radio(topo, gains, params)
+            # the clock's own price path, then random rises beyond it
+            history = run_auction(inst).price_history
+            seq = history + [
+                history[-1] + p
+                for p in self._rising_prices(rng, 14, 20, 5 * inst.epsilon, 0.5)
+            ]
+            queries, batch_calls, moved = self._replay(inst, seq)
+            assert batch_calls < queries
+            assert moved
 
 
 class TestRadioBackedAuction:

@@ -5,6 +5,7 @@ import pytest
 from d2dgames.config import ExperimentConfig, loads_config
 from d2dgames.harness import (
     CSV_HEADERS,
+    oracle_check,
     rows_to_csv,
     run_experiment,
     summarize,
@@ -175,6 +176,19 @@ class TestOracleCheck:
         assert summary.checks is not None
         assert summary.checks["all_passed"], summary.checks
 
+    def test_under_reporting_sum_rate_fails_auction_check(self, monkeypatch):
+        # 0.999 x the true sum rate still lies below the exhaustive optimum;
+        # only the agreement with the oracle's own recomputation catches it
+        from d2dgames import radio
+
+        true_sum_rate = radio.sum_rate
+        monkeypatch.setattr(
+            radio, "sum_rate", lambda *args, **kw: 0.999 * true_sum_rate(*args, **kw)
+        )
+        checks = oracle_check(ExperimentConfig())
+        assert checks["auction_below_exhaustive_optimum"] is False
+        assert not checks["all_passed"]
+
 
 class TestCli:
     def test_print_defaults(self, capsys):
@@ -204,3 +218,25 @@ class TestCli:
         cfg.write_text("experiment = nonsense\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+    def test_error_rows_exit_code(self, tmp_path, capsys, monkeypatch):
+        from d2dgames import auction
+        from d2dgames.cli import main
+
+        def failing_auction(*args, **kw):
+            raise RuntimeError("auction failed on purpose")
+
+        monkeypatch.setattr(auction, "run_auction", failing_auction)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "experiment = sumrate-vs-pairs\nsweep = 2\ndrops = 1\nm_cue = 2\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 4
+        rows = (out_dir / "sumrate.csv").read_text().splitlines()[1:]
+        rica = [row.split(",") for row in rows if row.split(",")[1] == "rica"]
+        assert len(rica) == 1 and rica[0][3] == "nan"
+        assert len(rows) == 3  # the other schemes still ran
+        out = capsys.readouterr().out
+        assert "errors (1):" in out
+        assert "scheme=rica: auction failed on purpose" in out
