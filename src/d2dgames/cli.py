@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 oracle-check failure,
-4 run finished with error rows (written as ``nan`` rows).
+Exit codes: 0 success, 2 configuration error, 3 a failed oracle check (from
+``oracle-check`` or from ``run`` of an oracle-check config), 4 run finished
+with error rows (written as ``nan`` rows).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import sys
 from dataclasses import replace
 
 from d2dgames.config import ConfigError, ExperimentConfig, dump_config, load_config
-from d2dgames.harness import oracle_check, run_experiment
-from d2dgames.oracle import OracleBudget
+from d2dgames.harness import run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,8 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override master_seed")
     run_p.add_argument("--out", default=None, help="override output directory")
 
-    check_p = sub.add_parser("oracle-check", help="cross-validate engines against oracles")
-    check_p.add_argument("--budget", type=int, default=2_000_000, help="max enumerated states")
+    sub.add_parser("oracle-check", help="cross-validate engines against oracles")
 
     sub.add_parser("print-defaults", help="print the full default configuration")
     return parser
@@ -43,20 +42,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "oracle-check":
-        checks = oracle_check(ExperimentConfig(), OracleBudget(max_assignments=args.budget))
-        print(json.dumps(checks, indent=2, sort_keys=True))
-        return 0 if checks["all_passed"] else 3
-
-    try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, master_seed=args.seed)
-        if args.out is not None:
-            config = replace(config, output_path=args.out)
-        config = config.validate()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        config = ExperimentConfig(experiment="oracle-check")
+    else:
+        try:
+            config = load_config(args.config)
+            if args.seed is not None:
+                config = replace(config, master_seed=args.seed)
+            if args.out is not None:
+                config = replace(config, output_path=args.out)
+            config = config.validate()
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
     summary = run_experiment(config)
     print(f"experiment: {summary.experiment}")
@@ -68,8 +65,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"errors ({len(summary.errors)}):")
         for err in summary.errors:
             print(f"  {err}")
+    if summary.checks is not None:
+        print(json.dumps(summary.checks, indent=2, sort_keys=True))
     if config.output_path:
         print(f"outputs written to {config.output_path}")
+    if summary.checks is not None and not summary.checks["all_passed"]:
+        return 3
     return 4 if summary.errors else 0
 
 

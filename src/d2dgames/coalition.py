@@ -209,7 +209,13 @@ def _coalition_detail(
     anchor: int,
     members: frozenset[int],
 ) -> tuple[float, dict[int, float]]:
-    """Coalition value and the per-normal-UE link rates inside it."""
+    """Coalition value and the SINR of every normal UE inside it.
+
+    Each normal UE listens to its nearest seed in the coalition (ties to the
+    smaller index) and hears the cellular transmitter plus every other serving
+    seed as interference; a UE in a coalition without a seed gets SINR 0.0.
+    The value is the cellular link's rate plus the normal UEs' rates.
+    """
     seed_list = sorted(members & seeds)
     normals = sorted(members - seeds)
     serving: dict[int, int] = {}
@@ -219,20 +225,20 @@ def _coalition_detail(
     transmitting = sorted(set(serving.values()))
     interf_c = sum(channel.ue_at_cellrx[s, anchor] for s in transmitting)
     value = math.log2(1.0 + channel.cell_signal[anchor] / (channel.sigma + interf_c))
-    rates: dict[int, float] = {}
+    sinrs: dict[int, float] = {}
     for u in normals:
         s = serving.get(u)
         if s is None:
-            rates[u] = 0.0
+            sinrs[u] = 0.0
             continue
         interf = channel.cell_at_ue[u, anchor]
         for t in transmitting:
             if t != s:
                 interf += channel.uu[t, u, anchor]
-        r = math.log2(1.0 + channel.uu[s, u, anchor] / (channel.sigma + interf))
-        rates[u] = r
-        value += r
-    return value, rates
+        sinr = channel.uu[s, u, anchor] / (channel.sigma + interf)
+        sinrs[u] = sinr
+        value += math.log2(1.0 + sinr)
+    return value, sinrs
 
 
 def make_value_fn(
@@ -371,30 +377,6 @@ def merge_split(
     raise RuntimeError(f"merge/split did not stabilize within {max_steps} operations")
 
 
-def _noncoop_sinr(
-    channel: _ContentChannel,
-    dist: np.ndarray,
-    seeds: frozenset[int],
-    assignment: np.ndarray,
-    ue: int,
-    anchor: int,
-) -> float:
-    members = frozenset(np.flatnonzero(assignment == anchor)) | {ue}
-    seed_list = sorted(s for s in members if s in seeds and s != ue)
-    if not seed_list:
-        return 0.0
-    serving: dict[int, int] = {}
-    for u in sorted(m for m in members if m not in seeds):
-        serving[u] = min(seed_list, key=lambda s: (dist[s, u], s))
-    s_own = serving[ue]
-    transmitting = set(serving.values())
-    interf = channel.cell_at_ue[ue, anchor]
-    for t in transmitting:
-        if t != s_own:
-            interf += channel.uu[t, ue, anchor]
-    return channel.uu[s_own, ue, anchor] / (channel.sigma + interf)
-
-
 def noncooperative_baseline(
     gains: radio.GainTensor,
     params: radio.RadioParams,
@@ -409,8 +391,11 @@ def noncooperative_baseline(
     Seeds sit in their warm-start coalition (initially: nearest anchor) and do
     not act. Normal UEs repeatedly jump to the (RB, nearest-seed) choice with
     the best own SINR given everyone else's previous choice, ignoring the harm
-    to others, until a fixed point or the sweep cap. ``channel`` is as in
-    :func:`make_value_fn`.
+    to others, until a fixed point or the sweep cap. A UE leaves its RB only
+    for a relative SINR gain above 1e-12; among equal candidates the smaller
+    RB wins. A UE's SINR on an RB is the one :func:`_coalition_detail` gives
+    it in that coalition, so both allocators score a UE with the same model.
+    ``channel`` is as in :func:`make_value_fn`.
     """
     use_seeds = inst.seeds if seeds is None else frozenset(seeds)
     if channel is None:
@@ -420,29 +405,28 @@ def noncooperative_baseline(
     m = inst.scenario.m_cue
     if partition0 is None:
         partition0 = initial_partition(inst)
-    assignment = np.empty(n, dtype=int)
-    for u in range(n):
-        assignment[u] = partition0.anchor_of(u)
+    coalitions = list(partition0.members)
     normals = [u for u in range(n) if u not in use_seeds]
     for _ in range(max_sweeps):
         moved = False
         for u in normals:
-            current = int(assignment[u])
-            assignment[u] = -1  # evaluate candidate RBs without u counted twice
-            best_r, best_g = current, _noncoop_sinr(channel, dist, use_seeds, assignment, u, current)
+            current = next(r for r, ms in enumerate(coalitions) if u in ms)
+            coalitions[current] = coalitions[current] - {u}
+            # u's own SINR on each RB, everyone else as last placed
+            g = [
+                _coalition_detail(channel, dist, use_seeds, r, coalitions[r] | {u})[1][u]
+                for r in range(m)
+            ]
+            best_r = current
             for r in range(m):
-                if r == current:
-                    continue
-                g = _noncoop_sinr(channel, dist, use_seeds, assignment, u, r)
-                if g > best_g * (1.0 + 1e-12) and g > best_g:
-                    best_r, best_g = r, g
-            assignment[u] = best_r
+                if r != current and g[r] > g[best_r] * (1.0 + 1e-12) and g[r] > g[best_r]:
+                    best_r = r
+            coalitions[best_r] = coalitions[best_r] | {u}
             if best_r != current:
                 moved = True
         if not moved:
             break
-    members = [frozenset(np.flatnonzero(assignment == r)) for r in range(m)]
-    return Partition(members=tuple(members))
+    return Partition(members=tuple(coalitions))
 
 
 @dataclass
@@ -501,11 +485,12 @@ def simulate_content_distribution(
             )
         round_value = 0.0
         for anchor, members in enumerate(partition.members):
-            value, rates = _coalition_detail(channel, dist, frozen_seeds, anchor, members)
+            value, sinrs = _coalition_detail(channel, dist, frozen_seeds, anchor, members)
             round_value += value
-            for u, r in rates.items():
+            for u, sinr in sinrs.items():
                 if packets[u] < total_file:
-                    gained = int(math.floor(scenario.packets_per_rate_unit * r))
+                    rate = math.log2(1.0 + sinr)
+                    gained = int(math.floor(scenario.packets_per_rate_unit * rate))
                     packets[u] = min(total_file, packets[u] + gained)
         for u in range(scenario.n_d2d):
             if packets[u] >= total_file:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from d2dgames.coalition import ContentScenario
 from d2dgames.radio import RadioParams
 
 EXPERIMENTS = (
@@ -51,6 +52,15 @@ class ContentConfig:
     rounds: int = 50
     hotspot_radius_m: float = 15.0
 
+    def scenario(self) -> ContentScenario:
+        return ContentScenario(
+            n_d2d=self.n_d2d,
+            k_seeds=self.k_seeds,
+            m_cue=self.m_cue,
+            file_packets=self.file_packets,
+            packets_per_rate_unit=self.packets_per_rate_unit,
+        )
+
 
 @dataclass(frozen=True)
 class PowerConfig:
@@ -75,7 +85,6 @@ class ExperimentConfig:
     master_seed: int = 1
     schemes: tuple[str, ...] = ("rica", "random", "all_cellular")
     output_path: str = ""
-    workers: int = 1
     m_cue: int = 10
     radio: RadioParams = field(default_factory=RadioParams)
     auction: AuctionConfig = field(default_factory=AuctionConfig)
@@ -92,8 +101,6 @@ class ExperimentConfig:
             raise ConfigError(f"drops must be >= 1 (invariant: drops >= 1), got {self.drops}")
         if any(v < 0 for v in self.sweep):
             raise ConfigError(f"sweep values must be >= 0, got {self.sweep}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.m_cue < 1:
             raise ConfigError(f"m_cue must be >= 1, got {self.m_cue}")
         try:
@@ -106,11 +113,10 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be > 0 or auto, got {self.auction.epsilon}")
         if self.auction.p0 < 0:
             raise ConfigError(f"p0 must be >= 0, got {self.auction.p0}")
-        if not 0 < self.content.k_seeds <= self.content.n_d2d:
-            raise ConfigError(
-                "content needs 0 < k_seeds <= n_d2d, got "
-                f"K={self.content.k_seeds}, N={self.content.n_d2d}"
-            )
+        try:
+            self.content.scenario().validate()
+        except ValueError as exc:
+            raise ConfigError(f"[content] {exc}") from exc
         if self.content.rounds < 1:
             raise ConfigError(f"content rounds must be >= 1, got {self.content.rounds}")
         if self.power.players < 0:
@@ -159,7 +165,6 @@ _SCHEMA = {
         "master_seed": ("master_seed", _parse_int),
         "schemes": ("schemes", _parse_str_list),
         "output_path": ("output_path", _parse_str),
-        "workers": ("workers", _parse_int),
         "m_cue": ("m_cue", _parse_int),
     },
     "radio": {

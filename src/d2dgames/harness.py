@@ -4,7 +4,7 @@ Every drop derives its own seed from (master_seed, sweep index, drop index)
 through a stable hash, so results do not depend on execution order and every
 scheme at a given (sweep, drop) point sees the identical channel realization.
 Outputs are written in a fixed order with repr'd floats, which makes reruns
-of the same configuration byte-identical, with or without worker threads.
+of the same configuration byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,13 +181,7 @@ def _sumrate_drop(config: ExperimentConfig, sweep_idx: int, n_pairs: int, drop: 
 
 def _content_drop(config: ExperimentConfig, drop: int):
     seed = derive_seed(config.master_seed, 0, drop, 0)
-    scen = coalition_mod.ContentScenario(
-        n_d2d=config.content.n_d2d,
-        k_seeds=config.content.k_seeds,
-        m_cue=config.content.m_cue,
-        file_packets=config.content.file_packets,
-        packets_per_rate_unit=config.content.packets_per_rate_unit,
-    )
+    scen = config.content.scenario()
     rows, errors = [], []
     for scheme in config.schemes:
         try:
@@ -209,19 +202,11 @@ def _content_drop(config: ExperimentConfig, drop: int):
     return rows, errors
 
 
-def _run_drops(config: ExperimentConfig, tasks, worker):
-    """Run drop tasks (possibly threaded) and merge results in task order."""
-    results = [None] * len(tasks)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {pool.submit(worker, *args): i for i, args in enumerate(tasks)}
-            for fut, i in futures.items():
-                results[i] = fut.result()
-    else:
-        for i, args in enumerate(tasks):
-            results[i] = worker(*args)
+def _run_drops(tasks, worker):
+    """Run drop tasks in order and concatenate their rows and errors."""
     rows, errors = [], []
-    for r, e in results:
+    for args in tasks:
+        r, e = worker(*args)
         rows.extend(r)
         errors.extend(e)
     return rows, errors
@@ -238,11 +223,11 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
             for si, n_pairs in enumerate(config.sweep)
             for drop in range(config.drops)
         ]
-        rows, errors = _run_drops(config, tasks, _sumrate_drop)
+        rows, errors = _run_drops(tasks, _sumrate_drop)
         groups, paired = summarize(rows)
     elif experiment == "content-distribution":
         tasks = [(config, drop) for drop in range(config.drops)]
-        rows, errors = _run_drops(config, tasks, _content_drop)
+        rows, errors = _run_drops(tasks, _content_drop)
         groups, paired = summarize(rows)
     elif experiment == "power-control":
         rows, errors = _power_rows(config)
@@ -320,10 +305,12 @@ def _stackelberg_rows(config: ExperimentConfig):
     return rows, []
 
 
-def oracle_check(config: ExperimentConfig, budget: oracle_mod.OracleBudget | None = None) -> dict:
-    """Cross-validate every engine against its brute-force reference."""
-    if budget is None:
-        budget = oracle_mod.OracleBudget()
+def oracle_check(config: ExperimentConfig) -> dict:
+    """Cross-validate every engine against its brute-force reference.
+
+    The instances are small and fixed (at most 64 enumerated states each), so
+    the oracles' default budget always suffices.
+    """
     params = config.radio
     checks: dict[str, bool] = {}
 
@@ -341,7 +328,7 @@ def oracle_check(config: ExperimentConfig, budget: oracle_mod.OracleBudget | Non
         # without this agreement an under-reporting sum_rate passes best >= got
         assignment = [alloc.rb_of_d2d.get(j, -1) for j in range(topo.n_pairs)]
         direct = oracle_mod._assignment_sum_rate(assignment, topo, gains, params)
-        _, best = oracle_mod.exhaustive_best_allocation(topo, gains, params, budget)
+        _, best = oracle_mod.exhaustive_best_allocation(topo, gains, params)
         ok = ok and math.isclose(got, direct, rel_tol=1e-9) and best >= got - 1e-9
     checks["auction_below_exhaustive_optimum"] = ok
 
@@ -370,7 +357,7 @@ def oracle_check(config: ExperimentConfig, budget: oracle_mod.OracleBudget | Non
                     - value_fn(dst, stable.members[dst])
                 )
                 ok = ok and delta <= 1e-9
-        _, best = oracle_mod.exhaustive_best_partition(inst, gains, params, budget)
+        _, best = oracle_mod.exhaustive_best_partition(inst, gains, params)
         ok = ok and stable.total_value(value_fn) <= best + 1e-9
     checks["switch_stable_and_below_optimum"] = ok
 

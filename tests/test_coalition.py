@@ -279,6 +279,87 @@ class TestNoncooperativeBaseline:
         assert wins == 15
 
 
+def _noncoop_reference(gains, params, inst, seeds, partition0, max_sweeps=50):
+    """Selfish channel selection written out link by link from the docstring."""
+    sigma = radio.effective_noise_w(params)
+    downlink = params.link_direction == radio.DOWNLINK
+    pos = inst.ue_pos
+    m = inst.scenario.m_cue
+    rb_of = {u: a for a, ms in enumerate(partition0.members) for u in ms}
+
+    def own_sinr(u, rb):
+        members = [v for v in rb_of if rb_of[v] == rb and v != u] + [u]
+        seed_list = sorted(v for v in members if v in seeds)
+        if not seed_list:
+            return 0.0
+        serving = {}
+        for v in sorted(v for v in members if v not in seeds):
+            serving[v] = min(seed_list, key=lambda s: (math.dist(pos[s], pos[v]), s))
+        cell_tx = ("enb", 0) if downlink else ("cue", rb)
+        p_cell = params.p_enb_w if downlink else params.p_cue_w
+        interf = p_cell * gains.get(cell_tx, ("ue", u), rb)
+        for t in sorted(set(serving.values())):
+            if t != serving[u]:
+                interf += params.p_d2d_w * gains.get(("ue", t), ("ue", u), rb)
+        signal = params.p_d2d_w * gains.get(("ue", serving[u]), ("ue", u), rb)
+        return signal / (sigma + interf)
+
+    normals = [u for u in range(inst.scenario.n_d2d) if u not in seeds]
+    for _ in range(max_sweeps):
+        moved = False
+        for u in normals:
+            current = rb_of[u]
+            best_r, best_g = current, own_sinr(u, current)
+            for r in range(m):
+                if r == current:
+                    continue
+                g = own_sinr(u, r)
+                if g > best_g * (1.0 + 1e-12) and g > best_g:
+                    best_r, best_g = r, g
+            rb_of[u] = best_r
+            moved = moved or best_r != current
+        if not moved:
+            break
+    return tuple(frozenset(u for u in rb_of if rb_of[u] == r) for r in range(m))
+
+
+class TestNoncooperativeReference:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(2024)
+        moved = 0
+        for direction in (radio.DOWNLINK, radio.UPLINK):
+            params = radio.RadioParams(link_direction=direction).validate()
+            for seed in range(16):
+                n = int(rng.integers(3, 10))
+                k = int(rng.integers(1, n))
+                m = int(rng.integers(2, 5))
+                inst = generate_content_instance(
+                    ContentScenario(n_d2d=n, k_seeds=k, m_cue=m),
+                    params,
+                    900 + seed,
+                    hotspot_radius_m=60.0,
+                )
+                # round 1: initial seeds spread over random coalitions
+                rbs = rng.integers(0, m, n)
+                start = Partition(
+                    tuple(frozenset(np.flatnonzero(rbs == r).tolist()) for r in range(m))
+                )
+                gains = draw_content_gains(inst, params, rng_seed=950 + seed)
+                got = noncooperative_baseline(gains, params, inst, partition0=start)
+                want = _noncoop_reference(gains, params, inst, inst.seeds, start)
+                assert got.members == want, (direction, seed)
+                # round 2: a grown seed set, warm-started from round 1's partition
+                grown = inst.seeds | frozenset(u for u in range(k, n) if rng.random() < 0.3)
+                gains = draw_content_gains(inst, params, rng_seed=990 + seed)
+                got2 = noncooperative_baseline(gains, params, inst, seeds=grown, partition0=got)
+                want2 = _noncoop_reference(gains, params, inst, grown, got)
+                assert got2.members == want2, (direction, seed)
+                got2.validate(n)
+                moved += (got != start) + (got2 != got)
+        # half of the 64 runs move some UE, so the scan and the tie test are exercised
+        assert moved >= 32, moved
+
+
 class TestPartitionValidation:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):

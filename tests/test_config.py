@@ -82,6 +82,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cell_radius"):
             loads_config("[radio]\ncell_radius_m = -1\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("m_cue = 0", "m_cue"),
+            ("file_packets = 0", "file_packets"),
+            ("packets_per_rate_unit = -1", "packets_per_rate_unit"),
+            ("k_seeds = 21", "k_seeds"),
+        ],
+    )
+    def test_invalid_content_scenario_rejected(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            loads_config(f"[content]\n{line}\n")
+
+    def test_workers_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"line 1: unknown key 'workers'"):
+            loads_config("workers = 2\n")
+
     def test_bad_experiment_rejected(self):
         with pytest.raises(ConfigError, match="experiment"):
             loads_config("experiment = tennis\n")
