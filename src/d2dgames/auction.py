@@ -4,14 +4,16 @@ Resource-block owners act as bidders and compete for packages of D2D pairs
 (the items) under ascending per-item clock prices: every item demanded by two
 or more bidders gets its price raised by epsilon, and the auction stops as
 soon as no item is over-demanded. Winner packages then transmit on the
-winning bidder's RB; undemanded pairs stay silent.
+winning bidder's RB; undemanded pairs stay silent. The clock runs over one
+bidder x item bool demand matrix.
 
-Demand is the exact surplus-maximizing package (exhaustive over all subsets)
-up to ``exact_cap`` items, and a greedy marginal-surplus construction beyond
-that. Valuations have one interface, ``AuctionInstance.batch_valuation``, which
-values a batch of 0/1 package masks; ``AuctionInstance.valuation`` is a
-one-row call to it. Two caches keep big instances cheap without altering the
-outcome:
+Demand is the exact surplus-maximizing package (a row-wise argmax over the
+bidders' tables of all packages) up to ``exact_cap`` items, and a greedy
+marginal-surplus construction beyond that. Exact ties go to the package with
+fewest items, then to the lexicographically smallest sorted tuple of item
+values. Valuations have one interface, ``AuctionInstance.batch_valuation``,
+which values a batch of 0/1 package masks. Two caches keep big instances
+cheap without altering the outcome:
 
 - Stale demand: a bidder whose demanded items saw no price change keeps its
   demand. A price rise elsewhere can only lower competing packages'
@@ -26,16 +28,14 @@ outcome:
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from d2dgames import radio
-
-Package = frozenset
 
 
 @dataclass
@@ -53,6 +53,8 @@ class AuctionInstance:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.p0 < 0:
             raise ValueError(f"p0 must be >= 0, got {self.p0}")
+        if self.exact_cap < 0:
+            raise ValueError(f"exact_cap must be >= 0, got {self.exact_cap}")
         if len(set(self.items)) != len(self.items):
             raise ValueError("duplicate items")
         if len(set(self.bidders)) != len(self.bidders):
@@ -61,12 +63,6 @@ class AuctionInstance:
     @property
     def n_items(self) -> int:
         return len(self.items)
-
-    def valuation(self, bidder: int, package: Package) -> float:
-        """Value of one package: a one-row call to ``batch_valuation``."""
-        mask = np.zeros((1, self.n_items))
-        mask[0, [self.items.index(item) for item in package]] = 1.0
-        return float(self.batch_valuation(bidder, mask)[0])
 
 
 @dataclass
@@ -82,7 +78,7 @@ class AuctionState:
 
     items: tuple[int, ...]
     prices: dict[int, float]
-    demand: dict[int, Package]
+    demand: dict[int, frozenset[int]]
     rounds: int
     valuation_calls: int
     per_round_calls: list[int]
@@ -91,54 +87,55 @@ class AuctionState:
     price_history: list[np.ndarray] = field(default_factory=list)
 
 
-class _DemandEngine:
-    """Caches valuations and computes surplus-maximizing demands."""
+@functools.lru_cache(maxsize=32)
+def _tie_order(items: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """All package masks (bit ``i`` of row ``r`` is ``items[i]``) and their tie order."""
+    n = len(items)
+    masks = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
 
-    def __init__(self, instance: AuctionInstance):
+    def tie_key(r: int):
+        return r.bit_count(), sorted(items[i] for i in range(n) if (r >> i) & 1)
+
+    order = np.array(sorted(range(2**n), key=tie_key), dtype=np.intp)
+    masks.setflags(write=False)  # shared by every auction over these items
+    order.setflags(write=False)
+    return masks, order
+
+
+class _DemandEngine:
+    """Valuation tables, the greedy memo and the demand rule of one auction."""
+
+    def __init__(self, instance: AuctionInstance, bidders: tuple[int, ...]):
         self.inst = instance
+        self.bidders = bidders
         self.n = instance.n_items
         self.exact = self.n <= instance.exact_cap
         self.calls = 0
-        self._tables: dict[int, np.ndarray] = {}
         # (bidder, package mask) -> (value of the empty package when mask == 0
         # else None, items outside the mask, values of mask plus each of them)
         self._steps: dict[tuple[int, int], tuple[Optional[float], np.ndarray, np.ndarray]] = {}
         if self.exact:
-            bits = (np.arange(2**self.n)[:, None] >> np.arange(self.n)) & 1
-            self._masks = bits.astype(float)
+            # one table row per bidder; tables and price sums are computed over
+            # the masks in plain order, then permuted so a row's first maximum
+            # is the tie rule
+            self._masks, self._order = _tie_order(instance.items)
+            tables = [instance.batch_valuation(bidder, self._masks) for bidder in bidders]
+            tables = np.array(tables, dtype=float).reshape(len(bidders), 2**self.n)
+            self._tables = tables[:, self._order]
+            self._tied = self._masks[self._order] > 0.5
+            self.calls += len(bidders) * (2**self.n - 1)  # non-empty packages evaluated
 
-    def _package(self, mask: int) -> Package:
-        return frozenset(
-            self.inst.items[i] for i in range(self.n) if (mask >> i) & 1
-        )
-
-    def _table(self, bidder: int) -> np.ndarray:
-        tab = self._tables.get(bidder)
-        if tab is None:
-            tab = np.asarray(self.inst.batch_valuation(bidder, self._masks), dtype=float)
-            self._tables[bidder] = tab
-            self.calls += 2**self.n - 1  # non-empty packages evaluated
-        return tab
-
-    def demand(self, bidder: int, prices: np.ndarray) -> Package:
+    def demand(self, rows: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        """Demanded packages of the bidders at positions ``rows``, as bool item rows."""
         if self.exact:
-            return self._demand_exact(bidder, prices)
-        return self._demand_greedy(bidder, prices)
-
-    def _demand_exact(self, bidder: int, prices: np.ndarray) -> Package:
-        surplus = self._table(bidder) - self._masks @ prices
-        best = surplus.max()
-        candidates = np.flatnonzero(surplus == best)
-        if len(candidates) > 1:
-            # smaller package first, then lexicographically smallest item tuple
-            def key(mask):
-                pkg = sorted(self._package(int(mask)))
-                return (len(pkg), pkg)
-
-            chosen = min(candidates, key=key)
-        else:
-            chosen = candidates[0]
-        return self._package(int(chosen))
+            surplus = self._tables[rows]  # fancy indexing: a copy
+            surplus -= (self._masks @ prices)[self._order]
+            return self._tied[surplus.argmax(axis=1)]
+        out = np.empty((len(rows), self.n), dtype=bool)
+        for r, k in enumerate(rows):
+            mask = self._demand_greedy(self.bidders[k], prices)  # any n: a Python int
+            out[r] = [(mask >> i) & 1 for i in range(self.n)]
+        return out
 
     def _greedy_step(self, bidder: int, mask: int):
         """Candidate rows of one greedy step from package ``mask``, memoized.
@@ -159,11 +156,12 @@ class _DemandEngine:
             self._steps[(bidder, mask)] = step
         return step
 
-    def _demand_greedy(self, bidder: int, prices: np.ndarray) -> Package:
+    def _demand_greedy(self, bidder: int, prices: np.ndarray) -> int:
         """Add the item of largest marginal surplus until none is positive.
 
-        Ties go to the smallest item index. A package's value is carried from
-        the step that added its last item, the empty package's from its step.
+        Returns the package as a bitmask over item positions. Ties go to the
+        smallest item index. A package's value is carried from the step that
+        added its last item, the empty package's from its step.
         """
         mask = 0
         full = (1 << self.n) - 1
@@ -178,20 +176,16 @@ class _DemandEngine:
                 break
             mask |= 1 << int(out_idx[best])
             value = vals[best]
-        return self._package(mask)
+        return mask
 
 
-def bidder_demand(instance: AuctionInstance, prices, bidder: int) -> Package:
-    """Surplus-maximizing package for one bidder at the given per-item prices."""
-    prices = np.asarray(
-        [prices[item] for item in instance.items]
-        if isinstance(prices, dict)
-        else prices,
-        dtype=float,
-    )
+def bidder_demand(instance: AuctionInstance, prices, bidder: int) -> frozenset[int]:
+    """Surplus-maximizing package for one bidder at per-item prices in item order."""
+    prices = np.asarray(prices, dtype=float)
     if np.any(prices < 0):
         raise ValueError("prices must be >= 0")
-    return _DemandEngine(instance).demand(bidder, prices)
+    row = _DemandEngine(instance, (bidder,)).demand(np.zeros(1, dtype=np.intp), prices)[0]
+    return frozenset(instance.items[i] for i in np.flatnonzero(row))
 
 
 def run_auction(instance: AuctionInstance, max_rounds: int = 1_000_000) -> AuctionState:
@@ -199,48 +193,42 @@ def run_auction(instance: AuctionInstance, max_rounds: int = 1_000_000) -> Aucti
 
     Returns an :class:`AuctionState` whose ``terminated`` flag is False when
     ``max_rounds`` was exhausted; callers must check it before using the
-    assignment.
+    assignment. Exact-mode tables are valued before round 1 and charged to it.
     """
-    engine = _DemandEngine(instance)
-    n = instance.n_items
-    items = instance.items
-    pos = {item: i for i, item in enumerate(items)}
-    prices = np.full(n, float(instance.p0))
-    demands: dict[int, Package] = {}
-    stale = set(instance.bidders)
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    items, bidders = instance.items, instance.bidders
+    engine = _DemandEngine(instance, bidders)
+    prices = np.full(instance.n_items, float(instance.p0))
+    demands = np.zeros((len(bidders), instance.n_items), dtype=bool)
+    stale = np.ones(len(bidders), dtype=bool)
     history: list[np.ndarray] = []
     per_round_calls: list[int] = []
-    rounds = 0
+    rounds = charged = 0
     terminated = False
     while rounds < max_rounds:
         rounds += 1
-        before = engine.calls
-        for b in instance.bidders:
-            if b in stale:
-                demands[b] = engine.demand(b, prices)
-        per_round_calls.append(engine.calls - before)
+        demands[stale] = engine.demand(np.flatnonzero(stale), prices)
+        per_round_calls.append(engine.calls - charged)
+        charged = engine.calls
         history.append(prices.copy())
-        counts = Counter()
-        for pkg in demands.values():
-            counts.update(pkg)
-        over = [item for item, c in counts.items() if c >= 2]
-        if not over:
+        over = demands.sum(axis=0) >= 2
+        if not over.any():
             terminated = True
             break
-        for item in over:
-            prices[pos[item]] += instance.epsilon
-        raised = set(over)
-        stale = {b for b, pkg in demands.items() if pkg & raised}
+        prices[over] += instance.epsilon
+        stale = demands[:, over].any(axis=1)
 
+    packages = {
+        b: frozenset(items[i] for i in np.flatnonzero(row)) for b, row in zip(bidders, demands)
+    }
     assignment: dict[int, Optional[int]] = {item: None for item in items}
     if terminated:
-        for b in instance.bidders:
-            for item in demands.get(b, frozenset()):
-                assignment[item] = b
+        assignment.update((item, b) for b, pkg in packages.items() for item in pkg)
     return AuctionState(
         items=items,
-        prices={item: float(prices[pos[item]]) for item in items},
-        demand=dict(demands),
+        prices={item: float(prices[i]) for i, item in enumerate(items)},
+        demand=packages,
         rounds=rounds,
         valuation_calls=engine.calls,
         per_round_calls=per_round_calls,
@@ -335,12 +323,9 @@ def auction_instance_from_radio(
 
     if epsilon is None:
         single = []
-        eye = np.eye(n)
         for rb in bidders:
             empty_v = float(batch_valuation(rb, np.zeros((1, n)))[0])
-            if n:
-                vals = batch_valuation(rb, eye)
-                single.extend(max(v - empty_v, 0.0) for v in vals)
+            single.extend(max(v - empty_v, 0.0) for v in batch_valuation(rb, np.eye(n)))
         mean_standalone = float(np.mean(single)) if single else 0.0
         epsilon = max(0.01 * mean_standalone, 1e-6)
 

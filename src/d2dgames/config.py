@@ -113,6 +113,10 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be > 0 or auto, got {self.auction.epsilon}")
         if self.auction.p0 < 0:
             raise ConfigError(f"p0 must be >= 0, got {self.auction.p0}")
+        if self.auction.exact_cap < 0:
+            raise ConfigError(f"exact_cap must be >= 0, got {self.auction.exact_cap}")
+        if self.auction.max_rounds < 1:
+            raise ConfigError(f"max_rounds must be >= 1, got {self.auction.max_rounds}")
         try:
             self.content.scenario().validate()
         except ValueError as exc:

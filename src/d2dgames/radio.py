@@ -10,7 +10,6 @@ bits/s/Hz so that bandwidth never enters any reported number.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -124,28 +123,6 @@ class Topology:
     def n_pairs(self) -> int:
         return len(self.d2d_pairs)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "enb_pos": list(self.enb_pos),
-            "cue": [list(p) for p in self.cue],
-            "d2d_pairs": [[list(tx), list(rx)] for tx, rx in self.d2d_pairs],
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "Topology":
-        return cls(
-            enb_pos=tuple(obj["enb_pos"]),
-            cue=tuple(tuple(p) for p in obj["cue"]),
-            d2d_pairs=tuple((tuple(tx), tuple(rx)) for tx, rx in obj["d2d_pairs"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Topology":
-        return cls.from_jsonable(json.loads(text))
-
 
 # Node order inside a GainTensor: the eNB, then cellular users, then devices.
 _KIND_RANK = {"enb": 0, "cue": 1, "dtx": 2, "drx": 2, "ue": 2}
@@ -241,27 +218,6 @@ class GainTensor:
         for (tx, rx, rb), value in zip(keys, values):
             g[tx_index[tx], rx_index[rx], rb] = value
         return cls(tx_nodes, rx_nodes, g)
-
-    def to_jsonable(self) -> dict:
-        entries = sorted(
-            [tx[0], tx[1], rx[0], rx[1], rb, g] for (tx, rx, rb), g in self.entries()
-        )
-        return {"rb_count": self.rb_count, "entries": entries}
-
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "GainTensor":
-        gains = {
-            ((tk, ti), (rk, ri), rb): g
-            for tk, ti, rk, ri, rb, g in obj["entries"]
-        }
-        return cls.from_entries(gains, obj["rb_count"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GainTensor":
-        return cls.from_jsonable(json.loads(text))
 
 
 @dataclass(frozen=True)

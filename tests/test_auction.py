@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,13 @@ def _table_instance(values, n_items, bidders=(0,), epsilon=0.5, p0=0.0, **kw):
         p0=p0,
         **kw,
     )
+
+
+def _one_row_value(inst, bidder, package):
+    """Value of one package of item labels: a one-row ``batch_valuation`` call."""
+    mask = np.zeros((1, inst.n_items))
+    mask[0, [inst.items.index(item) for item in package]] = 1.0
+    return float(inst.batch_valuation(bidder, mask)[0])
 
 
 def _random_values(rng, n_items, bidders, base_scale=2.0, item_scale=3.0):
@@ -274,15 +282,15 @@ class TestGreedyMemo:
             return reference(bidder, masks)
 
         inst.batch_valuation = counted
-        engine = _DemandEngine(inst)
+        engine = _DemandEngine(inst, inst.bidders)
         assert not engine.exact
         seen = {b: set() for b in inst.bidders}
         for prices in price_seq:
             for b in inst.bidders:
                 want, want_calls = _greedy_reference(reference, inst.n_items, b, prices)
                 before = engine.calls
-                got = engine.demand(b, prices)
-                assert got == frozenset(inst.items[i] for i in want)
+                got = engine._demand_greedy(b, prices)
+                assert got == sum(1 << i for i in want)
                 assert engine.calls - before == want_calls
                 seen[b].add(got)
         queries = len(price_seq) * len(inst.bidders)
@@ -334,6 +342,195 @@ class TestGreedyMemo:
             assert moved
 
 
+def _reference_clock(inst, max_rounds):
+    """The clock one bidder and one item at a time, and how many demands tied.
+
+    Each stale bidder's exact demand is an exhaustive argmax over its table,
+    ties going to the smallest package, then the lexicographically smallest
+    sorted tuple of item labels; greedy demand is the cache-free greedy.
+    Over-demanded items are counted with a ``Counter``.
+    """
+    n = inst.n_items
+    exact = n <= inst.exact_cap
+    masks = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float) if exact else None
+    tables = {}
+    calls = ties = 0
+
+    def demand(bidder, prices):
+        nonlocal calls, ties
+        if not exact:
+            pkg, greedy_calls = _greedy_reference(inst.batch_valuation, n, bidder, prices)
+            calls += greedy_calls
+            return frozenset(inst.items[i] for i in pkg)
+        if bidder not in tables:
+            tables[bidder] = np.asarray(inst.batch_valuation(bidder, masks), dtype=float)
+            calls += 2**n - 1
+        surplus = tables[bidder] - masks @ prices
+        best = np.flatnonzero(surplus == surplus.max())
+        ties += len(best) > 1
+        packages = [frozenset(inst.items[i] for i in np.flatnonzero(masks[r])) for r in best]
+        return min(packages, key=lambda pkg: (len(pkg), sorted(pkg)))
+
+    prices = np.full(n, float(inst.p0))
+    demands, stale = {}, set(inst.bidders)
+    history, per_round_calls = [], []
+    rounds, terminated = 0, False
+    while rounds < max_rounds:
+        rounds += 1
+        before = calls
+        for b in inst.bidders:
+            if b in stale:
+                demands[b] = demand(b, prices)
+        per_round_calls.append(calls - before)
+        history.append(prices.copy())
+        counts = Counter(item for pkg in demands.values() for item in pkg)
+        over = {item for item, c in counts.items() if c >= 2}
+        if not over:
+            terminated = True
+            break
+        for i, item in enumerate(inst.items):
+            if item in over:
+                prices[i] += inst.epsilon
+        stale = {b for b, pkg in demands.items() if pkg & over}
+    outcome = {
+        "rounds": rounds,
+        "prices": {item: float(prices[i]) for i, item in enumerate(inst.items)},
+        "demand": demands,
+        "valuation_calls": calls,
+        "per_round_calls": per_round_calls,
+        "terminated": terminated,
+    }
+    return outcome, history, ties
+
+
+class TestArrayClock:
+    """The array clock equals a step-by-step reference clock, field by field."""
+
+    @staticmethod
+    def _assert_matches_reference(inst, max_rounds=10_000):
+        # every untruncated instance here ends within a few hundred rounds, so
+        # a clock that never stops fails the comparison instead of hanging
+        want, history, ties = _reference_clock(inst, max_rounds)
+        state = run_auction(inst, max_rounds=max_rounds)
+        for name, value in want.items():
+            assert getattr(state, name) == value, name
+        assert len(state.price_history) == len(history)
+        for got, ref in zip(state.price_history, history):
+            assert np.array_equal(got, ref)
+        return state, ties
+
+    @staticmethod
+    def _integer_instance(rng, items, n_bidders, exact_cap=12):
+        # small integer values with integer epsilon: surpluses tie exactly
+        n = len(items)
+        values = {
+            (b, frozenset(i for i in range(n) if (r >> i) & 1)): float(rng.integers(0, 6))
+            for b in range(n_bidders)
+            for r in range(2**n)
+        }
+        return AuctionInstance(
+            items=items,
+            bidders=tuple(range(n_bidders)),
+            batch_valuation=_lookup_batch(values),
+            epsilon=1.0,
+            p0=float(rng.integers(0, 2)),
+            exact_cap=exact_cap,
+        )
+
+    def test_radio_instances_both_directions(self):
+        rng = np.random.default_rng(41)
+        count = 0
+        for direction in (radio.DOWNLINK, radio.UPLINK):
+            params = replace(PARAMS, link_direction=direction).validate()
+            for k in range(55):
+                n = 2 + k % 11
+                seed, m = 1000 + 2 * k, int(rng.integers(2, 5))
+                topo = radio.generate_topology(params, m=m, n=n, rng_seed=seed)
+                gains = radio.draw_gains(topo, params, rng_seed=seed + 1)
+                state, _ = self._assert_matches_reference(
+                    auction_instance_from_radio(topo, gains, params)
+                )
+                assert state.terminated
+                count += 1
+        assert count >= 100
+
+    def test_integer_tables_with_ties(self):
+        rng = np.random.default_rng(43)
+        ties = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            inst = self._integer_instance(rng, tuple(range(n)), int(rng.integers(1, 5)))
+            _, tied = self._assert_matches_reference(inst)
+            ties += tied
+        assert ties > 0
+
+    def test_item_labels_order_ties_not_indices(self):
+        # labels sort differently from positions, so a wrong permutation
+        # would break a tie toward the wrong package
+        rng = np.random.default_rng(47)
+        ties = 0
+        for _ in range(40):
+            inst = self._integer_instance(rng, (7, 3, 11, 5), int(rng.integers(1, 4)))
+            _, tied = self._assert_matches_reference(inst)
+            ties += tied
+        assert ties > 0
+        values = {(0, pkg): float(len(pkg) > 0) for pkg in map(frozenset, ([], [0], [1], [0, 1]))}
+        inst = AuctionInstance(
+            items=(9, 4), bidders=(0,), batch_valuation=_lookup_batch(values), epsilon=1.0
+        )
+        assert bidder_demand(inst, np.zeros(2), 0) == frozenset({4})
+        assert run_auction(inst).demand == {0: frozenset({4})}
+
+    def test_truncated_runs(self):
+        rng = np.random.default_rng(53)
+        topo = radio.generate_topology(PARAMS, m=3, n=6, rng_seed=71)
+        gains = radio.draw_gains(topo, PARAMS, rng_seed=72)
+        inst = auction_instance_from_radio(topo, gains, PARAMS)
+        full = run_auction(inst)
+        assert full.rounds > 2
+        for max_rounds in (1, full.rounds // 2, full.rounds - 1):
+            state, _ = self._assert_matches_reference(inst, max_rounds)
+            assert not state.terminated and state.rounds == max_rounds
+            assert all(owner is None for owner in state.assignment.values())
+        for _ in range(20):
+            inst = self._integer_instance(rng, (7, 3, 11, 5), 3)
+            self._assert_matches_reference(inst, max_rounds=int(rng.integers(1, 4)))
+
+    def test_greedy_mode(self):
+        topo = radio.generate_topology(PARAMS, m=3, n=14, rng_seed=73)
+        gains = radio.draw_gains(topo, PARAMS, rng_seed=74)
+        state, _ = self._assert_matches_reference(auction_instance_from_radio(topo, gains, PARAMS))
+        assert state.terminated and state.rounds > 1
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            inst = self._integer_instance(rng, (7, 3, 11, 5), 3, exact_cap=2)
+            self._assert_matches_reference(inst)
+        # more items than an int64 bitmask holds: additive values, two bidders
+        item_values = rng.uniform(0.0, 2.0, (2, 70))
+        inst = AuctionInstance(
+            items=tuple(range(70)),
+            bidders=(0, 1),
+            batch_valuation=lambda b, masks: np.asarray(masks) @ item_values[b],
+            epsilon=0.25,
+        )
+        state, _ = self._assert_matches_reference(inst)
+        assert state.terminated and state.rounds > 1
+
+
+class TestInvalidLimits:
+    def test_max_rounds_below_one_rejected(self):
+        inst = _table_instance({(0, frozenset()): 0.0, (0, frozenset({0})): 1.0}, n_items=1)
+        for max_rounds in (0, -1):
+            with pytest.raises(ValueError, match="max_rounds"):
+                run_auction(inst, max_rounds=max_rounds)
+
+    def test_negative_exact_cap_rejected(self):
+        values = {(0, frozenset()): 0.0, (0, frozenset({0})): 1.0}
+        with pytest.raises(ValueError, match="exact_cap"):
+            _table_instance(values, n_items=1, exact_cap=-3)
+        _table_instance(values, n_items=1, exact_cap=0)
+
+
 class TestRadioBackedAuction:
     def test_valuation_matches_sum_rate_bookkeeping(self):
         topo = radio.generate_topology(PARAMS, m=3, n=3, rng_seed=31)
@@ -349,7 +546,7 @@ class TestRadioBackedAuction:
             pkg = frozenset(
                 i for i, b in state.assignment.items() if b == rb
             )
-            rebuilt += inst.valuation(rb, pkg) + c0 * len(pkg)
+            rebuilt += _one_row_value(inst, rb, pkg) + c0 * len(pkg)
         assert total == pytest.approx(rebuilt, rel=1e-9)
 
     def test_batch_and_scalar_valuations_agree(self):
@@ -357,18 +554,19 @@ class TestRadioBackedAuction:
         gains = radio.draw_gains(topo, PARAMS, rng_seed=34)
         inst = auction_instance_from_radio(topo, gains, PARAMS)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            mask = rng.integers(0, 2, 4).astype(float)
+        # a one-row call values a package as its row inside a stacked batch
+        masks = rng.integers(0, 2, (20, 4)).astype(float)
+        stacked = inst.batch_valuation(1, masks)
+        for mask, batch in zip(masks, stacked):
             pkg = frozenset(i for i in range(4) if mask[i] > 0.5)
-            batch = float(inst.batch_valuation(1, mask[None, :])[0])
-            assert inst.valuation(1, pkg) == pytest.approx(batch, rel=1e-12)
+            assert _one_row_value(inst, 1, pkg) == pytest.approx(batch, rel=1e-12)
 
     def test_empty_package_value_nonnegative(self):
         topo = radio.generate_topology(PARAMS, m=3, n=2, rng_seed=35)
         gains = radio.draw_gains(topo, PARAMS, rng_seed=36)
         inst = auction_instance_from_radio(topo, gains, PARAMS)
         for rb in inst.bidders:
-            assert inst.valuation(rb, frozenset()) >= 0.0
+            assert _one_row_value(inst, rb, frozenset()) >= 0.0
 
     def test_default_epsilon_positive(self):
         topo = radio.generate_topology(PARAMS, m=2, n=3, rng_seed=37)

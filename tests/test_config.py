@@ -95,6 +95,26 @@ class TestParsing:
         with pytest.raises(ConfigError, match=message):
             loads_config(f"[content]\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_rounds = 0", "max_rounds must be >= 1, got 0"),
+            ("max_rounds = -7", "max_rounds must be >= 1, got -7"),
+            ("exact_cap = -3", "exact_cap must be >= 0, got -3"),
+        ],
+    )
+    def test_invalid_auction_limits_rejected(self, line, message, tmp_path):
+        from d2dgames.cli import main
+
+        with pytest.raises(ConfigError, match=message):
+            loads_config(f"[auction]\n{line}\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"sweep = 2\ndrops = 1\nm_cue = 2\n[auction]\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_zero_exact_cap_accepted(self):
+        assert loads_config("[auction]\nexact_cap = 0\n").auction.exact_cap == 0
+
     def test_workers_is_an_unknown_key(self):
         with pytest.raises(ConfigError, match=r"line 1: unknown key 'workers'"):
             loads_config("workers = 2\n")
