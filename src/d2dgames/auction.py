@@ -171,7 +171,7 @@ class _DemandEngine:
                 value = empty_value
             self.calls += len(out_idx)
             marginals = vals - value - prices[out_idx]
-            best = int(np.argmax(marginals))  # first max = smallest item index
+            best = int(marginals.argmax())  # first max = smallest item index
             if marginals[best] <= 0.0:
                 break
             mask |= 1 << int(out_idx[best])

@@ -4,7 +4,8 @@ Device UEs partition themselves into coalitions, each anchored by exactly one
 cellular user whose RB the coalition reuses. Inside a coalition every normal
 UE listens to its nearest seed; seeds multicast, so all links of a coalition
 share the anchor RB and interfere with each other and with the cellular link,
-while different coalitions are orthogonal. Switch dynamics move one UE at a
+while different coalitions are orthogonal. The seeds a coalition's normal UEs
+listen to are its transmitting set. Switch dynamics move one UE at a
 time whenever the two affected coalitions' combined value strictly rises,
 which makes the total value a potential function and guarantees convergence
 to a switch-stable partition.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -67,6 +69,11 @@ class ContentInstance:
         pos = np.asarray(self.ue_pos)
         diff = pos[:, None, :] - pos[None, :, :]
         return np.sqrt((diff**2).sum(axis=2))
+
+    @cached_property
+    def distance_order(self) -> np.ndarray:
+        """Row ``u``: every UE index by distance from UE ``u``, ties to the smaller index."""
+        return np.argsort(self.distances(), axis=0, kind="stable").T
 
 
 @dataclass(frozen=True)
@@ -178,8 +185,25 @@ def draw_content_gains(
     return pathloss.draw(rng_seed)
 
 
+class _Rows(dict):
+    """Row ``t`` of a 2-D array as a list of floats, converted on first use."""
+
+    def __init__(self, array: np.ndarray):
+        super().__init__()
+        self._array = array
+
+    def __missing__(self, t: int) -> list[float]:
+        row = self[t] = self._array[t].tolist()
+        return row
+
+
 class _ContentChannel:
-    """Received-power arrays sliced from the gain tensor for coalition-value evaluation."""
+    """Received powers sliced from the gain tensor, as per-RB lists of floats.
+
+    Every attribute is indexed by RB first: ``cell_signal[r]``,
+    ``cell_at_ue[r][u]``, ``ue_at_cellrx[r][s]`` and ``uu[r][t][u]``. Only
+    seeds transmit, so a row ``uu[r][t]`` is converted when first read.
+    """
 
     def __init__(self, inst: ContentInstance, gains: radio.GainTensor, params: radio.RadioParams):
         n = inst.scenario.n_d2d
@@ -190,55 +214,116 @@ class _ContentChannel:
         ue_tx, ue_rx = gains.tx_indices(ue), gains.rx_indices(ue)
         cell_tx, cell_rx, p_cell = radio.cellular_links(gains, params, rbs)
         self.sigma = radio.effective_noise_w(params)
-        # cellular tx -> its own rx, per RB
-        self.cell_signal = p_cell * gains.gather(cell_tx, cell_rx, rbs)
-        # cellular tx -> ue rx power on its RB, (n, m)
-        self.cell_at_ue = p_cell * gains.gather(cell_tx, ue_rx[:, None], rbs)
-        # ue tx -> cellular rx power, per RB, (n, m)
-        self.ue_at_cellrx = p_d * gains.gather(ue_tx[:, None], cell_rx, rbs)
-        # seed tx -> ue rx power, per RB, (n, n, m); no ue hears itself
-        self.uu = np.zeros((n, n, m))
+        # cellular tx -> its own rx
+        self.cell_signal = (p_cell * gains.gather(cell_tx, cell_rx, rbs)).tolist()
+        # cellular tx -> ue rx power on its RB
+        self.cell_at_ue = (p_cell * gains.gather(cell_tx, ue_rx[:, None], rbs)).T.tolist()
+        # ue tx -> cellular rx power
+        self.ue_at_cellrx = (p_d * gains.gather(ue_tx[:, None], cell_rx, rbs)).T.tolist()
+        # seed tx -> ue rx power; no ue hears itself
+        uu = np.zeros((m, n, n))
         tx, rx = np.nonzero(~np.eye(n, dtype=bool))
-        self.uu[tx, rx] = p_d * gains.gather(ue_tx[tx], ue_rx[rx])
+        uu[:, tx, rx] = p_d * gains.gather(ue_tx[tx], ue_rx[rx]).T
+        self.uu = [_Rows(a) for a in uu]
+
+
+def _seed_ranking(inst: ContentInstance, seeds: frozenset[int]) -> list[list[int]]:
+    """Per UE, the seeds by distance from it, ties to the smaller index."""
+    order = inst.distance_order
+    is_seed = np.zeros(len(order), dtype=bool)
+    is_seed[list(seeds)] = True
+    # every row holds each UE once, so each keeps len(seeds) entries, in order
+    return order[is_seed[order]].reshape(len(order), len(seeds)).tolist()
+
+
+def _serving_seed(ranked_u: list[int], members: frozenset[int]) -> int | None:
+    """The first of a UE's ranked seeds that is in ``members``, if any."""
+    for s in ranked_u:
+        if s in members:
+            return s
+    return None
+
+
+def _transmitting(
+    ranked: list[list[int]], seeds: frozenset[int], members: frozenset[int]
+) -> list[int]:
+    """The coalition's transmitting set: its normal UEs' serving seeds, ascending."""
+    if seeds.isdisjoint(members):
+        return []
+    return sorted({_serving_seed(ranked[u], members) for u in members - seeds})
 
 
 def _coalition_detail(
     channel: _ContentChannel,
-    dist: np.ndarray,
+    ranked: list[list[int]],
     seeds: frozenset[int],
     anchor: int,
     members: frozenset[int],
 ) -> tuple[float, dict[int, float]]:
     """Coalition value and the SINR of every normal UE inside it.
 
-    Each normal UE listens to its nearest seed in the coalition (ties to the
-    smaller index) and hears the cellular transmitter plus every other serving
-    seed as interference; a UE in a coalition without a seed gets SINR 0.0.
-    The value is the cellular link's rate plus the normal UEs' rates.
+    ``ranked`` is :func:`_seed_ranking` of ``seeds``. Each normal UE listens to
+    its nearest seed in the coalition (ties to the smaller index) and hears
+    the cellular transmitter plus every other transmitting seed as
+    interference; a UE in a coalition without a seed gets SINR 0.0. The value
+    is the cellular link's rate plus the normal UEs' rates.
     """
-    seed_list = sorted(members & seeds)
     normals = sorted(members - seeds)
-    serving: dict[int, int] = {}
-    if seed_list:
-        for u in normals:
-            serving[u] = min(seed_list, key=lambda s: (dist[s, u], s))
+    if seeds.isdisjoint(members):
+        serving = {}
+    else:
+        serving = {u: _serving_seed(ranked[u], members) for u in normals}
     transmitting = sorted(set(serving.values()))
-    interf_c = sum(channel.ue_at_cellrx[s, anchor] for s in transmitting)
-    value = math.log2(1.0 + channel.cell_signal[anchor] / (channel.sigma + interf_c))
+    cell_at_ue = channel.cell_at_ue[anchor]
+    uu = channel.uu[anchor]
+    sigma = channel.sigma
+    to_cell = channel.ue_at_cellrx[anchor]
+    interf_c = sum(to_cell[s] for s in transmitting)
+    value = math.log2(1.0 + channel.cell_signal[anchor] / (sigma + interf_c))
     sinrs: dict[int, float] = {}
     for u in normals:
         s = serving.get(u)
         if s is None:
             sinrs[u] = 0.0
             continue
-        interf = channel.cell_at_ue[u, anchor]
+        interf = cell_at_ue[u]
         for t in transmitting:
             if t != s:
-                interf += channel.uu[t, u, anchor]
-        sinr = channel.uu[s, u, anchor] / (channel.sigma + interf)
+                interf += uu[t][u]
+        sinr = uu[s][u] / (sigma + interf)
         sinrs[u] = sinr
         value += math.log2(1.0 + sinr)
     return value, sinrs
+
+
+def _join(
+    channel: _ContentChannel,
+    ranked_u: list[int],
+    anchor: int,
+    members: frozenset[int],
+    transmitting: list[int],
+    u: int,
+) -> tuple[float, list[int]]:
+    """Normal UE ``u``'s SINR in ``members | {u}`` and that coalition's transmitting set.
+
+    ``transmitting`` is the transmitting set of ``members`` and ``ranked_u``
+    is ``u``'s seed ranking. A normal UE changes neither the coalition's seeds
+    nor anyone else's serving seed, so joining adds at most ``u``'s own
+    serving seed to the set; the SINR is the one :func:`_coalition_detail`
+    gives ``u`` in the joined coalition, in O(|transmitting|).
+    """
+    s = _serving_seed(ranked_u, members)
+    if s is None:
+        return 0.0, transmitting
+    uu = channel.uu[anchor]
+    interf = channel.cell_at_ue[anchor][u]
+    for t in transmitting:
+        if t != s:
+            interf += uu[t][u]
+    sinr = uu[s][u] / (channel.sigma + interf)
+    if s not in transmitting:
+        transmitting = sorted(transmitting + [s])
+    return sinr, transmitting
 
 
 def make_value_fn(
@@ -255,15 +340,15 @@ def make_value_fn(
     """
     if channel is None:
         channel = _ContentChannel(inst, gains, params)
-    dist = inst.distances()
     use_seeds = inst.seeds if seeds is None else frozenset(seeds)
+    ranked = _seed_ranking(inst, use_seeds)
     cache: dict[tuple[int, frozenset], float] = {}
 
     def value_fn(anchor: int, members: frozenset) -> float:
         key = (anchor, members)
         v = cache.get(key)
         if v is None:
-            v, _ = _coalition_detail(channel, dist, use_seeds, anchor, members)
+            v, _ = _coalition_detail(channel, ranked, use_seeds, anchor, members)
             cache[key] = v
         return v
 
@@ -394,35 +479,41 @@ def noncooperative_baseline(
     to others, until a fixed point or the sweep cap. A UE leaves its RB only
     for a relative SINR gain above 1e-12; among equal candidates the smaller
     RB wins. A UE's SINR on an RB is the one :func:`_coalition_detail` gives
-    it in that coalition, so both allocators score a UE with the same model.
+    it in that coalition, so both allocators score a UE with the same model;
+    :func:`_join` computes it from the coalition's transmitting set.
     ``channel`` is as in :func:`make_value_fn`.
     """
     use_seeds = inst.seeds if seeds is None else frozenset(seeds)
     if channel is None:
         channel = _ContentChannel(inst, gains, params)
-    dist = inst.distances()
+    ranked = _seed_ranking(inst, use_seeds)
     n = inst.scenario.n_d2d
     m = inst.scenario.m_cue
     if partition0 is None:
         partition0 = initial_partition(inst)
     coalitions = list(partition0.members)
+    transmitting = [_transmitting(ranked, use_seeds, ms) for ms in coalitions]
     normals = [u for u in range(n) if u not in use_seeds]
     for _ in range(max_sweeps):
         moved = False
         for u in normals:
             current = next(r for r, ms in enumerate(coalitions) if u in ms)
-            coalitions[current] = coalitions[current] - {u}
-            # u's own SINR on each RB, everyone else as last placed
-            g = [
-                _coalition_detail(channel, dist, use_seeds, r, coalitions[r] | {u})[1][u]
+            # u's own SINR on each RB, everyone else as last placed; u's own
+            # serving seed never interferes with u, so u may stay in its coalition
+            joined = [
+                _join(channel, ranked[u], r, coalitions[r], transmitting[r], u)
                 for r in range(m)
             ]
+            g = [sinr for sinr, _ in joined]
             best_r = current
             for r in range(m):
                 if r != current and g[r] > g[best_r] * (1.0 + 1e-12) and g[r] > g[best_r]:
                     best_r = r
-            coalitions[best_r] = coalitions[best_r] | {u}
             if best_r != current:
+                coalitions[current] = coalitions[current] - {u}
+                transmitting[current] = _transmitting(ranked, use_seeds, coalitions[current])
+                coalitions[best_r] = coalitions[best_r] | {u}
+                transmitting[best_r] = joined[best_r][1]
                 moved = True
         if not moved:
             break
@@ -463,7 +554,6 @@ def simulate_content_distribution(
     inst = generate_content_instance(
         scenario, params, derive_seed(rng_seed, 0), hotspot_radius_m, hotspot_center
     )
-    dist = inst.distances()
     total_file = scenario.file_packets
     packets = np.zeros(scenario.n_d2d, dtype=int)
     seeds = set(inst.seeds)
@@ -476,6 +566,7 @@ def simulate_content_distribution(
         gains = draw_content_gains(inst, params, derive_seed(rng_seed, t), pathloss=pathloss)
         channel = _ContentChannel(inst, gains, params)
         frozen_seeds = frozenset(seeds)
+        ranked = _seed_ranking(inst, frozen_seeds)
         if allocator == "coalition":
             value_fn = make_value_fn(inst, gains, params, seeds=frozen_seeds, channel=channel)
             partition = run_switch_dynamics(partition, value_fn)
@@ -485,7 +576,7 @@ def simulate_content_distribution(
             )
         round_value = 0.0
         for anchor, members in enumerate(partition.members):
-            value, sinrs = _coalition_detail(channel, dist, frozen_seeds, anchor, members)
+            value, sinrs = _coalition_detail(channel, ranked, frozen_seeds, anchor, members)
             round_value += value
             for u, sinr in sinrs.items():
                 if packets[u] < total_file:

@@ -6,8 +6,14 @@ import pytest
 
 from d2dgames import radio
 from d2dgames.coalition import (
+    ContentInstance,
     ContentScenario,
     Partition,
+    _coalition_detail,
+    _ContentChannel,
+    _join,
+    _seed_ranking,
+    _transmitting,
     draw_content_gains,
     generate_content_instance,
     initial_partition,
@@ -358,6 +364,133 @@ class TestNoncooperativeReference:
                 moved += (got != start) + (got2 != got)
         # half of the 64 runs move some UE, so the scan and the tie test are exercised
         assert moved >= 32, moved
+
+
+def _tie_instance():
+    """Seeds 0 and 1 mirror-symmetric about normal UE 2, so both are bitwise equally near.
+
+    Seed 3 sits alone on the other RB.
+    """
+    return ContentInstance(
+        scenario=ContentScenario(n_d2d=4, k_seeds=3, m_cue=2),
+        ue_pos=((195.0, 50.0), (205.0, 50.0), (200.0, 50.0), (200.0, 58.0)),
+        cue_pos=((-100.0, 20.0), (30.0, -150.0)),
+        enb_pos=(0.0, 0.0),
+        seeds=frozenset({0, 1, 3}),
+    )
+
+
+def _reference_sinr(gains, params, inst, anchor, members, u):
+    """Normal UE u's SINR in a coalition, link by link, nearest seed by (math.dist, index)."""
+    sigma = radio.effective_noise_w(params)
+    downlink = params.link_direction == radio.DOWNLINK
+    pos = inst.ue_pos
+    seed_list = sorted(members & inst.seeds)
+    if not seed_list:
+        return 0.0
+    serving = {
+        v: min(seed_list, key=lambda s: (math.dist(pos[s], pos[v]), s))
+        for v in sorted(members - inst.seeds)
+    }
+    cell_tx = ("enb", 0) if downlink else ("cue", anchor)
+    p_cell = params.p_enb_w if downlink else params.p_cue_w
+    interf = p_cell * gains.get(cell_tx, ("ue", u), anchor)
+    for t in sorted(set(serving.values())):
+        if t != serving[u]:
+            interf += params.p_d2d_w * gains.get(("ue", t), ("ue", u), anchor)
+    signal = params.p_d2d_w * gains.get(("ue", serving[u]), ("ue", u), anchor)
+    return signal / (sigma + interf)
+
+
+class TestSeedTies:
+    def test_equidistant_seeds_serve_from_smaller_index(self):
+        inst = _tie_instance()
+        dist = inst.distances()
+        pos = inst.ue_pos
+        assert dist[0, 2] == dist[1, 2]
+        assert math.dist(pos[0], pos[2]) == math.dist(pos[1], pos[2])
+        serving = min((0, 1), key=lambda s: (math.dist(pos[s], pos[2]), s))
+        assert serving == 0
+        grand = frozenset({0, 1, 2})
+        start = Partition(members=(grand, frozenset({3})))
+        moves = stays = 0
+        for gain_seed in range(40):
+            gains = draw_content_gains(inst, PARAMS, rng_seed=gain_seed)
+            sigma = radio.effective_noise_w(PARAMS)
+            cell = PARAMS.p_enb_w * gains.get(("enb", 0), ("cue", 0), 0)
+            signal = PARAMS.p_d2d_w * gains.get(("ue", serving), ("ue", 2), 0)
+            interf = PARAMS.p_enb_w * gains.get(("enb", 0), ("ue", 2), 0)
+            to_cell = PARAMS.p_d2d_w * gains.get(("ue", serving), ("cue", 0), 0)
+            want_value = math.log2(1.0 + cell / (sigma + to_cell)) + math.log2(
+                1.0 + signal / (sigma + interf)
+            )
+            assert make_value_fn(inst, gains, PARAMS)(0, grand) == pytest.approx(
+                want_value, rel=1e-12
+            )
+            # the delivery loop reads the SINRs of this call
+            channel = _ContentChannel(inst, gains, PARAMS)
+            ranked = _seed_ranking(inst, inst.seeds)
+            want_sinr = _reference_sinr(gains, PARAMS, inst, 0, grand, 2)
+            assert _coalition_detail(channel, ranked, inst.seeds, 0, grand)[1] == {2: want_sinr}
+            got = noncooperative_baseline(gains, PARAMS, inst, partition0=start)
+            assert got.members == _noncoop_reference(gains, PARAMS, inst, inst.seeds, start)
+            # the check above tells the seeds apart only on draws where serving
+            # from seed 1 would flip UE 2's choice; both outcomes must occur there
+            other = PARAMS.p_d2d_w * gains.get(("ue", 1), ("ue", 2), 0) / (sigma + interf)
+            alone = _reference_sinr(gains, PARAMS, inst, 1, frozenset({2, 3}), 2)
+            if (alone > want_sinr) != (alone > other):
+                moves += got != start
+                stays += got == start
+        assert moves >= 3 and stays >= 3, (moves, stays)
+
+
+class TestJoinQuery:
+    def test_matches_full_evaluation(self):
+        rng = np.random.default_rng(77)
+        cases = {"no_seed": 0, "transmitting": 0, "new_transmitter": 0, "after_new": 0}
+        for direction in (radio.DOWNLINK, radio.UPLINK):
+            params = radio.RadioParams(link_direction=direction).validate()
+            for trial in range(20):
+                n = int(rng.integers(4, 12))
+                m = int(rng.integers(1, 4))
+                inst = generate_content_instance(
+                    ContentScenario(n_d2d=n, k_seeds=1, m_cue=m),
+                    params,
+                    1300 + trial,
+                    hotspot_radius_m=150.0,
+                )
+                seeds = frozenset(np.flatnonzero(rng.random(n) < 0.4).tolist())
+                gains = draw_content_gains(inst, params, rng_seed=1400 + trial)
+                channel = _ContentChannel(inst, gains, params)
+                ranked = _seed_ranking(inst, seeds)
+                anchor = int(rng.integers(m))
+                # a random start (without seeds in every fourth trial), then the
+                # other normal UEs join one at a time
+                p_member = np.where([u in seeds for u in range(n)], 0.7 * (trial % 4 > 0), 0.15)
+                members = frozenset(np.flatnonzero(rng.random(n) < p_member).tolist())
+                transmitting = _transmitting(ranked, seeds, members)
+                added_new = False
+                for u in rng.permutation(sorted(set(range(n)) - members - seeds)).tolist():
+                    sinr, joined = _join(channel, ranked[u], anchor, members, transmitting, u)
+                    want = _coalition_detail(channel, ranked, seeds, anchor, members | {u})[1][u]
+                    assert sinr.hex() == want.hex(), (direction, trial, u)
+                    if seeds.isdisjoint(members):
+                        assert sinr == 0.0
+                        cases["no_seed"] += 1
+                    elif set(joined) == set(transmitting):
+                        cases["transmitting"] += 1
+                        cases["after_new"] += added_new
+                    else:
+                        cases["new_transmitter"] += 1
+                        cases["after_new"] += added_new
+                        added_new = True
+                    members, transmitting = members | {u}, joined
+                # a member scored against its own coalition keeps its SINR there
+                full = _coalition_detail(channel, ranked, seeds, anchor, members)[1]
+                for u, want in full.items():
+                    sinr, joined = _join(channel, ranked[u], anchor, members, transmitting, u)
+                    assert sinr.hex() == want.hex() and joined == transmitting
+        assert min(cases.values()) >= 10, cases
 
 
 class TestPartitionValidation:

@@ -1,8 +1,10 @@
-"""Byte identity of the benchmark configs' CSVs at program seed 1.
+"""Byte identity of the benchmark configs' CSVs.
 
 ``perfbench/golden.json`` holds the sha256 of each CSV that the benchmark's
-workloads write at seed 1; a refactor that moves any number changes a digest.
-This test only reads the configs and the digests.
+workloads write at program seed 1; a refactor that moves any number changes a
+digest. The content CSV is also pinned at seeds 2 and 3, whose drops take
+other paths through the content kernel. These tests only read the configs and
+the digests.
 """
 
 import hashlib
@@ -24,14 +26,29 @@ RUNS = {
     "pricing-power": [("stackelberg.cfg", "stackelberg.csv"), ("power-control.cfg", "power.csv")],
 }
 
+# content.csv of perfbench/configs/content.cfg at further program seeds
+CONTENT_DIGESTS = {
+    2: "1f11bcec50f7c475ea8ca9106cb460682295680ac0c6d0e1fc60b4497f647c5d",
+    3: "1437bf807cca1836bafc1232218c6f021c815ba736e37220c3c2d014e38fa46c",
+}
+
+
+def _run_digest(config, csv, seed, out):
+    argv = ["run", "--config", str(PERFBENCH / "configs" / config),
+            "--seed", str(seed), "--out", str(out)]
+    assert cli.main(argv) == 0
+    return hashlib.sha256((out / csv).read_bytes()).hexdigest()
+
 
 @pytest.mark.parametrize("workload", sorted(RUNS))
 def test_csv_digest_matches_golden(workload, tmp_path):
     assert set(GOLDEN[workload]) == {csv for _, csv in RUNS[workload]}
     for config, csv in RUNS[workload]:
-        out = tmp_path / config
-        argv = ["run", "--config", str(PERFBENCH / "configs" / config),
-                "--seed", str(GOLDEN["seed"]), "--out", str(out)]
-        assert cli.main(argv) == 0
-        digest = hashlib.sha256((out / csv).read_bytes()).hexdigest()
+        digest = _run_digest(config, csv, GOLDEN["seed"], tmp_path / config)
         assert digest == GOLDEN[workload][csv], f"{workload}/{csv} moved"
+
+
+@pytest.mark.parametrize("seed", sorted(CONTENT_DIGESTS))
+def test_content_digest_at_more_seeds(seed, tmp_path):
+    digest = _run_digest("content.cfg", "content.csv", seed, tmp_path)
+    assert digest == CONTENT_DIGESTS[seed], f"content.csv moved at seed {seed}"
