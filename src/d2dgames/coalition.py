@@ -25,6 +25,8 @@ from d2dgames.seeding import derive_seed
 
 # smallest combined-value gain treated as a strict improvement
 GAIN_EPS = 1e-9
+# sweep cap of the noncooperative baseline
+MAX_SWEEPS = 50
 
 Point = tuple[float, float]
 
@@ -109,25 +111,32 @@ class Partition:
         return sum(value_fn(a, ms) for a, ms in enumerate(self.members))
 
 
+def check_hotspot_radius(radius_m: float, params: radio.RadioParams) -> None:
+    """Require ``0 < radius_m <= cell_radius_m``, finite: then half the hotspot lies in the cell."""
+    if not (math.isfinite(radius_m) and 0 < radius_m <= params.cell_radius_m):
+        raise ValueError(
+            f"hotspot_radius_m must be finite, > 0 and <= cell_radius_m, got {radius_m}"
+        )
+
+
 def generate_content_instance(
     scenario: ContentScenario,
     params: radio.RadioParams,
     rng_seed: int,
     hotspot_radius_m: float = 15.0,
-    hotspot_center: Point | None = None,
 ) -> ContentInstance:
     """Drop UEs in a dense hotspot disc and CUEs across the whole cell.
 
-    The hotspot sits toward the cell edge by default (crowded venues are
-    rarely centered on the base station) and is tight enough that every UE is
-    in D2D range of every other. The first ``k_seeds`` UE indices start out
-    holding the full file.
+    The hotspot is centred at ``(0.8 * cell_radius_m, 0)``, toward the cell
+    edge (crowded venues are rarely centred on the base station), and is
+    tight enough by default that every UE is in D2D range of every other.
+    The first ``k_seeds`` UE indices start out holding the full file.
     """
     scenario.validate()
     params.validate()
+    check_hotspot_radius(hotspot_radius_m, params)
     rng = np.random.default_rng(rng_seed)
-    if hotspot_center is None:
-        hotspot_center = (0.8 * params.cell_radius_m, 0.0)
+    hotspot_center = (0.8 * params.cell_radius_m, 0.0)
     ue = []
     while len(ue) < scenario.n_d2d:
         p = radio._draw_disc_point(rng, hotspot_center, hotspot_radius_m)
@@ -197,15 +206,24 @@ class _Rows(dict):
         return row
 
 
-class _ContentChannel:
-    """Received powers sliced from the gain tensor, as per-RB lists of floats.
+class ContentRound:
+    """One round of content distribution: its channel and its seed set.
 
-    Every attribute is indexed by RB first: ``cell_signal[r]``,
-    ``cell_at_ue[r][u]``, ``ue_at_cellrx[r][s]`` and ``uu[r][t][u]``. Only
-    seeds transmit, so a row ``uu[r][t]`` is converted when first read.
+    The received powers are sliced from the gain tensor as per-RB lists of
+    floats, indexed by RB first: ``cell_signal[r]``, ``cell_at_ue[r][u]``,
+    ``ue_at_cellrx[r][s]`` and ``uu[r][t][u]``. Only seeds transmit, so a row
+    ``uu[r][t]`` is converted when first read. ``seeds`` defaults to the
+    instance's initial seeds; ``ranked[u]`` lists them by distance from UE
+    ``u``, ties to the smaller index.
     """
 
-    def __init__(self, inst: ContentInstance, gains: radio.GainTensor, params: radio.RadioParams):
+    def __init__(
+        self,
+        inst: ContentInstance,
+        gains: radio.GainTensor,
+        params: radio.RadioParams,
+        seeds: Iterable[int] | None = None,
+    ):
         n = inst.scenario.n_d2d
         m = inst.scenario.m_cue
         p_d = params.p_d2d_w
@@ -213,6 +231,7 @@ class _ContentChannel:
         ue = [("ue", i) for i in range(n)]
         ue_tx, ue_rx = gains.tx_indices(ue), gains.rx_indices(ue)
         cell_tx, cell_rx, p_cell = radio.cellular_links(gains, params, rbs)
+        self.inst = inst
         self.sigma = radio.effective_noise_w(params)
         # cellular tx -> its own rx
         self.cell_signal = (p_cell * gains.gather(cell_tx, cell_rx, rbs)).tolist()
@@ -225,15 +244,12 @@ class _ContentChannel:
         tx, rx = np.nonzero(~np.eye(n, dtype=bool))
         uu[:, tx, rx] = p_d * gains.gather(ue_tx[tx], ue_rx[rx]).T
         self.uu = [_Rows(a) for a in uu]
-
-
-def _seed_ranking(inst: ContentInstance, seeds: frozenset[int]) -> list[list[int]]:
-    """Per UE, the seeds by distance from it, ties to the smaller index."""
-    order = inst.distance_order
-    is_seed = np.zeros(len(order), dtype=bool)
-    is_seed[list(seeds)] = True
-    # every row holds each UE once, so each keeps len(seeds) entries, in order
-    return order[is_seed[order]].reshape(len(order), len(seeds)).tolist()
+        self.seeds = inst.seeds if seeds is None else frozenset(seeds)
+        order = inst.distance_order
+        is_seed = np.zeros(n, dtype=bool)
+        is_seed[list(self.seeds)] = True
+        # every row holds each UE once, so each keeps len(seeds) entries, in order
+        self.ranked = order[is_seed[order]].reshape(n, len(self.seeds)).tolist()
 
 
 def _serving_seed(ranked_u: list[int], members: frozenset[int]) -> int | None:
@@ -244,111 +260,68 @@ def _serving_seed(ranked_u: list[int], members: frozenset[int]) -> int | None:
     return None
 
 
-def _transmitting(
-    ranked: list[list[int]], seeds: frozenset[int], members: frozenset[int]
-) -> list[int]:
+def _transmitting(rnd: ContentRound, members: frozenset[int]) -> list[int]:
     """The coalition's transmitting set: its normal UEs' serving seeds, ascending."""
-    if seeds.isdisjoint(members):
+    if rnd.seeds.isdisjoint(members):
         return []
-    return sorted({_serving_seed(ranked[u], members) for u in members - seeds})
+    return sorted({_serving_seed(rnd.ranked[u], members) for u in members - rnd.seeds})
+
+
+def _sinr(
+    rnd: ContentRound, anchor: int, u: int, s: int | None, transmitting: list[int]
+) -> float:
+    """Normal UE ``u``'s SINR on RB ``anchor`` when served by seed ``s``.
+
+    ``u`` hears the cellular transmitter plus every seed of ``transmitting``
+    other than ``s`` as interference, so the result is the same whether or
+    not ``s`` is in the set. A UE without a serving seed gets 0.0.
+    """
+    if s is None:
+        return 0.0
+    uu = rnd.uu[anchor]
+    interf = rnd.cell_at_ue[anchor][u]
+    for t in transmitting:
+        if t != s:
+            interf += uu[t][u]
+    return uu[s][u] / (rnd.sigma + interf)
 
 
 def _coalition_detail(
-    channel: _ContentChannel,
-    ranked: list[list[int]],
-    seeds: frozenset[int],
-    anchor: int,
-    members: frozenset[int],
+    rnd: ContentRound, anchor: int, members: frozenset[int]
 ) -> tuple[float, dict[int, float]]:
     """Coalition value and the SINR of every normal UE inside it.
 
-    ``ranked`` is :func:`_seed_ranking` of ``seeds``. Each normal UE listens to
-    its nearest seed in the coalition (ties to the smaller index) and hears
-    the cellular transmitter plus every other transmitting seed as
-    interference; a UE in a coalition without a seed gets SINR 0.0. The value
-    is the cellular link's rate plus the normal UEs' rates.
+    Each normal UE listens to its nearest seed in the coalition (ties to the
+    smaller index); its SINR is :func:`_sinr` against the coalition's
+    transmitting set. The value is the cellular link's rate plus the normal
+    UEs' rates.
     """
+    seeds = rnd.seeds
     normals = sorted(members - seeds)
     if seeds.isdisjoint(members):
         serving = {}
     else:
-        serving = {u: _serving_seed(ranked[u], members) for u in normals}
+        serving = {u: _serving_seed(rnd.ranked[u], members) for u in normals}
     transmitting = sorted(set(serving.values()))
-    cell_at_ue = channel.cell_at_ue[anchor]
-    uu = channel.uu[anchor]
-    sigma = channel.sigma
-    to_cell = channel.ue_at_cellrx[anchor]
+    to_cell = rnd.ue_at_cellrx[anchor]
     interf_c = sum(to_cell[s] for s in transmitting)
-    value = math.log2(1.0 + channel.cell_signal[anchor] / (sigma + interf_c))
+    value = math.log2(1.0 + rnd.cell_signal[anchor] / (rnd.sigma + interf_c))
     sinrs: dict[int, float] = {}
     for u in normals:
-        s = serving.get(u)
-        if s is None:
-            sinrs[u] = 0.0
-            continue
-        interf = cell_at_ue[u]
-        for t in transmitting:
-            if t != s:
-                interf += uu[t][u]
-        sinr = uu[s][u] / (sigma + interf)
-        sinrs[u] = sinr
+        sinr = sinrs[u] = _sinr(rnd, anchor, u, serving.get(u), transmitting)
         value += math.log2(1.0 + sinr)
     return value, sinrs
 
 
-def _join(
-    channel: _ContentChannel,
-    ranked_u: list[int],
-    anchor: int,
-    members: frozenset[int],
-    transmitting: list[int],
-    u: int,
-) -> tuple[float, list[int]]:
-    """Normal UE ``u``'s SINR in ``members | {u}`` and that coalition's transmitting set.
-
-    ``transmitting`` is the transmitting set of ``members`` and ``ranked_u``
-    is ``u``'s seed ranking. A normal UE changes neither the coalition's seeds
-    nor anyone else's serving seed, so joining adds at most ``u``'s own
-    serving seed to the set; the SINR is the one :func:`_coalition_detail`
-    gives ``u`` in the joined coalition, in O(|transmitting|).
-    """
-    s = _serving_seed(ranked_u, members)
-    if s is None:
-        return 0.0, transmitting
-    uu = channel.uu[anchor]
-    interf = channel.cell_at_ue[anchor][u]
-    for t in transmitting:
-        if t != s:
-            interf += uu[t][u]
-    sinr = uu[s][u] / (channel.sigma + interf)
-    if s not in transmitting:
-        transmitting = sorted(transmitting + [s])
-    return sinr, transmitting
-
-
-def make_value_fn(
-    inst: ContentInstance,
-    gains: radio.GainTensor,
-    params: radio.RadioParams,
-    seeds: frozenset[int] | None = None,
-    channel: _ContentChannel | None = None,
-) -> Callable[[int, frozenset], float]:
-    """Memoized coalition-value function for one channel realization.
-
-    ``channel`` is the ``_ContentChannel`` of these gains when the caller
-    already built one; it is built when omitted.
-    """
-    if channel is None:
-        channel = _ContentChannel(inst, gains, params)
-    use_seeds = inst.seeds if seeds is None else frozenset(seeds)
-    ranked = _seed_ranking(inst, use_seeds)
+def make_value_fn(rnd: ContentRound) -> Callable[[int, frozenset], float]:
+    """Memoized coalition-value function for one round."""
     cache: dict[tuple[int, frozenset], float] = {}
 
     def value_fn(anchor: int, members: frozenset) -> float:
         key = (anchor, members)
         v = cache.get(key)
         if v is None:
-            v, _ = _coalition_detail(channel, ranked, use_seeds, anchor, members)
+            v, _ = _coalition_detail(rnd, anchor, members)
             cache[key] = v
         return v
 
@@ -462,58 +435,43 @@ def merge_split(
     raise RuntimeError(f"merge/split did not stabilize within {max_steps} operations")
 
 
-def noncooperative_baseline(
-    gains: radio.GainTensor,
-    params: radio.RadioParams,
-    inst: ContentInstance,
-    seeds: frozenset[int] | None = None,
-    partition0: Partition | None = None,
-    max_sweeps: int = 50,
-    channel: _ContentChannel | None = None,
-) -> Partition:
+def noncooperative_baseline(rnd: ContentRound, partition0: Partition | None = None) -> Partition:
     """Selfish channel selection: every normal UE chases its own best SINR.
 
     Seeds sit in their warm-start coalition (initially: nearest anchor) and do
     not act. Normal UEs repeatedly jump to the (RB, nearest-seed) choice with
     the best own SINR given everyone else's previous choice, ignoring the harm
-    to others, until a fixed point or the sweep cap. A UE leaves its RB only
-    for a relative SINR gain above 1e-12; among equal candidates the smaller
-    RB wins. A UE's SINR on an RB is the one :func:`_coalition_detail` gives
-    it in that coalition, so both allocators score a UE with the same model;
-    :func:`_join` computes it from the coalition's transmitting set.
-    ``channel`` is as in :func:`make_value_fn`.
+    to others, until a fixed point or :data:`MAX_SWEEPS` sweeps. A UE leaves
+    its RB only for a relative SINR gain above 1e-12; among equal candidates
+    the smaller RB wins. A UE's SINR on an RB is :func:`_sinr` against that
+    coalition's transmitting set, the one :func:`_coalition_detail` gives it
+    in that coalition, so both allocators score a UE with the same model.
     """
-    use_seeds = inst.seeds if seeds is None else frozenset(seeds)
-    if channel is None:
-        channel = _ContentChannel(inst, gains, params)
-    ranked = _seed_ranking(inst, use_seeds)
-    n = inst.scenario.n_d2d
-    m = inst.scenario.m_cue
     if partition0 is None:
-        partition0 = initial_partition(inst)
+        partition0 = initial_partition(rnd.inst)
     coalitions = list(partition0.members)
-    transmitting = [_transmitting(ranked, use_seeds, ms) for ms in coalitions]
-    normals = [u for u in range(n) if u not in use_seeds]
-    for _ in range(max_sweeps):
+    transmitting = [_transmitting(rnd, ms) for ms in coalitions]
+    normals = [u for u in range(rnd.inst.scenario.n_d2d) if u not in rnd.seeds]
+    for _ in range(MAX_SWEEPS):
         moved = False
         for u in normals:
             current = next(r for r, ms in enumerate(coalitions) if u in ms)
             # u's own SINR on each RB, everyone else as last placed; u's own
             # serving seed never interferes with u, so u may stay in its coalition
-            joined = [
-                _join(channel, ranked[u], r, coalitions[r], transmitting[r], u)
-                for r in range(m)
+            ranked_u = rnd.ranked[u]
+            g = [
+                _sinr(rnd, r, u, _serving_seed(ranked_u, ms), transmitting[r])
+                for r, ms in enumerate(coalitions)
             ]
-            g = [sinr for sinr, _ in joined]
             best_r = current
-            for r in range(m):
+            for r in range(len(g)):
                 if r != current and g[r] > g[best_r] * (1.0 + 1e-12) and g[r] > g[best_r]:
                     best_r = r
             if best_r != current:
                 coalitions[current] = coalitions[current] - {u}
-                transmitting[current] = _transmitting(ranked, use_seeds, coalitions[current])
                 coalitions[best_r] = coalitions[best_r] | {u}
-                transmitting[best_r] = joined[best_r][1]
+                for r in (current, best_r):
+                    transmitting[r] = _transmitting(rnd, coalitions[r])
                 moved = True
         if not moved:
             break
@@ -536,7 +494,6 @@ def simulate_content_distribution(
     rounds: int,
     rng_seed: int,
     hotspot_radius_m: float = 15.0,
-    hotspot_center: Point | None = None,
 ) -> ServiceCurve:
     """Round-based dissemination: fresh fading, re-formed partition, delivery.
 
@@ -551,9 +508,7 @@ def simulate_content_distribution(
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     scenario.validate()
-    inst = generate_content_instance(
-        scenario, params, derive_seed(rng_seed, 0), hotspot_radius_m, hotspot_center
-    )
+    inst = generate_content_instance(scenario, params, derive_seed(rng_seed, 0), hotspot_radius_m)
     total_file = scenario.file_packets
     packets = np.zeros(scenario.n_d2d, dtype=int)
     seeds = set(inst.seeds)
@@ -564,19 +519,14 @@ def simulate_content_distribution(
     curve = ServiceCurve(allocator=allocator, cumulative=[int(packets.sum())])
     for t in range(1, rounds + 1):
         gains = draw_content_gains(inst, params, derive_seed(rng_seed, t), pathloss=pathloss)
-        channel = _ContentChannel(inst, gains, params)
-        frozen_seeds = frozenset(seeds)
-        ranked = _seed_ranking(inst, frozen_seeds)
+        rnd = ContentRound(inst, gains, params, seeds)
         if allocator == "coalition":
-            value_fn = make_value_fn(inst, gains, params, seeds=frozen_seeds, channel=channel)
-            partition = run_switch_dynamics(partition, value_fn)
+            partition = run_switch_dynamics(partition, make_value_fn(rnd))
         else:
-            partition = noncooperative_baseline(
-                gains, params, inst, seeds=frozen_seeds, partition0=partition, channel=channel
-            )
+            partition = noncooperative_baseline(rnd, partition0=partition)
         round_value = 0.0
         for anchor, members in enumerate(partition.members):
-            value, sinrs = _coalition_detail(channel, ranked, frozen_seeds, anchor, members)
+            value, sinrs = _coalition_detail(rnd, anchor, members)
             round_value += value
             for u, sinr in sinrs.items():
                 if packets[u] < total_file:

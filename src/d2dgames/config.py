@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from d2dgames.coalition import ContentScenario
+from d2dgames.coalition import ContentScenario, check_hotspot_radius
 from d2dgames.radio import RadioParams
 
 EXPERIMENTS = (
@@ -119,6 +119,7 @@ class ExperimentConfig:
             raise ConfigError(f"max_rounds must be >= 1, got {self.auction.max_rounds}")
         try:
             self.content.scenario().validate()
+            check_hotspot_radius(self.content.hotspot_radius_m, self.radio)
         except ValueError as exc:
             raise ConfigError(f"[content] {exc}") from exc
         if self.content.rounds < 1:
@@ -128,6 +129,13 @@ class ExperimentConfig:
         if self.stackelberg.lambda_points < 2:
             raise ConfigError(
                 f"lambda_points must be >= 2, got {self.stackelberg.lambda_points}"
+            )
+        if self.stackelberg.pair < 0:
+            raise ConfigError(f"stackelberg pair must be >= 0, got {self.stackelberg.pair}")
+        if not 0 <= self.stackelberg.rb < self.m_cue:
+            raise ConfigError(
+                f"stackelberg rb must satisfy 0 <= rb < m_cue = {self.m_cue}, "
+                f"got {self.stackelberg.rb}"
             )
         return self
 

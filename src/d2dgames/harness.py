@@ -284,8 +284,7 @@ def _power_rows(config: ExperimentConfig):
 
 def _stackelberg_rows(config: ExperimentConfig):
     seed = derive_seed(config.master_seed, 0, 0, 0)
-    n_pairs = max(config.stackelberg.pair + 1, 1)
-    topo = radio.generate_topology(config.radio, config.m_cue, n_pairs, seed)
+    topo = radio.generate_topology(config.radio, config.m_cue, config.stackelberg.pair + 1, seed)
     gains = radio.draw_gains(topo, config.radio, derive_seed(config.master_seed, 0, 0, 1))
     inst = stackelberg_mod.stackelberg_from_radio(
         topo,
@@ -341,7 +340,7 @@ def oracle_check(config: ExperimentConfig) -> dict:
         gains = coalition_mod.draw_content_gains(
             inst, params, derive_seed(config.master_seed, 93, seed)
         )
-        value_fn = coalition_mod.make_value_fn(inst, gains, params)
+        value_fn = coalition_mod.make_value_fn(coalition_mod.ContentRound(inst, gains, params))
         stable = coalition_mod.run_switch_dynamics(
             coalition_mod.initial_partition(inst), value_fn
         )

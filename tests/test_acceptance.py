@@ -19,6 +19,7 @@ from d2dgames.auction import (
     run_auction,
 )
 from d2dgames.coalition import (
+    ContentRound,
     ContentScenario,
     draw_content_gains,
     generate_content_instance,
@@ -240,7 +241,7 @@ def test_criterion_5_coalition_dynamics():
         scen = ContentScenario(n_d2d=n, k_seeds=k, m_cue=m, file_packets=10)
         inst = generate_content_instance(scen, PARAMS, int(rng.integers(0, 2**31)))
         gains = draw_content_gains(inst, PARAMS, int(rng.integers(0, 2**31)))
-        value_fn = make_value_fn(inst, gains, PARAMS)
+        value_fn = make_value_fn(ContentRound(inst, gains, PARAMS))
         part = initial_partition(inst)
         for _step in range(10_000):
             new, moved = switch_step(part, value_fn)

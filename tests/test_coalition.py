@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from d2dgames import radio
+from d2dgames import coalition, radio
 from d2dgames.coalition import (
     ContentInstance,
+    ContentRound,
     ContentScenario,
     Partition,
     _coalition_detail,
-    _ContentChannel,
-    _join,
-    _seed_ranking,
+    _serving_seed,
+    _sinr,
     _transmitting,
     draw_content_gains,
     generate_content_instance,
@@ -39,7 +39,7 @@ class TestCoalitionValue:
         gains = draw_content_gains(inst, PARAMS, rng_seed=2)
         sigma = radio.effective_noise_w(PARAMS)
         for rb in range(2):
-            got = make_value_fn(inst, gains, PARAMS)(rb, frozenset())
+            got = make_value_fn(ContentRound(inst, gains, PARAMS))(rb, frozenset())
             want = math.log2(
                 1.0
                 + PARAMS.p_enb_w * gains.get(("enb", 0), ("cue", rb), rb) / sigma
@@ -50,7 +50,7 @@ class TestCoalitionValue:
         inst = _instance(n=2, k=1, m=2, seed=3)
         gains = draw_content_gains(inst, PARAMS, rng_seed=4)
         sigma = radio.effective_noise_w(PARAMS)
-        got = make_value_fn(inst, gains, PARAMS)(0, frozenset({0, 1}))
+        got = make_value_fn(ContentRound(inst, gains, PARAMS))(0, frozenset({0, 1}))
         # one seed (0) serving one normal (1): cellular link suffers the seed,
         # the normal suffers only cross-tier interference from the eNB
         cell = math.log2(
@@ -71,8 +71,8 @@ class TestCoalitionValue:
         inst = _instance(n=3, k=1, m=2, seed=5)
         gains = draw_content_gains(inst, PARAMS, rng_seed=6)
         # coalition of normals only (UE 1, 2): value equals the bare cellular rate
-        got = make_value_fn(inst, gains, PARAMS)(1, frozenset({1, 2}))
-        want = make_value_fn(inst, gains, PARAMS)(1, frozenset())
+        got = make_value_fn(ContentRound(inst, gains, PARAMS))(1, frozenset({1, 2}))
+        want = make_value_fn(ContentRound(inst, gains, PARAMS))(1, frozenset())
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_matches_link_by_link_oracle(self):
@@ -81,7 +81,7 @@ class TestCoalitionValue:
         sigma = radio.effective_noise_w(PARAMS)
         members = frozenset({0, 1, 2, 3, 4})
         anchor = 1
-        got = make_value_fn(inst, gains, PARAMS)(anchor, members)
+        got = make_value_fn(ContentRound(inst, gains, PARAMS))(anchor, members)
         # independent recomputation: nearest-seed pairing and explicit sums
         pos = inst.ue_pos
         seeds = sorted(members & inst.seeds)
@@ -152,7 +152,7 @@ class TestSwitchStep:
         for trial in range(30):
             inst = _instance(n=4, k=2, m=2, seed=100 + trial)
             gains = draw_content_gains(inst, PARAMS, rng_seed=200 + trial)
-            value_fn = make_value_fn(inst, gains, PARAMS)
+            value_fn = make_value_fn(ContentRound(inst, gains, PARAMS))
             part = initial_partition(inst)
             new, moved = switch_step(part, value_fn)
             if moved:
@@ -177,7 +177,7 @@ class TestSwitchDynamics:
         for seed in range(25):
             inst = _instance(n=3, k=1, m=2, seed=300 + seed)
             gains = draw_content_gains(inst, PARAMS, rng_seed=400 + seed)
-            value_fn = make_value_fn(inst, gains, PARAMS)
+            value_fn = make_value_fn(ContentRound(inst, gains, PARAMS))
             result = run_switch_dynamics(initial_partition(inst), value_fn)
             result.validate(3)
             # exhaustive deviation check
@@ -202,7 +202,7 @@ class TestSwitchDynamics:
             for seed in range(10):
                 inst = _instance(n=4, k=2, m=2, seed=500 + seed)
                 gains = draw_content_gains(inst, params, rng_seed=600 + seed)
-                value_fn = make_value_fn(inst, gains, params)
+                value_fn = make_value_fn(ContentRound(inst, gains, params))
                 result = run_switch_dynamics(initial_partition(inst), value_fn)
                 _, best = exhaustive_best_partition(inst, gains, params)
                 assert result.total_value(value_fn) <= best + 1e-9
@@ -255,17 +255,17 @@ class TestNoncooperativeBaseline:
     def test_single_rb_identical_to_coalition(self):
         inst = _instance(n=2, k=1, m=1, seed=13)
         gains = draw_content_gains(inst, PARAMS, rng_seed=14)
-        noncoop = noncooperative_baseline(gains, PARAMS, inst)
-        value_fn = make_value_fn(inst, gains, PARAMS)
+        noncoop = noncooperative_baseline(ContentRound(inst, gains, PARAMS))
+        value_fn = make_value_fn(ContentRound(inst, gains, PARAMS))
         coop = run_switch_dynamics(initial_partition(inst), value_fn)
         assert noncoop == coop
 
     def test_zero_normals_cellular_only(self):
         inst = _instance(n=2, k=2, m=2, seed=15)
         gains = draw_content_gains(inst, PARAMS, rng_seed=16)
-        part = noncooperative_baseline(gains, PARAMS, inst)
+        part = noncooperative_baseline(ContentRound(inst, gains, PARAMS))
         part.validate(2)
-        value_fn = make_value_fn(inst, gains, PARAMS)
+        value_fn = make_value_fn(ContentRound(inst, gains, PARAMS))
         # nobody transmits: every coalition is worth its bare cellular rate
         for anchor, members in enumerate(part.members):
             assert value_fn(anchor, members) == pytest.approx(
@@ -277,9 +277,9 @@ class TestNoncooperativeBaseline:
         for seed in range(15):
             inst = _instance(n=6, k=2, m=3, seed=700 + seed)
             gains = draw_content_gains(inst, PARAMS, rng_seed=800 + seed)
-            value_fn = make_value_fn(inst, gains, PARAMS)
+            value_fn = make_value_fn(ContentRound(inst, gains, PARAMS))
             coop = run_switch_dynamics(initial_partition(inst), value_fn)
-            noncoop = noncooperative_baseline(gains, PARAMS, inst)
+            noncoop = noncooperative_baseline(ContentRound(inst, gains, PARAMS))
             if coop.total_value(value_fn) >= noncoop.total_value(value_fn) - 1e-9:
                 wins += 1
         assert wins == 15
@@ -351,13 +351,14 @@ class TestNoncooperativeReference:
                     tuple(frozenset(np.flatnonzero(rbs == r).tolist()) for r in range(m))
                 )
                 gains = draw_content_gains(inst, params, rng_seed=950 + seed)
-                got = noncooperative_baseline(gains, params, inst, partition0=start)
+                got = noncooperative_baseline(ContentRound(inst, gains, params), partition0=start)
                 want = _noncoop_reference(gains, params, inst, inst.seeds, start)
                 assert got.members == want, (direction, seed)
                 # round 2: a grown seed set, warm-started from round 1's partition
                 grown = inst.seeds | frozenset(u for u in range(k, n) if rng.random() < 0.3)
                 gains = draw_content_gains(inst, params, rng_seed=990 + seed)
-                got2 = noncooperative_baseline(gains, params, inst, seeds=grown, partition0=got)
+                rnd = ContentRound(inst, gains, params, grown)
+                got2 = noncooperative_baseline(rnd, partition0=got)
                 want2 = _noncoop_reference(gains, params, inst, grown, got)
                 assert got2.members == want2, (direction, seed)
                 got2.validate(n)
@@ -424,15 +425,14 @@ class TestSeedTies:
             want_value = math.log2(1.0 + cell / (sigma + to_cell)) + math.log2(
                 1.0 + signal / (sigma + interf)
             )
-            assert make_value_fn(inst, gains, PARAMS)(0, grand) == pytest.approx(
+            assert make_value_fn(ContentRound(inst, gains, PARAMS))(0, grand) == pytest.approx(
                 want_value, rel=1e-12
             )
             # the delivery loop reads the SINRs of this call
-            channel = _ContentChannel(inst, gains, PARAMS)
-            ranked = _seed_ranking(inst, inst.seeds)
             want_sinr = _reference_sinr(gains, PARAMS, inst, 0, grand, 2)
-            assert _coalition_detail(channel, ranked, inst.seeds, 0, grand)[1] == {2: want_sinr}
-            got = noncooperative_baseline(gains, PARAMS, inst, partition0=start)
+            rnd = ContentRound(inst, gains, PARAMS)
+            assert _coalition_detail(rnd, 0, grand)[1] == {2: want_sinr}
+            got = noncooperative_baseline(ContentRound(inst, gains, PARAMS), partition0=start)
             assert got.members == _noncoop_reference(gains, PARAMS, inst, inst.seeds, start)
             # the check above tells the seeds apart only on draws where serving
             # from seed 1 would flip UE 2's choice; both outcomes must occur there
@@ -445,9 +445,16 @@ class TestSeedTies:
 
 
 class TestJoinQuery:
+    """The noncooperative scan scores a UE on an RB from the coalition's transmitting set."""
+
     def test_matches_full_evaluation(self):
         rng = np.random.default_rng(77)
         cases = {"no_seed": 0, "transmitting": 0, "new_transmitter": 0, "after_new": 0}
+
+        def score(rnd, anchor, members, u):
+            s = _serving_seed(rnd.ranked[u], members)
+            return _sinr(rnd, anchor, u, s, _transmitting(rnd, members))
+
         for direction in (radio.DOWNLINK, radio.UPLINK):
             params = radio.RadioParams(link_direction=direction).validate()
             for trial in range(20):
@@ -461,36 +468,43 @@ class TestJoinQuery:
                 )
                 seeds = frozenset(np.flatnonzero(rng.random(n) < 0.4).tolist())
                 gains = draw_content_gains(inst, params, rng_seed=1400 + trial)
-                channel = _ContentChannel(inst, gains, params)
-                ranked = _seed_ranking(inst, seeds)
+                rnd = ContentRound(inst, gains, params, seeds)
                 anchor = int(rng.integers(m))
                 # a random start (without seeds in every fourth trial), then the
                 # other normal UEs join one at a time
                 p_member = np.where([u in seeds for u in range(n)], 0.7 * (trial % 4 > 0), 0.15)
                 members = frozenset(np.flatnonzero(rng.random(n) < p_member).tolist())
-                transmitting = _transmitting(ranked, seeds, members)
                 added_new = False
                 for u in rng.permutation(sorted(set(range(n)) - members - seeds)).tolist():
-                    sinr, joined = _join(channel, ranked[u], anchor, members, transmitting, u)
-                    want = _coalition_detail(channel, ranked, seeds, anchor, members | {u})[1][u]
+                    sinr = score(rnd, anchor, members, u)
+                    want = _coalition_detail(rnd, anchor, members | {u})[1][u]
                     assert sinr.hex() == want.hex(), (direction, trial, u)
+                    joined = _transmitting(rnd, members | {u})
                     if seeds.isdisjoint(members):
                         assert sinr == 0.0
                         cases["no_seed"] += 1
-                    elif set(joined) == set(transmitting):
+                    elif joined == _transmitting(rnd, members):
                         cases["transmitting"] += 1
                         cases["after_new"] += added_new
                     else:
+                        # u's serving seed is scored without being in the set
                         cases["new_transmitter"] += 1
                         cases["after_new"] += added_new
                         added_new = True
-                    members, transmitting = members | {u}, joined
-                # a member scored against its own coalition keeps its SINR there
-                full = _coalition_detail(channel, ranked, seeds, anchor, members)[1]
+                    members = members | {u}
+                # a member scored against its own coalition keeps its SINR there,
+                # its serving seed now inside the transmitting set
+                full = _coalition_detail(rnd, anchor, members)[1]
                 for u, want in full.items():
-                    sinr, joined = _join(channel, ranked[u], anchor, members, transmitting, u)
-                    assert sinr.hex() == want.hex() and joined == transmitting
+                    assert score(rnd, anchor, members, u).hex() == want.hex()
         assert min(cases.values()) >= 10, cases
+
+
+class TestContentInstance:
+    @pytest.mark.parametrize("radius", [0.0, -5.0])
+    def test_nonpositive_hotspot_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="hotspot_radius_m"):
+            generate_content_instance(ContentScenario(), PARAMS, 0, hotspot_radius_m=radius)
 
 
 class TestPartitionValidation:
@@ -505,11 +519,11 @@ class TestPartitionValidation:
     def test_operations_preserve_validity(self):
         inst = _instance(n=5, k=2, m=3, seed=17)
         gains = draw_content_gains(inst, PARAMS, rng_seed=18)
-        value_fn = make_value_fn(inst, gains, PARAMS)
+        value_fn = make_value_fn(ContentRound(inst, gains, PARAMS))
         part = initial_partition(inst).validate(5)
         result = run_switch_dynamics(part, value_fn)
         result.validate(5)
-        noncooperative_baseline(gains, PARAMS, inst).validate(5)
+        noncooperative_baseline(ContentRound(inst, gains, PARAMS)).validate(5)
 
 
 class TestContentSimulation:
@@ -540,12 +554,29 @@ class TestContentSimulation:
                 assert a <= b
             assert curve.cumulative[-1] <= 8 * 50
 
-    def test_paired_channels_across_allocators(self):
+    def test_paired_channels_across_allocators(self, monkeypatch):
         scenario = ContentScenario(n_d2d=6, k_seeds=2, m_cue=2, file_packets=1000)
         a = simulate_content_distribution(scenario, PARAMS, "coalition", rounds=3, rng_seed=22)
         b = simulate_content_distribution(scenario, PARAMS, "coalition", rounds=3, rng_seed=22)
         assert a.cumulative == b.cumulative  # determinism
         assert a.total_values == b.total_values
+        # both allocators see the same channel in every round
+        drawn = []
+        draw = coalition.draw_content_gains
+
+        def recording_draw(*args, **kwargs):
+            gains = draw(*args, **kwargs)
+            drawn[-1].append(gains.g)
+            return gains
+
+        monkeypatch.setattr(coalition, "draw_content_gains", recording_draw)
+        for allocator in ("coalition", "noncooperative"):
+            drawn.append([])
+            simulate_content_distribution(scenario, PARAMS, allocator, rounds=3, rng_seed=22)
+        coop, selfish = drawn
+        assert len(coop) == len(selfish) == 3
+        for g_coop, g_selfish in zip(coop, selfish):
+            np.testing.assert_array_equal(g_coop, g_selfish)
 
     def test_coalition_outpaces_noncoop_on_average(self):
         scenario = ContentScenario(n_d2d=10, k_seeds=2, m_cue=3, file_packets=400)

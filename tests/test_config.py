@@ -112,6 +112,33 @@ class TestParsing:
         cfg.write_text(f"sweep = 2\ndrops = 1\nm_cue = 2\n[auction]\n{line}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-5", "1000"])
+    def test_invalid_hotspot_radius_rejected(self, radius):
+        # the default cell radius is 500 m, so 1000 is twice the cell
+        with pytest.raises(ConfigError, match="hotspot_radius_m"):
+            loads_config(f"[content]\nhotspot_radius_m = {radius}\n")
+
+    def test_hotspot_radius_up_to_cell_radius_accepted(self):
+        config = loads_config("[radio]\ncell_radius_m = 300\n[content]\nhotspot_radius_m = 300\n")
+        assert config.content.hotspot_radius_m == 300.0
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("rb = 10", "rb must satisfy 0 <= rb < m_cue = 10, got 10"),
+            ("rb = -1", "rb must satisfy 0 <= rb < m_cue = 10, got -1"),
+            ("pair = -1", "pair must be >= 0, got -1"),
+        ],
+    )
+    def test_invalid_stackelberg_indices_rejected(self, line, message, tmp_path):
+        from d2dgames.cli import main
+
+        with pytest.raises(ConfigError, match=message):
+            loads_config(f"[stackelberg]\n{line}\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = stackelberg\n[stackelberg]\nlambda_points = 8\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
     def test_zero_exact_cap_accepted(self):
         assert loads_config("[auction]\nexact_cap = 0\n").auction.exact_cap == 0
 

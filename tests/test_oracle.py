@@ -11,6 +11,7 @@ from d2dgames.auction import (
     run_auction,
 )
 from d2dgames.coalition import (
+    ContentRound,
     ContentScenario,
     draw_content_gains,
     generate_content_instance,
@@ -121,7 +122,7 @@ class TestExhaustiveBestPartition:
             inst = generate_content_instance(scenario, params, rng_seed=7)
             gains = draw_content_gains(inst, params, rng_seed=8)
             part, value = exhaustive_best_partition(inst, gains, params)
-            value_fn = make_value_fn(inst, gains, params)
+            value_fn = make_value_fn(ContentRound(inst, gains, params))
             candidates = []
             for rb in range(3):
                 members = tuple(
@@ -136,7 +137,7 @@ class TestExhaustiveBestPartition:
             inst = generate_content_instance(scenario, params, rng_seed=9)
             gains = draw_content_gains(inst, params, rng_seed=10)
             part, value = exhaustive_best_partition(inst, gains, params)
-            value_fn = make_value_fn(inst, gains, params)
+            value_fn = make_value_fn(ContentRound(inst, gains, params))
             assert part.total_value(value_fn) == pytest.approx(value, rel=1e-9)
 
     def test_value_fn_matches_partition_value(self):
@@ -148,7 +149,7 @@ class TestExhaustiveBestPartition:
                 scenario = ContentScenario(n_d2d=5, k_seeds=2, m_cue=3)
                 inst = generate_content_instance(scenario, params, rng_seed=500 + seed)
                 gains = draw_content_gains(inst, params, rng_seed=510 + seed)
-                value_fn = make_value_fn(inst, gains, params)
+                value_fn = make_value_fn(ContentRound(inst, gains, params))
                 for _ in range(5):
                     anchors = [int(a) for a in rng.integers(0, 3, 5)]
                     part = Partition(
@@ -167,7 +168,7 @@ class TestExhaustiveBestPartition:
                 scenario = ContentScenario(n_d2d=4, k_seeds=2, m_cue=2)
                 inst = generate_content_instance(scenario, params, rng_seed=300 + seed)
                 gains = draw_content_gains(inst, params, rng_seed=400 + seed)
-                value_fn = make_value_fn(inst, gains, params)
+                value_fn = make_value_fn(ContentRound(inst, gains, params))
                 stable = run_switch_dynamics(initial_partition(inst), value_fn)
                 _, best = exhaustive_best_partition(inst, gains, params)
                 assert stable.total_value(value_fn) <= best + 1e-9
