@@ -49,10 +49,10 @@ class AuctionInstance:
     exact_cap: int = 12
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.p0 < 0:
-            raise ValueError(f"p0 must be >= 0, got {self.p0}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not (math.isfinite(self.p0) and self.p0 >= 0):
+            raise ValueError(f"p0 must be finite and >= 0, got {self.p0}")
         if self.exact_cap < 0:
             raise ValueError(f"exact_cap must be >= 0, got {self.exact_cap}")
         if len(set(self.items)) != len(self.items):
@@ -102,6 +102,18 @@ def _tie_order(items: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return masks, order
 
 
+def _check_finite(bidders: tuple[int, ...], values: np.ndarray) -> None:
+    """Raise naming the first bidder whose row of ``values`` is not all finite.
+
+    Demand has no answer for a NaN: ``argmax`` would pick it and the greedy
+    walk's ``>`` scan would skip it.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.argmin(finite.reshape(len(bidders), -1).all(axis=1))
+        raise ValueError(f"bidder {bidders[bad]}: valuation is not finite")
+
+
 class _DemandEngine:
     """Valuation tables, the greedy memo and the demand rule of one auction."""
 
@@ -112,8 +124,8 @@ class _DemandEngine:
         self.exact = self.n <= instance.exact_cap
         self.calls = 0
         # (bidder, package mask) -> (value of the empty package when mask == 0
-        # else None, items outside the mask, values of mask plus each of them)
-        self._steps: dict[tuple[int, int], tuple[Optional[float], np.ndarray, np.ndarray]] = {}
+        # else None, [(item outside the mask, value of mask plus it), ...])
+        self._steps: dict[tuple[int, int], tuple[Optional[float], list[tuple[int, float]]]] = {}
         if self.exact:
             # one table row per bidder; tables and price sums are computed over
             # the masks in plain order, then permuted so a row's first maximum
@@ -121,6 +133,7 @@ class _DemandEngine:
             self._masks, self._order = _tie_order(instance.items)
             tables = [instance.batch_valuation(bidder, self._masks) for bidder in bidders]
             tables = np.array(tables, dtype=float).reshape(len(bidders), 2**self.n)
+            _check_finite(bidders, tables)
             self._tables = tables[:, self._order]
             self._tied = self._masks[self._order] > 0.5
             self.calls += len(bidders) * (2**self.n - 1)  # non-empty packages evaluated
@@ -131,6 +144,7 @@ class _DemandEngine:
             surplus = self._tables[rows]  # fancy indexing: a copy
             surplus -= (self._masks @ prices)[self._order]
             return self._tied[surplus.argmax(axis=1)]
+        prices = prices.tolist()  # the walk runs on Python floats
         out = np.empty((len(rows), self.n), dtype=bool)
         for r, k in enumerate(rows):
             mask = self._demand_greedy(self.bidders[k], prices)  # any n: a Python int
@@ -138,52 +152,60 @@ class _DemandEngine:
         return out
 
     def _greedy_step(self, bidder: int, mask: int):
-        """Candidate rows of one greedy step from package ``mask``, memoized.
+        """Candidates of one greedy step from package ``mask``, memoized.
 
-        The rows depend on (bidder, mask) only, never on prices, so a repeat
-        of the step returns the stored arrays without a valuation call. From
-        the empty package the same call also values the empty row.
+        Returns the empty package's value when ``mask == 0`` (else None) and
+        one ``(item index, value of mask plus that item)`` pair per item
+        outside the mask, in index order, as Python scalars. The values depend
+        on (bidder, mask) only, never on prices, so a repeat of the step
+        returns the stored list without a valuation call.
         """
         step = self._steps.get((bidder, mask))
         if step is None:
-            out_idx = np.array([i for i in range(self.n) if not (mask >> i) & 1], dtype=np.intp)
+            out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
             lead = int(mask == 0)  # leading all-zero row for the empty package
             rows = np.zeros((lead + len(out_idx), self.n))
             rows[lead:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
             rows[lead + np.arange(len(out_idx)), out_idx] = 1.0
             vals = np.asarray(self.inst.batch_valuation(bidder, rows), dtype=float)
-            step = (float(vals[0]) if lead else None, out_idx, vals[lead:])
+            _check_finite((bidder,), vals)
+            vals = vals.tolist()
+            step = (vals[0] if lead else None, list(zip(out_idx, vals[lead:])))
             self._steps[(bidder, mask)] = step
         return step
 
-    def _demand_greedy(self, bidder: int, prices: np.ndarray) -> int:
+    def _demand_greedy(self, bidder: int, prices: list[float]) -> int:
         """Add the item of largest marginal surplus until none is positive.
 
         Returns the package as a bitmask over item positions. Ties go to the
         smallest item index. A package's value is carried from the step that
-        added its last item, the empty package's from its step.
+        added its last item, the empty package's from its step. Each marginal
+        is ``value_with_item - value - price``, subtracted left to right.
         """
         mask = 0
         full = (1 << self.n) - 1
         while mask != full:
-            empty_value, out_idx, vals = self._greedy_step(bidder, mask)
+            empty_value, candidates = self._greedy_step(bidder, mask)
             if mask == 0:
                 value = empty_value
-            self.calls += len(out_idx)
-            marginals = vals - value - prices[out_idx]
-            best = int(marginals.argmax())  # first max = smallest item index
-            if marginals[best] <= 0.0:
+            self.calls += len(candidates)
+            best, top = -1, 0.0  # strict > keeps the first maximum, only if positive
+            for i, v in candidates:
+                marginal = v - value - prices[i]
+                if marginal > top:
+                    best, top, best_value = i, marginal, v
+            if best < 0:
                 break
-            mask |= 1 << int(out_idx[best])
-            value = vals[best]
+            mask |= 1 << best
+            value = best_value
         return mask
 
 
 def bidder_demand(instance: AuctionInstance, prices, bidder: int) -> frozenset[int]:
     """Surplus-maximizing package for one bidder at per-item prices in item order."""
     prices = np.asarray(prices, dtype=float)
-    if np.any(prices < 0):
-        raise ValueError("prices must be >= 0")
+    if not (np.isfinite(prices).all() and (prices >= 0).all()):
+        raise ValueError("prices must be finite and >= 0")
     row = _DemandEngine(instance, (bidder,)).demand(np.zeros(1, dtype=np.intp), prices)[0]
     return frozenset(instance.items[i] for i in np.flatnonzero(row))
 
@@ -286,6 +308,8 @@ def auction_instance_from_radio(
     minus ``c0`` per member for signaling overhead. When ``epsilon`` is None it
     defaults to 1% of the mean positive standalone item value.
     """
+    if not (math.isfinite(c0) and c0 >= 0):
+        raise ValueError(f"c0 must be finite and >= 0, got {c0}")
     if items is None:
         items = tuple(range(topology.n_pairs))
     if bidders is None:

@@ -8,6 +8,7 @@ an identical object, which is how runs are made reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from d2dgames.coalition import ContentScenario, check_hotspot_radius
@@ -107,12 +108,13 @@ class ExperimentConfig:
             self.radio.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.auction.c0 < 0:
-            raise ConfigError(f"c0 must be >= 0, got {self.auction.c0}")
-        if self.auction.epsilon is not None and self.auction.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0 or auto, got {self.auction.epsilon}")
-        if self.auction.p0 < 0:
-            raise ConfigError(f"p0 must be >= 0, got {self.auction.p0}")
+        c0, epsilon, p0 = self.auction.c0, self.auction.epsilon, self.auction.p0
+        if not (math.isfinite(c0) and c0 >= 0):
+            raise ConfigError(f"c0 must be finite and >= 0, got {c0}")
+        if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and > 0, or auto, got {epsilon}")
+        if not (math.isfinite(p0) and p0 >= 0):
+            raise ConfigError(f"p0 must be finite and >= 0, got {p0}")
         if self.auction.exact_cap < 0:
             raise ConfigError(f"exact_cap must be >= 0, got {self.auction.exact_cap}")
         if self.auction.max_rounds < 1:

@@ -50,9 +50,10 @@ class RadioParams:
     link_direction: str = DOWNLINK
 
     def validate(self) -> "RadioParams":
-        if not self.cell_radius_m > 0:
+        if not (math.isfinite(self.cell_radius_m) and self.cell_radius_m > 0):
             raise ValueError(
-                f"cell_radius_m must be > 0 (invariant: cell_radius > 0), got {self.cell_radius_m}"
+                "cell_radius_m must be finite and > 0 (invariant: cell_radius > 0), "
+                f"got {self.cell_radius_m}"
             )
         if not 0 < self.max_d2d_distance_m < self.cell_radius_m:
             raise ValueError(
@@ -62,8 +63,8 @@ class RadioParams:
         for name in ("p_cue_dbm", "p_d2d_dbm", "p_enb_dbm", "noise_dbm", "noise_figure_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.carrier_ghz > 0:
-            raise ValueError(f"carrier_ghz must be > 0, got {self.carrier_ghz}")
+        if not (math.isfinite(self.carrier_ghz) and self.carrier_ghz > 0):
+            raise ValueError(f"carrier_ghz must be finite and > 0, got {self.carrier_ghz}")
         if self.link_direction not in (UPLINK, DOWNLINK):
             raise ValueError(
                 f"link_direction must be '{UPLINK}' or '{DOWNLINK}', got {self.link_direction!r}"

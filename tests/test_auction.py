@@ -127,6 +127,23 @@ class TestBidderDemand:
         assert bidder_demand(inst, prices, 0) == want
 
 
+    def test_greedy_ties_and_zero_marginal_by_hand(self):
+        # exact_cap = 0 walks greedily at any n. Items 1 and 2 tie at marginal
+        # 3.0, so item 1 (the smaller index) goes first; from {1} both items
+        # left have marginal exactly 0.0 (3.5 - 3.0 - 0.5 and 3.0 - 3.0 - 0.0),
+        # which is not positive, so the walk stops there.
+        values = {
+            (0, frozenset()): 0.0,
+            (0, frozenset({0})): 1.0,
+            (0, frozenset({1})): 3.0,
+            (0, frozenset({2})): 3.0,
+            (0, frozenset({0, 1})): 3.5,
+            (0, frozenset({1, 2})): 3.0,
+        }
+        inst = _table_instance(values, n_items=3, exact_cap=0)
+        assert bidder_demand(inst, np.array([0.5, 0.0, 0.0]), 0) == frozenset({1})
+
+
 class TestRunAuction:
     def test_single_bidder_single_item(self):
         values = {(0, frozenset()): 0.0, (0, frozenset({0})): 5.0}
@@ -529,6 +546,45 @@ class TestInvalidLimits:
         with pytest.raises(ValueError, match="exact_cap"):
             _table_instance(values, n_items=1, exact_cap=-3)
         _table_instance(values, n_items=1, exact_cap=0)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["epsilon", "p0"])
+    def test_instance_rejects_non_finite_price_steps(self, name, bad):
+        values = {(0, frozenset()): 0.0, (0, frozenset({0})): 1.0}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            _table_instance(values, n_items=1, **{name: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["c0", "epsilon"])
+    def test_radio_instance_rejects_non_finite_costs(self, name, bad):
+        topo = radio.generate_topology(PARAMS, m=2, n=3, rng_seed=81)
+        gains = radio.draw_gains(topo, PARAMS, rng_seed=82)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            auction_instance_from_radio(topo, gains, PARAMS, **{name: bad})
+
+    @pytest.mark.parametrize("exact_cap", [3, 0])  # above n: tables; below: greedy
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_valuation_names_its_bidder(self, exact_cap, bad):
+        # bidder 5 values item 1 alone at ``bad``; the first greedy step and
+        # the exact table both value that package
+        values = _random_values(np.random.default_rng(83), 3, bidders=(0, 5))
+        values[(5, frozenset({1}))] = bad
+        inst = _table_instance(values, n_items=3, bidders=(0, 5), exact_cap=exact_cap)
+        with pytest.raises(ValueError, match="bidder 5: valuation is not finite"):
+            run_auction(inst)
+        with pytest.raises(ValueError, match="bidder 5: valuation is not finite"):
+            bidder_demand(inst, np.zeros(3), 5)
+        bidder_demand(inst, np.zeros(3), 0)  # a finite bidder is unaffected
+
+    @pytest.mark.parametrize("exact_cap", [2, 0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bidder_demand_rejects_bad_prices(self, exact_cap, bad):
+        values = _random_values(np.random.default_rng(89), 2, bidders=(0,))
+        inst = _table_instance(values, n_items=2, exact_cap=exact_cap)
+        with pytest.raises(ValueError, match="prices must be finite and >= 0"):
+            bidder_demand(inst, np.array([0.0, bad]), 0)
 
 
 class TestRadioBackedAuction:

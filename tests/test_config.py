@@ -112,6 +112,33 @@ class TestParsing:
         cfg.write_text(f"sweep = 2\ndrops = 1\nm_cue = 2\n[auction]\n{line}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (f"{key} = {bad}", f"{key} must be finite")
+            for key in ("epsilon", "c0", "p0")
+            for bad in ("nan", "inf")
+        ],
+    )
+    def test_non_finite_auction_values_rejected(self, line, message, tmp_path):
+        from d2dgames.cli import main
+
+        with pytest.raises(ConfigError, match=message):
+            loads_config(f"[auction]\n{line}\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"sweep = 8\ndrops = 1\nm_cue = 4\nschemes = rica\n[auction]\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("key", ["cell_radius_m", "carrier_ghz"])
+    def test_infinite_radio_geometry_rejected(self, key, tmp_path):
+        from d2dgames.cli import main
+
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            loads_config(f"[radio]\n{key} = inf\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"sweep = 2\ndrops = 1\nm_cue = 2\n[radio]\n{key} = inf\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
     @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-5", "1000"])
     def test_invalid_hotspot_radius_rejected(self, radius):
         # the default cell radius is 500 m, so 1000 is twice the cell

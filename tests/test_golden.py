@@ -3,7 +3,8 @@
 ``perfbench/golden.json`` holds the sha256 of each CSV that the benchmark's
 workloads write at program seed 1; a refactor that moves any number changes a
 digest. The content CSV is also pinned at seeds 2 and 3, whose drops take
-other paths through the content kernel. These tests only read the configs and
+other paths through the content kernel, and so is the greedy sum-rate CSV,
+whose auctions take other greedy walks. These tests only read the configs and
 the digests.
 """
 
@@ -32,6 +33,12 @@ CONTENT_DIGESTS = {
     3: "1437bf807cca1836bafc1232218c6f021c815ba736e37220c3c2d014e38fa46c",
 }
 
+# sumrate.csv of perfbench/configs/sumrate-greedy.cfg at further program seeds
+SUMRATE_GREEDY_DIGESTS = {
+    2: "8d55f7bb3ae96a122a8e9c1e8e8af69e75e16288d80272339e00d654e5746b72",
+    3: "f2d09349b9f7fa7deb5cc5b3b616691e4dcd5ddccc5fffde9f5f5dcdcc2ba17e",
+}
+
 
 def _run_digest(config, csv, seed, out):
     argv = ["run", "--config", str(PERFBENCH / "configs" / config),
@@ -52,3 +59,9 @@ def test_csv_digest_matches_golden(workload, tmp_path):
 def test_content_digest_at_more_seeds(seed, tmp_path):
     digest = _run_digest("content.cfg", "content.csv", seed, tmp_path)
     assert digest == CONTENT_DIGESTS[seed], f"content.csv moved at seed {seed}"
+
+
+@pytest.mark.parametrize("seed", sorted(SUMRATE_GREEDY_DIGESTS))
+def test_sumrate_greedy_digest_at_more_seeds(seed, tmp_path):
+    digest = _run_digest("sumrate-greedy.cfg", "sumrate.csv", seed, tmp_path)
+    assert digest == SUMRATE_GREEDY_DIGESTS[seed], f"sumrate.csv moved at seed {seed}"
