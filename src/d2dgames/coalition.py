@@ -27,19 +27,23 @@ from d2dgames.seeding import derive_seed
 GAIN_EPS = 1e-9
 # sweep cap of the noncooperative baseline
 MAX_SWEEPS = 50
+# move cap of switch dynamics and of merge-and-split
+MAX_STEPS = 100_000
 
 Point = tuple[float, float]
 
 
 @dataclass(frozen=True)
 class ContentScenario:
-    """Counts and pacing of the popular-content distribution task."""
+    """Counts, pacing and hotspot size of the popular-content distribution task."""
 
     n_d2d: int = 20
     k_seeds: int = 4
     m_cue: int = 6
     file_packets: int = 500
     packets_per_rate_unit: float = 10.0
+    rounds: int = 50
+    hotspot_radius_m: float = 15.0
 
     def validate(self) -> "ContentScenario":
         if not 0 < self.k_seeds <= self.n_d2d:
@@ -54,6 +58,8 @@ class ContentScenario:
             raise ValueError(
                 f"packets_per_rate_unit must be >= 0, got {self.packets_per_rate_unit}"
             )
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         return self
 
 
@@ -123,23 +129,23 @@ def generate_content_instance(
     scenario: ContentScenario,
     params: radio.RadioParams,
     rng_seed: int,
-    hotspot_radius_m: float = 15.0,
 ) -> ContentInstance:
     """Drop UEs in a dense hotspot disc and CUEs across the whole cell.
 
-    The hotspot is centred at ``(0.8 * cell_radius_m, 0)``, toward the cell
-    edge (crowded venues are rarely centred on the base station), and is
-    tight enough by default that every UE is in D2D range of every other.
+    The hotspot, of radius ``scenario.hotspot_radius_m``, is centred at
+    ``(0.8 * cell_radius_m, 0)``, toward the cell edge (crowded venues are
+    rarely centred on the base station), and is tight enough by default that
+    every UE is in D2D range of every other.
     The first ``k_seeds`` UE indices start out holding the full file.
     """
     scenario.validate()
     params.validate()
-    check_hotspot_radius(hotspot_radius_m, params)
+    check_hotspot_radius(scenario.hotspot_radius_m, params)
     rng = np.random.default_rng(rng_seed)
     hotspot_center = (0.8 * params.cell_radius_m, 0.0)
     ue = []
     while len(ue) < scenario.n_d2d:
-        p = radio._draw_disc_point(rng, hotspot_center, hotspot_radius_m)
+        p = radio._draw_disc_point(rng, hotspot_center, scenario.hotspot_radius_m)
         if math.hypot(*p) <= params.cell_radius_m:
             ue.append(p)
     cue = tuple(
@@ -363,26 +369,22 @@ def switch_step(
 
 
 def run_switch_dynamics(
-    partition0: Partition,
-    value_fn: Callable[[int, frozenset], float],
-    max_steps: int = 100_000,
+    partition0: Partition, value_fn: Callable[[int, frozenset], float]
 ) -> Partition:
     """Iterate switch moves to a switch-stable partition."""
     partition = partition0
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         partition, moved = switch_step(partition, value_fn)
         if not moved:
             return partition
     raise RuntimeError(
-        f"switch dynamics did not stabilize within {max_steps} moves; "
+        f"switch dynamics did not stabilize within {MAX_STEPS} moves; "
         "the value function is likely inconsistent"
     )
 
 
 def merge_split(
-    coalitions0: Iterable[frozenset],
-    value_fn: Callable[[frozenset], float],
-    max_steps: int = 100_000,
+    coalitions0: Iterable[frozenset], value_fn: Callable[[frozenset], float]
 ) -> list[frozenset]:
     """Generic merge-and-split on an anchor-free strategic-form value function.
 
@@ -398,7 +400,7 @@ def merge_split(
         return cache[c]
 
     parts = [frozenset(c) for c in coalitions0 if c]
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         parts.sort(key=lambda c: sorted(c))
         changed = False
         for a in range(len(parts)):
@@ -432,7 +434,7 @@ def merge_split(
                 break
         if not changed:
             return sorted(parts, key=lambda c: sorted(c))
-    raise RuntimeError(f"merge/split did not stabilize within {max_steps} operations")
+    raise RuntimeError(f"merge/split did not stabilize within {MAX_STEPS} operations")
 
 
 def noncooperative_baseline(rnd: ContentRound, partition0: Partition | None = None) -> Partition:
@@ -491,24 +493,21 @@ def simulate_content_distribution(
     scenario: ContentScenario,
     params: radio.RadioParams,
     allocator: str,
-    rounds: int,
     rng_seed: int,
-    hotspot_radius_m: float = 15.0,
 ) -> ServiceCurve:
     """Round-based dissemination: fresh fading, re-formed partition, delivery.
 
-    Each round every normal UE receives ``floor(packets_per_rate_unit * rate)``
-    packets from its serving seed, capped at the remaining file; UEs that
-    complete the file serve as seeds from the next round on. The random draws
-    depend only on ``rng_seed`` and the round index, so coalition and
-    noncooperative runs with equal seeds see identical channels.
+    Runs ``scenario.rounds`` rounds. Each round every normal UE receives
+    ``floor(packets_per_rate_unit * rate)`` packets from its serving seed,
+    capped at the remaining file; UEs that complete the file serve as seeds
+    from the next round on. The random draws depend only on ``rng_seed``
+    and the round index, so coalition and noncooperative runs with equal
+    seeds see identical channels.
     """
     if allocator not in ("coalition", "noncooperative"):
         raise ValueError(f"unknown allocator {allocator!r}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     scenario.validate()
-    inst = generate_content_instance(scenario, params, derive_seed(rng_seed, 0), hotspot_radius_m)
+    inst = generate_content_instance(scenario, params, derive_seed(rng_seed, 0))
     total_file = scenario.file_packets
     packets = np.zeros(scenario.n_d2d, dtype=int)
     seeds = set(inst.seeds)
@@ -517,7 +516,7 @@ def simulate_content_distribution(
     partition = initial_partition(inst)
     pathloss = content_pathloss(inst, params)
     curve = ServiceCurve(allocator=allocator, cumulative=[int(packets.sum())])
-    for t in range(1, rounds + 1):
+    for t in range(1, scenario.rounds + 1):
         gains = draw_content_gains(inst, params, derive_seed(rng_seed, t), pathloss=pathloss)
         rnd = ContentRound(inst, gains, params, seeds)
         if allocator == "coalition":

@@ -1,7 +1,10 @@
 """Experiment configuration: flat ``key = value`` text with one section per module.
 
-An empty file yields the full desk-scale defaults. Unknown sections or keys
-are rejected with their line number so typos never silently fall back to a
+Each key is a field of its section's dataclass, parsed by the field's
+declared type: plain fields of :class:`ExperimentConfig` form ``[harness]``
+and each of its dataclass-valued fields is a section of its own. An empty
+file yields the full desk-scale defaults. Unknown sections or keys are
+rejected with their line number so typos never silently fall back to a
 default; the effective configuration can be dumped back out and reparses to
 an identical object, which is how runs are made reproducible.
 """
@@ -9,7 +12,8 @@ an identical object, which is how runs are made reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Callable, get_type_hints
 
 from d2dgames.coalition import ContentScenario, check_hotspot_radius
 from d2dgames.radio import RadioParams
@@ -22,6 +26,7 @@ EXPERIMENTS = (
     "oracle-check",
 )
 
+# each experiment's full scheme set: its default, and all that validate() admits
 _DEFAULT_SCHEMES = {
     "sumrate-vs-pairs": ("rica", "random", "all_cellular"),
     "content-distribution": ("coalition", "noncooperative"),
@@ -41,26 +46,6 @@ class AuctionConfig:
     p0: float = 0.0
     exact_cap: int = 12
     max_rounds: int = 1_000_000
-
-
-@dataclass(frozen=True)
-class ContentConfig:
-    n_d2d: int = 20
-    k_seeds: int = 4
-    m_cue: int = 6
-    file_packets: int = 500
-    packets_per_rate_unit: float = 10.0
-    rounds: int = 50
-    hotspot_radius_m: float = 15.0
-
-    def scenario(self) -> ContentScenario:
-        return ContentScenario(
-            n_d2d=self.n_d2d,
-            k_seeds=self.k_seeds,
-            m_cue=self.m_cue,
-            file_packets=self.file_packets,
-            packets_per_rate_unit=self.packets_per_rate_unit,
-        )
 
 
 @dataclass(frozen=True)
@@ -89,7 +74,7 @@ class ExperimentConfig:
     m_cue: int = 10
     radio: RadioParams = field(default_factory=RadioParams)
     auction: AuctionConfig = field(default_factory=AuctionConfig)
-    content: ContentConfig = field(default_factory=ContentConfig)
+    content: ContentScenario = field(default_factory=ContentScenario)
     power: PowerConfig = field(default_factory=PowerConfig)
     stackelberg: StackelbergConfig = field(default_factory=StackelbergConfig)
 
@@ -100,6 +85,18 @@ class ExperimentConfig:
             )
         if self.drops < 1:
             raise ConfigError(f"drops must be >= 1 (invariant: drops >= 1), got {self.drops}")
+        allowed = _DEFAULT_SCHEMES.get(self.experiment)
+        if allowed and not (
+            self.schemes
+            and len(set(self.schemes)) == len(self.schemes)
+            and set(self.schemes) <= set(allowed)
+        ):
+            raise ConfigError(
+                f"schemes of {self.experiment} must be distinct, non-empty and among "
+                f"{', '.join(allowed)}, got {','.join(self.schemes)!r}"
+            )
+        if self.experiment == "sumrate-vs-pairs" and not self.sweep:
+            raise ConfigError("sweep must not be empty for sumrate-vs-pairs")
         if any(v < 0 for v in self.sweep):
             raise ConfigError(f"sweep values must be >= 0, got {self.sweep}")
         if self.m_cue < 1:
@@ -120,12 +117,10 @@ class ExperimentConfig:
         if self.auction.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.auction.max_rounds}")
         try:
-            self.content.scenario().validate()
+            self.content.validate()
             check_hotspot_radius(self.content.hotspot_radius_m, self.radio)
         except ValueError as exc:
             raise ConfigError(f"[content] {exc}") from exc
-        if self.content.rounds < 1:
-            raise ConfigError(f"content rounds must be >= 1, got {self.content.rounds}")
         if self.power.players < 0:
             raise ConfigError(f"power players must be >= 0, got {self.power.players}")
         if self.stackelberg.lambda_points < 2:
@@ -142,90 +137,62 @@ class ExperimentConfig:
         return self
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
+def _parse_list(item):
+    def parse(text: str) -> tuple:
+        if not text.strip():
+            return ()
+        return tuple(item(t.strip()) for t in text.split(","))
+
+    return parse
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
-    return tuple(int(t.strip()) for t in text.split(","))
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    if not text.strip():
-        return ()
-    return tuple(t.strip() for t in text.split(","))
-
-
-def _parse_epsilon(text: str):
+def _parse_auto_float(text: str) -> float | None:
     return None if text.strip().lower() == "auto" else float(text)
 
 
-# section -> key -> (target attribute path, parser)
-_SCHEMA = {
-    "harness": {
-        "experiment": ("experiment", _parse_str),
-        "sweep": ("sweep", _parse_int_list),
-        "drops": ("drops", _parse_int),
-        "master_seed": ("master_seed", _parse_int),
-        "schemes": ("schemes", _parse_str_list),
-        "output_path": ("output_path", _parse_str),
-        "m_cue": ("m_cue", _parse_int),
-    },
-    "radio": {
-        "cell_radius_m": ("radio.cell_radius_m", _parse_float),
-        "max_d2d_distance_m": ("radio.max_d2d_distance_m", _parse_float),
-        "p_cue_dbm": ("radio.p_cue_dbm", _parse_float),
-        "p_d2d_dbm": ("radio.p_d2d_dbm", _parse_float),
-        "p_enb_dbm": ("radio.p_enb_dbm", _parse_float),
-        "noise_dbm": ("radio.noise_dbm", _parse_float),
-        "noise_figure_db": ("radio.noise_figure_db", _parse_float),
-        "carrier_ghz": ("radio.carrier_ghz", _parse_float),
-        "link_direction": ("radio.link_direction", _parse_str),
-    },
-    "auction": {
-        "c0": ("auction.c0", _parse_float),
-        "epsilon": ("auction.epsilon", _parse_epsilon),
-        "p0": ("auction.p0", _parse_float),
-        "exact_cap": ("auction.exact_cap", _parse_int),
-        "max_rounds": ("auction.max_rounds", _parse_int),
-    },
-    "content": {
-        "n_d2d": ("content.n_d2d", _parse_int),
-        "k_seeds": ("content.k_seeds", _parse_int),
-        "m_cue": ("content.m_cue", _parse_int),
-        "file_packets": ("content.file_packets", _parse_int),
-        "packets_per_rate_unit": ("content.packets_per_rate_unit", _parse_float),
-        "rounds": ("content.rounds", _parse_int),
-        "hotspot_radius_m": ("content.hotspot_radius_m", _parse_float),
-    },
-    "power": {
-        "players": ("power.players", _parse_int),
-        "sinr_target_db": ("power.sinr_target_db", _parse_float),
-        "tol_w": ("power.tol_w", _parse_float),
-        "max_iters": ("power.max_iters", _parse_int),
-    },
-    "stackelberg": {
-        "lambda_points": ("stackelberg.lambda_points", _parse_int),
-        "pair": ("stackelberg.pair", _parse_int),
-        "rb": ("stackelberg.rb", _parse_int),
-    },
+# declared field type -> parser of its config text
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    tuple[int, ...]: _parse_list(int),
+    tuple[str, ...]: _parse_list(str),
+    float | None: _parse_auto_float,
 }
+
+
+def _parser(cls, name: str, hint) -> Callable[[str], object]:
+    parser = _PARSERS.get(hint)
+    if parser is None:
+        raise TypeError(f"{cls.__name__}.{name}: no config parser for type {hint!r}")
+    return parser
+
+
+def _schema(cls) -> dict[str, dict[str, Callable[[str], object]]]:
+    """Section -> key -> parser, read off the fields of ``cls``.
+
+    Plain fields form ``[harness]``; each dataclass-valued field is a section
+    named after the field, holding that dataclass's fields in field order.
+    A field of a type without a parser raises :class:`TypeError`.
+    """
+    schema: dict[str, dict] = {"harness": {}}
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            sub = get_type_hints(hint)
+            schema[f.name] = {g.name: _parser(hint, g.name, sub[g.name]) for g in fields(hint)}
+        else:
+            schema["harness"][f.name] = _parser(cls, f.name, hint)
+    return schema
+
+
+_SECTIONS = _schema(ExperimentConfig)
 
 
 def loads_config(text: str) -> ExperimentConfig:
     """Parse configuration text; unknown keys and sections are hard errors."""
-    values: dict[str, object] = {}
-    seen_keys: set[tuple[str, str]] = set()
+    values: dict[str, dict[str, object]] = {}
     section = "harness"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -233,7 +200,7 @@ def loads_config(text: str) -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -241,37 +208,27 @@ def loads_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA[section]:
+        if key not in _SECTIONS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
-        if (section, key) in seen_keys:
+        given = values.setdefault(section, {})
+        if key in given:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in section [{section}]")
-        seen_keys.add((section, key))
-        path, parser = _SCHEMA[section][key]
         try:
-            values[path] = parser(value)
+            given[key] = _SECTIONS[section][key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
     config = ExperimentConfig()
-    experiment = values.get("experiment", config.experiment)
+    top = values.pop("harness", {})
+    experiment = top.get("experiment", config.experiment)
     # experiment-dependent defaults, applied only when the key is absent
-    if "drops" not in values and experiment in _DEFAULT_DROPS:
-        values["drops"] = _DEFAULT_DROPS[experiment]
-    if "schemes" not in values and experiment in _DEFAULT_SCHEMES:
-        values["schemes"] = _DEFAULT_SCHEMES[experiment]
-
-    top: dict[str, object] = {}
-    nested: dict[str, dict[str, object]] = {}
-    for path, value in values.items():
-        if "." in path:
-            group, attr = path.split(".", 1)
-            nested.setdefault(group, {})[attr] = value
-        else:
-            top[path] = value
-    for group, kwargs in nested.items():
-        top[group] = replace(getattr(config, group), **kwargs)
-    config = replace(config, **top)
-    return config.validate()
+    if "drops" not in top and experiment in _DEFAULT_DROPS:
+        top["drops"] = _DEFAULT_DROPS[experiment]
+    if "schemes" not in top and experiment in _DEFAULT_SCHEMES:
+        top["schemes"] = _DEFAULT_SCHEMES[experiment]
+    for section, kwargs in values.items():
+        top[section] = replace(getattr(config, section), **kwargs)
+    return replace(config, **top).validate()
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -296,12 +253,9 @@ def _fmt(value) -> str:
 def dump_config(config: ExperimentConfig) -> str:
     """Render every effective value; the result reparses to an equal config."""
     lines = []
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SECTIONS.items():
+        values = config if section == "harness" else getattr(config, section)
         lines.append(f"[{section}]")
-        for key, (path, _) in keys.items():
-            obj = config
-            for part in path.split("."):
-                obj = getattr(obj, part)
-            lines.append(f"{key} = {_fmt(obj)}")
+        lines.extend(f"{key} = {_fmt(getattr(values, key))}" for key in keys)
         lines.append("")
     return "\n".join(lines)

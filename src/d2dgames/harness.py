@@ -86,23 +86,19 @@ def rows_to_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summarize(
-    rows: list[tuple],
-    sweep_col: int = 0,
-    scheme_col: int = 1,
-    seed_col: int = 2,
-    value_col: int = 3,
-) -> tuple[dict, dict]:
-    """Per-(sweep, scheme) mean/stddev plus paired scheme-vs-scheme differences."""
+def summarize(rows: list[tuple]) -> tuple[dict, dict]:
+    """Per-(sweep, scheme) mean/stddev plus paired scheme-vs-scheme differences.
+
+    Rows start ``(sweep, scheme, drop_seed, value, ...)``; ``nan`` values are skipped.
+    """
     by_group: dict[tuple, list[float]] = {}
     by_cell: dict[tuple, dict] = {}
-    for row in rows:
-        value = float(row[value_col])
+    for sweep, scheme, seed, value, *_ in rows:
+        value = float(value)
         if math.isnan(value):
             continue
-        key = (row[sweep_col], row[scheme_col])
-        by_group.setdefault(key, []).append(value)
-        by_cell.setdefault((row[sweep_col], row[seed_col]), {})[row[scheme_col]] = value
+        by_group.setdefault((sweep, scheme), []).append(value)
+        by_cell.setdefault((sweep, seed), {})[scheme] = value
     groups = {}
     for key in sorted(by_group, key=str):
         vals = by_group[key]
@@ -167,10 +163,8 @@ def _sumrate_drop(config: ExperimentConfig, sweep_idx: int, n_pairs: int, drop: 
                 rounds, calls = state.rounds, state.valuation_calls
             elif scheme == "random":
                 alloc = auction_mod.random_allocation(topo, seed_rand)
-            elif scheme == "all_cellular":
+            else:  # all_cellular; validate() admits no other scheme
                 alloc = auction_mod.all_cellular_allocation(topo)
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
             value = radio.sum_rate(alloc, gains, config.radio)
             rows.append((n_pairs, scheme, seed_topo, value, rounds, calls))
         except Exception as exc:  # error row, run continues
@@ -181,23 +175,18 @@ def _sumrate_drop(config: ExperimentConfig, sweep_idx: int, n_pairs: int, drop: 
 
 def _content_drop(config: ExperimentConfig, drop: int):
     seed = derive_seed(config.master_seed, 0, drop, 0)
-    scen = config.content.scenario()
     rows, errors = [], []
     for scheme in config.schemes:
         try:
+            # rng_seed by keyword: perfbench/spans.py reads the drop seed from it
             curve = coalition_mod.simulate_content_distribution(
-                scen,
-                config.radio,
-                scheme,
-                rounds=config.content.rounds,
-                rng_seed=seed,
-                hotspot_radius_m=config.content.hotspot_radius_m,
+                config.content, config.radio, scheme, rng_seed=seed
             )
             for r, total in enumerate(curve.cumulative):
                 value = curve.total_values[r - 1] if r >= 1 else 0.0
                 rows.append((r, scheme, seed, total, value))
         except Exception as exc:
-            rows.append((0, scheme, seed, -1, float("nan")))
+            rows.append((0, scheme, seed, float("nan"), float("nan")))
             errors.append(f"drop={drop} scheme={scheme}: {exc}")
     return rows, errors
 

@@ -23,11 +23,10 @@ from d2dgames.stackelberg import StackelbergInstance, StackelbergOutcome
 @dataclass(frozen=True)
 class OracleBudget:
     max_assignments: int = 2_000_000
-    grid_points: int = 1000
 
     def validate(self) -> "OracleBudget":
-        if self.max_assignments < 1 or self.grid_points < 2:
-            raise ValueError("oracle budget fields must be positive")
+        if self.max_assignments < 1:
+            raise ValueError("oracle budget max_assignments must be >= 1")
         return self
 
 

@@ -14,6 +14,9 @@ import numpy as np
 
 from d2dgames import radio
 
+# relative shortfall below an SINR target still counted as meeting it
+SINR_SLACK = 1e-6
+
 
 @dataclass
 class PowerGameInstance:
@@ -83,20 +86,16 @@ def best_response_step(instance: PowerGameInstance, p: np.ndarray) -> np.ndarray
 
 
 def run_power_game(
-    instance: PowerGameInstance,
-    p0: np.ndarray | None = None,
-    max_iters: int = 1000,
-    tol: float = 1e-9,
-    sinr_slack: float = 1e-6,
+    instance: PowerGameInstance, max_iters: int = 1000, tol: float = 1e-9
 ) -> PowerTrace:
-    """Iterate best responses until the update moves less than ``tol`` (W).
+    """Iterate best responses from zero power until the update moves less than ``tol`` (W).
 
     ``converged`` requires both a settled power vector and all SINR targets met
-    within a relative ``sinr_slack``; an infeasible instance pins players at
+    within a relative :data:`SINR_SLACK`; an infeasible instance pins players at
     p_max with unmet targets and reports converged=False instead of raising.
     """
     n = instance.n_players
-    p = np.zeros(n) if p0 is None else np.asarray(p0, dtype=float)
+    p = np.zeros(n)
     trace = PowerTrace(iterates=[p.copy()])
     if n == 0:
         trace.converged = True
@@ -106,7 +105,7 @@ def run_power_game(
         trace.iterates.append(p_next.copy())
         trace.iterations = it
         if np.max(np.abs(p_next - p)) < tol:
-            ok = np.all(instance.sinr(p_next) >= instance.targets * (1.0 - sinr_slack))
+            ok = np.all(instance.sinr(p_next) >= instance.targets * (1.0 - SINR_SLACK))
             trace.converged = bool(ok)
             return trace
         p = p_next

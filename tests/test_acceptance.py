@@ -303,18 +303,15 @@ def test_criterion_5_coalition_dynamics():
 def test_criterion_6_content_distribution():
     started = time.monotonic()
     scen = ContentScenario(
-        n_d2d=20, k_seeds=4, m_cue=6, file_packets=500, packets_per_rate_unit=10.0
+        n_d2d=20, k_seeds=4, m_cue=6, file_packets=500, packets_per_rate_unit=10.0, rounds=50
     )
     drops = 50
-    rounds = 50
     coal_curves, nonc_curves = [], []
     strict_final = 0
     for drop in range(drops):
         seed = derive_seed(MASTER_SEED, 0, drop, 0)
-        coop = simulate_content_distribution(scen, PARAMS, "coalition", rounds, seed)
-        selfish = simulate_content_distribution(
-            scen, PARAMS, "noncooperative", rounds, seed
-        )
+        coop = simulate_content_distribution(scen, PARAMS, "coalition", seed)
+        selfish = simulate_content_distribution(scen, PARAMS, "noncooperative", seed)
         coal_curves.append(coop.cumulative)
         nonc_curves.append(selfish.cumulative)
         if coop.cumulative[-1] > selfish.cumulative[-1]:

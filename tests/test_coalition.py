@@ -340,10 +340,9 @@ class TestNoncooperativeReference:
                 k = int(rng.integers(1, n))
                 m = int(rng.integers(2, 5))
                 inst = generate_content_instance(
-                    ContentScenario(n_d2d=n, k_seeds=k, m_cue=m),
+                    ContentScenario(n_d2d=n, k_seeds=k, m_cue=m, hotspot_radius_m=60.0),
                     params,
                     900 + seed,
-                    hotspot_radius_m=60.0,
                 )
                 # round 1: initial seeds spread over random coalitions
                 rbs = rng.integers(0, m, n)
@@ -461,10 +460,9 @@ class TestJoinQuery:
                 n = int(rng.integers(4, 12))
                 m = int(rng.integers(1, 4))
                 inst = generate_content_instance(
-                    ContentScenario(n_d2d=n, k_seeds=1, m_cue=m),
+                    ContentScenario(n_d2d=n, k_seeds=1, m_cue=m, hotspot_radius_m=150.0),
                     params,
                     1300 + trial,
-                    hotspot_radius_m=150.0,
                 )
                 seeds = frozenset(np.flatnonzero(rng.random(n) < 0.4).tolist())
                 gains = draw_content_gains(inst, params, rng_seed=1400 + trial)
@@ -504,7 +502,7 @@ class TestContentInstance:
     @pytest.mark.parametrize("radius", [0.0, -5.0])
     def test_nonpositive_hotspot_radius_rejected(self, radius):
         with pytest.raises(ValueError, match="hotspot_radius_m"):
-            generate_content_instance(ContentScenario(), PARAMS, 0, hotspot_radius_m=radius)
+            generate_content_instance(ContentScenario(hotspot_radius_m=radius), PARAMS, 0)
 
 
 class TestPartitionValidation:
@@ -528,36 +526,30 @@ class TestPartitionValidation:
 
 class TestContentSimulation:
     def test_everyone_a_seed_flat_curve(self):
-        scenario = ContentScenario(n_d2d=4, k_seeds=4, m_cue=2, file_packets=100)
-        curve = simulate_content_distribution(
-            scenario, PARAMS, "coalition", rounds=5, rng_seed=19
-        )
+        scenario = ContentScenario(n_d2d=4, k_seeds=4, m_cue=2, file_packets=100, rounds=5)
+        curve = simulate_content_distribution(scenario, PARAMS, "coalition", rng_seed=19)
         assert curve.cumulative == [400] * 6
 
     def test_zero_pacing_flat_at_initial(self):
         scenario = ContentScenario(
-            n_d2d=5, k_seeds=2, m_cue=2, file_packets=100, packets_per_rate_unit=0.0
+            n_d2d=5, k_seeds=2, m_cue=2, file_packets=100, packets_per_rate_unit=0.0, rounds=5
         )
-        curve = simulate_content_distribution(
-            scenario, PARAMS, "noncooperative", rounds=5, rng_seed=20
-        )
+        curve = simulate_content_distribution(scenario, PARAMS, "noncooperative", rng_seed=20)
         assert curve.cumulative == [200] * 6
 
     def test_curves_monotone_and_bounded(self):
-        scenario = ContentScenario(n_d2d=8, k_seeds=2, m_cue=3, file_packets=50)
+        scenario = ContentScenario(n_d2d=8, k_seeds=2, m_cue=3, file_packets=50, rounds=8)
         for allocator in ("coalition", "noncooperative"):
-            curve = simulate_content_distribution(
-                scenario, PARAMS, allocator, rounds=8, rng_seed=21
-            )
+            curve = simulate_content_distribution(scenario, PARAMS, allocator, rng_seed=21)
             assert len(curve.cumulative) == 9
             for a, b in zip(curve.cumulative, curve.cumulative[1:]):
                 assert a <= b
             assert curve.cumulative[-1] <= 8 * 50
 
     def test_paired_channels_across_allocators(self, monkeypatch):
-        scenario = ContentScenario(n_d2d=6, k_seeds=2, m_cue=2, file_packets=1000)
-        a = simulate_content_distribution(scenario, PARAMS, "coalition", rounds=3, rng_seed=22)
-        b = simulate_content_distribution(scenario, PARAMS, "coalition", rounds=3, rng_seed=22)
+        scenario = ContentScenario(n_d2d=6, k_seeds=2, m_cue=2, file_packets=1000, rounds=3)
+        a = simulate_content_distribution(scenario, PARAMS, "coalition", rng_seed=22)
+        b = simulate_content_distribution(scenario, PARAMS, "coalition", rng_seed=22)
         assert a.cumulative == b.cumulative  # determinism
         assert a.total_values == b.total_values
         # both allocators see the same channel in every round
@@ -572,21 +564,19 @@ class TestContentSimulation:
         monkeypatch.setattr(coalition, "draw_content_gains", recording_draw)
         for allocator in ("coalition", "noncooperative"):
             drawn.append([])
-            simulate_content_distribution(scenario, PARAMS, allocator, rounds=3, rng_seed=22)
+            simulate_content_distribution(scenario, PARAMS, allocator, rng_seed=22)
         coop, selfish = drawn
         assert len(coop) == len(selfish) == 3
         for g_coop, g_selfish in zip(coop, selfish):
             np.testing.assert_array_equal(g_coop, g_selfish)
 
     def test_coalition_outpaces_noncoop_on_average(self):
-        scenario = ContentScenario(n_d2d=10, k_seeds=2, m_cue=3, file_packets=400)
+        scenario = ContentScenario(n_d2d=10, k_seeds=2, m_cue=3, file_packets=400, rounds=10)
         coop_final, selfish_final = 0, 0
         for seed in range(8):
-            coop = simulate_content_distribution(
-                scenario, PARAMS, "coalition", rounds=10, rng_seed=seed
-            )
+            coop = simulate_content_distribution(scenario, PARAMS, "coalition", rng_seed=seed)
             selfish = simulate_content_distribution(
-                scenario, PARAMS, "noncooperative", rounds=10, rng_seed=seed
+                scenario, PARAMS, "noncooperative", rng_seed=seed
             )
             coop_final += coop.cumulative[-1]
             selfish_final += selfish.cumulative[-1]

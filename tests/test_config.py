@@ -1,12 +1,86 @@
+import re
+from dataclasses import dataclass, field, replace
+from pathlib import Path
+
 import pytest
 
+from d2dgames.coalition import ContentScenario
 from d2dgames.config import (
     ConfigError,
     ExperimentConfig,
+    _schema,
     dump_config,
     load_config,
     loads_config,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# `d2dgames print-defaults`, byte for byte
+DEFAULTS_TEXT = """\
+[harness]
+experiment = sumrate-vs-pairs
+sweep = 2,4,6,8,10,12,14,16
+drops = 200
+master_seed = 1
+schemes = rica,random,all_cellular
+output_path = 
+m_cue = 10
+
+[radio]
+cell_radius_m = 500.0
+max_d2d_distance_m = 20.0
+p_cue_dbm = 23.0
+p_d2d_dbm = 23.0
+p_enb_dbm = 30.0
+noise_dbm = -104.0
+noise_figure_db = 7.0
+carrier_ghz = 2.0
+link_direction = downlink
+
+[auction]
+c0 = 0.05
+epsilon = auto
+p0 = 0.0
+exact_cap = 12
+max_rounds = 1000000
+
+[content]
+n_d2d = 20
+k_seeds = 4
+m_cue = 6
+file_packets = 500
+packets_per_rate_unit = 10.0
+rounds = 50
+hotspot_radius_m = 15.0
+
+[power]
+players = 4
+sinr_target_db = 10.0
+tol_w = 1e-09
+max_iters = 1000
+
+[stackelberg]
+lambda_points = 2000
+pair = 0
+rb = 0
+"""
+
+
+@dataclass(frozen=True)
+class _ListSection:
+    values: list[int] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _ListRoot:
+    drops: int = 1
+    extra: _ListSection = field(default_factory=_ListSection)
+
+
+@dataclass(frozen=True)
+class _ComplexRoot:
+    z: complex = 0j
 
 
 class TestDefaults:
@@ -192,3 +266,79 @@ class TestRoundTrip:
     def test_default_round_trip(self):
         config = ExperimentConfig().validate()
         assert loads_config(dump_config(config)) == config
+
+
+class TestDerivedSchema:
+    def test_print_defaults_text_pinned(self, capsys):
+        from d2dgames.cli import main
+
+        assert dump_config(ExperimentConfig()) == DEFAULTS_TEXT
+        assert main(["print-defaults"]) == 0
+        assert capsys.readouterr().out == DEFAULTS_TEXT
+
+    @pytest.mark.parametrize(
+        "cls, where", [(_ListRoot, "_ListSection.values"), (_ComplexRoot, "_ComplexRoot.z")]
+    )
+    def test_field_without_parser_is_an_error(self, cls, where):
+        with pytest.raises(TypeError, match=rf"{where}: no config parser"):
+            _schema(cls)
+
+    def test_content_section_is_the_content_scenario(self):
+        config = loads_config("[content]\nrounds = 7\nhotspot_radius_m = 20\n")
+        assert config.content == ContentScenario(rounds=7, hotspot_radius_m=20.0)
+
+    def test_zero_rounds_rejected(self, tmp_path):
+        from d2dgames.cli import main
+
+        with pytest.raises(ValueError, match="rounds must be >= 1, got 0"):
+            ContentScenario(rounds=0).validate()
+        with pytest.raises(ConfigError, match="rounds must be >= 1, got 0"):
+            loads_config("[content]\nrounds = 0\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("experiment = content-distribution\ndrops = 1\n[content]\nrounds = 0\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+class TestSchemesAndSweep:
+    SUMRATE = "sweep = 2\ndrops = 1\nm_cue = 2\n"
+    CONTENT = (
+        "experiment = content-distribution\ndrops = 1\n"
+        "[content]\nn_d2d = 4\nk_seeds = 2\nm_cue = 2\nrounds = 1\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (SUMRATE + "schemes = rica,bogus\n", "sumrate-vs-pairs .* got 'rica,bogus'"),
+            ("schemes = coalition,rica\n" + CONTENT, "content-distribution .* 'coalition,rica'"),
+            (SUMRATE + "schemes =\n", "sumrate-vs-pairs .* got ''"),
+            (SUMRATE + "schemes = rica,rica\n", "sumrate-vs-pairs .* got 'rica,rica'"),
+            ("sweep =\ndrops = 1\nm_cue = 2\n", "sweep must not be empty"),
+        ],
+        ids=["unknown", "other-experiment", "empty", "repeated", "empty-sweep"],
+    )
+    def test_rejected_at_load(self, text, message, tmp_path):
+        from d2dgames.cli import main
+
+        with pytest.raises(ConfigError, match=message):
+            loads_config(text)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_subsets_in_any_order_accepted(self):
+        assert loads_config("schemes = all_cellular,rica\n").schemes == ("all_cellular", "rica")
+        text = "experiment = content-distribution\nschemes = noncooperative\n"
+        assert loads_config(text).schemes == ("noncooperative",)
+
+    def test_schemes_unchecked_where_unused(self):
+        assert loads_config("experiment = stackelberg\nsweep =\n").sweep == ()
+
+
+class TestReadme:
+    def test_config_block_loads_to_the_defaults(self):
+        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        config = loads_config(blocks[0])
+        assert replace(config, output_path="") == ExperimentConfig()

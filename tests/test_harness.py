@@ -138,6 +138,30 @@ class TestContentExperiment:
         for row in a.rows:
             assert len(row) == len(CSV_HEADERS["content-distribution"])
 
+    def test_failed_drop_is_a_nan_row_outside_the_statistics(self, monkeypatch):
+        from d2dgames import coalition
+
+        switch = coalition.run_switch_dynamics
+        calls = []
+
+        def failing_on_second_drop(*args, **kw):
+            calls.append(None)
+            if len(calls) > 2:  # two rounds per drop
+                raise RuntimeError("switch dynamics failed on purpose")
+            return switch(*args, **kw)
+
+        monkeypatch.setattr(coalition, "run_switch_dynamics", failing_on_second_drop)
+        config = loads_config(
+            "experiment = content-distribution\ndrops = 2\n[content]\nrounds = 2\n"
+        )
+        summary = run_experiment(config)
+        assert len(summary.errors) == 1
+        failed = [row for row in summary.rows if row[1] == "coalition" and math.isnan(row[3])]
+        assert len(failed) == 1 and failed[0][0] == 0 and math.isnan(failed[0][4])
+        st = summary.groups[(0, "coalition")]
+        assert (st.mean, st.count) == (2000.0, 1)
+        assert summary.groups[(0, "noncooperative")].count == 2
+
 
 class TestPowerAndStackelbergExperiments:
     def test_power_rows(self):
