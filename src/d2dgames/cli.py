@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     summary = run_experiment(config)
     print(f"experiment: {summary.experiment}")
     print(f"rows: {len(summary.rows)}  wall clock: {summary.wall_clock_s:.2f} s")
-    for key in sorted(summary.groups, key=str):
+    for key in sorted(summary.groups):
         st = summary.groups[key]
         print(f"  {key}: mean={st.mean:.4f} stddev={st.stddev:.4f} n={st.count}")
     if summary.errors:

@@ -13,6 +13,7 @@ to a switch-stable partition.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -220,7 +221,8 @@ class ContentRound:
     ``ue_at_cellrx[r][s]`` and ``uu[r][t][u]``. Only seeds transmit, so a row
     ``uu[r][t]`` is converted when first read. ``seeds`` defaults to the
     instance's initial seeds; ``ranked[u]`` lists them by distance from UE
-    ``u``, ties to the smaller index.
+    ``u``, ties to the smaller index. None of the slices depends on the seed
+    set, so :meth:`with_seeds` gives the same channel to another seed set.
     """
 
     def __init__(
@@ -251,11 +253,22 @@ class ContentRound:
         uu[:, tx, rx] = p_d * gains.gather(ue_tx[tx], ue_rx[rx]).T
         self.uu = [_Rows(a) for a in uu]
         self.seeds = inst.seeds if seeds is None else frozenset(seeds)
-        order = inst.distance_order
+
+    def with_seeds(self, seeds: Iterable[int]) -> "ContentRound":
+        """This round's channel with another seed set; the channel lists are shared."""
+        rnd = copy.copy(self)
+        rnd.seeds = frozenset(seeds)
+        rnd.__dict__.pop("ranked", None)
+        return rnd
+
+    @cached_property
+    def ranked(self) -> list[list[int]]:
+        n = self.inst.scenario.n_d2d
+        order = self.inst.distance_order
         is_seed = np.zeros(n, dtype=bool)
         is_seed[list(self.seeds)] = True
         # every row holds each UE once, so each keeps len(seeds) entries, in order
-        self.ranked = order[is_seed[order]].reshape(n, len(self.seeds)).tolist()
+        return order[is_seed[order]].reshape(n, len(self.seeds)).tolist()
 
 
 def _serving_seed(ranked_u: list[int], members: frozenset[int]) -> int | None:
@@ -482,49 +495,45 @@ def noncooperative_baseline(rnd: ContentRound, partition0: Partition | None = No
 
 @dataclass
 class ServiceCurve:
-    """Cumulative possessed packets per round, plus the per-round total values."""
+    """Cumulative possessed packets per round, plus the per-round total values.
+
+    ``error`` is the exception that stopped this scheme's run, if one did;
+    the curve then ends at the last round that completed.
+    """
 
     allocator: str
     cumulative: list[int]
     total_values: list[float] = field(default_factory=list)
+    error: Exception | None = None
 
 
-def simulate_content_distribution(
-    scenario: ContentScenario,
-    params: radio.RadioParams,
-    allocator: str,
-    rng_seed: int,
-) -> ServiceCurve:
-    """Round-based dissemination: fresh fading, re-formed partition, delivery.
+class _SchemeRun:
+    """One scheme's state across the rounds: seed set, packets, partition, curve."""
 
-    Runs ``scenario.rounds`` rounds. Each round every normal UE receives
-    ``floor(packets_per_rate_unit * rate)`` packets from its serving seed,
-    capped at the remaining file; UEs that complete the file serve as seeds
-    from the next round on. The random draws depend only on ``rng_seed``
-    and the round index, so coalition and noncooperative runs with equal
-    seeds see identical channels.
-    """
-    if allocator not in ("coalition", "noncooperative"):
-        raise ValueError(f"unknown allocator {allocator!r}")
-    scenario.validate()
-    inst = generate_content_instance(scenario, params, derive_seed(rng_seed, 0))
-    total_file = scenario.file_packets
-    packets = np.zeros(scenario.n_d2d, dtype=int)
-    seeds = set(inst.seeds)
-    for s in seeds:
-        packets[s] = total_file
-    partition = initial_partition(inst)
-    pathloss = content_pathloss(inst, params)
-    curve = ServiceCurve(allocator=allocator, cumulative=[int(packets.sum())])
-    for t in range(1, scenario.rounds + 1):
-        gains = draw_content_gains(inst, params, derive_seed(rng_seed, t), pathloss=pathloss)
-        rnd = ContentRound(inst, gains, params, seeds)
-        if allocator == "coalition":
-            partition = run_switch_dynamics(partition, make_value_fn(rnd))
-        else:
-            partition = noncooperative_baseline(rnd, partition0=partition)
+    def __init__(self, allocator: str, inst: ContentInstance, partition: Partition):
+        scenario = inst.scenario
+        self.seeds = set(inst.seeds)
+        self.packets = np.zeros(scenario.n_d2d, dtype=int)
+        for s in self.seeds:
+            self.packets[s] = scenario.file_packets
+        self.partition = partition
+        self.curve = ServiceCurve(allocator=allocator, cumulative=[int(self.packets.sum())])
+
+    def play(self, channel: ContentRound) -> None:
+        """Form this round's partition on ``channel``, deliver, and record the round."""
+        scenario = channel.inst.scenario
+        total_file = scenario.file_packets
+        packets = self.packets
+        rnd = channel.with_seeds(self.seeds)
+        # with no normal UE left the partition is already stable (see
+        # simulate_content_distribution), so neither allocator runs
+        if len(self.seeds) < scenario.n_d2d:
+            if self.curve.allocator == "coalition":
+                self.partition = run_switch_dynamics(self.partition, make_value_fn(rnd))
+            else:
+                self.partition = noncooperative_baseline(rnd, partition0=self.partition)
         round_value = 0.0
-        for anchor, members in enumerate(partition.members):
+        for anchor, members in enumerate(self.partition.members):
             value, sinrs = _coalition_detail(rnd, anchor, members)
             round_value += value
             for u, sinr in sinrs.items():
@@ -534,7 +543,58 @@ def simulate_content_distribution(
                     packets[u] = min(total_file, packets[u] + gained)
         for u in range(scenario.n_d2d):
             if packets[u] >= total_file:
-                seeds.add(u)
-        curve.cumulative.append(int(packets.sum()))
-        curve.total_values.append(round_value)
-    return curve
+                self.seeds.add(u)
+        self.curve.cumulative.append(int(packets.sum()))
+        self.curve.total_values.append(round_value)
+
+
+def simulate_content_distribution(
+    scenario: ContentScenario,
+    params: radio.RadioParams,
+    allocators: tuple[str, ...],
+    rng_seed: int,
+) -> list[ServiceCurve]:
+    """Round-based dissemination: fresh fading, re-formed partition, delivery.
+
+    Runs ``scenario.rounds`` rounds of every scheme named in ``allocators``
+    in lockstep and returns one curve per name, in order. Each round draws
+    one fading realization and slices it once into a :class:`ContentRound`;
+    every scheme then plays that channel with its own seed set, so all
+    schemes see identical channels. The draws depend only on ``rng_seed``
+    and the round index. Each round every normal UE receives
+    ``floor(packets_per_rate_unit * rate)`` packets from its serving seed,
+    capped at the remaining file; UEs that complete the file serve as seeds
+    from the next round on.
+
+    Once every UE of a scheme is a seed, its partition is kept as it is
+    without running the allocator, which is exact: with no normal UE a
+    coalition's value is its anchor's cellular rate, the same float for any
+    member set, so every switch gain is exactly 0.0 and no move passes
+    :data:`GAIN_EPS`; the noncooperative baseline has no UE to move.
+
+    An exception inside one scheme's round stops only that scheme and is
+    kept in its curve's ``error``; one in the shared instance or channel
+    propagates.
+    """
+    if isinstance(allocators, str):
+        raise TypeError(f"allocators must be a tuple of scheme names, got {allocators!r}")
+    for allocator in allocators:
+        if allocator not in ("coalition", "noncooperative"):
+            raise ValueError(f"unknown allocator {allocator!r}")
+    scenario.validate()
+    inst = generate_content_instance(scenario, params, derive_seed(rng_seed, 0))
+    pathloss = content_pathloss(inst, params)
+    start = initial_partition(inst)
+    runs = [_SchemeRun(allocator, inst, start) for allocator in allocators]
+    for t in range(1, scenario.rounds + 1):
+        live = [run for run in runs if run.curve.error is None]
+        if not live:
+            break
+        gains = draw_content_gains(inst, params, derive_seed(rng_seed, t), pathloss=pathloss)
+        channel = ContentRound(inst, gains, params)
+        for run in live:
+            try:
+                run.play(channel)
+            except Exception as exc:  # this scheme stops, the others go on
+                run.curve.error = exc
+    return [run.curve for run in runs]

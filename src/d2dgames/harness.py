@@ -100,7 +100,7 @@ def summarize(rows: list[tuple]) -> tuple[dict, dict]:
         by_group.setdefault((sweep, scheme), []).append(value)
         by_cell.setdefault((sweep, seed), {})[scheme] = value
     groups = {}
-    for key in sorted(by_group, key=str):
+    for key in sorted(by_group):
         vals = by_group[key]
         if len(vals) == 1:
             groups[key] = GroupStats(mean=vals[0], stddev=0.0, count=1, single_sample=True)
@@ -110,8 +110,8 @@ def summarize(rows: list[tuple]) -> tuple[dict, dict]:
                 stddev=float(np.std(vals, ddof=1)),
                 count=len(vals),
             )
-    schemes = sorted({key[1] for key in by_group}, key=str)
-    sweeps = sorted({key[0] for key in by_group}, key=str)
+    schemes = sorted({key[1] for key in by_group})
+    sweeps = sorted({key[0] for key in by_group})
     paired = {}
     for sweep in sweeps:
         for i, a in enumerate(schemes):
@@ -175,19 +175,24 @@ def _sumrate_drop(config: ExperimentConfig, sweep_idx: int, n_pairs: int, drop: 
 
 def _content_drop(config: ExperimentConfig, drop: int):
     seed = derive_seed(config.master_seed, 0, drop, 0)
+    try:
+        # rng_seed by keyword: perfbench/spans.py reads the drop seed from it
+        curves = coalition_mod.simulate_content_distribution(
+            config.content, config.radio, config.schemes, rng_seed=seed
+        )
+    except Exception as exc:  # shared instance or channel: every scheme fails
+        curves = [
+            coalition_mod.ServiceCurve(scheme, [], error=exc) for scheme in config.schemes
+        ]
     rows, errors = [], []
-    for scheme in config.schemes:
-        try:
-            # rng_seed by keyword: perfbench/spans.py reads the drop seed from it
-            curve = coalition_mod.simulate_content_distribution(
-                config.content, config.radio, scheme, rng_seed=seed
-            )
-            for r, total in enumerate(curve.cumulative):
-                value = curve.total_values[r - 1] if r >= 1 else 0.0
-                rows.append((r, scheme, seed, total, value))
-        except Exception as exc:
+    for scheme, curve in zip(config.schemes, curves):
+        if curve.error is not None:
             rows.append((0, scheme, seed, float("nan"), float("nan")))
-            errors.append(f"drop={drop} scheme={scheme}: {exc}")
+            errors.append(f"drop={drop} scheme={scheme}: {curve.error}")
+            continue
+        for r, total in enumerate(curve.cumulative):
+            value = curve.total_values[r - 1] if r >= 1 else 0.0
+            rows.append((r, scheme, seed, total, value))
     return rows, errors
 
 

@@ -310,8 +310,9 @@ def test_criterion_6_content_distribution():
     strict_final = 0
     for drop in range(drops):
         seed = derive_seed(MASTER_SEED, 0, drop, 0)
-        coop = simulate_content_distribution(scen, PARAMS, "coalition", seed)
-        selfish = simulate_content_distribution(scen, PARAMS, "noncooperative", seed)
+        coop, selfish = simulate_content_distribution(
+            scen, PARAMS, ("coalition", "noncooperative"), seed
+        )
         coal_curves.append(coop.cumulative)
         nonc_curves.append(selfish.cumulative)
         if coop.cumulative[-1] > selfish.cumulative[-1]:

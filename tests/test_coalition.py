@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dgames import coalition, radio
 from d2dgames.coalition import (
@@ -24,6 +26,7 @@ from d2dgames.coalition import (
     simulate_content_distribution,
     switch_step,
 )
+from d2dgames.seeding import derive_seed
 
 PARAMS = radio.RadioParams().validate()
 
@@ -527,20 +530,22 @@ class TestPartitionValidation:
 class TestContentSimulation:
     def test_everyone_a_seed_flat_curve(self):
         scenario = ContentScenario(n_d2d=4, k_seeds=4, m_cue=2, file_packets=100, rounds=5)
-        curve = simulate_content_distribution(scenario, PARAMS, "coalition", rng_seed=19)
+        (curve,) = simulate_content_distribution(scenario, PARAMS, ("coalition",), rng_seed=19)
         assert curve.cumulative == [400] * 6
 
     def test_zero_pacing_flat_at_initial(self):
         scenario = ContentScenario(
             n_d2d=5, k_seeds=2, m_cue=2, file_packets=100, packets_per_rate_unit=0.0, rounds=5
         )
-        curve = simulate_content_distribution(scenario, PARAMS, "noncooperative", rng_seed=20)
+        (curve,) = simulate_content_distribution(
+            scenario, PARAMS, ("noncooperative",), rng_seed=20
+        )
         assert curve.cumulative == [200] * 6
 
     def test_curves_monotone_and_bounded(self):
         scenario = ContentScenario(n_d2d=8, k_seeds=2, m_cue=3, file_packets=50, rounds=8)
         for allocator in ("coalition", "noncooperative"):
-            curve = simulate_content_distribution(scenario, PARAMS, allocator, rng_seed=21)
+            (curve,) = simulate_content_distribution(scenario, PARAMS, (allocator,), rng_seed=21)
             assert len(curve.cumulative) == 9
             for a, b in zip(curve.cumulative, curve.cumulative[1:]):
                 assert a <= b
@@ -548,36 +553,205 @@ class TestContentSimulation:
 
     def test_paired_channels_across_allocators(self, monkeypatch):
         scenario = ContentScenario(n_d2d=6, k_seeds=2, m_cue=2, file_packets=1000, rounds=3)
-        a = simulate_content_distribution(scenario, PARAMS, "coalition", rng_seed=22)
-        b = simulate_content_distribution(scenario, PARAMS, "coalition", rng_seed=22)
+        (a,) = simulate_content_distribution(scenario, PARAMS, ("coalition",), rng_seed=22)
+        (b,) = simulate_content_distribution(scenario, PARAMS, ("coalition",), rng_seed=22)
         assert a.cumulative == b.cumulative  # determinism
         assert a.total_values == b.total_values
-        # both allocators see the same channel in every round
-        drawn = []
+        # one draw per round, and both allocators play that round's draw
+        drawn, played = [], []
         draw = coalition.draw_content_gains
 
         def recording_draw(*args, **kwargs):
-            gains = draw(*args, **kwargs)
-            drawn[-1].append(gains.g)
-            return gains
+            drawn.append(draw(*args, **kwargs))
+            return drawn[-1]
+
+        class RecordingRound(ContentRound):
+            def __init__(self, inst, gains, params, seeds=None):
+                super().__init__(inst, gains, params, seeds)
+                self.gains = gains
+
+            def with_seeds(self, seeds):
+                played.append(super().with_seeds(seeds))
+                return played[-1]
 
         monkeypatch.setattr(coalition, "draw_content_gains", recording_draw)
-        for allocator in ("coalition", "noncooperative"):
-            drawn.append([])
-            simulate_content_distribution(scenario, PARAMS, allocator, rng_seed=22)
-        coop, selfish = drawn
-        assert len(coop) == len(selfish) == 3
-        for g_coop, g_selfish in zip(coop, selfish):
-            np.testing.assert_array_equal(g_coop, g_selfish)
+        monkeypatch.setattr(coalition, "ContentRound", RecordingRound)
+        simulate_content_distribution(
+            scenario, PARAMS, ("coalition", "noncooperative"), rng_seed=22
+        )
+        assert len(drawn) == 3 and len(played) == 6
+        for t, gains in enumerate(drawn):
+            coop, selfish = played[2 * t : 2 * t + 2]
+            assert coop.gains is gains and selfish.gains is gains
+            assert coop.uu is selfish.uu  # the slices are shared, not rebuilt
 
     def test_coalition_outpaces_noncoop_on_average(self):
         scenario = ContentScenario(n_d2d=10, k_seeds=2, m_cue=3, file_packets=400, rounds=10)
         coop_final, selfish_final = 0, 0
         for seed in range(8):
-            coop = simulate_content_distribution(scenario, PARAMS, "coalition", rng_seed=seed)
-            selfish = simulate_content_distribution(
-                scenario, PARAMS, "noncooperative", rng_seed=seed
+            coop, selfish = simulate_content_distribution(
+                scenario, PARAMS, ("coalition", "noncooperative"), rng_seed=seed
             )
             coop_final += coop.cumulative[-1]
             selfish_final += selfish.cumulative[-1]
         assert coop_final >= selfish_final
+
+
+def _reference_curve(scenario, params, allocator, rng_seed):
+    """One scheme alone, solving every round: the loop the lockstep run must match."""
+    inst = generate_content_instance(scenario, params, derive_seed(rng_seed, 0))
+    packets = [scenario.file_packets if u in inst.seeds else 0 for u in range(scenario.n_d2d)]
+    seeds = set(inst.seeds)
+    partition = initial_partition(inst)
+    cumulative, values = [sum(packets)], []
+    for t in range(1, scenario.rounds + 1):
+        gains = draw_content_gains(inst, params, derive_seed(rng_seed, t))
+        rnd = ContentRound(inst, gains, params, seeds)
+        if allocator == "coalition":
+            partition = run_switch_dynamics(partition, make_value_fn(rnd))
+        else:
+            partition = noncooperative_baseline(rnd, partition0=partition)
+        total = 0.0
+        for anchor, members in enumerate(partition.members):
+            value, sinrs = _coalition_detail(rnd, anchor, members)
+            total += value
+            for u, sinr in sinrs.items():
+                gained = int(math.floor(scenario.packets_per_rate_unit * math.log2(1.0 + sinr)))
+                packets[u] = min(scenario.file_packets, packets[u] + gained)
+        seeds |= {u for u in range(scenario.n_d2d) if packets[u] >= scenario.file_packets}
+        cumulative.append(sum(packets))
+        values.append(total)
+    return cumulative, values
+
+
+BOTH = ("coalition", "noncooperative")
+
+
+class TestLockstep:
+    """Both schemes of a drop play one channel per round."""
+
+    SCENARIOS = {
+        "saturates_early": ContentScenario(
+            n_d2d=8, k_seeds=2, m_cue=3, file_packets=40, rounds=10
+        ),
+        "never_saturates": ContentScenario(
+            n_d2d=8, k_seeds=2, m_cue=3, file_packets=10**6, rounds=5
+        ),
+        "all_seeds": ContentScenario(n_d2d=5, k_seeds=5, m_cue=2, file_packets=100, rounds=4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_two_scheme_run_equals_each_scheme_alone(self, name, monkeypatch):
+        scenario = self.SCENARIOS[name]
+        cap = scenario.n_d2d * scenario.file_packets
+        draws, solves = [], []
+        draw, switch = coalition.draw_content_gains, coalition.run_switch_dynamics
+
+        def counting_draw(*args, **kwargs):
+            draws.append(None)
+            return draw(*args, **kwargs)
+
+        def counting_switch(*args, **kwargs):
+            solves.append(None)
+            return switch(*args, **kwargs)
+
+        for seed in (31, 32):
+            alone = [
+                simulate_content_distribution(scenario, PARAMS, (a,), rng_seed=seed)[0]
+                for a in BOTH
+            ]
+            with monkeypatch.context() as mp:
+                mp.setattr(coalition, "draw_content_gains", counting_draw)
+                mp.setattr(coalition, "run_switch_dynamics", counting_switch)
+                draws.clear()
+                solves.clear()
+                together = simulate_content_distribution(scenario, PARAMS, BOTH, rng_seed=seed)
+            assert len(draws) == scenario.rounds
+            for allocator, one, both in zip(BOTH, alone, together):
+                assert both.allocator == allocator and both.error is None
+                assert both.cumulative == one.cumulative
+                assert both.total_values == one.total_values
+                want = _reference_curve(scenario, PARAMS, allocator, seed)
+                assert (both.cumulative, both.total_values) == want
+            coop_final = together[0].cumulative
+            if name == "saturates_early":
+                # saturated rounds run no switch dynamics
+                assert coop_final.index(cap) < scenario.rounds
+                assert len(solves) == coop_final.index(cap)
+            elif name == "never_saturates":
+                assert coop_final[-1] < cap and len(solves) == scenario.rounds
+            else:
+                assert coop_final == [cap] * (scenario.rounds + 1) and not solves
+
+    def test_with_seeds_matches_a_fresh_round(self):
+        rng = np.random.default_rng(34)
+        inst = _instance(n=7, k=2, m=3, seed=35)
+        gains = draw_content_gains(inst, PARAMS, rng_seed=36)
+        channel = ContentRound(inst, gains, PARAMS)
+        assert channel.ranked  # read before re-seeding: the copy must not keep it
+        for _ in range(5):
+            seeds = frozenset(rng.choice(7, size=int(rng.integers(1, 8)), replace=False).tolist())
+            got, want = channel.with_seeds(seeds), ContentRound(inst, gains, PARAMS, seeds)
+            assert got.seeds == want.seeds and got.ranked == want.ranked
+            assert got.cell_signal is channel.cell_signal and got.uu is channel.uu
+            assert got.cell_at_ue == want.cell_at_ue and got.ue_at_cellrx == want.ue_at_cellrx
+            for r in range(3):
+                assert [got.uu[r][t] for t in range(7)] == [want.uu[r][t] for t in range(7)]
+
+    def test_one_failing_scheme_leaves_the_other_running(self, monkeypatch):
+        scenario = self.SCENARIOS["never_saturates"]
+        (alone,) = simulate_content_distribution(scenario, PARAMS, ("coalition",), rng_seed=33)
+        baseline = coalition.noncooperative_baseline
+        calls = []
+
+        def failing_in_round_3(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("baseline failed on purpose")
+            return baseline(*args, **kwargs)
+
+        monkeypatch.setattr(coalition, "noncooperative_baseline", failing_in_round_3)
+        coop, selfish = simulate_content_distribution(scenario, PARAMS, BOTH, rng_seed=33)
+        assert coop.error is None and coop.cumulative == alone.cumulative
+        assert str(selfish.error) == "baseline failed on purpose"
+        assert len(selfish.cumulative) == 3 and len(selfish.total_values) == 2
+
+    def test_bare_string_rejected(self):
+        scenario = ContentScenario(n_d2d=4, k_seeds=2, m_cue=2, rounds=1)
+        with pytest.raises(TypeError, match="tuple of scheme names"):
+            simulate_content_distribution(scenario, PARAMS, "coalition", rng_seed=0)
+        with pytest.raises(ValueError, match="unknown allocator"):
+            simulate_content_distribution(scenario, PARAMS, ("coalition", "rica"), rng_seed=0)
+
+
+class TestEverySeedInvariant:
+    """With every UE a seed the value ignores the members, so no switch can gain."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        k=st.integers(1, 7),
+        m=st.integers(1, 4),
+        uplink=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    def test_value_constant_and_switch_step_idle(self, n, k, m, uplink, seed, data):
+        params = radio.RadioParams(
+            link_direction=radio.UPLINK if uplink else radio.DOWNLINK
+        ).validate()
+        scenario = ContentScenario(n_d2d=n, k_seeds=min(k, n), m_cue=m, hotspot_radius_m=60.0)
+        inst = generate_content_instance(scenario, params, seed)
+        gains = draw_content_gains(inst, params, rng_seed=seed + 1)
+        rnd = ContentRound(inst, gains, params).with_seeds(range(n))
+        value_fn = make_value_fn(rnd)
+        subsets = st.frozensets(st.integers(0, n - 1))
+        for anchor in range(m):
+            want = value_fn(anchor, frozenset())
+            for members in data.draw(st.lists(subsets, min_size=1, max_size=6)):
+                assert value_fn(anchor, members) == want
+        owner = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        part = Partition(
+            members=tuple(frozenset(u for u in range(n) if owner[u] == a) for a in range(m))
+        )
+        assert switch_step(part, value_fn) == (part, False)

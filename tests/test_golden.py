@@ -4,8 +4,9 @@
 workloads write at program seed 1; a refactor that moves any number changes a
 digest. The content CSV is also pinned at seeds 2 and 3, whose drops take
 other paths through the content kernel, and so is the greedy sum-rate CSV,
-whose auctions take other greedy walks. These tests only read the configs and
-the digests.
+whose auctions take other greedy walks. The paper-scale content run, the
+default ``content-distribution`` config (50 drops x 50 rounds x 2 schemes), is
+pinned as well. These tests only read the configs and the digests.
 """
 
 import hashlib
@@ -39,6 +40,9 @@ SUMRATE_GREEDY_DIGESTS = {
     3: "f2d09349b9f7fa7deb5cc5b3b616691e4dcd5ddccc5fffde9f5f5dcdcc2ba17e",
 }
 
+# content.csv of the default content-distribution config at master seed 1
+PAPER_SCALE_CONTENT_DIGEST = "bad279dc68faf142e723f11725e9e7cde78ef701abf16a5fbd29adb01ecd722d"
+
 
 def _run_digest(config, csv, seed, out):
     argv = ["run", "--config", str(PERFBENCH / "configs" / config),
@@ -65,3 +69,12 @@ def test_content_digest_at_more_seeds(seed, tmp_path):
 def test_sumrate_greedy_digest_at_more_seeds(seed, tmp_path):
     digest = _run_digest("sumrate-greedy.cfg", "sumrate.csv", seed, tmp_path)
     assert digest == SUMRATE_GREEDY_DIGESTS[seed], f"sumrate.csv moved at seed {seed}"
+
+
+def test_paper_scale_content_digest(tmp_path):
+    cfg = tmp_path / "content.cfg"
+    cfg.write_text("experiment = content-distribution\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "content.csv").read_bytes()).hexdigest()
+    assert digest == PAPER_SCALE_CONTENT_DIGEST, "paper-scale content.csv moved"

@@ -76,6 +76,34 @@ class TestSummarize:
         assert groups[(2, "a")].count == 1
 
 
+class TestGroupOrder:
+    """Groups are summarized and printed in numeric order of sweep point and round."""
+
+    CONFIGS = {
+        "sumrate": "experiment = sumrate-vs-pairs\nsweep = 10,2,3\ndrops = 1\nm_cue = 2\n"
+        "schemes = random,all_cellular\n",
+        "content": "experiment = content-distribution\ndrops = 1\n[content]\n"
+        "n_d2d = 4\nk_seeds = 2\nm_cue = 2\nrounds = 11\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_numeric_order(self, name, tmp_path, capsys):
+        from d2dgames.cli import main
+
+        summary = run_experiment(loads_config(self.CONFIGS[name]))
+        keys = list(summary.groups)
+        assert keys == sorted(keys) and keys[-1][0] >= 10
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIGS[name])
+        assert main(["run", "--config", str(cfg)]) == 0
+        printed = [
+            line.strip().split(":")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  (")
+        ]
+        assert printed == [str(k) for k in keys]
+
+
 class TestSumrateExperiment:
     def test_row_count_and_schema(self):
         config = _small_sumrate_config()
@@ -161,6 +189,22 @@ class TestContentExperiment:
         st = summary.groups[(0, "coalition")]
         assert (st.mean, st.count) == (2000.0, 1)
         assert summary.groups[(0, "noncooperative")].count == 2
+
+    def test_failed_channel_draw_fails_every_scheme(self, monkeypatch):
+        from d2dgames import coalition
+
+        def failing_draw(*args, **kw):
+            raise RuntimeError("gain draw failed on purpose")
+
+        monkeypatch.setattr(coalition, "draw_content_gains", failing_draw)
+        config = loads_config(
+            "experiment = content-distribution\ndrops = 2\n[content]\nrounds = 2\n"
+        )
+        summary = run_experiment(config)
+        assert [row[:2] for row in summary.rows] == [(0, "coalition"), (0, "noncooperative")] * 2
+        assert all(math.isnan(row[3]) and math.isnan(row[4]) for row in summary.rows)
+        assert summary.errors[1] == "drop=0 scheme=noncooperative: gain draw failed on purpose"
+        assert len(summary.errors) == 4 and summary.groups == {}
 
 
 class TestPowerAndStackelbergExperiments:
