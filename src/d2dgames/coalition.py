@@ -255,7 +255,12 @@ class ContentRound:
         self.seeds = inst.seeds if seeds is None else frozenset(seeds)
 
     def with_seeds(self, seeds: Iterable[int]) -> "ContentRound":
-        """This round's channel with another seed set; the channel lists are shared."""
+        """This round's channel with another seed set; the channel lists are shared.
+
+        The copy shares every attribute but ``seeds``, so each cached
+        attribute that depends on the seed set must be dropped here; today
+        that is only ``ranked``.
+        """
         rnd = copy.copy(self)
         rnd.seeds = frozenset(seeds)
         rnd.__dict__.pop("ranked", None)
@@ -507,6 +512,20 @@ class ServiceCurve:
     error: Exception | None = None
 
 
+class SchemeFailure(Exception):
+    """Some scheme of a lockstep run stopped on an exception.
+
+    ``curves`` holds one curve per scheme, as a successful run returns them;
+    a failed scheme's curve carries its exception in ``error`` and ends at
+    the last round that completed, the others run to the end.
+    """
+
+    def __init__(self, curves: list[ServiceCurve]):
+        self.curves = curves
+        failed = [c for c in curves if c.error is not None]
+        super().__init__("; ".join(f"{c.allocator}: {c.error!r}" for c in failed))
+
+
 class _SchemeRun:
     """One scheme's state across the rounds: seed set, packets, partition, curve."""
 
@@ -573,8 +592,9 @@ def simulate_content_distribution(
     :data:`GAIN_EPS`; the noncooperative baseline has no UE to move.
 
     An exception inside one scheme's round stops only that scheme and is
-    kept in its curve's ``error``; one in the shared instance or channel
-    propagates.
+    kept in its curve's ``error``; the others play every round, and then
+    :class:`SchemeFailure` is raised with all the curves. An exception in
+    the shared instance or channel propagates as it is.
     """
     if isinstance(allocators, str):
         raise TypeError(f"allocators must be a tuple of scheme names, got {allocators!r}")
@@ -587,14 +607,16 @@ def simulate_content_distribution(
     start = initial_partition(inst)
     runs = [_SchemeRun(allocator, inst, start) for allocator in allocators]
     for t in range(1, scenario.rounds + 1):
-        live = [run for run in runs if run.curve.error is None]
-        if not live:
-            break
         gains = draw_content_gains(inst, params, derive_seed(rng_seed, t), pathloss=pathloss)
         channel = ContentRound(inst, gains, params)
-        for run in live:
-            try:
-                run.play(channel)
-            except Exception as exc:  # this scheme stops, the others go on
-                run.curve.error = exc
-    return [run.curve for run in runs]
+        for run in runs:
+            if run.curve.error is None:
+                try:
+                    run.play(channel)
+                except Exception as exc:  # this scheme stops, the others go on
+                    run.curve.error = exc
+    curves = [run.curve for run in runs]
+    failed = [c.error for c in curves if c.error is not None]
+    if failed:
+        raise SchemeFailure(curves) from failed[0]
+    return curves

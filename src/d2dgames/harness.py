@@ -180,6 +180,8 @@ def _content_drop(config: ExperimentConfig, drop: int):
         curves = coalition_mod.simulate_content_distribution(
             config.content, config.radio, config.schemes, rng_seed=seed
         )
+    except coalition_mod.SchemeFailure as exc:  # failed schemes carry their error
+        curves = exc.curves
     except Exception as exc:  # shared instance or channel: every scheme fails
         curves = [
             coalition_mod.ServiceCurve(scheme, [], error=exc) for scheme in config.schemes

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from d2dgames import radio
+from d2dgames import coalition, radio
 from d2dgames.auction import (
     AuctionInstance,
     allocation_from_auction,
@@ -21,6 +21,7 @@ from d2dgames.auction import (
 from d2dgames.coalition import (
     ContentRound,
     ContentScenario,
+    SchemeFailure,
     draw_content_gains,
     generate_content_instance,
     initial_partition,
@@ -334,6 +335,15 @@ def test_criterion_6_content_distribution():
     line = _report("6 content distribution", all(clauses.values()), detail)
     failed = [name for name, ok in clauses.items() if not ok]
     assert not failed, f"{line}; failed clauses: {failed}"
+
+
+def test_criterion_6_fails_when_a_scheme_raises(monkeypatch):
+    def failing_baseline(*args, **kwargs):
+        raise RuntimeError("baseline failed on purpose")
+
+    monkeypatch.setattr(coalition, "noncooperative_baseline", failing_baseline)
+    with pytest.raises(SchemeFailure, match="baseline failed on purpose"):
+        test_criterion_6_content_distribution()
 
 
 def test_criterion_7_power_control():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from d2dgames.coalition import (
     ContentRound,
     ContentScenario,
     Partition,
+    SchemeFailure,
     _coalition_detail,
     _serving_seed,
     _sinr,
@@ -688,15 +690,24 @@ class TestLockstep:
         inst = _instance(n=7, k=2, m=3, seed=35)
         gains = draw_content_gains(inst, PARAMS, rng_seed=36)
         channel = ContentRound(inst, gains, PARAMS)
-        assert channel.ranked  # read before re-seeding: the copy must not keep it
+        cached = [k for k, v in vars(ContentRound).items() if isinstance(v, cached_property)]
+        for name in cached:  # read before re-seeding: the copy must not keep them
+            getattr(channel, name)
         for _ in range(5):
             seeds = frozenset(rng.choice(7, size=int(rng.integers(1, 8)), replace=False).tolist())
             got, want = channel.with_seeds(seeds), ContentRound(inst, gains, PARAMS, seeds)
-            assert got.seeds == want.seeds and got.ranked == want.ranked
+            for name in cached:
+                getattr(got, name), getattr(want, name)
+            assert vars(got).keys() == vars(want).keys()
+            for key, value in vars(want).items():
+                if key == "inst":
+                    assert got.inst is inst
+                elif key == "uu":  # rows are converted on first read
+                    for r in range(3):
+                        assert [got.uu[r][t] for t in range(7)] == [value[r][t] for t in range(7)]
+                else:
+                    assert vars(got)[key] == value, key
             assert got.cell_signal is channel.cell_signal and got.uu is channel.uu
-            assert got.cell_at_ue == want.cell_at_ue and got.ue_at_cellrx == want.ue_at_cellrx
-            for r in range(3):
-                assert [got.uu[r][t] for t in range(7)] == [want.uu[r][t] for t in range(7)]
 
     def test_one_failing_scheme_leaves_the_other_running(self, monkeypatch):
         scenario = self.SCENARIOS["never_saturates"]
@@ -711,7 +722,9 @@ class TestLockstep:
             return baseline(*args, **kwargs)
 
         monkeypatch.setattr(coalition, "noncooperative_baseline", failing_in_round_3)
-        coop, selfish = simulate_content_distribution(scenario, PARAMS, BOTH, rng_seed=33)
+        with pytest.raises(SchemeFailure, match="baseline failed on purpose") as failure:
+            simulate_content_distribution(scenario, PARAMS, BOTH, rng_seed=33)
+        coop, selfish = failure.value.curves
         assert coop.error is None and coop.cumulative == alone.cumulative
         assert str(selfish.error) == "baseline failed on purpose"
         assert len(selfish.cumulative) == 3 and len(selfish.total_values) == 2
