@@ -30,12 +30,36 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from d2dgames import radio
+
+
+@dataclass(frozen=True)
+class AuctionConfig:
+    """The ``[auction]`` section: price clock and demand-rule parameters."""
+
+    c0: float = 0.05
+    epsilon: float | None = None  # None: 1% of mean standalone item value
+    p0: float = 0.0
+    exact_cap: int = 12
+    max_rounds: int = 1_000_000
+
+    def validate(self) -> "AuctionConfig":
+        if not (math.isfinite(self.c0) and self.c0 >= 0):
+            raise ValueError(f"c0 must be finite and >= 0, got {self.c0}")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, or auto, got {self.epsilon}")
+        if not (math.isfinite(self.p0) and self.p0 >= 0):
+            raise ValueError(f"p0 must be finite and >= 0, got {self.p0}")
+        if self.exact_cap < 0:
+            raise ValueError(f"exact_cap must be >= 0, got {self.exact_cap}")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        return self
 
 
 @dataclass
@@ -44,17 +68,12 @@ class AuctionInstance:
     bidders: tuple[int, ...]
     # the one valuation path: (bidder, masks (B, n_items) of 0/1 rows) -> (B,)
     batch_valuation: Callable[[int, np.ndarray], np.ndarray]
-    epsilon: float
-    p0: float = 0.0
-    exact_cap: int = 12
+    config: AuctionConfig  # epsilon resolved: auto is for auction_instance_from_radio
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not (math.isfinite(self.p0) and self.p0 >= 0):
-            raise ValueError(f"p0 must be finite and >= 0, got {self.p0}")
-        if self.exact_cap < 0:
-            raise ValueError(f"exact_cap must be >= 0, got {self.exact_cap}")
+        if self.config.epsilon is None:
+            raise ValueError("epsilon must be resolved for an instance, got auto")
+        self.config.validate()
         if len(set(self.items)) != len(self.items):
             raise ValueError("duplicate items")
         if len(set(self.bidders)) != len(self.bidders):
@@ -121,7 +140,7 @@ class _DemandEngine:
         self.inst = instance
         self.bidders = bidders
         self.n = instance.n_items
-        self.exact = self.n <= instance.exact_cap
+        self.exact = self.n <= instance.config.exact_cap
         self.calls = 0
         # (bidder, package mask) -> (value of the empty package when mask == 0
         # else None, [(item outside the mask, value of mask plus it), ...])
@@ -210,25 +229,24 @@ def bidder_demand(instance: AuctionInstance, prices, bidder: int) -> frozenset[i
     return frozenset(instance.items[i] for i in np.flatnonzero(row))
 
 
-def run_auction(instance: AuctionInstance, max_rounds: int = 1_000_000) -> AuctionState:
+def run_auction(instance: AuctionInstance) -> AuctionState:
     """Ascending clock rounds until no item is demanded by two or more bidders.
 
     Returns an :class:`AuctionState` whose ``terminated`` flag is False when
-    ``max_rounds`` was exhausted; callers must check it before using the
+    ``config.max_rounds`` ran out; callers must check it before using the
     assignment. Exact-mode tables are valued before round 1 and charged to it.
     """
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    config = instance.config
     items, bidders = instance.items, instance.bidders
     engine = _DemandEngine(instance, bidders)
-    prices = np.full(instance.n_items, float(instance.p0))
+    prices = np.full(instance.n_items, float(config.p0))
     demands = np.zeros((len(bidders), instance.n_items), dtype=bool)
     stale = np.ones(len(bidders), dtype=bool)
     history: list[np.ndarray] = []
     per_round_calls: list[int] = []
     rounds = charged = 0
     terminated = False
-    while rounds < max_rounds:
+    while rounds < config.max_rounds:
         rounds += 1
         demands[stale] = engine.demand(np.flatnonzero(stale), prices)
         per_round_calls.append(engine.calls - charged)
@@ -238,7 +256,7 @@ def run_auction(instance: AuctionInstance, max_rounds: int = 1_000_000) -> Aucti
         if not over.any():
             terminated = True
             break
-        prices[over] += instance.epsilon
+        prices[over] += config.epsilon
         stale = demands[:, over].any(axis=1)
 
     packages = {
@@ -294,10 +312,7 @@ def auction_instance_from_radio(
     topology: radio.Topology,
     gains: radio.GainTensor,
     params: radio.RadioParams,
-    c0: float = 0.05,
-    epsilon: float | None = None,
-    p0: float = 0.0,
-    exact_cap: int = 12,
+    config: AuctionConfig = AuctionConfig(),
     items: tuple[int, ...] | None = None,
     bidders: tuple[int, ...] | None = None,
 ) -> AuctionInstance:
@@ -305,11 +320,10 @@ def auction_instance_from_radio(
 
     A bidder (RB) values a package as: the rate of its own cellular link under
     the package's interference, plus each package member's D2D rate on that RB,
-    minus ``c0`` per member for signaling overhead. When ``epsilon`` is None it
-    defaults to 1% of the mean positive standalone item value.
+    minus ``config.c0`` per member for signaling overhead. An auto ``epsilon``
+    resolves to 1% of the mean positive standalone item value.
     """
-    if not (math.isfinite(c0) and c0 >= 0):
-        raise ValueError(f"c0 must be finite and >= 0, got {c0}")
+    c0 = config.validate().c0
     if items is None:
         items = tuple(range(topology.n_pairs))
     if bidders is None:
@@ -345,19 +359,12 @@ def auction_instance_from_radio(
         d2d = (member_rates * masks).sum(axis=1)
         return cell + d2d - c0 * masks.sum(axis=1)
 
-    if epsilon is None:
+    if config.epsilon is None:
         single = []
         for rb in bidders:
             empty_v = float(batch_valuation(rb, np.zeros((1, n)))[0])
             single.extend(max(v - empty_v, 0.0) for v in batch_valuation(rb, np.eye(n)))
         mean_standalone = float(np.mean(single)) if single else 0.0
-        epsilon = max(0.01 * mean_standalone, 1e-6)
+        config = replace(config, epsilon=max(0.01 * mean_standalone, 1e-6))
 
-    return AuctionInstance(
-        items=items,
-        bidders=bidders,
-        batch_valuation=batch_valuation,
-        epsilon=epsilon,
-        p0=p0,
-        exact_cap=exact_cap,
-    )
+    return AuctionInstance(items, bidders, batch_valuation, config)

@@ -11,12 +11,14 @@ an identical object, which is how runs are made reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, get_type_hints
 
+from d2dgames.auction import AuctionConfig
 from d2dgames.coalition import ContentScenario, check_hotspot_radius
+from d2dgames.power_control import PowerConfig
 from d2dgames.radio import RadioParams
+from d2dgames.stackelberg import StackelbergConfig
 
 EXPERIMENTS = (
     "sumrate-vs-pairs",
@@ -32,6 +34,7 @@ _DEFAULT_SCHEMES = {
     "content-distribution": ("coalition", "noncooperative"),
 }
 
+# experiment -> drops when not given; every other experiment gets 200
 _DEFAULT_DROPS = {"content-distribution": 50}
 
 
@@ -40,36 +43,12 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class AuctionConfig:
-    c0: float = 0.05
-    epsilon: float | None = None  # None: 1% of mean standalone item value
-    p0: float = 0.0
-    exact_cap: int = 12
-    max_rounds: int = 1_000_000
-
-
-@dataclass(frozen=True)
-class PowerConfig:
-    players: int = 4
-    sinr_target_db: float = 10.0
-    tol_w: float = 1e-9
-    max_iters: int = 1000
-
-
-@dataclass(frozen=True)
-class StackelbergConfig:
-    lambda_points: int = 2000
-    pair: int = 0
-    rb: int = 0
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str = "sumrate-vs-pairs"
     sweep: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 14, 16)
-    drops: int = 200
+    drops: int | None = None  # None: the experiment's default
     master_seed: int = 1
-    schemes: tuple[str, ...] = ("rica", "random", "all_cellular")
+    schemes: tuple[str, ...] | None = None  # None: the experiment's default
     output_path: str = ""
     m_cue: int = 10
     radio: RadioParams = field(default_factory=RadioParams)
@@ -77,6 +56,13 @@ class ExperimentConfig:
     content: ContentScenario = field(default_factory=ContentScenario)
     power: PowerConfig = field(default_factory=PowerConfig)
     stackelberg: StackelbergConfig = field(default_factory=StackelbergConfig)
+
+    def __post_init__(self):
+        if self.drops is None:
+            object.__setattr__(self, "drops", _DEFAULT_DROPS.get(self.experiment, 200))
+        if self.schemes is None:
+            schemes = _DEFAULT_SCHEMES.get(self.experiment, _DEFAULT_SCHEMES["sumrate-vs-pairs"])
+            object.__setattr__(self, "schemes", schemes)
 
     def validate(self) -> "ExperimentConfig":
         if self.experiment not in EXPERIMENTS:
@@ -101,37 +87,21 @@ class ExperimentConfig:
             raise ConfigError(f"sweep values must be >= 0, got {self.sweep}")
         if self.m_cue < 1:
             raise ConfigError(f"m_cue must be >= 1, got {self.m_cue}")
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if is_dataclass(section):
+                try:
+                    section.validate()
+                except ValueError as exc:
+                    raise ConfigError(f"[{f.name}] {exc}") from exc
+        # the two checks that span sections
         try:
-            self.radio.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        c0, epsilon, p0 = self.auction.c0, self.auction.epsilon, self.auction.p0
-        if not (math.isfinite(c0) and c0 >= 0):
-            raise ConfigError(f"c0 must be finite and >= 0, got {c0}")
-        if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
-            raise ConfigError(f"epsilon must be finite and > 0, or auto, got {epsilon}")
-        if not (math.isfinite(p0) and p0 >= 0):
-            raise ConfigError(f"p0 must be finite and >= 0, got {p0}")
-        if self.auction.exact_cap < 0:
-            raise ConfigError(f"exact_cap must be >= 0, got {self.auction.exact_cap}")
-        if self.auction.max_rounds < 1:
-            raise ConfigError(f"max_rounds must be >= 1, got {self.auction.max_rounds}")
-        try:
-            self.content.validate()
             check_hotspot_radius(self.content.hotspot_radius_m, self.radio)
         except ValueError as exc:
             raise ConfigError(f"[content] {exc}") from exc
-        if self.power.players < 0:
-            raise ConfigError(f"power players must be >= 0, got {self.power.players}")
-        if self.stackelberg.lambda_points < 2:
-            raise ConfigError(
-                f"lambda_points must be >= 2, got {self.stackelberg.lambda_points}"
-            )
-        if self.stackelberg.pair < 0:
-            raise ConfigError(f"stackelberg pair must be >= 0, got {self.stackelberg.pair}")
         if not 0 <= self.stackelberg.rb < self.m_cue:
             raise ConfigError(
-                f"stackelberg rb must satisfy 0 <= rb < m_cue = {self.m_cue}, "
+                f"[stackelberg] rb must satisfy 0 <= rb < m_cue = {self.m_cue}, "
                 f"got {self.stackelberg.rb}"
             )
         return self
@@ -150,7 +120,8 @@ def _parse_auto_float(text: str) -> float | None:
     return None if text.strip().lower() == "auto" else float(text)
 
 
-# declared field type -> parser of its config text
+# declared field type -> parser of its config text; a None default of
+# drops and schemes is resolved by ExperimentConfig, never read from a file
 _PARSERS = {
     int: int,
     float: float,
@@ -158,6 +129,8 @@ _PARSERS = {
     tuple[int, ...]: _parse_list(int),
     tuple[str, ...]: _parse_list(str),
     float | None: _parse_auto_float,
+    int | None: int,
+    tuple[str, ...] | None: _parse_list(str),
 }
 
 
@@ -173,7 +146,8 @@ def _schema(cls) -> dict[str, dict[str, Callable[[str], object]]]:
 
     Plain fields form ``[harness]``; each dataclass-valued field is a section
     named after the field, holding that dataclass's fields in field order.
-    A field of a type without a parser raises :class:`TypeError`.
+    A field of a type without a parser, or a section without ``validate()``,
+    raises :class:`TypeError`.
     """
     schema: dict[str, dict] = {"harness": {}}
     hints = get_type_hints(cls)
@@ -182,6 +156,8 @@ def _schema(cls) -> dict[str, dict[str, Callable[[str], object]]]:
         if is_dataclass(hint):
             sub = get_type_hints(hint)
             schema[f.name] = {g.name: _parser(hint, g.name, sub[g.name]) for g in fields(hint)}
+            if not callable(getattr(hint, "validate", None)):
+                raise TypeError(f"{hint.__name__}: a config section needs a validate() method")
         else:
             schema["harness"][f.name] = _parser(cls, f.name, hint)
     return schema
@@ -218,17 +194,11 @@ def loads_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
-    config = ExperimentConfig()
     top = values.pop("harness", {})
-    experiment = top.get("experiment", config.experiment)
-    # experiment-dependent defaults, applied only when the key is absent
-    if "drops" not in top and experiment in _DEFAULT_DROPS:
-        top["drops"] = _DEFAULT_DROPS[experiment]
-    if "schemes" not in top and experiment in _DEFAULT_SCHEMES:
-        top["schemes"] = _DEFAULT_SCHEMES[experiment]
+    defaults = ExperimentConfig()
     for section, kwargs in values.items():
-        top[section] = replace(getattr(config, section), **kwargs)
-    return replace(config, **top).validate()
+        top[section] = replace(getattr(defaults, section), **kwargs)
+    return ExperimentConfig(**top).validate()
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -142,19 +142,12 @@ def _sumrate_drop(config: ExperimentConfig, sweep_idx: int, n_pairs: int, drop: 
     rows, errors = [], []
     for scheme in config.schemes:
         try:
-            rounds = 0
-            calls = 0
+            rounds = calls = 0
             if scheme == "rica":
                 inst = auction_mod.auction_instance_from_radio(
-                    topo,
-                    gains,
-                    config.radio,
-                    c0=config.auction.c0,
-                    epsilon=config.auction.epsilon,
-                    p0=config.auction.p0,
-                    exact_cap=config.auction.exact_cap,
+                    topo, gains, config.radio, config.auction
                 )
-                state = auction_mod.run_auction(inst, max_rounds=config.auction.max_rounds)
+                state = auction_mod.run_auction(inst)
                 if not state.terminated:
                     raise RuntimeError(
                         f"auction hit max_rounds={config.auction.max_rounds} without terminating"
@@ -257,17 +250,9 @@ def _power_rows(config: ExperimentConfig):
     seed = derive_seed(config.master_seed, 0, 0, 0)
     topo = radio.generate_topology(config.radio, config.m_cue, config.power.players, seed)
     gains = radio.draw_gains(topo, config.radio, derive_seed(config.master_seed, 0, 0, 1))
-    inst = power_mod.power_game_from_radio(
-        topo,
-        gains,
-        config.radio,
-        rb=0,
-        pair_indices=list(range(config.power.players)),
-        target_db=config.power.sinr_target_db,
-    )
-    trace = power_mod.run_power_game(
-        inst, max_iters=config.power.max_iters, tol=config.power.tol_w
-    )
+    pairs = list(range(config.power.players))
+    inst = power_mod.power_game_from_radio(topo, gains, config.radio, 0, pairs, config.power)
+    trace = power_mod.run_power_game(inst, config.power)
     rows = []
     for it, p in enumerate(trace.iterates):
         sinrs = inst.sinr(p) if inst.n_players else np.zeros(0)
@@ -282,14 +267,7 @@ def _stackelberg_rows(config: ExperimentConfig):
     seed = derive_seed(config.master_seed, 0, 0, 0)
     topo = radio.generate_topology(config.radio, config.m_cue, config.stackelberg.pair + 1, seed)
     gains = radio.draw_gains(topo, config.radio, derive_seed(config.master_seed, 0, 0, 1))
-    inst = stackelberg_mod.stackelberg_from_radio(
-        topo,
-        gains,
-        config.radio,
-        pair=config.stackelberg.pair,
-        rb=config.stackelberg.rb,
-        lambda_points=config.stackelberg.lambda_points,
-    )
+    inst = stackelberg_mod.stackelberg_from_radio(topo, gains, config.radio, config.stackelberg)
     rows = []
     for lam in inst.lambda_grid():
         lam = float(lam)
@@ -372,7 +350,9 @@ def oracle_check(config: ExperimentConfig) -> dict:
         if not sol.feasible:
             continue
         feasible_seen += 1
-        trace = power_mod.run_power_game(inst, max_iters=10_000, tol=1e-14)
+        trace = power_mod.run_power_game(
+            inst, power_mod.PowerConfig(max_iters=10_000, tol_w=1e-14)
+        )
         ok = ok and trace.converged
         ok = ok and bool(np.all(np.abs(trace.final - sol.powers) <= 1e-6 * np.abs(sol.powers)))
     checks["power_iteration_matches_direct_solve"] = ok
@@ -381,7 +361,9 @@ def oracle_check(config: ExperimentConfig) -> dict:
     for seed in range(5):
         topo = radio.generate_topology(params, 2, 1, derive_seed(config.master_seed, 95, seed))
         gains = radio.draw_gains(topo, params, derive_seed(config.master_seed, 96, seed))
-        s_inst = stackelberg_mod.stackelberg_from_radio(topo, gains, params, lambda_points=500)
+        s_inst = stackelberg_mod.stackelberg_from_radio(
+            topo, gains, params, stackelberg_mod.StackelbergConfig(lambda_points=500)
+        )
         out = stackelberg_mod.leader_optimize(s_inst)
         ok = ok and stackelberg_mod.verify_equilibrium(s_inst, out, eps=1e-9)
     checks["stackelberg_equilibrium_verified"] = ok

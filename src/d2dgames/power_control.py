@@ -8,6 +8,7 @@ targets are jointly feasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,27 @@ from d2dgames import radio
 
 # relative shortfall below an SINR target still counted as meeting it
 SINR_SLACK = 1e-6
+
+
+@dataclass(frozen=True)
+class PowerConfig:
+    """The ``[power]`` section: game size, SINR target and iteration stop rule."""
+
+    players: int = 4
+    sinr_target_db: float = 10.0
+    tol_w: float = 1e-9
+    max_iters: int = 1000
+
+    def validate(self) -> "PowerConfig":
+        if self.players < 0:
+            raise ValueError(f"power players must be >= 0, got {self.players}")
+        if not math.isfinite(self.sinr_target_db):
+            raise ValueError(f"sinr_target_db must be finite, got {self.sinr_target_db}")
+        if not (math.isfinite(self.tol_w) and self.tol_w > 0):
+            raise ValueError(f"tol_w must be finite and > 0, got {self.tol_w}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        return self
 
 
 @dataclass
@@ -41,11 +63,12 @@ class PowerGameInstance:
             raise ValueError(f"gain matrix must be square, got {self.gains.shape}")
         if self.n_players and not np.all(np.diag(self.gains) > 0):
             raise ValueError("every direct link gain must be > 0")
-        if np.any(self.gains < 0):
+        # written so that a NaN fails them
+        if not np.all(self.gains >= 0):
             raise ValueError("gains must be >= 0")
-        if np.any(self.targets <= 0):
+        if not np.all(self.targets > 0):
             raise ValueError("SINR targets must be > 0")
-        if np.any(self.noise_w <= 0):
+        if not np.all(self.noise_w > 0):
             raise ValueError("noise-plus-external-interference must be > 0 W")
         if not self.p_max_w > 0:
             raise ValueError(f"p_max_w must be > 0, got {self.p_max_w}")
@@ -85,26 +108,26 @@ def best_response_step(instance: PowerGameInstance, p: np.ndarray) -> np.ndarray
     return np.minimum(wanted, instance.p_max_w)
 
 
-def run_power_game(
-    instance: PowerGameInstance, max_iters: int = 1000, tol: float = 1e-9
-) -> PowerTrace:
-    """Iterate best responses from zero power until the update moves less than ``tol`` (W).
+def run_power_game(instance: PowerGameInstance, config: PowerConfig = PowerConfig()) -> PowerTrace:
+    """Iterate best responses from zero power until an update moves less than ``config.tol_w``.
 
-    ``converged`` requires both a settled power vector and all SINR targets met
-    within a relative :data:`SINR_SLACK`; an infeasible instance pins players at
-    p_max with unmet targets and reports converged=False instead of raising.
+    At most ``config.max_iters`` updates are made. ``converged`` requires both a
+    settled power vector and all SINR targets met within a relative
+    :data:`SINR_SLACK`; an infeasible instance pins players at p_max with unmet
+    targets and reports converged=False instead of raising.
     """
+    config.validate()
     n = instance.n_players
     p = np.zeros(n)
     trace = PowerTrace(iterates=[p.copy()])
     if n == 0:
         trace.converged = True
         return trace
-    for it in range(1, max_iters + 1):
+    for it in range(1, config.max_iters + 1):
         p_next = best_response_step(instance, p)
         trace.iterates.append(p_next.copy())
         trace.iterations = it
-        if np.max(np.abs(p_next - p)) < tol:
+        if np.max(np.abs(p_next - p)) < config.tol_w:
             ok = np.all(instance.sinr(p_next) >= instance.targets * (1.0 - SINR_SLACK))
             trace.converged = bool(ok)
             return trace
@@ -119,9 +142,10 @@ def power_game_from_radio(
     params: radio.RadioParams,
     rb: int,
     pair_indices: list[int],
-    target_db: float = 10.0,
+    config: PowerConfig = PowerConfig(),
 ) -> PowerGameInstance:
-    """Build the co-channel game for a set of D2D pairs sharing one RB."""
+    """Build the co-channel game for a set of D2D pairs sharing one RB at ``config``'s target."""
+    target = 10.0 ** (config.validate().sinr_target_db / 10.0)
     n = len(pair_indices)
     sigma = radio.effective_noise_w(params)
     cell_tx, _, p_cell = radio.cellular_links(gains, params, [rb])
@@ -129,7 +153,6 @@ def power_game_from_radio(
     drx = gains.rx_indices([("drx", i) for i in pair_indices])
     g = gains.gather(dtx, drx[:, None], rb)  # g[a, b]: pair b's tx at pair a's rx
     noise = sigma + p_cell[0] * gains.gather(cell_tx[0], drx, rb)
-    target = 10.0 ** (target_db / 10.0)
     return PowerGameInstance(
         gains=g,
         targets=np.full(n, target),

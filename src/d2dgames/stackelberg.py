@@ -18,6 +18,22 @@ from d2dgames import radio
 LN2 = math.log(2.0)
 
 
+@dataclass(frozen=True)
+class StackelbergConfig:
+    """The ``[stackelberg]`` section: the price grid and the pair and RB it prices."""
+
+    lambda_points: int = 2000
+    pair: int = 0
+    rb: int = 0  # checked against m_cue by the caller that knows it
+
+    def validate(self) -> "StackelbergConfig":
+        if self.lambda_points < 2:
+            raise ValueError(f"lambda_points must be >= 2, got {self.lambda_points}")
+        if self.pair < 0:
+            raise ValueError(f"stackelberg pair must be >= 0, got {self.pair}")
+        return self
+
+
 @dataclass
 class StackelbergInstance:
     g_dd: float            # D2D transmitter -> D2D receiver
@@ -29,7 +45,7 @@ class StackelbergInstance:
     p_max_w: float
     lambda_min: float = 0.0
     lambda_max: float | None = None   # defaults to g_dd / (sigma * ln 2)
-    lambda_points: int = 2000
+    lambda_points: int = StackelbergConfig.lambda_points
 
     def __post_init__(self):
         for name in ("g_dd", "g_db", "g_cc", "g_cd"):
@@ -140,11 +156,10 @@ def stackelberg_from_radio(
     topology: radio.Topology,
     gains: radio.GainTensor,
     params: radio.RadioParams,
-    pair: int = 0,
-    rb: int = 0,
-    lambda_points: int = 2000,
+    config: StackelbergConfig = StackelbergConfig(),
 ) -> StackelbergInstance:
-    """Single-pair, single-RB pricing instance drawn from a channel realization."""
+    """Pricing instance of ``config.pair`` on ``config.rb`` from a channel realization."""
+    pair, rb = config.validate().pair, config.rb
     cell_tx = radio.cellular_tx_node(params, rb)
     cell_rx = radio.cellular_rx_node(params, rb)
     return StackelbergInstance(
@@ -155,5 +170,5 @@ def stackelberg_from_radio(
         p_c_w=radio.default_power_w(params, cell_tx),
         sigma_w=radio.effective_noise_w(params),
         p_max_w=params.p_d2d_w,
-        lambda_points=lambda_points,
+        lambda_points=config.lambda_points,
     )

@@ -13,6 +13,7 @@ import pytest
 
 from d2dgames import coalition, radio
 from d2dgames.auction import (
+    AuctionConfig,
     AuctionInstance,
     allocation_from_auction,
     auction_instance_from_radio,
@@ -33,7 +34,7 @@ from d2dgames.coalition import (
 from d2dgames.config import loads_config
 from d2dgames.harness import run_experiment, rows_to_csv
 from d2dgames.oracle import exhaustive_best_allocation, grid_equilibrium, solve_min_power
-from d2dgames.power_control import PowerGameInstance, run_power_game
+from d2dgames.power_control import PowerConfig, PowerGameInstance, run_power_game
 from d2dgames.seeding import derive_seed
 from d2dgames.stackelberg import (
     LN2,
@@ -165,12 +166,13 @@ def test_criterion_3_auction_properties():
             items=tuple(range(n_items)),
             bidders=bidders,
             batch_valuation=batch_valuation,
-            epsilon=float(rng.uniform(0.1, 0.5)),
-            p0=float(rng.choice([0.0, 0.2])),
+            config=AuctionConfig(
+                epsilon=float(rng.uniform(0.1, 0.5)), p0=float(rng.choice([0.0, 0.2]))
+            ),
         )
         state = run_auction(inst)
         v_max = max(values.values())
-        bound = math.ceil(max(v_max - inst.p0, 0.0) / inst.epsilon) * n_items + 1
+        bound = math.ceil(max(v_max - inst.config.p0, 0.0) / inst.config.epsilon) * n_items + 1
         if not (state.terminated and state.rounds <= bound):
             unterminated += 1
         for a, b in zip(state.price_history, state.price_history[1:]):
@@ -366,7 +368,7 @@ def test_criterion_7_power_control():
         sol = solve_min_power(inst)
         if sol.feasible and sol.spectral_radius <= 0.95 and feasible_checked < 200:
             feasible_checked += 1
-            trace = run_power_game(inst, max_iters=20_000, tol=1e-14)
+            trace = run_power_game(inst, PowerConfig(max_iters=20_000, tol_w=1e-14))
             if not trace.converged:
                 false_convergences += 1
                 continue
@@ -377,7 +379,7 @@ def test_criterion_7_power_control():
                 unmet_targets += 1
         elif not sol.feasible and sol.spectral_radius >= 1.05 and infeasible_checked < 30:
             infeasible_checked += 1
-            trace = run_power_game(inst, max_iters=500, tol=1e-12)
+            trace = run_power_game(inst, PowerConfig(max_iters=500, tol_w=1e-12))
             if trace.converged:
                 false_convergences += 1
     ok = mismatches == 0 and unmet_targets == 0 and false_convergences == 0

@@ -7,6 +7,7 @@ import pytest
 
 from d2dgames import radio
 from d2dgames.auction import (
+    AuctionConfig,
     AuctionInstance,
     _DemandEngine,
     all_cellular_allocation,
@@ -37,9 +38,7 @@ def _table_instance(values, n_items, bidders=(0,), epsilon=0.5, p0=0.0, **kw):
         items=tuple(range(n_items)),
         bidders=tuple(bidders),
         batch_valuation=_lookup_batch(values),
-        epsilon=epsilon,
-        p0=p0,
-        **kw,
+        config=AuctionConfig(epsilon=epsilon, p0=p0, **kw),
     )
 
 
@@ -169,7 +168,7 @@ class TestRunAuction:
         state = run_auction(inst)
         assert state.terminated
         v_max = 4.0
-        assert state.rounds <= (v_max - inst.p0) / inst.epsilon + 1
+        assert state.rounds <= (v_max - inst.config.p0) / inst.config.epsilon + 1
         # both dropped at the same price, so the item went unassigned
         assert state.assignment[0] is None
         # prices rose monotonically
@@ -181,8 +180,8 @@ class TestRunAuction:
         for b in (0, 1):
             values[(b, frozenset())] = 0.0
             values[(b, frozenset({0}))] = 1000.0
-        inst = _table_instance(values, n_items=1, bidders=(0, 1), epsilon=1e-3)
-        state = run_auction(inst, max_rounds=10)
+        inst = _table_instance(values, n_items=1, bidders=(0, 1), epsilon=1e-3, max_rounds=10)
+        state = run_auction(inst)
         assert not state.terminated
         with pytest.raises(ValueError):
             allocation_from_auction(state, radio.generate_topology(PARAMS, 1, 1, 0))
@@ -207,7 +206,7 @@ class TestRunAuction:
             state = run_auction(inst)
             assert state.terminated
             fresh = _table_instance(
-                values, n_items=n_items, bidders=bidders, epsilon=inst.epsilon,
+                values, n_items=n_items, bidders=bidders, epsilon=inst.config.epsilon,
                 exact_cap=exact_cap,
             )
             prices = np.array([state.prices[i] for i in inst.items])
@@ -232,7 +231,7 @@ class TestRunAuction:
             state = run_auction(inst)
             assert state.terminated
             v_max = max(values.values())
-            bound = math.ceil(max(v_max - inst.p0, 0.0) / inst.epsilon) * n_items + 1
+            bound = math.ceil(max(v_max - inst.config.p0, 0.0) / inst.config.epsilon) * n_items + 1
             assert state.rounds <= bound, f"trial {trial}"
             # price monotonicity
             for a, b in zip(state.price_history, state.price_history[1:]):
@@ -352,7 +351,7 @@ class TestGreedyMemo:
             history = run_auction(inst).price_history
             seq = history + [
                 history[-1] + p
-                for p in self._rising_prices(rng, 14, 20, 5 * inst.epsilon, 0.5)
+                for p in self._rising_prices(rng, 14, 20, 5 * inst.config.epsilon, 0.5)
             ]
             queries, batch_calls, moved = self._replay(inst, seq)
             assert batch_calls < queries
@@ -368,7 +367,7 @@ def _reference_clock(inst, max_rounds):
     Over-demanded items are counted with a ``Counter``.
     """
     n = inst.n_items
-    exact = n <= inst.exact_cap
+    exact = n <= inst.config.exact_cap
     masks = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float) if exact else None
     tables = {}
     calls = ties = 0
@@ -388,7 +387,7 @@ def _reference_clock(inst, max_rounds):
         packages = [frozenset(inst.items[i] for i in np.flatnonzero(masks[r])) for r in best]
         return min(packages, key=lambda pkg: (len(pkg), sorted(pkg)))
 
-    prices = np.full(n, float(inst.p0))
+    prices = np.full(n, float(inst.config.p0))
     demands, stale = {}, set(inst.bidders)
     history, per_round_calls = [], []
     rounds, terminated = 0, False
@@ -407,7 +406,7 @@ def _reference_clock(inst, max_rounds):
             break
         for i, item in enumerate(inst.items):
             if item in over:
-                prices[i] += inst.epsilon
+                prices[i] += inst.config.epsilon
         stale = {b for b, pkg in demands.items() if pkg & over}
     outcome = {
         "rounds": rounds,
@@ -428,7 +427,7 @@ class TestArrayClock:
         # every untruncated instance here ends within a few hundred rounds, so
         # a clock that never stops fails the comparison instead of hanging
         want, history, ties = _reference_clock(inst, max_rounds)
-        state = run_auction(inst, max_rounds=max_rounds)
+        state = run_auction(replace(inst, config=replace(inst.config, max_rounds=max_rounds)))
         for name, value in want.items():
             assert getattr(state, name) == value, name
         assert len(state.price_history) == len(history)
@@ -449,9 +448,7 @@ class TestArrayClock:
             items=items,
             bidders=tuple(range(n_bidders)),
             batch_valuation=_lookup_batch(values),
-            epsilon=1.0,
-            p0=float(rng.integers(0, 2)),
-            exact_cap=exact_cap,
+            config=AuctionConfig(epsilon=1.0, p0=float(rng.integers(0, 2)), exact_cap=exact_cap),
         )
 
     def test_radio_instances_both_directions(self):
@@ -493,7 +490,10 @@ class TestArrayClock:
         assert ties > 0
         values = {(0, pkg): float(len(pkg) > 0) for pkg in map(frozenset, ([], [0], [1], [0, 1]))}
         inst = AuctionInstance(
-            items=(9, 4), bidders=(0,), batch_valuation=_lookup_batch(values), epsilon=1.0
+            items=(9, 4),
+            bidders=(0,),
+            batch_valuation=_lookup_batch(values),
+            config=AuctionConfig(epsilon=1.0),
         )
         assert bidder_demand(inst, np.zeros(2), 0) == frozenset({4})
         assert run_auction(inst).demand == {0: frozenset({4})}
@@ -528,7 +528,7 @@ class TestArrayClock:
             items=tuple(range(70)),
             bidders=(0, 1),
             batch_valuation=lambda b, masks: np.asarray(masks) @ item_values[b],
-            epsilon=0.25,
+            config=AuctionConfig(epsilon=0.25),
         )
         state, _ = self._assert_matches_reference(inst)
         assert state.terminated and state.rounds > 1
@@ -539,7 +539,12 @@ class TestInvalidLimits:
         inst = _table_instance({(0, frozenset()): 0.0, (0, frozenset({0})): 1.0}, n_items=1)
         for max_rounds in (0, -1):
             with pytest.raises(ValueError, match="max_rounds"):
-                run_auction(inst, max_rounds=max_rounds)
+                run_auction(replace(inst, config=replace(inst.config, max_rounds=max_rounds)))
+
+    def test_auto_epsilon_rejected_by_the_instance(self):
+        values = {(0, frozenset()): 0.0, (0, frozenset({0})): 1.0}
+        with pytest.raises(ValueError, match="epsilon must be resolved"):
+            AuctionInstance((0,), (0,), _lookup_batch(values), AuctionConfig())
 
     def test_negative_exact_cap_rejected(self):
         values = {(0, frozenset()): 0.0, (0, frozenset({0})): 1.0}
@@ -562,7 +567,7 @@ class TestNonFiniteInputs:
         topo = radio.generate_topology(PARAMS, m=2, n=3, rng_seed=81)
         gains = radio.draw_gains(topo, PARAMS, rng_seed=82)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            auction_instance_from_radio(topo, gains, PARAMS, **{name: bad})
+            auction_instance_from_radio(topo, gains, PARAMS, AuctionConfig(**{name: bad}))
 
     @pytest.mark.parametrize("exact_cap", [3, 0])  # above n: tables; below: greedy
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -592,7 +597,7 @@ class TestRadioBackedAuction:
         topo = radio.generate_topology(PARAMS, m=3, n=3, rng_seed=31)
         gains = radio.draw_gains(topo, PARAMS, rng_seed=32)
         c0 = 0.05
-        inst = auction_instance_from_radio(topo, gains, PARAMS, c0=c0)
+        inst = auction_instance_from_radio(topo, gains, PARAMS, AuctionConfig(c0=c0))
         state = run_auction(inst)
         assert state.terminated
         alloc = allocation_from_auction(state, topo)
@@ -628,7 +633,7 @@ class TestRadioBackedAuction:
         topo = radio.generate_topology(PARAMS, m=2, n=3, rng_seed=37)
         gains = radio.draw_gains(topo, PARAMS, rng_seed=38)
         inst = auction_instance_from_radio(topo, gains, PARAMS)
-        assert inst.epsilon > 0
+        assert inst.config.epsilon > 0
 
 
 class TestRandomAllocation:

@@ -1,18 +1,25 @@
+import inspect
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import pytest
 
+from d2dgames.auction import auction_instance_from_radio, run_auction
 from d2dgames.coalition import ContentScenario
 from d2dgames.config import (
+    AuctionConfig,
     ConfigError,
     ExperimentConfig,
+    PowerConfig,
+    StackelbergConfig,
     _schema,
     dump_config,
     load_config,
     loads_config,
 )
+from d2dgames.power_control import power_game_from_radio, run_power_game
+from d2dgames.stackelberg import stackelberg_from_radio
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,6 +90,16 @@ class _ComplexRoot:
     z: complex = 0j
 
 
+@dataclass(frozen=True)
+class _UncheckedSection:
+    n: int = 1
+
+
+@dataclass(frozen=True)
+class _UncheckedRoot:
+    extra: _UncheckedSection = field(default_factory=_UncheckedSection)
+
+
 class TestDefaults:
     def test_empty_file_gives_full_defaults(self):
         config = loads_config("")
@@ -106,6 +123,29 @@ class TestDefaults:
         assert config.content.m_cue == 6
         assert config.content.file_packets == 500
         assert config.content.rounds == 50
+
+    def test_content_experiment_defaults_in_code(self):
+        config = ExperimentConfig(experiment="content-distribution")
+        assert config.drops == 50
+        assert config.schemes == ("coalition", "noncooperative")
+        assert config.validate() is config
+        given = ExperimentConfig(experiment="content-distribution", drops=3)
+        assert (given.drops, given.schemes) == (3, ("coalition", "noncooperative"))
+
+    def test_sumrate_defaults_for_every_other_experiment(self):
+        for experiment in ("sumrate-vs-pairs", "power-control", "stackelberg", "oracle-check"):
+            config = ExperimentConfig(experiment=experiment)
+            assert config.drops == 200
+            assert config.schemes == ("rica", "random", "all_cellular")
+        assert ExperimentConfig() == loads_config("")
+
+    def test_drops_and_schemes_from_a_file_are_kept(self):
+        config = loads_config(
+            "experiment = content-distribution\ndrops = 3\nschemes = noncooperative\n"
+        )
+        assert (config.drops, config.schemes) == (3, ("noncooperative",))
+        config = loads_config("drops = 7\nschemes = rica\n")
+        assert (config.drops, config.schemes) == (7, ("rica",))
 
 
 class TestParsing:
@@ -240,6 +280,28 @@ class TestParsing:
         cfg.write_text(f"experiment = stackelberg\n[stackelberg]\nlambda_points = 8\n{line}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("sinr_target_db = nan", "sinr_target_db must be finite, got nan"),
+            ("sinr_target_db = inf", "sinr_target_db must be finite, got inf"),
+            ("max_iters = 0", "max_iters must be >= 1, got 0"),
+            ("max_iters = -5", "max_iters must be >= 1, got -5"),
+            ("tol_w = -1", "tol_w must be finite and > 0, got -1.0"),
+            ("tol_w = 0", "tol_w must be finite and > 0, got 0.0"),
+            ("tol_w = nan", "tol_w must be finite and > 0, got nan"),
+        ],
+    )
+    def test_invalid_power_values_rejected(self, line, message, tmp_path):
+        from d2dgames.cli import main
+
+        with pytest.raises(ConfigError, match=re.escape(f"[power] {message}")):
+            loads_config(f"[power]\n{line}\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = power-control\n[power]\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_zero_exact_cap_accepted(self):
         assert loads_config("[auction]\nexact_cap = 0\n").auction.exact_cap == 0
 
@@ -282,6 +344,10 @@ class TestDerivedSchema:
     def test_field_without_parser_is_an_error(self, cls, where):
         with pytest.raises(TypeError, match=rf"{where}: no config parser"):
             _schema(cls)
+
+    def test_section_without_validate_is_an_error(self):
+        with pytest.raises(TypeError, match="_UncheckedSection: a config section needs a validate"):
+            _schema(_UncheckedRoot)
 
     def test_content_section_is_the_content_scenario(self):
         config = loads_config("[content]\nrounds = 7\nhotspot_radius_m = 20\n")
@@ -336,9 +402,45 @@ class TestSchemesAndSweep:
         assert loads_config("experiment = stackelberg\nsweep =\n").sweep == ()
 
 
+class TestOneHome:
+    """Each engine parameter is declared once, in its engine's section dataclass."""
+
+    @pytest.mark.parametrize(
+        "section, module", [
+            (AuctionConfig, "d2dgames.auction"),
+            (PowerConfig, "d2dgames.power_control"),
+            (StackelbergConfig, "d2dgames.stackelberg"),
+        ],
+    )
+    def test_section_lives_in_its_engine(self, section, module):
+        assert section.__module__ == module
+        assert section().validate() == section()
+
+    @pytest.mark.parametrize(
+        "entry, section",
+        [
+            (auction_instance_from_radio, AuctionConfig),
+            (run_auction, AuctionConfig),
+            (power_game_from_radio, PowerConfig),
+            (run_power_game, PowerConfig),
+            (stackelberg_from_radio, StackelbergConfig),
+        ],
+        ids=lambda x: getattr(x, "__name__", None),
+    )
+    def test_entry_points_repeat_no_section_field(self, entry, section):
+        shared = set(inspect.signature(entry).parameters) & {f.name for f in fields(section)}
+        assert not shared, f"{entry.__name__} repeats {sorted(shared)} of {section.__name__}"
+
+
 class TestReadme:
     def test_config_block_loads_to_the_defaults(self):
         blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
         assert len(blocks) == 1
         config = loads_config(blocks[0])
         assert replace(config, output_path="") == ExperimentConfig()
+
+    def test_quick_start_runs(self, capsys):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], str(README), "exec"), {})
+        assert capsys.readouterr().out.count("\n") == 3

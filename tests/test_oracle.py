@@ -5,6 +5,7 @@ import pytest
 
 from d2dgames import radio
 from d2dgames.auction import (
+    AuctionConfig,
     allocation_from_auction,
     auction_instance_from_radio,
     random_allocation,
@@ -99,7 +100,7 @@ class TestExhaustiveBestAllocation:
             for seed in range(6):
                 topo = radio.generate_topology(params, m=3, n=4, rng_seed=600 + seed)
                 gains = radio.draw_gains(topo, params, rng_seed=700 + seed)
-                inst = auction_instance_from_radio(topo, gains, params, c0=c0)
+                inst = auction_instance_from_radio(topo, gains, params, AuctionConfig(c0=c0))
                 for _ in range(5):
                     assignment = [int(a) for a in rng.integers(-1, 3, topo.n_pairs)]
                     total = 0.0

@@ -4,6 +4,7 @@ import pytest
 from d2dgames import radio
 from d2dgames.oracle import solve_min_power
 from d2dgames.power_control import (
+    PowerConfig,
     PowerGameInstance,
     best_response_step,
     power_game_from_radio,
@@ -59,7 +60,7 @@ class TestBestResponseStep:
         f = 2.0 * 0.2 / 1.0
         u = 2.0 * 0.5 / 1.0
         p_hand = u * (1 + f) / (1 - f * f)  # symmetric solution
-        trace = run_power_game(inst, max_iters=5000, tol=1e-15)
+        trace = run_power_game(inst, PowerConfig(max_iters=5000, tol_w=1e-15))
         assert trace.converged
         np.testing.assert_allclose(trace.final, [p_hand, p_hand], rtol=1e-6)
 
@@ -99,7 +100,7 @@ class TestRunPowerGame:
             if not sol.feasible:
                 continue
             done += 1
-            trace = run_power_game(inst, max_iters=5000, tol=1e-14)
+            trace = run_power_game(inst, PowerConfig(max_iters=5000, tol_w=1e-14))
             assert trace.converged
             assert np.all(inst.sinr(trace.final) >= inst.targets * (1 - 1e-6))
 
@@ -114,13 +115,13 @@ class TestRunPowerGame:
         sol = solve_min_power(inst)
         assert not sol.feasible
         assert sol.spectral_radius > 1.0
-        trace = run_power_game(inst, max_iters=2000, tol=1e-12)
+        trace = run_power_game(inst, PowerConfig(max_iters=2000, tol_w=1e-12))
         assert not trace.converged
 
     def test_iterates_stay_in_bounds(self):
         rng = np.random.default_rng(11)
         inst = _random_instance(rng, 5, cross_scale=0.3, p_max=2.0)
-        trace = run_power_game(inst, max_iters=500)
+        trace = run_power_game(inst, PowerConfig(max_iters=500))
         for p in trace.iterates:
             assert np.all(p >= 0.0)
             assert np.all(p <= inst.p_max_w + 1e-15)
@@ -134,7 +135,7 @@ class TestRunPowerGame:
             if not sol.feasible:
                 continue
             done += 1
-            trace = run_power_game(inst, max_iters=5000, tol=1e-14)
+            trace = run_power_game(inst, PowerConfig(max_iters=5000, tol_w=1e-14))
             for a, b in zip(trace.iterates, trace.iterates[1:]):
                 assert np.all(b >= a - 1e-15)
             np.testing.assert_allclose(trace.final, sol.powers, rtol=1e-6)
@@ -160,7 +161,7 @@ class TestRunPowerGame:
 
     def test_interior_fixed_point_sinr_equals_target(self):
         inst = _two_player_symmetric()
-        trace = run_power_game(inst, max_iters=5000, tol=1e-15)
+        trace = run_power_game(inst, PowerConfig(max_iters=5000, tol_w=1e-15))
         np.testing.assert_allclose(inst.sinr(trace.final), inst.targets, rtol=1e-9)
 
 
@@ -176,3 +177,46 @@ class TestFromRadio:
         assert inst.gains[0, 0] == pytest.approx(gains.get(("dtx", 0), ("drx", 0), 1))
         assert inst.gains[1, 0] == pytest.approx(gains.get(("dtx", 0), ("drx", 2), 1))
         assert np.all(inst.noise_w > radio.effective_noise_w(params))
+
+
+class TestInvalidInputs:
+    @pytest.mark.parametrize(
+        "field, index, message",
+        [
+            # off the diagonal, where the > 0 check of the direct gains does not look
+            ("gains", (0, 1), "gains must be >= 0"),
+            ("targets", 1, "SINR targets must be > 0"),
+            ("noise_w", 1, "noise-plus-external-interference must be > 0 W"),
+        ],
+    )
+    def test_nan_instance_data_rejected(self, field, index, message):
+        data = {
+            "gains": np.array([[1.0, 0.2], [0.2, 1.0]]),
+            "targets": np.array([2.0, 2.0]),
+            "noise_w": np.array([0.5, 0.5]),
+        }
+        data[field][index] = np.nan
+        with pytest.raises(ValueError, match=message):
+            PowerGameInstance(**data, p_max_w=100.0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"sinr_target_db": np.nan}, "sinr_target_db must be finite"),
+            ({"sinr_target_db": np.inf}, "sinr_target_db must be finite"),
+            ({"max_iters": 0}, "max_iters must be >= 1"),
+            ({"max_iters": -5}, "max_iters must be >= 1"),
+            ({"tol_w": -1.0}, "tol_w must be finite and > 0"),
+            ({"tol_w": 0.0}, "tol_w must be finite and > 0"),
+            ({"tol_w": np.nan}, "tol_w must be finite and > 0"),
+        ],
+    )
+    def test_invalid_config_rejected_by_both_entry_points(self, bad, message):
+        params = radio.RadioParams().validate()
+        topo = radio.generate_topology(params, m=2, n=2, rng_seed=7)
+        gains = radio.draw_gains(topo, params, rng_seed=8)
+        config = PowerConfig(**bad)
+        with pytest.raises(ValueError, match=message):
+            power_game_from_radio(topo, gains, params, rb=0, pair_indices=[0, 1], config=config)
+        with pytest.raises(ValueError, match=message):
+            run_power_game(_two_player_symmetric(), config)

@@ -7,6 +7,7 @@ from d2dgames import radio
 from d2dgames.oracle import grid_equilibrium
 from d2dgames.stackelberg import (
     LN2,
+    StackelbergConfig,
     StackelbergInstance,
     StackelbergOutcome,
     choose_channel,
@@ -190,7 +191,7 @@ class TestFromRadio:
         params = radio.RadioParams().validate()
         topo = radio.generate_topology(params, m=2, n=1, rng_seed=21)
         gains = radio.draw_gains(topo, params, rng_seed=22)
-        inst = stackelberg_from_radio(topo, gains, params, pair=0, rb=1)
+        inst = stackelberg_from_radio(topo, gains, params, StackelbergConfig(pair=0, rb=1))
         assert inst.g_dd == pytest.approx(gains.get(("dtx", 0), ("drx", 0), 1))
         assert inst.p_max_w == pytest.approx(params.p_d2d_w)
         out = leader_optimize(inst)
