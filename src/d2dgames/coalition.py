@@ -163,21 +163,8 @@ def generate_content_instance(
 
 
 def _content_links(inst: ContentInstance):
-    enb = ("enb", 0)
-    links = []
-    for i, cpos in enumerate(inst.cue_pos):
-        links.append((enb, inst.enb_pos, ("cue", i), cpos))
-        links.append((("cue", i), cpos, enb, inst.enb_pos))
-    for i, pi in enumerate(inst.ue_pos):
-        links.append((("ue", i), pi, enb, inst.enb_pos))
-        links.append((enb, inst.enb_pos, ("ue", i), pi))
-        for k, cpos in enumerate(inst.cue_pos):
-            links.append((("ue", i), pi, ("cue", k), cpos))
-            links.append((("cue", k), cpos, ("ue", i), pi))
-        for j, pj in enumerate(inst.ue_pos):
-            if i != j:
-                links.append((("ue", i), pi, ("ue", j), pj))
-    return links
+    ues = [(("ue", i), pos) for i, pos in enumerate(inst.ue_pos)]
+    return radio.modeled_links(inst.enb_pos, inst.cue_pos, list(zip(ues, ues)))
 
 
 def content_pathloss(inst: ContentInstance, params: radio.RadioParams) -> radio.LinkPathLoss:
@@ -485,7 +472,7 @@ def noncooperative_baseline(rnd: ContentRound, partition0: Partition | None = No
             ]
             best_r = current
             for r in range(len(g)):
-                if r != current and g[r] > g[best_r] * (1.0 + 1e-12) and g[r] > g[best_r]:
+                if r != current and g[r] > g[best_r] * (1.0 + 1e-12):
                     best_r = r
             if best_r != current:
                 coalitions[current] = coalitions[current] - {u}
@@ -500,30 +487,11 @@ def noncooperative_baseline(rnd: ContentRound, partition0: Partition | None = No
 
 @dataclass
 class ServiceCurve:
-    """Cumulative possessed packets per round, plus the per-round total values.
-
-    ``error`` is the exception that stopped this scheme's run, if one did;
-    the curve then ends at the last round that completed.
-    """
+    """Cumulative possessed packets per round, plus the per-round total values."""
 
     allocator: str
     cumulative: list[int]
     total_values: list[float] = field(default_factory=list)
-    error: Exception | None = None
-
-
-class SchemeFailure(Exception):
-    """Some scheme of a lockstep run stopped on an exception.
-
-    ``curves`` holds one curve per scheme, as a successful run returns them;
-    a failed scheme's curve carries its exception in ``error`` and ends at
-    the last round that completed, the others run to the end.
-    """
-
-    def __init__(self, curves: list[ServiceCurve]):
-        self.curves = curves
-        failed = [c for c in curves if c.error is not None]
-        super().__init__("; ".join(f"{c.allocator}: {c.error!r}" for c in failed))
 
 
 class _SchemeRun:
@@ -590,11 +558,6 @@ def simulate_content_distribution(
     coalition's value is its anchor's cellular rate, the same float for any
     member set, so every switch gain is exactly 0.0 and no move passes
     :data:`GAIN_EPS`; the noncooperative baseline has no UE to move.
-
-    An exception inside one scheme's round stops only that scheme and is
-    kept in its curve's ``error``; the others play every round, and then
-    :class:`SchemeFailure` is raised with all the curves. An exception in
-    the shared instance or channel propagates as it is.
     """
     if isinstance(allocators, str):
         raise TypeError(f"allocators must be a tuple of scheme names, got {allocators!r}")
@@ -610,13 +573,5 @@ def simulate_content_distribution(
         gains = draw_content_gains(inst, params, derive_seed(rng_seed, t), pathloss=pathloss)
         channel = ContentRound(inst, gains, params)
         for run in runs:
-            if run.curve.error is None:
-                try:
-                    run.play(channel)
-                except Exception as exc:  # this scheme stops, the others go on
-                    run.curve.error = exc
-    curves = [run.curve for run in runs]
-    failed = [c.error for c in curves if c.error is not None]
-    if failed:
-        raise SchemeFailure(curves) from failed[0]
-    return curves
+            run.play(channel)
+    return [run.curve for run in runs]

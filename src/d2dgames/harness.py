@@ -167,23 +167,38 @@ def _sumrate_drop(config: ExperimentConfig, sweep_idx: int, n_pairs: int, drop: 
 
 
 def _content_drop(config: ExperimentConfig, drop: int):
+    """All schemes of one drop in lockstep; if that raises, each scheme alone.
+
+    A scheme's curve depends only on the drop seed and the round, never on
+    the other schemes, so the replay gives every scheme that does not raise
+    alone the curve the lockstep run would have; a scheme that does raise
+    gets a ``nan`` row and an error line.
+    """
     seed = derive_seed(config.master_seed, 0, drop, 0)
-    try:
+
+    def simulate(schemes):
         # rng_seed by keyword: perfbench/spans.py reads the drop seed from it
-        curves = coalition_mod.simulate_content_distribution(
-            config.content, config.radio, config.schemes, rng_seed=seed
+        return coalition_mod.simulate_content_distribution(
+            config.content, config.radio, schemes, rng_seed=seed
         )
-    except coalition_mod.SchemeFailure as exc:  # failed schemes carry their error
-        curves = exc.curves
-    except Exception as exc:  # shared instance or channel: every scheme fails
-        curves = [
-            coalition_mod.ServiceCurve(scheme, [], error=exc) for scheme in config.schemes
-        ]
+
     rows, errors = [], []
-    for scheme, curve in zip(config.schemes, curves):
-        if curve.error is not None:
+    try:
+        outcomes = zip(config.schemes, simulate(config.schemes))
+    except Exception:
+        outcomes = []
+        for scheme in config.schemes:
+            try:
+                (curve,) = simulate((scheme,))
+            except Exception as exc:
+                curve = exc
+            outcomes.append((scheme, curve))
+        if not any(isinstance(curve, Exception) for _, curve in outcomes):
+            raise  # no scheme fails alone, so the failure cannot be isolated
+    for scheme, curve in outcomes:
+        if isinstance(curve, Exception):
             rows.append((0, scheme, seed, float("nan"), float("nan")))
-            errors.append(f"drop={drop} scheme={scheme}: {curve.error}")
+            errors.append(f"drop={drop} scheme={scheme}: {curve}")
             continue
         for r, total in enumerate(curve.cumulative):
             value = curve.total_values[r - 1] if r >= 1 else 0.0
@@ -268,14 +283,7 @@ def _stackelberg_rows(config: ExperimentConfig):
     topo = radio.generate_topology(config.radio, config.m_cue, config.stackelberg.pair + 1, seed)
     gains = radio.draw_gains(topo, config.radio, derive_seed(config.master_seed, 0, 0, 1))
     inst = stackelberg_mod.stackelberg_from_radio(topo, gains, config.radio, config.stackelberg)
-    rows = []
-    for lam in inst.lambda_grid():
-        lam = float(lam)
-        p = stackelberg_mod.follower_best_response(inst, lam)
-        rows.append(
-            (lam, p, inst.leader_utility(lam, p), inst.follower_utility(p, lam))
-        )
-    return rows, []
+    return stackelberg_mod.price_sweep(inst), []
 
 
 def oracle_check(config: ExperimentConfig) -> dict:

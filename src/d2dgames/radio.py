@@ -260,13 +260,11 @@ class Allocation:
     from the map are silent. Pairs listed in ``relay_d2d`` do not transmit
     directly: their traffic is carried as a two-hop cellular relay
     (source→eNB→destination) on their assigned RB, scheduled orthogonally, so
-    they inject no interference. ``tx_power_w`` overrides per-transmitter
-    powers; missing transmitters fall back to the class defaults in
-    :class:`RadioParams`.
+    they inject no interference. Every transmitter sends at its class
+    default power in :class:`RadioParams`.
     """
 
     rb_of_d2d: dict[int, int] = field(default_factory=dict)
-    tx_power_w: dict[Node, float] = field(default_factory=dict)
     relay_d2d: frozenset[int] = frozenset()
 
     def active_direct(self) -> list[int]:
@@ -340,21 +338,36 @@ def link_pathloss(
     )
 
 
-def _topology_links(topology: Topology) -> list[tuple[Node, Point, Node, Point]]:
+def modeled_links(
+    enb_pos: Point,
+    cue: Sequence[Point],
+    devices: Sequence[tuple[tuple[Node, Point], tuple[Node, Point]]],
+) -> list[tuple[Node, Point, Node, Point]]:
+    """Every modeled link of a cell, in the order that fixes the fading draw.
+
+    ``devices`` holds each device's transmitting and receiving ``(node,
+    position)``. The links are eNB<->CUE, then per device tx->eNB, eNB->rx,
+    tx->each CUE, each CUE->rx, and tx->every device receiver but itself.
+    """
     enb: Node = ("enb", 0)
     links = []
-    for i, cpos in enumerate(topology.cue):
-        links.append((enb, topology.enb_pos, ("cue", i), cpos))
-        links.append((("cue", i), cpos, enb, topology.enb_pos))
-    for j, (tx, rx) in enumerate(topology.d2d_pairs):
-        links.append((("dtx", j), tx, enb, topology.enb_pos))
-        links.append((enb, topology.enb_pos, ("drx", j), rx))
-        for i, cpos in enumerate(topology.cue):
-            links.append((("dtx", j), tx, ("cue", i), cpos))
-            links.append((("cue", i), cpos, ("drx", j), rx))
-        for k, (_, rx2) in enumerate(topology.d2d_pairs):
-            links.append((("dtx", j), tx, ("drx", k), rx2))
+    for i, cpos in enumerate(cue):
+        links.append((enb, enb_pos, ("cue", i), cpos))
+        links.append((("cue", i), cpos, enb, enb_pos))
+    for (tx, tx_pos), (rx, rx_pos) in devices:
+        links.append((tx, tx_pos, enb, enb_pos))
+        links.append((enb, enb_pos, rx, rx_pos))
+        for i, cpos in enumerate(cue):
+            links.append((tx, tx_pos, ("cue", i), cpos))
+            links.append((("cue", i), cpos, rx, rx_pos))
+        links.extend((tx, tx_pos, node, pos) for _, (node, pos) in devices if node != tx)
     return links
+
+
+def _topology_links(topology: Topology) -> list[tuple[Node, Point, Node, Point]]:
+    pairs = enumerate(topology.d2d_pairs)
+    devices = [((("dtx", j), tx), (("drx", j), rx)) for j, (tx, rx) in pairs]
+    return modeled_links(topology.enb_pos, topology.cue, devices)
 
 
 def draw_gains(topology: Topology, params: RadioParams, rng_seed: int) -> GainTensor:
@@ -393,11 +406,6 @@ def cellular_links(
     return gains.tx_indices(tx), gains.rx_indices(rx), power
 
 
-def tx_power_w(allocation: Allocation, params: RadioParams, node: Node) -> float:
-    p = allocation.tx_power_w.get(node)
-    return default_power_w(params, node) if p is None else p
-
-
 def sinr(
     allocation: Allocation,
     gains: GainTensor,
@@ -423,10 +431,10 @@ def sinr(
         interferers = [("dtx", k) for k in allocation.direct_on_rb(rb)]
     else:
         raise ValueError(f"receiver {receiver!r} is not active on RB {rb}")
-    signal = tx_power_w(allocation, params, tx) * gains.get(tx, receiver, rb)
+    signal = default_power_w(params, tx) * gains.get(tx, receiver, rb)
     denom = effective_noise_w(params)
     for node in interferers:
-        denom += tx_power_w(allocation, params, node) * gains.get(node, receiver, rb)
+        denom += default_power_w(params, node) * gains.get(node, receiver, rb)
     return signal / denom
 
 
@@ -442,8 +450,7 @@ def _relay_rate(allocation: Allocation, gains: GainTensor, params: RadioParams, 
     # relay occupies two scheduling slots.
     rb = allocation.rb_of_d2d[j]
     sigma = effective_noise_w(params)
-    p_src = tx_power_w(allocation, params, ("dtx", j))
-    up = rate(p_src * gains.get(("dtx", j), ("enb", 0), rb) / sigma)
+    up = rate(params.p_d2d_w * gains.get(("dtx", j), ("enb", 0), rb) / sigma)
     down = rate(params.p_enb_w * gains.get(("enb", 0), ("drx", j), rb) / sigma)
     return 0.5 * min(up, down)
 

@@ -95,52 +95,37 @@ def follower_best_response(instance: StackelbergInstance, lam: float) -> float:
     return min(max(p, 0.0), instance.p_max_w)
 
 
-def leader_optimize(instance: StackelbergInstance) -> StackelbergOutcome:
-    """Grid search the price; ties break toward the smaller price."""
-    grid = instance.lambda_grid()
-    if len(grid) == 0:
-        raise ValueError("empty price grid")
-    best = None
-    for lam in grid:
+def price_sweep(instance: StackelbergInstance) -> list[tuple[float, float, float, float]]:
+    """``(lambda, p_star_w, u_leader, u_follower)`` per grid price, the follower best-responding."""
+    rows = []
+    for lam in instance.lambda_grid():
         lam = float(lam)
         p = follower_best_response(instance, lam)
-        u_l = instance.leader_utility(lam, p)
-        if best is None or u_l > best[0]:
-            best = (u_l, lam, p)
-    u_l, lam, p = best
-    return StackelbergOutcome(
-        lambda_star=lam,
-        p_star_w=p,
-        u_leader=u_l,
-        u_follower=instance.follower_utility(p, lam),
-    )
+        rows.append((lam, p, instance.leader_utility(lam, p), instance.follower_utility(p, lam)))
+    return rows
+
+
+def leader_optimize(instance: StackelbergInstance) -> StackelbergOutcome:
+    """Grid search the price; ties break toward the smaller price."""
+    lam, p, u_l, u_f = max(price_sweep(instance), key=lambda row: row[2])
+    return StackelbergOutcome(lambda_star=lam, p_star_w=p, u_leader=u_l, u_follower=u_f)
 
 
 def verify_equilibrium(
-    instance: StackelbergInstance,
-    outcome: StackelbergOutcome,
-    eps: float = 1e-9,
-    power_grid_points: int = 1001,
+    instance: StackelbergInstance, outcome: StackelbergOutcome, eps: float = 1e-9
 ) -> bool:
     """Check no grid deviation improves either side by more than ``eps``.
 
-    Follower deviations range over a power grid at the equilibrium price;
-    leader deviations range over the instance's price grid with the follower
-    best-responding.
+    Follower deviations range over a 1001-point power grid at the
+    equilibrium price; leader deviations range over :func:`price_sweep`.
     """
     if math.isinf(eps):
         return True
     u_f_star = instance.follower_utility(outcome.p_star_w, outcome.lambda_star)
-    for p in np.linspace(0.0, instance.p_max_w, power_grid_points):
+    for p in np.linspace(0.0, instance.p_max_w, 1001):
         if instance.follower_utility(float(p), outcome.lambda_star) > u_f_star + eps:
             return False
-    u_l_star = outcome.u_leader
-    for lam in instance.lambda_grid():
-        lam = float(lam)
-        p = follower_best_response(instance, lam)
-        if instance.leader_utility(lam, p) > u_l_star + eps:
-            return False
-    return True
+    return not any(u_l > outcome.u_leader + eps for _, _, u_l, _ in price_sweep(instance))
 
 
 def choose_channel(instances: list[StackelbergInstance]) -> tuple[int, StackelbergOutcome]:

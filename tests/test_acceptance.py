@@ -22,7 +22,6 @@ from d2dgames.auction import (
 from d2dgames.coalition import (
     ContentRound,
     ContentScenario,
-    SchemeFailure,
     draw_content_gains,
     generate_content_instance,
     initial_partition,
@@ -344,7 +343,7 @@ def test_criterion_6_fails_when_a_scheme_raises(monkeypatch):
         raise RuntimeError("baseline failed on purpose")
 
     monkeypatch.setattr(coalition, "noncooperative_baseline", failing_baseline)
-    with pytest.raises(SchemeFailure, match="baseline failed on purpose"):
+    with pytest.raises(RuntimeError, match="baseline failed on purpose"):
         test_criterion_6_content_distribution()
 
 

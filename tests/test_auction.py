@@ -699,8 +699,8 @@ class TestAllCellularAllocation:
             assert relay <= single_hop
 
     def test_relay_source_hop_priced_at_transmitter_power(self):
-        # the source hop (D2D transmitter -> eNB) follows p_d2d_dbm and a
-        # per-node override, and not the cellular users' p_cue_dbm
+        # the source hop (D2D transmitter -> eNB) follows p_d2d_dbm, and not
+        # the cellular users' p_cue_dbm
         topo = radio.generate_topology(PARAMS, m=3, n=4, rng_seed=55)
         gains = radio.draw_gains(topo, PARAMS, rng_seed=56)
         alloc = all_cellular_allocation(topo)
@@ -725,13 +725,6 @@ class TestAllCellularAllocation:
         assert relay(quiet) < base
         loud_cue = replace(PARAMS, p_cue_dbm=0.0).validate()
         assert relay(loud_cue) == base
-        override = {("dtx", 0): 1e-4, ("dtx", 2): 1e-3}
-        alloc_o = radio.Allocation(
-            rb_of_d2d=alloc.rb_of_d2d, relay_d2d=alloc.relay_d2d, tx_power_w=override
-        )
-        want = expected(PARAMS, lambda j: override.get(("dtx", j), PARAMS.p_d2d_w))
-        assert relay(PARAMS, alloc_o) == pytest.approx(want, rel=1e-12)
-        assert relay(PARAMS, alloc_o) < base
 
     def test_nearest_rb_chosen(self):
         topo = radio.Topology(

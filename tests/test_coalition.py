@@ -13,7 +13,6 @@ from d2dgames.coalition import (
     ContentRound,
     ContentScenario,
     Partition,
-    SchemeFailure,
     _coalition_detail,
     _serving_seed,
     _sinr,
@@ -670,7 +669,7 @@ class TestLockstep:
                 together = simulate_content_distribution(scenario, PARAMS, BOTH, rng_seed=seed)
             assert len(draws) == scenario.rounds
             for allocator, one, both in zip(BOTH, alone, together):
-                assert both.allocator == allocator and both.error is None
+                assert both.allocator == allocator
                 assert both.cumulative == one.cumulative
                 assert both.total_values == one.total_values
                 want = _reference_curve(scenario, PARAMS, allocator, seed)
@@ -709,9 +708,8 @@ class TestLockstep:
                     assert vars(got)[key] == value, key
             assert got.cell_signal is channel.cell_signal and got.uu is channel.uu
 
-    def test_one_failing_scheme_leaves_the_other_running(self, monkeypatch):
+    def test_a_failing_scheme_raises_its_own_error(self, monkeypatch):
         scenario = self.SCENARIOS["never_saturates"]
-        (alone,) = simulate_content_distribution(scenario, PARAMS, ("coalition",), rng_seed=33)
         baseline = coalition.noncooperative_baseline
         calls = []
 
@@ -722,12 +720,9 @@ class TestLockstep:
             return baseline(*args, **kwargs)
 
         monkeypatch.setattr(coalition, "noncooperative_baseline", failing_in_round_3)
-        with pytest.raises(SchemeFailure, match="baseline failed on purpose") as failure:
+        with pytest.raises(RuntimeError, match="^baseline failed on purpose$") as failure:
             simulate_content_distribution(scenario, PARAMS, BOTH, rng_seed=33)
-        coop, selfish = failure.value.curves
-        assert coop.error is None and coop.cumulative == alone.cumulative
-        assert str(selfish.error) == "baseline failed on purpose"
-        assert len(selfish.cumulative) == 3 and len(selfish.total_values) == 2
+        assert type(failure.value) is RuntimeError and len(calls) == 3
 
     def test_bare_string_rejected(self):
         scenario = ContentScenario(n_d2d=4, k_seeds=2, m_cue=2, rounds=1)

@@ -206,6 +206,44 @@ class TestContentExperiment:
         assert summary.errors[1] == "drop=0 scheme=noncooperative: gain draw failed on purpose"
         assert len(summary.errors) == 4 and summary.groups == {}
 
+    def test_surviving_scheme_rows_equal_a_run_of_that_scheme_alone(self, monkeypatch):
+        from d2dgames import coalition
+
+        text = "experiment = content-distribution\ndrops = 2\n[content]\nrounds = 3\n"
+        alone = run_experiment(loads_config("schemes = coalition\n" + text))
+
+        def failing_baseline(*args, **kw):
+            raise RuntimeError("baseline failed on purpose")
+
+        monkeypatch.setattr(coalition, "noncooperative_baseline", failing_baseline)
+        summary = run_experiment(loads_config(text))
+        coop = [row for row in summary.rows if row[1] == "coalition"]
+        assert rows_to_csv(CSV_HEADERS["content-distribution"], coop) == rows_to_csv(
+            CSV_HEADERS["content-distribution"], alone.rows
+        )
+        selfish = [row for row in summary.rows if row[1] == "noncooperative"]
+        assert [row[0] for row in selfish] == [0, 0] and all(math.isnan(r[3]) for r in selfish)
+        assert summary.errors == [
+            f"drop={d} scheme=noncooperative: baseline failed on purpose" for d in (0, 1)
+        ]
+
+    def test_failure_no_scheme_repeats_alone_is_raised(self, monkeypatch):
+        from d2dgames import coalition
+
+        draw, calls = coalition.draw_content_gains, []
+
+        def failing_once(*args, **kw):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("gain draw failed once")
+            return draw(*args, **kw)
+
+        monkeypatch.setattr(coalition, "draw_content_gains", failing_once)
+        text = "experiment = content-distribution\ndrops = 1\n[content]\nrounds = 2\n"
+        with pytest.raises(RuntimeError, match="^gain draw failed once$"):
+            run_experiment(loads_config(text))
+        assert len(calls) == 1 + 2 * 2  # the lockstep call, then each scheme alone
+
 
 class TestPowerAndStackelbergExperiments:
     def test_power_rows(self):

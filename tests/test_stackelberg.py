@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from d2dgames import radio
+from d2dgames import stackelberg
+from d2dgames.config import loads_config
+from d2dgames.harness import CSV_HEADERS, rows_to_csv, run_experiment
 from d2dgames.oracle import grid_equilibrium
 from d2dgames.stackelberg import (
     LN2,
@@ -13,6 +17,7 @@ from d2dgames.stackelberg import (
     choose_channel,
     follower_best_response,
     leader_optimize,
+    price_sweep,
     stackelberg_from_radio,
     verify_equilibrium,
 )
@@ -196,3 +201,39 @@ class TestFromRadio:
         assert inst.p_max_w == pytest.approx(params.p_d2d_w)
         out = leader_optimize(inst)
         assert verify_equilibrium(inst, out, eps=1e-9)
+
+
+class _Plateau(StackelbergInstance):
+    """Leader utility ``min(lam, 1)``: every grid price from 1 up ties at the maximum."""
+
+    def leader_utility(self, lam, p_w):
+        return min(lam, 1.0)
+
+
+class TestPriceSweep:
+    def test_rows_are_the_stackelberg_csv_rows(self, tmp_path, monkeypatch):
+        built = []
+        from_radio = stackelberg.stackelberg_from_radio
+
+        def capture(*args, **kwargs):
+            built.append(from_radio(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(stackelberg, "stackelberg_from_radio", capture)
+        text = "experiment = stackelberg\n[stackelberg]\nlambda_points = 60\n"
+        summary = run_experiment(replace(loads_config(text), output_path=str(tmp_path)))
+        (inst,) = built
+        rows = price_sweep(inst)
+        assert summary.rows == rows and len(rows) == 60
+        csv = (tmp_path / "stackelberg.csv").read_text(encoding="utf-8")
+        assert csv == rows_to_csv(CSV_HEADERS["stackelberg"], rows)
+        for (lam, p, u_l, u_f), grid_lam in zip(rows, inst.lambda_grid()):
+            assert lam == float(grid_lam) and p == follower_best_response(inst, lam)
+            assert (u_l, u_f) == (inst.leader_utility(lam, p), inst.follower_utility(p, lam))
+
+    def test_leader_takes_the_first_row_of_largest_leader_utility(self):
+        inst = _Plateau(**{**_instance().__dict__, "lambda_max": 3.0, "lambda_points": 7})
+        rows = price_sweep(inst)
+        assert [row[2] for row in rows] == [0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
+        out = leader_optimize(inst)
+        assert (out.lambda_star, out.p_star_w, out.u_leader, out.u_follower) == rows[2]
