@@ -61,6 +61,15 @@ def main(argv: list[str] | None = None) -> int:
     for key in sorted(summary.groups):
         st = summary.groups[key]
         print(f"  {key}: mean={st.mean:.4f} stddev={st.stddev:.4f} n={st.count}")
+    paired = summary.paired
+    if summary.experiment == "content-distribution" and paired:
+        last_round = max(sweep for sweep, _, _ in paired)
+        paired = {key: st for key, st in paired.items() if key[0] == last_round}
+    for (sweep, a, b), st in paired.items():
+        print(
+            f"  paired {sweep} {a}-{b}: mean_diff={st.mean_diff:.4f} "
+            f"wins={st.wins_a}:{st.wins_b} ties={st.ties} n={st.count}"
+        )
     if summary.errors:
         print(f"errors ({len(summary.errors)}):")
         for err in summary.errors:

@@ -3,8 +3,9 @@
 Every drop derives its own seed from (master_seed, sweep index, drop index)
 through a stable hash, so results do not depend on execution order and every
 scheme at a given (sweep, drop) point sees the identical channel realization.
-Outputs are written in a fixed order with repr'd floats, which makes reruns
-of the same configuration byte-identical.
+Outputs are written in a fixed order with repr'd floats (``str`` of a Python
+float equals its ``repr``, so a row is written with one ``join``), which makes
+reruns of the same configuration byte-identical.
 """
 
 from __future__ import annotations
@@ -74,15 +75,10 @@ class RunSummary:
     checks: dict | None = None
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
+    """Cells hold Python ``int``, ``str`` and ``float``; ``str`` of a float is its ``repr``."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

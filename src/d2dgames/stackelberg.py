@@ -4,6 +4,11 @@ The cellular user (leader) charges the D2D user (follower) per unit of
 transmit power. The follower's problem is concave in its power, so its best
 response has a water-filling style closed form; the leader picks the price by
 exhaustive grid search because its utility need not be concave in the price.
+
+The best response and both utilities take a float or an array of prices or
+powers, so the whole price grid is priced in one array pass. A float in
+gives a Python float out. ``log2`` is ``math.log2`` applied element by
+element: ``np.log2`` may differ from it in the last bit.
 """
 
 from __future__ import annotations
@@ -16,6 +21,13 @@ import numpy as np
 from d2dgames import radio
 
 LN2 = math.log(2.0)
+_LOG2 = np.frompyfunc(math.log2, 1, 1)
+
+
+def _log2(x):
+    """``math.log2`` of a float, or of each element of a float array."""
+    y = _LOG2(x)
+    return y.astype(float) if isinstance(y, np.ndarray) else y
 
 
 @dataclass(frozen=True)
@@ -69,11 +81,11 @@ class StackelbergInstance:
     def follower_interference_w(self) -> float:
         return self.sigma_w + self.p_c_w * self.g_cd
 
-    def follower_utility(self, p_w: float, lam: float) -> float:
-        return math.log2(1.0 + p_w * self.g_dd / self.follower_interference_w) - lam * p_w
+    def follower_utility(self, p_w, lam):
+        return _log2(1.0 + p_w * self.g_dd / self.follower_interference_w) - lam * p_w
 
-    def leader_utility(self, lam: float, p_w: float) -> float:
-        own = math.log2(1.0 + self.p_c_w * self.g_cc / (self.sigma_w + p_w * self.g_db))
+    def leader_utility(self, lam, p_w):
+        own = _log2(1.0 + self.p_c_w * self.g_cc / (self.sigma_w + p_w * self.g_db))
         return own + lam * p_w
 
 
@@ -85,24 +97,27 @@ class StackelbergOutcome:
     u_follower: float
 
 
-def follower_best_response(instance: StackelbergInstance, lam: float) -> float:
-    """Power maximizing throughput minus payment: clamp(1/(lam ln2) - I/g, 0, p_max)."""
-    if lam < 0:
-        raise ValueError(f"price must be >= 0, got {lam}")
-    if lam == 0.0:
-        return instance.p_max_w
-    p = 1.0 / (lam * LN2) - instance.follower_interference_w / instance.g_dd
-    return min(max(p, 0.0), instance.p_max_w)
+def follower_best_response(instance: StackelbergInstance, lam):
+    """Power maximizing throughput minus payment: clamp(1/(lam ln2) - I/g, 0, p_max).
+
+    ``lam`` is a price or an array of prices; a zero price gets ``p_max``.
+    """
+    lams = np.asarray(lam, dtype=float)
+    if np.any(lams < 0):
+        raise ValueError(f"price must be >= 0, got {lams.min()}")
+    with np.errstate(divide="ignore"):
+        p = 1.0 / (lams * LN2) - instance.follower_interference_w / instance.g_dd
+    p = np.where(lams == 0.0, instance.p_max_w, np.minimum(np.maximum(p, 0.0), instance.p_max_w))
+    return p if p.ndim else float(p)
 
 
 def price_sweep(instance: StackelbergInstance) -> list[tuple[float, float, float, float]]:
     """``(lambda, p_star_w, u_leader, u_follower)`` per grid price, the follower best-responding."""
-    rows = []
-    for lam in instance.lambda_grid():
-        lam = float(lam)
-        p = follower_best_response(instance, lam)
-        rows.append((lam, p, instance.leader_utility(lam, p), instance.follower_utility(p, lam)))
-    return rows
+    lams = instance.lambda_grid()
+    p = follower_best_response(instance, lams)
+    u_l = instance.leader_utility(lams, p)
+    u_f = instance.follower_utility(p, lams)
+    return list(zip(lams.tolist(), p.tolist(), u_l.tolist(), u_f.tolist()))
 
 
 def leader_optimize(instance: StackelbergInstance) -> StackelbergOutcome:
@@ -122,9 +137,9 @@ def verify_equilibrium(
     if math.isinf(eps):
         return True
     u_f_star = instance.follower_utility(outcome.p_star_w, outcome.lambda_star)
-    for p in np.linspace(0.0, instance.p_max_w, 1001):
-        if instance.follower_utility(float(p), outcome.lambda_star) > u_f_star + eps:
-            return False
+    powers = np.linspace(0.0, instance.p_max_w, 1001)
+    if np.any(instance.follower_utility(powers, outcome.lambda_star) > u_f_star + eps):
+        return False
     return not any(u_l > outcome.u_leader + eps for _, _, u_l, _ in price_sweep(instance))
 
 

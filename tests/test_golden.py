@@ -6,7 +6,9 @@ digest. The content CSV is also pinned at seeds 2 and 3, whose drops take
 other paths through the content kernel, and so is the greedy sum-rate CSV,
 whose auctions take other greedy walks. The paper-scale content run, the
 default ``content-distribution`` config (50 drops x 50 rounds x 2 schemes), is
-pinned as well. These tests only read the configs and the digests.
+pinned as well, and so are the pricing-power CSVs at seeds 2 and 3, whose
+channels give other price grids and other power-game iterates. These tests
+only read the configs and the digests.
 """
 
 import hashlib
@@ -40,6 +42,18 @@ SUMRATE_GREEDY_DIGESTS = {
     3: "f2d09349b9f7fa7deb5cc5b3b616691e4dcd5ddccc5fffde9f5f5dcdcc2ba17e",
 }
 
+# (config, CSV) of the pricing-power workload -> digest at further program seeds
+PRICING_POWER_DIGESTS = {
+    ("stackelberg.cfg", "stackelberg.csv"): {
+        2: "2fc2998436654203fa4fd5a064a3869d5ed64b0089d18f0e0181e62d343cfcc1",
+        3: "1328b4aa5e2fd8a92650a5a240aa7ad7aa11bb44844c4c1f87993647182dc237",
+    },
+    ("power-control.cfg", "power.csv"): {
+        2: "e54cad2dcabe2af611bc197092d739c6960f36407e9f210a0b3e23894884cdb2",
+        3: "476a7bdeb419041a191657bb08081402b3e21487cbb1e623e84423ad3f9bf4b5",
+    },
+}
+
 # content.csv of the default content-distribution config at master seed 1
 PAPER_SCALE_CONTENT_DIGEST = "bad279dc68faf142e723f11725e9e7cde78ef701abf16a5fbd29adb01ecd722d"
 
@@ -69,6 +83,16 @@ def test_content_digest_at_more_seeds(seed, tmp_path):
 def test_sumrate_greedy_digest_at_more_seeds(seed, tmp_path):
     digest = _run_digest("sumrate-greedy.cfg", "sumrate.csv", seed, tmp_path)
     assert digest == SUMRATE_GREEDY_DIGESTS[seed], f"sumrate.csv moved at seed {seed}"
+
+
+@pytest.mark.parametrize(
+    "run, seed",
+    [(run, seed) for run, digests in PRICING_POWER_DIGESTS.items() for seed in sorted(digests)],
+)
+def test_pricing_power_digest_at_more_seeds(run, seed, tmp_path):
+    config, csv = run
+    digest = _run_digest(config, csv, seed, tmp_path)
+    assert digest == PRICING_POWER_DIGESTS[run][seed], f"{csv} moved at seed {seed}"
 
 
 def test_paper_scale_content_digest(tmp_path):

@@ -104,6 +104,69 @@ class TestGroupOrder:
         assert printed == [str(k) for k in keys]
 
 
+class TestPairedPrint:
+    """The CLI prints one line per paired scheme comparison; content only at its last round."""
+
+    @pytest.mark.parametrize("name", sorted(TestGroupOrder.CONFIGS))
+    def test_one_line_per_pair(self, name, tmp_path, capsys):
+        from d2dgames.cli import main
+
+        text = TestGroupOrder.CONFIGS[name]
+        paired = run_experiment(loads_config(text)).paired
+        if name == "content":
+            last = max(sweep for sweep, _, _ in paired)
+            paired = {key: st for key, st in paired.items() if key[0] == last}
+        assert paired
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == 0
+        printed = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("  paired ")
+        ]
+        assert printed == [
+            f"  paired {sweep} {a}-{b}: mean_diff={st.mean_diff:.4f} "
+            f"wins={st.wins_a}:{st.wins_b} ties={st.ties} n={st.count}"
+            for (sweep, a, b), st in paired.items()
+        ]
+
+
+def _fmt_cell_rows_to_csv(header, rows):
+    """The writer that formatted each cell alone, floats by ``repr``."""
+    lines = [",".join(header)]
+    lines.extend(
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows
+    )
+    return "\n".join(lines) + "\n"
+
+
+class TestRowsToCsv:
+    def test_matches_the_cell_by_cell_writer(self):
+        rows = [
+            (0, "rica", -0.0, float("nan"), float("inf"), -float("inf")),
+            (-7, "all_cellular", 5e-324, 1e16, 0.1 + 0.2, 2**70),
+            (3, "", 1.0, 0.0, -1e-300, 123456789.123456789),
+        ]
+        header = ("a", "b", "c", "d", "e", "f")
+        assert rows_to_csv(header, rows) == _fmt_cell_rows_to_csv(header, rows)
+        assert rows_to_csv(header, []) == "a,b,c,d,e,f\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment = sumrate-vs-pairs\nsweep = 2,3\ndrops = 2\nm_cue = 2\n",
+            "experiment = content-distribution\ndrops = 2\n[content]\nrounds = 3\n",
+            "experiment = power-control\n[power]\nplayers = 3\n",
+            "experiment = stackelberg\n[stackelberg]\nlambda_points = 40\n",
+        ],
+        ids=["sumrate", "content", "power", "stackelberg"],
+    )
+    def test_rows_hold_only_python_int_str_and_float(self, text):
+        # a numpy scalar is written differently by str and by repr
+        summary = run_experiment(loads_config(text))
+        assert summary.rows
+        assert {type(v) for row in summary.rows for v in row} <= {int, str, float}
+
+
 class TestSumrateExperiment:
     def test_row_count_and_schema(self):
         config = _small_sumrate_config()

@@ -207,7 +207,7 @@ class _Plateau(StackelbergInstance):
     """Leader utility ``min(lam, 1)``: every grid price from 1 up ties at the maximum."""
 
     def leader_utility(self, lam, p_w):
-        return min(lam, 1.0)
+        return np.minimum(lam, 1.0)  # price_sweep passes the whole grid
 
 
 class TestPriceSweep:
@@ -237,3 +237,77 @@ class TestPriceSweep:
         assert [row[2] for row in rows] == [0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
         out = leader_optimize(inst)
         assert (out.lambda_star, out.p_star_w, out.u_leader, out.u_follower) == rows[2]
+
+
+def _reference_sweep(inst):
+    """Per-point sweep with the scalar formulas on Python floats and ``math.log2``."""
+    interf = inst.sigma_w + inst.p_c_w * inst.g_cd
+    rows = []
+    for lam in inst.lambda_grid().tolist():
+        if lam == 0.0:
+            p = inst.p_max_w
+        else:
+            p = min(max(1.0 / (lam * LN2) - interf / inst.g_dd, 0.0), inst.p_max_w)
+        u_l = math.log2(1.0 + inst.p_c_w * inst.g_cc / (inst.sigma_w + p * inst.g_db)) + lam * p
+        u_f = math.log2(1.0 + p * inst.g_dd / interf) - lam * p
+        rows.append((lam, p, u_l, u_f))
+    return rows
+
+
+def _bits(rows):
+    return [tuple(float.hex(v) for v in row) for row in rows]
+
+
+class TestArraySweep:
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_sweep_matches_per_point_reference_bit_for_bit(self, direction):
+        params = replace(radio.RadioParams(), link_direction=direction).validate()
+        config = StackelbergConfig(lambda_points=2000)
+        seen = {"lambda_zero": 0, "clamped_zero": 0, "clamped_p_max": 0}
+        for seed in range(50):
+            topo = radio.generate_topology(params, 2, 1, rng_seed=1000 + seed)
+            gains = radio.draw_gains(topo, params, rng_seed=2000 + seed)
+            inst = stackelberg_from_radio(topo, gains, params, config)
+            # the default grid rarely reaches p_max above lambda = 0, so also price a
+            # grid whose first quarter lies below the price where p_max is the best response
+            lam_full = 1.0 / (LN2 * (inst.p_max_w + inst.follower_interference_w / inst.g_dd))
+            for grid_inst in (inst, replace(inst, lambda_max=4.0 * lam_full)):
+                rows = price_sweep(grid_inst)
+                assert all(type(v) is float for row in rows for v in row)
+                assert _bits(rows) == _bits(_reference_sweep(grid_inst))
+                for lam, p, _, _ in rows:
+                    seen["lambda_zero"] += lam == 0.0
+                    seen["clamped_zero"] += p == 0.0
+                    seen["clamped_p_max"] += lam > 0.0 and p == inst.p_max_w
+        assert all(seen.values()), seen
+
+    def test_scalar_and_array_calls_agree(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            inst = _random_instance(rng)
+            lams = np.concatenate(([0.0], rng.uniform(0.0, 2.0 * inst.lambda_max, 50)))
+            powers = rng.uniform(0.0, inst.p_max_w, lams.size)
+            p_star = follower_best_response(inst, lams)
+            u_l = inst.leader_utility(lams, powers)
+            u_f = inst.follower_utility(powers, lams)
+            for i, (lam, p) in enumerate(zip(lams.tolist(), powers.tolist())):
+                scalar = (
+                    follower_best_response(inst, lam),
+                    inst.leader_utility(lam, p),
+                    inst.follower_utility(p, lam),
+                )
+                assert all(type(v) is float for v in scalar)
+                assert _bits([scalar]) == _bits([(p_star[i], u_l[i], u_f[i])])
+
+    def test_one_negative_price_in_an_array_rejected(self):
+        inst = _instance()
+        lams = inst.lambda_grid()
+        lams[7] = -1e-12
+        with pytest.raises(ValueError):
+            follower_best_response(inst, lams)
+
+    def test_zero_price_in_an_array_gives_full_power_without_warning(self):
+        inst = _instance()
+        with np.errstate(all="raise"):
+            p = follower_best_response(inst, np.array([0.0, 1.0]))
+        assert p[0] == inst.p_max_w
