@@ -95,7 +95,6 @@ class AuctionState:
     number does not depend on caching; ``per_round_calls`` splits it by round.
     """
 
-    items: tuple[int, ...]
     prices: dict[int, float]
     demand: dict[int, frozenset[int]]
     rounds: int
@@ -266,7 +265,6 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
     if terminated:
         assignment.update((item, b) for b, pkg in packages.items() for item in pkg)
     return AuctionState(
-        items=items,
         prices={item: float(prices[i]) for i, item in enumerate(items)},
         demand=packages,
         rounds=rounds,
@@ -278,7 +276,7 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
     )
 
 
-def allocation_from_auction(state: AuctionState, topology: radio.Topology) -> radio.Allocation:
+def allocation_from_auction(state: AuctionState) -> radio.Allocation:
     """Winning packages transmit on their bidder's RB; unassigned pairs stay silent."""
     if not state.terminated:
         raise ValueError("auction did not terminate; no allocation available")
@@ -313,21 +311,18 @@ def auction_instance_from_radio(
     gains: radio.GainTensor,
     params: radio.RadioParams,
     config: AuctionConfig = AuctionConfig(),
-    items: tuple[int, ...] | None = None,
-    bidders: tuple[int, ...] | None = None,
 ) -> AuctionInstance:
     """Build the auction whose valuations are co-channel sum rates minus signaling.
 
-    A bidder (RB) values a package as: the rate of its own cellular link under
-    the package's interference, plus each package member's D2D rate on that RB,
+    The items are the topology's D2D pairs and the bidders its RBs. A bidder
+    values a package as: the rate of its own cellular link under the
+    package's interference, plus each package member's D2D rate on that RB,
     minus ``config.c0`` per member for signaling overhead. An auto ``epsilon``
     resolves to 1% of the mean positive standalone item value.
     """
     c0 = config.validate().c0
-    if items is None:
-        items = tuple(range(topology.n_pairs))
-    if bidders is None:
-        bidders = tuple(range(topology.rb_count))
+    items = tuple(range(topology.n_pairs))
+    bidders = tuple(range(topology.rb_count))
     sigma = radio.effective_noise_w(params)
     n = len(items)
 

@@ -58,13 +58,14 @@ def main(argv: list[str] | None = None) -> int:
     summary = run_experiment(config)
     print(f"experiment: {summary.experiment}")
     print(f"rows: {len(summary.rows)}  wall clock: {summary.wall_clock_s:.2f} s")
-    for key in sorted(summary.groups):
-        st = summary.groups[key]
-        print(f"  {key}: mean={st.mean:.4f} stddev={st.stddev:.4f} n={st.count}")
-    paired = summary.paired
-    if summary.experiment == "content-distribution" and paired:
-        last_round = max(sweep for sweep, _, _ in paired)
+    groups, paired = summary.groups, summary.paired
+    if summary.experiment == "content-distribution" and groups:
+        last_round = max(sweep for sweep, _ in groups)
+        groups = {key: st for key, st in groups.items() if key[0] == last_round}
         paired = {key: st for key, st in paired.items() if key[0] == last_round}
+    for key in sorted(groups):
+        st = groups[key]
+        print(f"  {key}: mean={st.mean:.4f} stddev={st.stddev:.4f} n={st.count}")
     for (sweep, a, b), st in paired.items():
         print(
             f"  paired {sweep} {a}-{b}: mean_diff={st.mean_diff:.4f} "

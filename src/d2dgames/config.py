@@ -44,6 +44,11 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run; ``drops`` and ``schemes`` left at ``None`` take the experiment's
+    defaults at construction. ``dataclasses.replace`` of ``experiment`` keeps
+    them as resolved, so it must also pass ``drops=None, schemes=None``.
+    """
+
     experiment: str = "sumrate-vs-pairs"
     sweep: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 14, 16)
     drops: int | None = None  # None: the experiment's default

@@ -51,7 +51,6 @@ class GroupStats:
     mean: float
     stddev: float
     count: int
-    single_sample: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def summarize(rows: list[tuple]) -> tuple[dict, dict]:
     for key in sorted(by_group):
         vals = by_group[key]
         if len(vals) == 1:
-            groups[key] = GroupStats(mean=vals[0], stddev=0.0, count=1, single_sample=True)
+            groups[key] = GroupStats(mean=vals[0], stddev=0.0, count=1)
         else:
             groups[key] = GroupStats(
                 mean=float(np.mean(vals)),
@@ -148,7 +147,7 @@ def _sumrate_drop(config: ExperimentConfig, sweep_idx: int, n_pairs: int, drop: 
                     raise RuntimeError(
                         f"auction hit max_rounds={config.auction.max_rounds} without terminating"
                     )
-                alloc = auction_mod.allocation_from_auction(state, topo)
+                alloc = auction_mod.allocation_from_auction(state)
                 rounds, calls = state.rounds, state.valuation_calls
             elif scheme == "random":
                 alloc = auction_mod.random_allocation(topo, seed_rand)
@@ -262,11 +261,11 @@ def _power_rows(config: ExperimentConfig):
     topo = radio.generate_topology(config.radio, config.m_cue, config.power.players, seed)
     gains = radio.draw_gains(topo, config.radio, derive_seed(config.master_seed, 0, 0, 1))
     pairs = list(range(config.power.players))
-    inst = power_mod.power_game_from_radio(topo, gains, config.radio, 0, pairs, config.power)
+    inst = power_mod.power_game_from_radio(gains, config.radio, 0, pairs, config.power)
     trace = power_mod.run_power_game(inst, config.power)
     rows = []
     for it, p in enumerate(trace.iterates):
-        sinrs = inst.sinr(p) if inst.n_players else np.zeros(0)
+        sinrs = inst.sinr(p)
         for player in range(inst.n_players):
             gamma = float(sinrs[player])
             sinr_db = 10.0 * math.log10(gamma) if gamma > 0 else float("-inf")
@@ -278,7 +277,7 @@ def _stackelberg_rows(config: ExperimentConfig):
     seed = derive_seed(config.master_seed, 0, 0, 0)
     topo = radio.generate_topology(config.radio, config.m_cue, config.stackelberg.pair + 1, seed)
     gains = radio.draw_gains(topo, config.radio, derive_seed(config.master_seed, 0, 0, 1))
-    inst = stackelberg_mod.stackelberg_from_radio(topo, gains, config.radio, config.stackelberg)
+    inst = stackelberg_mod.stackelberg_from_radio(gains, config.radio, config.stackelberg)
     return stackelberg_mod.price_sweep(inst), []
 
 
@@ -300,7 +299,7 @@ def oracle_check(config: ExperimentConfig) -> dict:
         if not state.terminated:
             ok = False
             continue
-        alloc = auction_mod.allocation_from_auction(state, topo)
+        alloc = auction_mod.allocation_from_auction(state)
         got = radio.sum_rate(alloc, gains, params)
         # without this agreement an under-reporting sum_rate passes best >= got
         assignment = [alloc.rb_of_d2d.get(j, -1) for j in range(topo.n_pairs)]
@@ -366,7 +365,7 @@ def oracle_check(config: ExperimentConfig) -> dict:
         topo = radio.generate_topology(params, 2, 1, derive_seed(config.master_seed, 95, seed))
         gains = radio.draw_gains(topo, params, derive_seed(config.master_seed, 96, seed))
         s_inst = stackelberg_mod.stackelberg_from_radio(
-            topo, gains, params, stackelberg_mod.StackelbergConfig(lambda_points=500)
+            gains, params, stackelberg_mod.StackelbergConfig(lambda_points=500)
         )
         out = stackelberg_mod.leader_optimize(s_inst)
         ok = ok and stackelberg_mod.verify_equilibrium(s_inst, out, eps=1e-9)

@@ -137,7 +137,6 @@ def run_power_game(instance: PowerGameInstance, config: PowerConfig = PowerConfi
 
 
 def power_game_from_radio(
-    topology: radio.Topology,
     gains: radio.GainTensor,
     params: radio.RadioParams,
     rb: int,

@@ -134,8 +134,6 @@ def verify_equilibrium(
     Follower deviations range over a 1001-point power grid at the
     equilibrium price; leader deviations range over :func:`price_sweep`.
     """
-    if math.isinf(eps):
-        return True
     u_f_star = instance.follower_utility(outcome.p_star_w, outcome.lambda_star)
     powers = np.linspace(0.0, instance.p_max_w, 1001)
     if np.any(instance.follower_utility(powers, outcome.lambda_star) > u_f_star + eps):
@@ -153,7 +151,6 @@ def choose_channel(instances: list[StackelbergInstance]) -> tuple[int, Stackelbe
 
 
 def stackelberg_from_radio(
-    topology: radio.Topology,
     gains: radio.GainTensor,
     params: radio.RadioParams,
     config: StackelbergConfig = StackelbergConfig(),

@@ -7,6 +7,7 @@ pinned here and are not meant to be tuned.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,8 @@ from d2dgames.stackelberg import (
 
 PARAMS = radio.RadioParams().validate()
 MASTER_SEED = 1
+# criteria on radio-backed instances run in both link directions
+DIRECTIONS = (radio.DOWNLINK, radio.UPLINK)
 
 
 def _report(name: str, ok: bool, detail: str) -> str:
@@ -208,31 +211,35 @@ def test_criterion_3_auction_properties():
     assert ok, line
 
 
-def test_criterion_4_auction_near_optimality():
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_criterion_4_auction_near_optimality(direction):
+    params = replace(PARAMS, link_direction=direction).validate()
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 4))
     ratios = []
     for _ in range(100):
         m = int(rng.integers(2, 4))  # bidders <= 3
         n = int(rng.integers(2, 5))  # items <= 4
-        topo = radio.generate_topology(PARAMS, m, n, int(rng.integers(0, 2**31)))
-        gains = radio.draw_gains(topo, PARAMS, int(rng.integers(0, 2**31)))
-        inst = auction_instance_from_radio(topo, gains, PARAMS)
+        topo = radio.generate_topology(params, m, n, int(rng.integers(0, 2**31)))
+        gains = radio.draw_gains(topo, params, int(rng.integers(0, 2**31)))
+        inst = auction_instance_from_radio(topo, gains, params)
         state = run_auction(inst)
         assert state.terminated
-        got = radio.sum_rate(allocation_from_auction(state, topo), gains, PARAMS)
-        _, best = exhaustive_best_allocation(topo, gains, PARAMS)
+        got = radio.sum_rate(allocation_from_auction(state), gains, params)
+        _, best = exhaustive_best_allocation(topo, gains, params)
         ratios.append(got / best)
     mean_ratio = float(np.mean(ratios))
     ok = mean_ratio >= 0.85
     line = _report(
-        "4 auction near-optimality",
+        f"4 auction near-optimality, {direction}",
         ok,
         f"mean(rica/optimum) = {mean_ratio:.4f} over 100 instances (threshold 0.85)",
     )
     assert ok, line
 
 
-def test_criterion_5_coalition_dynamics():
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_criterion_5_coalition_dynamics(direction):
+    params = replace(PARAMS, link_direction=direction).validate()
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 5))
     switch_violations = 0
     unstable = 0
@@ -241,9 +248,9 @@ def test_criterion_5_coalition_dynamics():
         m = int(rng.integers(1, 4))
         k = int(rng.integers(1, n + 1))
         scen = ContentScenario(n_d2d=n, k_seeds=k, m_cue=m, file_packets=10)
-        inst = generate_content_instance(scen, PARAMS, int(rng.integers(0, 2**31)))
-        gains = draw_content_gains(inst, PARAMS, int(rng.integers(0, 2**31)))
-        value_fn = make_value_fn(ContentRound(inst, gains, PARAMS))
+        inst = generate_content_instance(scen, params, int(rng.integers(0, 2**31)))
+        gains = draw_content_gains(inst, params, int(rng.integers(0, 2**31)))
+        value_fn = make_value_fn(ContentRound(inst, gains, params))
         part = initial_partition(inst)
         for _step in range(10_000):
             new, moved = switch_step(part, value_fn)
@@ -298,7 +305,7 @@ def test_criterion_5_coalition_dynamics():
         f"{unstable} unstable results; 50 synthetic merge/split games: "
         f"{merge_split_failures} stability failures"
     )
-    line = _report("5 coalition dynamics", ok, detail)
+    line = _report(f"5 coalition dynamics, {direction}", ok, detail)
     assert ok, line
 
 

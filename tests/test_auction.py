@@ -184,7 +184,7 @@ class TestRunAuction:
         state = run_auction(inst)
         assert not state.terminated
         with pytest.raises(ValueError):
-            allocation_from_auction(state, radio.generate_topology(PARAMS, 1, 1, 0))
+            allocation_from_auction(state)
 
     def test_final_demands_are_argmax_at_final_prices(self):
         # the stale-bidder optimization must be invisible: cached final
@@ -600,7 +600,7 @@ class TestRadioBackedAuction:
         inst = auction_instance_from_radio(topo, gains, PARAMS, AuctionConfig(c0=c0))
         state = run_auction(inst)
         assert state.terminated
-        alloc = allocation_from_auction(state, topo)
+        alloc = allocation_from_auction(state)
         total = radio.sum_rate(alloc, gains, PARAMS)
         rebuilt = 0.0
         for rb in inst.bidders:

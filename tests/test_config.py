@@ -132,6 +132,16 @@ class TestDefaults:
         given = ExperimentConfig(experiment="content-distribution", drops=3)
         assert (given.drops, given.schemes) == (3, ("coalition", "noncooperative"))
 
+    def test_replace_of_experiment_resolves_defaults_only_when_reset(self):
+        kept = replace(ExperimentConfig(), experiment="content-distribution")
+        assert (kept.drops, kept.schemes) == (200, ("rica", "random", "all_cellular"))
+        config = replace(
+            ExperimentConfig(), experiment="content-distribution", drops=None, schemes=None
+        )
+        assert config.drops == 50
+        assert ",".join(config.schemes) == "coalition,noncooperative"
+        assert config.validate() == ExperimentConfig(experiment="content-distribution")
+
     def test_sumrate_defaults_for_every_other_experiment(self):
         for experiment in ("sumrate-vs-pairs", "power-control", "stackelberg", "oracle-check"):
             config = ExperimentConfig(experiment=experiment)

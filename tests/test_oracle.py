@@ -86,7 +86,7 @@ class TestExhaustiveBestAllocation:
                 state = run_auction(inst)
                 assert state.terminated
                 auction_rate = radio.sum_rate(
-                    allocation_from_auction(state, topo), gains, params
+                    allocation_from_auction(state), gains, params
                 )
                 _, best = exhaustive_best_allocation(topo, gains, params)
                 assert best >= auction_rate - 1e-9

@@ -170,7 +170,7 @@ class TestFromRadio:
         params = radio.RadioParams().validate()
         topo = radio.generate_topology(params, m=3, n=4, rng_seed=5)
         gains = radio.draw_gains(topo, params, rng_seed=6)
-        inst = power_game_from_radio(topo, gains, params, rb=1, pair_indices=[0, 2, 3])
+        inst = power_game_from_radio(gains, params, rb=1, pair_indices=[0, 2, 3])
         assert inst.n_players == 3
         assert inst.p_max_w == pytest.approx(params.p_d2d_w)
         # direct gains on the diagonal
@@ -217,6 +217,6 @@ class TestInvalidInputs:
         gains = radio.draw_gains(topo, params, rng_seed=8)
         config = PowerConfig(**bad)
         with pytest.raises(ValueError, match=message):
-            power_game_from_radio(topo, gains, params, rb=0, pair_indices=[0, 1], config=config)
+            power_game_from_radio(gains, params, rb=0, pair_indices=[0, 1], config=config)
         with pytest.raises(ValueError, match=message):
             run_power_game(_two_player_symmetric(), config)

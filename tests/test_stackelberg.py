@@ -196,7 +196,7 @@ class TestFromRadio:
         params = radio.RadioParams().validate()
         topo = radio.generate_topology(params, m=2, n=1, rng_seed=21)
         gains = radio.draw_gains(topo, params, rng_seed=22)
-        inst = stackelberg_from_radio(topo, gains, params, StackelbergConfig(pair=0, rb=1))
+        inst = stackelberg_from_radio(gains, params, StackelbergConfig(pair=0, rb=1))
         assert inst.g_dd == pytest.approx(gains.get(("dtx", 0), ("drx", 0), 1))
         assert inst.p_max_w == pytest.approx(params.p_d2d_w)
         out = leader_optimize(inst)
@@ -267,7 +267,7 @@ class TestArraySweep:
         for seed in range(50):
             topo = radio.generate_topology(params, 2, 1, rng_seed=1000 + seed)
             gains = radio.draw_gains(topo, params, rng_seed=2000 + seed)
-            inst = stackelberg_from_radio(topo, gains, params, config)
+            inst = stackelberg_from_radio(gains, params, config)
             # the default grid rarely reaches p_max above lambda = 0, so also price a
             # grid whose first quarter lies below the price where p_max is the best response
             lam_full = 1.0 / (LN2 * (inst.p_max_w + inst.follower_interference_w / inst.g_dd))
