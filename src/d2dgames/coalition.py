@@ -13,6 +13,7 @@ to a switch-stable partition.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 from dataclasses import dataclass, field
@@ -55,9 +56,10 @@ class ContentScenario:
             raise ValueError(f"m_cue must be >= 1, got {self.m_cue}")
         if self.file_packets < 1:
             raise ValueError(f"file_packets must be >= 1, got {self.file_packets}")
-        if not self.packets_per_rate_unit >= 0:
+        if not (math.isfinite(self.packets_per_rate_unit) and self.packets_per_rate_unit >= 0):
             raise ValueError(
-                f"packets_per_rate_unit must be >= 0, got {self.packets_per_rate_unit}"
+                "packets_per_rate_unit must be finite and >= 0, "
+                f"got {self.packets_per_rate_unit}"
             )
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
@@ -73,6 +75,8 @@ class ContentInstance:
     cue_pos: tuple[Point, ...]
     enb_pos: Point
     seeds: frozenset[int]
+    # ContentRound's index plans, keyed by radio parameters and gain-tensor layout
+    _round_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def distances(self) -> np.ndarray:
         pos = np.asarray(self.ue_pos)
@@ -200,16 +204,62 @@ class _Rows(dict):
         return row
 
 
+def _round_plan(
+    inst: ContentInstance, gains: radio.GainTensor, params: radio.RadioParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into ``gains.g`` of every gain a :class:`ContentRound` reads,
+    and the transmit power that scales each.
+
+    The entries run ``cell_signal`` (per RB), ``cell_at_ue`` (RB x UE),
+    ``ue_at_cellrx`` (RB x UE), then ``uu`` (RB x tx UE x rx UE). A UE does
+    not hear itself and its own link is not modeled, so each ``uu`` diagonal
+    entry reads its RB's cellular link at power 0.0, which gives exactly 0.0.
+    The plan depends only on the parameters and the tensor's layout, so one
+    plan serves every draw of :func:`content_pathloss`.
+    """
+    n = inst.scenario.n_d2d
+    m = inst.scenario.m_cue
+    rbs = np.arange(m)
+    ue = [("ue", i) for i in range(n)]
+    ue_tx, ue_rx = gains.tx_indices(ue), gains.rx_indices(ue)
+    cell_tx, cell_rx, p_cell = radio.cellular_links(gains, params, rbs)
+
+    def flat(tx, rx, rb):
+        # raises ValueError for an RB the tensor does not hold
+        return np.ravel_multi_index(np.broadcast_arrays(tx, rx, rb), gains.g.shape).ravel()
+
+    own = np.eye(n, dtype=bool)
+    cell = flat(cell_tx, cell_rx, rbs)
+    uu = flat(ue_tx[:, None], ue_rx, rbs[:, None, None]).reshape(m, n, n)
+    index = np.concatenate([
+        cell,
+        flat(cell_tx[:, None], ue_rx, rbs[:, None]),
+        flat(ue_tx, cell_rx[:, None], rbs[:, None]),
+        np.where(own, cell[:, None, None], uu).ravel(),
+    ])
+    power = np.concatenate([
+        p_cell,
+        np.repeat(p_cell, n),
+        np.full(m * n, params.p_d2d_w),
+        np.tile(np.where(own, 0.0, params.p_d2d_w).ravel(), m),
+    ])
+    return index, power
+
+
 class ContentRound:
     """One round of content distribution: its channel and its seed set.
 
     The received powers are sliced from the gain tensor as per-RB lists of
     floats, indexed by RB first: ``cell_signal[r]``, ``cell_at_ue[r][u]``,
-    ``ue_at_cellrx[r][s]`` and ``uu[r][t][u]``. Only seeds transmit, so a row
-    ``uu[r][t]`` is converted when first read. ``seeds`` defaults to the
-    instance's initial seeds; ``ranked[u]`` lists them by distance from UE
-    ``u``, ties to the smaller index. None of the slices depends on the seed
-    set, so :meth:`with_seeds` gives the same channel to another seed set.
+    ``ue_at_cellrx[r][s]`` and ``uu[r][t][u]``. They are read in one gather
+    through :func:`_round_plan`, built once per instance, parameter set and
+    tensor layout; reading a link the tensor does not model raises
+    ``KeyError``. Only seeds
+    transmit, so a row ``uu[r][t]`` is converted when first read. ``seeds``
+    defaults to the instance's initial seeds; ``ranked[u]`` lists them by
+    distance from UE ``u``, ties to the smaller index. None of the slices
+    depends on the seed set, so :meth:`with_seeds` gives the same channel to
+    another seed set.
     """
 
     def __init__(
@@ -221,24 +271,21 @@ class ContentRound:
     ):
         n = inst.scenario.n_d2d
         m = inst.scenario.m_cue
-        p_d = params.p_d2d_w
-        rbs = np.arange(m)
-        ue = [("ue", i) for i in range(n)]
-        ue_tx, ue_rx = gains.tx_indices(ue), gains.rx_indices(ue)
-        cell_tx, cell_rx, p_cell = radio.cellular_links(gains, params, rbs)
+        key = (params, gains.tx_nodes, gains.rx_nodes, gains.g.shape)
+        plan = inst._round_plans.get(key)
+        if plan is None:
+            plan = inst._round_plans[key] = _round_plan(inst, gains, params)
+        index, power = plan
+        received = power * gains.g.reshape(-1)[index]
+        if np.isnan(received).any():
+            raise KeyError("a content round read a link that is not modeled")
+        at_ue, at_cellrx, uu = m, m + m * n, m + 2 * m * n
         self.inst = inst
         self.sigma = radio.effective_noise_w(params)
-        # cellular tx -> its own rx
-        self.cell_signal = (p_cell * gains.gather(cell_tx, cell_rx, rbs)).tolist()
-        # cellular tx -> ue rx power on its RB
-        self.cell_at_ue = (p_cell * gains.gather(cell_tx, ue_rx[:, None], rbs)).T.tolist()
-        # ue tx -> cellular rx power
-        self.ue_at_cellrx = (p_d * gains.gather(ue_tx[:, None], cell_rx, rbs)).T.tolist()
-        # seed tx -> ue rx power; no ue hears itself
-        uu = np.zeros((m, n, n))
-        tx, rx = np.nonzero(~np.eye(n, dtype=bool))
-        uu[:, tx, rx] = p_d * gains.gather(ue_tx[tx], ue_rx[rx]).T
-        self.uu = [_Rows(a) for a in uu]
+        self.cell_signal = received[:at_ue].tolist()
+        self.cell_at_ue = received[at_ue:at_cellrx].reshape(m, n).tolist()
+        self.ue_at_cellrx = received[at_cellrx:uu].reshape(m, n).tolist()
+        self.uu = [_Rows(x) for x in received[uu:].reshape(m, n, n)]
         self.seeds = inst.seeds if seeds is None else frozenset(seeds)
 
     def with_seeds(self, seeds: Iterable[int]) -> "ContentRound":
@@ -297,10 +344,27 @@ def _sinr(
     return uu[s][u] / (rnd.sigma + interf)
 
 
-def _coalition_detail(
+# A coalition's value with the parts it is summed from: (value, cell_term,
+# normals, serving, transmitting, terms). ``normals`` ascending, with each
+# one's serving seed in ``serving`` (None without a seed in the coalition) and
+# its rate log2(1 + SINR) in ``terms``; ``cell_term`` is the cellular link's
+# rate against ``transmitting``. Plain tuples of numbers, so the garbage
+# collector stops tracking the thousands a round's memo holds.
+_Valued = tuple
+
+
+def _sum_terms(cell_term: float, terms: tuple[float, ...]) -> float:
+    """A coalition's value: the cellular rate, then each normal UE's rate in UE order."""
+    value = cell_term
+    for term in terms:
+        value += term
+    return value
+
+
+def _valued(
     rnd: ContentRound, anchor: int, members: frozenset[int]
-) -> tuple[float, dict[int, float]]:
-    """Coalition value and the SINR of every normal UE inside it.
+) -> tuple[_Valued, list[float]]:
+    """A coalition's :data:`_Valued` from scratch, and its normal UEs' SINRs.
 
     Each normal UE listens to its nearest seed in the coalition (ties to the
     smaller index); its SINR is :func:`_sinr` against the coalition's
@@ -308,33 +372,96 @@ def _coalition_detail(
     UEs' rates.
     """
     seeds = rnd.seeds
-    normals = sorted(members - seeds)
+    normals = tuple(sorted(members - seeds))
     if seeds.isdisjoint(members):
-        serving = {}
+        serving = (None,) * len(normals)
+        transmitting = ()
     else:
-        serving = {u: _serving_seed(rnd.ranked[u], members) for u in normals}
-    transmitting = sorted(set(serving.values()))
+        serving = tuple([_serving_seed(rnd.ranked[u], members) for u in normals])
+        transmitting = tuple(sorted(set(serving)))
     to_cell = rnd.ue_at_cellrx[anchor]
     interf_c = sum(to_cell[s] for s in transmitting)
-    value = math.log2(1.0 + rnd.cell_signal[anchor] / (rnd.sigma + interf_c))
-    sinrs: dict[int, float] = {}
-    for u in normals:
-        sinr = sinrs[u] = _sinr(rnd, anchor, u, serving.get(u), transmitting)
-        value += math.log2(1.0 + sinr)
-    return value, sinrs
+    cell_term = math.log2(1.0 + rnd.cell_signal[anchor] / (rnd.sigma + interf_c))
+    sinrs = [_sinr(rnd, anchor, u, s, transmitting) for u, s in zip(normals, serving)]
+    terms = tuple([math.log2(1.0 + sinr) for sinr in sinrs])
+    value = _sum_terms(cell_term, terms)
+    return (value, cell_term, normals, serving, transmitting, terms), sinrs
+
+
+def _coalition_detail(
+    rnd: ContentRound, anchor: int, members: frozenset[int]
+) -> tuple[float, dict[int, float]]:
+    """Coalition value and the SINR of every normal UE inside it, as :func:`_valued`."""
+    valued, sinrs = _valued(rnd, anchor, members)
+    return valued[0], dict(zip(valued[2], sinrs))
+
+
+def _derived(
+    rnd: ContentRound,
+    anchor: int,
+    prev_members: frozenset[int],
+    prev: _Valued,
+    members: frozenset[int],
+) -> _Valued | None:
+    """``members``' value from ``prev``, the value of ``prev_members``, when the
+    two sets differ by one normal UE and share the transmitting set; otherwise None.
+
+    Every other normal UE then keeps its serving seed and its interference,
+    so its term is reused and only the joining UE's term is computed; the
+    value is summed again by :func:`_sum_terms`, in the same order as from
+    scratch, so it is the same float.
+    """
+    diff = members ^ prev_members
+    if len(diff) != 1:
+        return None
+    (u,) = diff
+    if u in rnd.seeds:
+        return None
+    _, cell_term, normals, serving, transmitting, terms = prev
+    if u in members:
+        s = _serving_seed(rnd.ranked[u], members)
+        if s is not None and s not in transmitting:
+            return None
+        term = math.log2(1.0 + _sinr(rnd, anchor, u, s, transmitting))
+        i = bisect.bisect_left(normals, u)
+        normals = normals[:i] + (u,) + normals[i:]
+        serving = serving[:i] + (s,) + serving[i:]
+        terms = terms[:i] + (term,) + terms[i:]
+    else:
+        i = normals.index(u)
+        s = serving[i]
+        # u's seed stays in the transmitting set only if it serves another UE
+        if s is not None and serving.count(s) == 1:
+            return None
+        normals = normals[:i] + normals[i + 1 :]
+        serving = serving[:i] + serving[i + 1 :]
+        terms = terms[:i] + terms[i + 1 :]
+    return (_sum_terms(cell_term, terms), cell_term, normals, serving, transmitting, terms)
 
 
 def make_value_fn(rnd: ContentRound) -> Callable[[int, frozenset], float]:
-    """Memoized coalition-value function for one round."""
-    cache: dict[tuple[int, frozenset], float] = {}
+    """Memoized coalition-value function for one round.
+
+    A miss is derived from the anchor's previous query when :func:`_derived`
+    allows it, which covers most single-UE switches, and is valued from
+    scratch otherwise.
+    """
+    cache: dict[tuple[int, frozenset], _Valued] = {}
+    last: dict[int, frozenset] = {}
 
     def value_fn(anchor: int, members: frozenset) -> float:
         key = (anchor, members)
-        v = cache.get(key)
-        if v is None:
-            v, _ = _coalition_detail(rnd, anchor, members)
-            cache[key] = v
-        return v
+        valued = cache.get(key)
+        if valued is None:
+            prev_members = last.get(anchor)
+            if prev_members is not None:
+                prev = cache[anchor, prev_members]
+                valued = _derived(rnd, anchor, prev_members, prev, members)
+            if valued is None:
+                valued, _ = _valued(rnd, anchor, members)
+            cache[key] = valued
+        last[anchor] = members
+        return valued[0]
 
     return value_fn
 
@@ -458,25 +585,32 @@ def noncooperative_baseline(rnd: ContentRound, partition0: Partition | None = No
         partition0 = initial_partition(rnd.inst)
     coalitions = list(partition0.members)
     transmitting = [_transmitting(rnd, ms) for ms in coalitions]
+    rb_of = {u: r for r, ms in enumerate(coalitions) for u in ms}
+    # only normal UEs move, so the RBs whose coalition holds a seed stay fixed;
+    # on any other RB a UE has no serving seed and SINR 0.0, which never wins
+    seeded = [r for r, ms in enumerate(coalitions) if not rnd.seeds.isdisjoint(ms)]
     normals = [u for u in range(rnd.inst.scenario.n_d2d) if u not in rnd.seeds]
     for _ in range(MAX_SWEEPS):
         moved = False
         for u in normals:
-            current = next(r for r, ms in enumerate(coalitions) if u in ms)
+            current = rb_of[u]
             # u's own SINR on each RB, everyone else as last placed; u's own
             # serving seed never interferes with u, so u may stay in its coalition
             ranked_u = rnd.ranked[u]
-            g = [
-                _sinr(rnd, r, u, _serving_seed(ranked_u, ms), transmitting[r])
-                for r, ms in enumerate(coalitions)
-            ]
             best_r = current
-            for r in range(len(g)):
-                if r != current and g[r] > g[best_r] * (1.0 + 1e-12):
-                    best_r = r
+            best_g = _sinr(
+                rnd, current, u, _serving_seed(ranked_u, coalitions[current]),
+                transmitting[current],
+            )
+            for r in seeded:
+                if r != current:
+                    g = _sinr(rnd, r, u, _serving_seed(ranked_u, coalitions[r]), transmitting[r])
+                    if g > best_g * (1.0 + 1e-12):
+                        best_r, best_g = r, g
             if best_r != current:
                 coalitions[current] = coalitions[current] - {u}
                 coalitions[best_r] = coalitions[best_r] | {u}
+                rb_of[u] = best_r
                 for r in (current, best_r):
                     transmitting[r] = _transmitting(rnd, coalitions[r])
                 moved = True
@@ -500,11 +634,12 @@ class _SchemeRun:
     def __init__(self, allocator: str, inst: ContentInstance, partition: Partition):
         scenario = inst.scenario
         self.seeds = set(inst.seeds)
-        self.packets = np.zeros(scenario.n_d2d, dtype=int)
-        for s in self.seeds:
-            self.packets[s] = scenario.file_packets
+        # Python ints: a huge packets_per_rate_unit cannot overflow the count
+        self.packets = [
+            scenario.file_packets if u in self.seeds else 0 for u in range(scenario.n_d2d)
+        ]
         self.partition = partition
-        self.curve = ServiceCurve(allocator=allocator, cumulative=[int(self.packets.sum())])
+        self.curve = ServiceCurve(allocator=allocator, cumulative=[sum(self.packets)])
 
     def play(self, channel: ContentRound) -> None:
         """Form this round's partition on ``channel``, deliver, and record the round."""
@@ -531,7 +666,7 @@ class _SchemeRun:
         for u in range(scenario.n_d2d):
             if packets[u] >= total_file:
                 self.seeds.add(u)
-        self.curve.cumulative.append(int(packets.sum()))
+        self.curve.cumulative.append(sum(packets))
         self.curve.total_values.append(round_value)
 
 

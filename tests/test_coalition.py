@@ -14,9 +14,11 @@ from d2dgames.coalition import (
     ContentScenario,
     Partition,
     _coalition_detail,
+    _derived,
     _serving_seed,
     _sinr,
     _transmitting,
+    _valued,
     draw_content_gains,
     generate_content_instance,
     initial_partition,
@@ -114,6 +116,112 @@ class TestCoalitionValue:
                 1.0 + PARAMS.p_d2d_w * gains.get(("ue", s), ("ue", u), anchor) / interf
             )
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _per_entry_channel(inst, gains, params):
+    """A ContentRound's four channel slices read one gain at a time through GainTensor.get."""
+    n, m = inst.scenario.n_d2d, inst.scenario.m_cue
+    p_d = params.p_d2d_w
+    if params.link_direction == radio.DOWNLINK:
+        cell = [(("enb", 0), ("cue", r), params.p_enb_w) for r in range(m)]
+    else:
+        cell = [(("cue", r), ("enb", 0), params.p_cue_w) for r in range(m)]
+    ue = [("ue", u) for u in range(n)]
+    cell_signal = [p * gains.get(tx, rx, r) for r, (tx, rx, p) in enumerate(cell)]
+    cell_at_ue = [[p * gains.get(tx, v, r) for v in ue] for r, (tx, _, p) in enumerate(cell)]
+    ue_at_cellrx = [[p_d * gains.get(v, rx, r) for v in ue] for r, (_, rx, _) in enumerate(cell)]
+    uu = [
+        [[0.0 if t == u else p_d * gains.get(ue[t], ue[u], r) for u in range(n)] for t in range(n)]
+        for r in range(m)
+    ]
+    return cell_signal, cell_at_ue, ue_at_cellrx, uu
+
+
+class TestRoundChannel:
+    """A ContentRound reads its channel through the instance's index plan."""
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_matches_per_entry_reference(self, direction, n, m):
+        params = radio.RadioParams(link_direction=direction).validate()
+        inst = generate_content_instance(
+            ContentScenario(n_d2d=n, k_seeds=1, m_cue=m), params, 60 + n + m
+        )
+        # the second draw reuses the plan the first one built
+        for draw in (61, 62):
+            gains = draw_content_gains(inst, params, rng_seed=draw)
+            rnd = ContentRound(inst, gains, params)
+            cell_signal, cell_at_ue, ue_at_cellrx, uu = _per_entry_channel(inst, gains, params)
+            assert rnd.cell_signal == cell_signal
+            assert rnd.cell_at_ue == cell_at_ue
+            assert rnd.ue_at_cellrx == ue_at_cellrx
+            for r in range(m):
+                for t in range(n):
+                    assert rnd.uu[r][t] == uu[r][t], (r, t)
+        assert len(inst._round_plans) == 1
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_a_missing_link_raises_key_error(self, direction):
+        params = radio.RadioParams(link_direction=direction).validate()
+        inst = _instance(n=3, k=1, m=2, seed=63)
+        gains = draw_content_gains(inst, params, rng_seed=64)
+        ContentRound(inst, gains, params)  # builds the plan on a complete tensor
+        cell_tx = radio.cellular_tx_node(params, 1)
+        cell_rx = radio.cellular_rx_node(params, 1)
+        for tx, rx, rb in [
+            (cell_tx, cell_rx, 1),
+            (cell_tx, ("ue", 2), 1),
+            (("ue", 0), cell_rx, 1),
+            (("ue", 0), ("ue", 2), 1),
+        ]:
+            g = gains.g.copy()
+            g[gains.tx_index[tx], gains.rx_index[rx], rb] = np.nan
+            with pytest.raises(KeyError):
+                ContentRound(inst, radio.GainTensor(gains.tx_nodes, gains.rx_nodes, g), params)
+
+
+class TestDerivedValue:
+    """A memo miss derived from the anchor's previous query equals the value from scratch."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 8),
+        m=st.integers(1, 3),
+        uplink=st.booleans(),
+        geometry=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    def test_walk_matches_scratch(self, n, m, uplink, geometry, data):
+        params = radio.RadioParams(
+            link_direction=radio.UPLINK if uplink else radio.DOWNLINK
+        ).validate()
+        scenario = ContentScenario(n_d2d=n, k_seeds=1, m_cue=m, hotspot_radius_m=60.0)
+        inst = generate_content_instance(scenario, params, geometry)
+        gains = draw_content_gains(inst, params, rng_seed=geometry + 1)
+        seeds = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+        rnd = ContentRound(inst, gains, params).with_seeds(seeds)
+        value_fn = make_value_fn(rnd)
+        last = [(frozenset(), _valued(rnd, anchor, frozenset())[0]) for anchor in range(m)]
+        # each step adds or removes one UE, seed or normal, or jumps to any set,
+        # which is then mostly neither a subset nor a superset of the last one
+        steps = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), st.booleans())
+        for anchor, ue, jump in data.draw(st.lists(steps, min_size=1, max_size=30)):
+            prev_members, prev = last[anchor]
+            if jump:
+                members = data.draw(st.frozensets(st.integers(0, n - 1)))
+            else:
+                members = prev_members ^ {ue}
+            scratch, _ = _valued(rnd, anchor, members)
+            assert value_fn(anchor, members) == scratch[0]
+            derived = _derived(rnd, anchor, prev_members, prev, members)
+            diff = members ^ prev_members
+            # (value, cell_term, normals, serving, transmitting, terms)
+            derivable = len(diff) == 1 and seeds.isdisjoint(diff) and scratch[4] == prev[4]
+            assert (derived is not None) == derivable
+            if derived is not None:
+                assert derived == scratch
+            last[anchor] = (members, scratch)
 
 
 def _lookup_value_fn(table):
@@ -287,6 +395,29 @@ class TestNoncooperativeBaseline:
             if coop.total_value(value_fn) >= noncoop.total_value(value_fn) - 1e-9:
                 wins += 1
         assert wins == 15
+
+    def test_normal_ue_joins_a_seed_only_coalition(self):
+        # RB 0 holds seed 0 alone, RB 1 normals 1 and 2 without a seed, RB 2
+        # seed 3 serving normal 4; seed 0 reaches UE 1 strongly on RB 0 and
+        # seed 3 reaches UEs 2 and 4 strongly on RB 2, every other gain is weak
+        inst = ContentInstance(
+            scenario=ContentScenario(n_d2d=5, k_seeds=1, m_cue=3),
+            ue_pos=((400.0, 0.0), (405.0, 0.0), (400.0, 5.0), (395.0, 0.0), (400.0, -5.0)),
+            cue_pos=((-100.0, 20.0), (30.0, -150.0), (0.0, 200.0)),
+            enb_pos=(0.0, 0.0),
+            seeds=frozenset({0, 3}),
+        )
+        weak = draw_content_gains(inst, PARAMS, rng_seed=0)
+        g = np.where(np.isnan(weak.g), np.nan, 1e-13)
+        for tx, rx, rb in [(0, 1, 0), (3, 2, 2), (3, 4, 2)]:
+            g[weak.tx_index[("ue", tx)], weak.rx_index[("ue", rx)], rb] = 1e-7
+        gains = radio.GainTensor(weak.tx_nodes, weak.rx_nodes, g)
+        start = Partition((frozenset({0}), frozenset({1, 2}), frozenset({3, 4})))
+        got = noncooperative_baseline(ContentRound(inst, gains, PARAMS), partition0=start)
+        # UE 1 leaves SINR 0 for seed 0's RB, whose transmitting set was empty;
+        # UE 2 joins seed 3 and UE 4 stays with it; the seedless RB is left empty
+        assert got.members == (frozenset({0, 1}), frozenset(), frozenset({2, 3, 4}))
+        assert got.members == _noncoop_reference(gains, PARAMS, inst, inst.seeds, start)
 
 
 def _noncoop_reference(gains, params, inst, seeds, partition0, max_sweeps=50):

@@ -219,6 +219,41 @@ class TestParsing:
         with pytest.raises(ConfigError, match=message):
             loads_config(f"[content]\n{line}\n")
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_packet_pacing_rejected(self, bad, tmp_path, capsys):
+        from d2dgames.cli import main
+
+        message = f"packets_per_rate_unit must be finite and >= 0, got {bad}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            loads_config(f"[content]\npackets_per_rate_unit = {bad}\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            f"experiment = content-distribution\ndrops = 1\n"
+            f"[content]\npackets_per_rate_unit = {bad}\n"
+        )
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: [content] {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pacing", ["1e18", "1e300"])
+    def test_huge_packet_pacing_caps_at_the_file(self, pacing, tmp_path):
+        from d2dgames.cli import main
+
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(
+            "experiment = content-distribution\ndrops = 2\n[content]\n"
+            f"n_d2d = 6\nk_seeds = 2\nm_cue = 2\nfile_packets = 100\nrounds = 3\n"
+            f"packets_per_rate_unit = {pacing}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "content.csv").read_text().splitlines()[1:]
+        cumulative = [int(row.split(",")[3]) for row in rows]
+        assert len(cumulative) == 2 * 2 * 4
+        # one round of any positive rate fills a UE's file, and never more
+        assert max(cumulative) == 6 * 100
+        assert all(200 <= c <= 6 * 100 for c in cumulative)
+
     @pytest.mark.parametrize(
         "line, message",
         [

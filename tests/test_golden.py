@@ -7,8 +7,9 @@ other paths through the content kernel, and so is the greedy sum-rate CSV,
 whose auctions take other greedy walks. The paper-scale content run, the
 default ``content-distribution`` config (50 drops x 50 rounds x 2 schemes), is
 pinned as well, and so are the pricing-power CSVs at seeds 2 and 3, whose
-channels give other price grids and other power-game iterates. These tests
-only read the configs and the digests.
+channels give other price grids and other power-game iterates. The content
+CSV is pinned in the uplink too, where the cellular transmitter and receiver
+of every RB swap places. These tests only read the configs and the digests.
 """
 
 import hashlib
@@ -35,6 +36,9 @@ CONTENT_DIGESTS = {
     2: "1f11bcec50f7c475ea8ca9106cb460682295680ac0c6d0e1fc60b4497f647c5d",
     3: "1437bf807cca1836bafc1232218c6f021c815ba736e37220c3c2d014e38fa46c",
 }
+
+# content.csv of perfbench/configs/content.cfg with link_direction = uplink, program seed 1
+UPLINK_CONTENT_DIGEST = "2729d8d244e29699f9788b12b3829c325c94d0fe0f0ab83dadf627772addd1f3"
 
 # sumrate.csv of perfbench/configs/sumrate-greedy.cfg at further program seeds
 SUMRATE_GREEDY_DIGESTS = {
@@ -77,6 +81,16 @@ def test_csv_digest_matches_golden(workload, tmp_path):
 def test_content_digest_at_more_seeds(seed, tmp_path):
     digest = _run_digest("content.cfg", "content.csv", seed, tmp_path)
     assert digest == CONTENT_DIGESTS[seed], f"content.csv moved at seed {seed}"
+
+
+def test_uplink_content_digest(tmp_path):
+    cfg = tmp_path / "content-uplink.cfg"
+    base = (PERFBENCH / "configs" / "content.cfg").read_text(encoding="utf-8")
+    cfg.write_text(base + "[radio]\nlink_direction = uplink\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "content.csv").read_bytes()).hexdigest()
+    assert digest == UPLINK_CONTENT_DIGEST, "uplink content.csv moved"
 
 
 @pytest.mark.parametrize("seed", sorted(SUMRATE_GREEDY_DIGESTS))
