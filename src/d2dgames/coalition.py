@@ -318,15 +318,22 @@ def _serving_seed(ranked_u: list[int], members: frozenset[int]) -> int | None:
     return None
 
 
-def _transmitting(rnd: ContentRound, members: frozenset[int]) -> list[int]:
-    """The coalition's transmitting set: its normal UEs' serving seeds, ascending."""
-    if rnd.seeds.isdisjoint(members):
-        return []
-    return sorted({_serving_seed(rnd.ranked[u], members) for u in members - rnd.seeds})
+def _serving(
+    rnd: ContentRound, members: frozenset[int]
+) -> tuple[tuple[int, ...], tuple[int | None, ...], tuple[int, ...]]:
+    """A coalition's normal UEs, ascending; each one's serving seed, its nearest
+    seed in the coalition (ties to the smaller index) or None without one; and
+    its transmitting set, the serving seeds, ascending."""
+    seeds = rnd.seeds
+    normals = tuple(sorted(members - seeds))
+    if seeds.isdisjoint(members):
+        return normals, (None,) * len(normals), ()
+    serving = tuple([_serving_seed(rnd.ranked[u], members) for u in normals])
+    return normals, serving, tuple(sorted(set(serving)))
 
 
 def _sinr(
-    rnd: ContentRound, anchor: int, u: int, s: int | None, transmitting: list[int]
+    rnd: ContentRound, anchor: int, u: int, s: int | None, transmitting: tuple[int, ...]
 ) -> float:
     """Normal UE ``u``'s SINR on RB ``anchor`` when served by seed ``s``.
 
@@ -347,9 +354,10 @@ def _sinr(
 # A coalition's value with the parts it is summed from: (value, cell_term,
 # normals, serving, transmitting, terms). ``normals`` ascending, with each
 # one's serving seed in ``serving`` (None without a seed in the coalition) and
-# its rate log2(1 + SINR) in ``terms``; ``cell_term`` is the cellular link's
-# rate against ``transmitting``. Plain tuples of numbers, so the garbage
-# collector stops tracking the thousands a round's memo holds.
+# its rate log2(1 + SINR), which delivery reads, in ``terms``; ``cell_term``
+# is the cellular link's rate against ``transmitting``. Plain tuples of
+# numbers, so the garbage collector stops tracking the thousands a round's
+# memo holds.
 _Valued = tuple
 
 
@@ -361,39 +369,22 @@ def _sum_terms(cell_term: float, terms: tuple[float, ...]) -> float:
     return value
 
 
-def _valued(
-    rnd: ContentRound, anchor: int, members: frozenset[int]
-) -> tuple[_Valued, list[float]]:
-    """A coalition's :data:`_Valued` from scratch, and its normal UEs' SINRs.
+def _valued(rnd: ContentRound, anchor: int, members: frozenset[int]) -> _Valued:
+    """A coalition's :data:`_Valued` from scratch.
 
-    Each normal UE listens to its nearest seed in the coalition (ties to the
-    smaller index); its SINR is :func:`_sinr` against the coalition's
-    transmitting set. The value is the cellular link's rate plus the normal
-    UEs' rates.
+    Each normal UE is served as :func:`_serving` says, and its SINR is
+    :func:`_sinr` against the coalition's transmitting set. The value is the
+    cellular link's rate plus the normal UEs' rates.
     """
-    seeds = rnd.seeds
-    normals = tuple(sorted(members - seeds))
-    if seeds.isdisjoint(members):
-        serving = (None,) * len(normals)
-        transmitting = ()
-    else:
-        serving = tuple([_serving_seed(rnd.ranked[u], members) for u in normals])
-        transmitting = tuple(sorted(set(serving)))
+    normals, serving, transmitting = _serving(rnd, members)
     to_cell = rnd.ue_at_cellrx[anchor]
     interf_c = sum(to_cell[s] for s in transmitting)
     cell_term = math.log2(1.0 + rnd.cell_signal[anchor] / (rnd.sigma + interf_c))
-    sinrs = [_sinr(rnd, anchor, u, s, transmitting) for u, s in zip(normals, serving)]
-    terms = tuple([math.log2(1.0 + sinr) for sinr in sinrs])
-    value = _sum_terms(cell_term, terms)
-    return (value, cell_term, normals, serving, transmitting, terms), sinrs
-
-
-def _coalition_detail(
-    rnd: ContentRound, anchor: int, members: frozenset[int]
-) -> tuple[float, dict[int, float]]:
-    """Coalition value and the SINR of every normal UE inside it, as :func:`_valued`."""
-    valued, sinrs = _valued(rnd, anchor, members)
-    return valued[0], dict(zip(valued[2], sinrs))
+    terms = tuple([
+        math.log2(1.0 + _sinr(rnd, anchor, u, s, transmitting))
+        for u, s in zip(normals, serving)
+    ])
+    return (_sum_terms(cell_term, terms), cell_term, normals, serving, transmitting, terms)
 
 
 def _derived(
@@ -458,7 +449,7 @@ def make_value_fn(rnd: ContentRound) -> Callable[[int, frozenset], float]:
                 prev = cache[anchor, prev_members]
                 valued = _derived(rnd, anchor, prev_members, prev, members)
             if valued is None:
-                valued, _ = _valued(rnd, anchor, members)
+                valued = _valued(rnd, anchor, members)
             cache[key] = valued
         last[anchor] = members
         return valued[0]
@@ -578,13 +569,13 @@ def noncooperative_baseline(rnd: ContentRound, partition0: Partition | None = No
     to others, until a fixed point or :data:`MAX_SWEEPS` sweeps. A UE leaves
     its RB only for a relative SINR gain above 1e-12; among equal candidates
     the smaller RB wins. A UE's SINR on an RB is :func:`_sinr` against that
-    coalition's transmitting set, the one :func:`_coalition_detail` gives it
+    coalition's transmitting set from :func:`_serving`, the one it would get
     in that coalition, so both allocators score a UE with the same model.
     """
     if partition0 is None:
         partition0 = initial_partition(rnd.inst)
     coalitions = list(partition0.members)
-    transmitting = [_transmitting(rnd, ms) for ms in coalitions]
+    transmitting = [_serving(rnd, ms)[2] for ms in coalitions]
     rb_of = {u: r for r, ms in enumerate(coalitions) for u in ms}
     # only normal UEs move, so the RBs whose coalition holds a seed stay fixed;
     # on any other RB a UE has no serving seed and SINR 0.0, which never wins
@@ -612,7 +603,7 @@ def noncooperative_baseline(rnd: ContentRound, partition0: Partition | None = No
                 coalitions[best_r] = coalitions[best_r] | {u}
                 rb_of[u] = best_r
                 for r in (current, best_r):
-                    transmitting[r] = _transmitting(rnd, coalitions[r])
+                    transmitting[r] = _serving(rnd, coalitions[r])[2]
                 moved = True
         if not moved:
             break
@@ -656,16 +647,16 @@ class _SchemeRun:
                 self.partition = noncooperative_baseline(rnd, partition0=self.partition)
         round_value = 0.0
         for anchor, members in enumerate(self.partition.members):
-            value, sinrs = _coalition_detail(rnd, anchor, members)
+            value, _, normals, _, _, terms = _valued(rnd, anchor, members)
             round_value += value
-            for u, sinr in sinrs.items():
+            for u, term in zip(normals, terms):
                 if packets[u] < total_file:
-                    rate = math.log2(1.0 + sinr)
-                    gained = int(math.floor(scenario.packets_per_rate_unit * rate))
+                    gained = math.floor(scenario.packets_per_rate_unit * term)
                     packets[u] = min(total_file, packets[u] + gained)
-        for u in range(scenario.n_d2d):
-            if packets[u] >= total_file:
-                self.seeds.add(u)
+                    if packets[u] >= total_file:
+                        # rnd keeps its own frozenset of seeds, so u serves
+                        # from the next round on
+                        self.seeds.add(u)
         self.curve.cumulative.append(sum(packets))
         self.curve.total_values.append(round_value)
 

@@ -33,6 +33,11 @@ class PowerConfig:
             raise ValueError(f"power players must be >= 0, got {self.players}")
         if not math.isfinite(self.sinr_target_db):
             raise ValueError(f"sinr_target_db must be finite, got {self.sinr_target_db}")
+        if not radio.is_positive_finite_db(self.sinr_target_db):
+            raise ValueError(
+                "sinr_target_db must give a positive, finite linear target, "
+                f"got {self.sinr_target_db}"
+            )
         if not (math.isfinite(self.tol_w) and self.tol_w > 0):
             raise ValueError(f"tol_w must be finite and > 0, got {self.tol_w}")
         if self.max_iters < 1:

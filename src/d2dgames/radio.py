@@ -35,6 +35,14 @@ def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
+def is_positive_finite_db(db: float) -> bool:
+    """Whether the linear ratio ``10 ** (db / 10)`` is a positive, finite float."""
+    try:
+        return 0.0 < 10.0 ** (db / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Static physical-layer parameters of the isolated, single-sector cell."""
@@ -63,8 +71,29 @@ class RadioParams:
         for name in ("p_cue_dbm", "p_d2d_dbm", "p_enb_dbm", "noise_dbm", "noise_figure_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("p_cue_dbm", "p_d2d_dbm", "p_enb_dbm"):
+            if not is_positive_finite_db(getattr(self, name) - 30.0):
+                raise ValueError(
+                    f"{name} must give a positive, finite power in watts, "
+                    f"got {getattr(self, name)}"
+                )
+        if not is_positive_finite_db(self.noise_dbm + self.noise_figure_db - 30.0):
+            raise ValueError(
+                "noise_dbm + noise_figure_db must give a positive, finite noise power "
+                f"in watts, got {self.noise_dbm} + {self.noise_figure_db}"
+            )
         if not (math.isfinite(self.carrier_ghz) and self.carrier_ghz > 0):
             raise ValueError(f"carrier_ghz must be finite and > 0, got {self.carrier_ghz}")
+        # path loss grows with distance, so the nearest and the farthest
+        # in-cell distance bound every path gain
+        for d_m in (10.0, 2.0 * self.cell_radius_m):
+            for los in (True, False):
+                if not is_positive_finite_db(-pathloss_db(d_m, self.carrier_ghz, los)):
+                    raise ValueError(
+                        "cell_radius_m and carrier_ghz must give a positive, finite path "
+                        "gain from 10 m to 2 * cell_radius_m, got "
+                        f"cell_radius_m = {self.cell_radius_m}, carrier_ghz = {self.carrier_ghz}"
+                    )
         if self.link_direction not in (UPLINK, DOWNLINK):
             raise ValueError(
                 f"link_direction must be '{UPLINK}' or '{DOWNLINK}', got {self.link_direction!r}"

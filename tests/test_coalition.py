@@ -13,11 +13,10 @@ from d2dgames.coalition import (
     ContentRound,
     ContentScenario,
     Partition,
-    _coalition_detail,
     _derived,
+    _serving,
     _serving_seed,
     _sinr,
-    _transmitting,
     _valued,
     draw_content_gains,
     generate_content_instance,
@@ -202,7 +201,7 @@ class TestDerivedValue:
         seeds = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1))
         rnd = ContentRound(inst, gains, params).with_seeds(seeds)
         value_fn = make_value_fn(rnd)
-        last = [(frozenset(), _valued(rnd, anchor, frozenset())[0]) for anchor in range(m)]
+        last = [(frozenset(), _valued(rnd, anchor, frozenset())) for anchor in range(m)]
         # each step adds or removes one UE, seed or normal, or jumps to any set,
         # which is then mostly neither a subset nor a superset of the last one
         steps = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), st.booleans())
@@ -212,7 +211,7 @@ class TestDerivedValue:
                 members = data.draw(st.frozensets(st.integers(0, n - 1)))
             else:
                 members = prev_members ^ {ue}
-            scratch, _ = _valued(rnd, anchor, members)
+            scratch = _valued(rnd, anchor, members)
             assert value_fn(anchor, members) == scratch[0]
             derived = _derived(rnd, anchor, prev_members, prev, members)
             diff = members ^ prev_members
@@ -537,6 +536,12 @@ def _reference_sinr(gains, params, inst, anchor, members, u):
     return signal / (sigma + interf)
 
 
+def _sinrs(rnd, anchor, members):
+    """Each normal UE's SINR in a coalition, from its serving seed and transmitting set."""
+    normals, serving, transmitting = _serving(rnd, members)
+    return {u: _sinr(rnd, anchor, u, s, transmitting) for u, s in zip(normals, serving)}
+
+
 class TestSeedTies:
     def test_equidistant_seeds_serve_from_smaller_index(self):
         inst = _tie_instance()
@@ -562,10 +567,11 @@ class TestSeedTies:
             assert make_value_fn(ContentRound(inst, gains, PARAMS))(0, grand) == pytest.approx(
                 want_value, rel=1e-12
             )
-            # the delivery loop reads the SINRs of this call
+            # the delivery loop reads UE 2's rate off this coalition's record
             want_sinr = _reference_sinr(gains, PARAMS, inst, 0, grand, 2)
             rnd = ContentRound(inst, gains, PARAMS)
-            assert _coalition_detail(rnd, 0, grand)[1] == {2: want_sinr}
+            assert _sinrs(rnd, 0, grand) == {2: want_sinr}
+            assert _valued(rnd, 0, grand)[5] == (math.log2(1.0 + want_sinr),)
             got = noncooperative_baseline(ContentRound(inst, gains, PARAMS), partition0=start)
             assert got.members == _noncoop_reference(gains, PARAMS, inst, inst.seeds, start)
             # the check above tells the seeds apart only on draws where serving
@@ -587,7 +593,7 @@ class TestJoinQuery:
 
         def score(rnd, anchor, members, u):
             s = _serving_seed(rnd.ranked[u], members)
-            return _sinr(rnd, anchor, u, s, _transmitting(rnd, members))
+            return _sinr(rnd, anchor, u, s, _serving(rnd, members)[2])
 
         for direction in (radio.DOWNLINK, radio.UPLINK):
             params = radio.RadioParams(link_direction=direction).validate()
@@ -610,13 +616,13 @@ class TestJoinQuery:
                 added_new = False
                 for u in rng.permutation(sorted(set(range(n)) - members - seeds)).tolist():
                     sinr = score(rnd, anchor, members, u)
-                    want = _coalition_detail(rnd, anchor, members | {u})[1][u]
+                    want = _sinrs(rnd, anchor, members | {u})[u]
                     assert sinr.hex() == want.hex(), (direction, trial, u)
-                    joined = _transmitting(rnd, members | {u})
+                    joined = _serving(rnd, members | {u})[2]
                     if seeds.isdisjoint(members):
                         assert sinr == 0.0
                         cases["no_seed"] += 1
-                    elif joined == _transmitting(rnd, members):
+                    elif joined == _serving(rnd, members)[2]:
                         cases["transmitting"] += 1
                         cases["after_new"] += added_new
                     else:
@@ -626,11 +632,75 @@ class TestJoinQuery:
                         added_new = True
                     members = members | {u}
                 # a member scored against its own coalition keeps its SINR there,
-                # its serving seed now inside the transmitting set
-                full = _coalition_detail(rnd, anchor, members)[1]
+                # its serving seed now inside the transmitting set; the record
+                # holds each one's rate from that SINR
+                full = _sinrs(rnd, anchor, members)
                 for u, want in full.items():
                     assert score(rnd, anchor, members, u).hex() == want.hex()
+                record = _valued(rnd, anchor, members)
+                assert record[2] == tuple(full)
+                for term, want in zip(record[5], full.values()):
+                    assert term.hex() == math.log2(1.0 + want).hex()
         assert min(cases.values()) >= 10, cases
+
+
+def _serving_reference(inst, seeds, members):
+    """Normals ascending, each one's nearest seed by (math.dist, index), the seeds that serve."""
+    pos = inst.ue_pos
+    seed_list = sorted(members & seeds)
+    normals = tuple(sorted(members - seeds))
+    if not seed_list:
+        return normals, (None,) * len(normals), ()
+    serving = tuple(min(seed_list, key=lambda s: (math.dist(pos[s], pos[u]), s)) for u in normals)
+    return normals, serving, tuple(sorted(set(serving)))
+
+
+class TestServing:
+    """``_serving`` is the one serving rule of both allocators and of delivery."""
+
+    def test_matches_nearest_seed_reference(self):
+        rng = np.random.default_rng(88)
+        kinds = {"no_seed": 0, "seeds_only": 0, "mixed": 0}
+        for trial in range(40):
+            n = int(rng.integers(1, 10))
+            inst = generate_content_instance(
+                ContentScenario(n_d2d=n, k_seeds=1, m_cue=1, hotspot_radius_m=60.0),
+                PARAMS,
+                1500 + trial,
+            )
+            gains = draw_content_gains(inst, PARAMS, rng_seed=1600 + trial)
+            seeds = frozenset(np.flatnonzero(rng.random(n) < 0.4).tolist())
+            rnd = ContentRound(inst, gains, PARAMS, seeds)
+            for _ in range(6):
+                members = frozenset(np.flatnonzero(rng.random(n) < 0.6).tolist())
+                got = _serving(rnd, members)
+                assert got == _serving_reference(inst, seeds, members), (trial, members)
+                if seeds.isdisjoint(members):
+                    kinds["no_seed"] += bool(members)
+                elif members <= seeds:
+                    kinds["seeds_only"] += 1
+                else:
+                    kinds["mixed"] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_no_seed_and_seeds_only(self):
+        inst = _tie_instance()
+        rnd = ContentRound(inst, draw_content_gains(inst, PARAMS, rng_seed=0), PARAMS)
+        # seeds 0, 1 and 3; UE 2 is the only normal UE
+        assert _serving(rnd, frozenset({2})) == ((2,), (None,), ())
+        assert _serving(rnd.with_seeds({3}), frozenset({0, 1, 2})) == ((0, 1, 2), (None,) * 3, ())
+        assert _serving(rnd, frozenset({0, 1, 3})) == ((), (), ())
+        assert _serving(rnd, frozenset()) == ((), (), ())
+
+    def test_ties_go_to_the_smaller_index(self):
+        inst = _tie_instance()
+        rnd = ContentRound(inst, draw_content_gains(inst, PARAMS, rng_seed=0), PARAMS)
+        # seeds 0 and 1 are equally near UE 2, seed 3 farther
+        assert _serving(rnd, frozenset({0, 1, 2, 3})) == ((2,), (0,), (0,))
+        assert _serving(rnd, frozenset({1, 2, 3})) == ((2,), (1,), (1,))
+        assert _serving(rnd, frozenset({2, 3})) == ((2,), (3,), (3,))
+        for members in (frozenset({0, 1, 2, 3}), frozenset({1, 2, 3})):
+            assert _serving(rnd, members) == _serving_reference(inst, inst.seeds, members)
 
 
 class TestContentInstance:
@@ -745,9 +815,8 @@ def _reference_curve(scenario, params, allocator, rng_seed):
             partition = noncooperative_baseline(rnd, partition0=partition)
         total = 0.0
         for anchor, members in enumerate(partition.members):
-            value, sinrs = _coalition_detail(rnd, anchor, members)
-            total += value
-            for u, sinr in sinrs.items():
+            total += _valued(rnd, anchor, members)[0]
+            for u, sinr in _sinrs(rnd, anchor, members).items():
                 gained = int(math.floor(scenario.packets_per_rate_unit * math.log2(1.0 + sinr)))
                 packets[u] = min(scenario.file_packets, packets[u] + gained)
         seeds |= {u for u in range(scenario.n_d2d) if packets[u] >= scenario.file_packets}

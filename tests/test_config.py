@@ -410,6 +410,66 @@ class TestDerivedSchema:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+SUMRATE, CONTENT, STACKELBERG, POWER = (
+    "sumrate-vs-pairs", "content-distribution", "stackelberg", "power-control"
+)
+
+# finite values that passed validation, then raised a traceback (exit 1) or
+# wrote error rows (exit 4) in the experiments listed
+EXTREME_VALUES = [
+    ("radio", "p_d2d_dbm = 1e300", (SUMRATE, CONTENT, STACKELBERG, POWER)),
+    ("radio", "noise_dbm = 1e300", (SUMRATE, CONTENT, STACKELBERG, POWER)),
+    ("radio", "noise_figure_db = 4000", (SUMRATE, CONTENT, STACKELBERG, POWER)),
+    ("radio", "noise_dbm = -1e300", (SUMRATE, CONTENT, STACKELBERG)),
+    ("radio", "p_d2d_dbm = -1e300", (POWER,)),
+    ("power", "sinr_target_db = 4000", (POWER,)),
+    ("power", "sinr_target_db = -4000", (POWER,)),
+    ("radio", "cell_radius_m = 1e300", (SUMRATE, CONTENT, STACKELBERG, POWER)),
+    ("radio", "carrier_ghz = 1e300", (SUMRATE, CONTENT, STACKELBERG, POWER)),
+    ("radio", "carrier_ghz = 1e-300", (SUMRATE, CONTENT, STACKELBERG, POWER)),
+]
+
+
+class TestExtremeValues:
+    """Each value whose watts, path gain or linear target is 0 or overflows is a config error."""
+
+    @pytest.mark.parametrize(
+        "section, line, experiment",
+        [(sec, line, exp) for sec, line, exps in EXTREME_VALUES for exp in exps],
+    )
+    def test_rejected_before_the_run(self, section, line, experiment, tmp_path, capsys):
+        from d2dgames.cli import main
+
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            f"experiment = {experiment}\ndrops = 1\nsweep = 2\n"
+            f"[content]\nrounds = 2\n[{section}]\n{line}\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: [{section}] ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("p_cue_dbm = 4000", "p_cue_dbm must give a positive, finite power"),
+            ("p_enb_dbm = -4000", "p_enb_dbm must give a positive, finite power"),
+            ("noise_dbm = -4000", "noise_dbm + noise_figure_db must give"),
+            ("noise_figure_db = 1e308\nnoise_dbm = 1e308", "noise_dbm + noise_figure_db must"),
+            ("cell_radius_m = 1e308", "cell_radius_m and carrier_ghz must give a positive"),
+        ],
+    )
+    def test_radio_limits_named(self, line, message):
+        with pytest.raises(ConfigError, match=re.escape(f"[radio] {message}")):
+            loads_config(f"[radio]\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line", ["p_d2d_dbm = 3000", "noise_dbm = -3000", "carrier_ghz = 1e-3"]
+    )
+    def test_large_but_representable_values_load(self, line):
+        loads_config(f"[radio]\n{line}\n")
+
+
 class TestSchemesAndSweep:
     SUMRATE = "sweep = 2\ndrops = 1\nm_cue = 2\n"
     CONTENT = (
