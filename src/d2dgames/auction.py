@@ -4,8 +4,11 @@ Resource-block owners act as bidders and compete for packages of D2D pairs
 (the items) under ascending per-item clock prices: every item demanded by two
 or more bidders gets its price raised by epsilon, and the auction stops as
 soon as no item is over-demanded. Winner packages then transmit on the
-winning bidder's RB; undemanded pairs stay silent. The clock runs over one
-bidder x item bool demand matrix.
+winning bidder's RB; undemanded pairs stay silent. The clock runs on Python
+ints and floats: each bidder's demand is an int bitmask over item positions
+and the prices are a list of floats. numpy is used only for the exact-mode
+tables and surpluses. ``AuctionState.price_history`` holds one float64 array
+of prices per round.
 
 Demand is the exact surplus-maximizing package (a row-wise argmax over the
 bidders' tables of all packages) up to ``exact_cap`` items, and a greedy
@@ -93,6 +96,8 @@ class AuctionState:
     once per bidder in exact mode, every candidate of every greedy step in
     greedy mode). Rows served from the greedy memo count as well, so the
     number does not depend on caching; ``per_round_calls`` splits it by round.
+    ``price_history`` holds the prices each round's demands saw, one float64
+    array in item order per round.
     """
 
     prices: dict[int, float]
@@ -107,7 +112,11 @@ class AuctionState:
 
 @functools.lru_cache(maxsize=32)
 def _tie_order(items: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """All package masks (bit ``i`` of row ``r`` is ``items[i]``) and their tie order."""
+    """All package masks and their tie order.
+
+    Column ``i`` of the masks is ``items[i]`` and row ``r`` is the package
+    whose bitmask is ``r``: its entry ``i`` is ``(r >> i) & 1``.
+    """
     n = len(items)
     masks = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
 
@@ -147,49 +156,46 @@ class _DemandEngine:
         if self.exact:
             # one table row per bidder; tables and price sums are computed over
             # the masks in plain order, then permuted so a row's first maximum
-            # is the tie rule
+            # is the tie rule. Mask row r is the package with bitmask r, so a
+            # row's argmax column c demands the package order[c].
             self._masks, self._order = _tie_order(instance.items)
             tables = [instance.batch_valuation(bidder, self._masks) for bidder in bidders]
             tables = np.array(tables, dtype=float).reshape(len(bidders), 2**self.n)
             _check_finite(bidders, tables)
             self._tables = tables[:, self._order]
-            self._tied = self._masks[self._order] > 0.5
             self.calls += len(bidders) * (2**self.n - 1)  # non-empty packages evaluated
 
-    def demand(self, rows: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """Demanded packages of the bidders at positions ``rows``, as bool item rows."""
+    def demand(self, rows: list[int], prices: list[float]) -> list[int]:
+        """Demanded packages of the bidders at positions ``rows``, as bitmasks.
+
+        Bit ``i`` of a package's mask is item position ``i``; any ``n`` fits a
+        Python int.
+        """
         if self.exact:
             surplus = self._tables[rows]  # fancy indexing: a copy
-            surplus -= (self._masks @ prices)[self._order]
-            return self._tied[surplus.argmax(axis=1)]
-        prices = prices.tolist()  # the walk runs on Python floats
-        out = np.empty((len(rows), self.n), dtype=bool)
-        for r, k in enumerate(rows):
-            mask = self._demand_greedy(self.bidders[k], prices)  # any n: a Python int
-            out[r] = [(mask >> i) & 1 for i in range(self.n)]
-        return out
+            surplus -= (self._masks @ np.array(prices))[self._order]
+            return self._order[surplus.argmax(axis=1)].tolist()
+        return [self._demand_greedy(self.bidders[k], prices) for k in rows]
 
     def _greedy_step(self, bidder: int, mask: int):
-        """Candidates of one greedy step from package ``mask``, memoized.
+        """Value and store the candidates of one greedy step from package ``mask``.
 
         Returns the empty package's value when ``mask == 0`` (else None) and
         one ``(item index, value of mask plus that item)`` pair per item
         outside the mask, in index order, as Python scalars. The values depend
-        on (bidder, mask) only, never on prices, so a repeat of the step
-        returns the stored list without a valuation call.
+        on (bidder, mask) only, never on prices, so the walk reads a repeat of
+        the step from ``self._steps`` and calls this only on a miss.
         """
-        step = self._steps.get((bidder, mask))
-        if step is None:
-            out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
-            lead = int(mask == 0)  # leading all-zero row for the empty package
-            rows = np.zeros((lead + len(out_idx), self.n))
-            rows[lead:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
-            rows[lead + np.arange(len(out_idx)), out_idx] = 1.0
-            vals = np.asarray(self.inst.batch_valuation(bidder, rows), dtype=float)
-            _check_finite((bidder,), vals)
-            vals = vals.tolist()
-            step = (vals[0] if lead else None, list(zip(out_idx, vals[lead:])))
-            self._steps[(bidder, mask)] = step
+        out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
+        lead = int(mask == 0)  # leading all-zero row for the empty package
+        rows = np.zeros((lead + len(out_idx), self.n))
+        rows[lead:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
+        rows[lead + np.arange(len(out_idx)), out_idx] = 1.0
+        vals = np.asarray(self.inst.batch_valuation(bidder, rows), dtype=float)
+        _check_finite((bidder,), vals)
+        vals = vals.tolist()
+        step = (vals[0] if lead else None, list(zip(out_idx, vals[lead:])))
+        self._steps[(bidder, mask)] = step
         return step
 
     def _demand_greedy(self, bidder: int, prices: list[float]) -> int:
@@ -203,7 +209,8 @@ class _DemandEngine:
         mask = 0
         full = (1 << self.n) - 1
         while mask != full:
-            empty_value, candidates = self._greedy_step(bidder, mask)
+            step = self._steps.get((bidder, mask)) or self._greedy_step(bidder, mask)
+            empty_value, candidates = step
             if mask == 0:
                 value = empty_value
             self.calls += len(candidates)
@@ -219,13 +226,18 @@ class _DemandEngine:
         return mask
 
 
+def _package(items: tuple[int, ...], mask: int) -> frozenset[int]:
+    """The items whose positions are the set bits of ``mask``."""
+    return frozenset(item for i, item in enumerate(items) if (mask >> i) & 1)
+
+
 def bidder_demand(instance: AuctionInstance, prices, bidder: int) -> frozenset[int]:
     """Surplus-maximizing package for one bidder at per-item prices in item order."""
     prices = np.asarray(prices, dtype=float)
     if not (np.isfinite(prices).all() and (prices >= 0).all()):
         raise ValueError("prices must be finite and >= 0")
-    row = _DemandEngine(instance, (bidder,)).demand(np.zeros(1, dtype=np.intp), prices)[0]
-    return frozenset(instance.items[i] for i in np.flatnonzero(row))
+    mask = _DemandEngine(instance, (bidder,)).demand([0], prices.tolist())[0]
+    return _package(instance.items, mask)
 
 
 def run_auction(instance: AuctionInstance) -> AuctionState:
@@ -238,34 +250,38 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
     config = instance.config
     items, bidders = instance.items, instance.bidders
     engine = _DemandEngine(instance, bidders)
-    prices = np.full(instance.n_items, float(config.p0))
-    demands = np.zeros((len(bidders), instance.n_items), dtype=bool)
-    stale = np.ones(len(bidders), dtype=bool)
+    prices = [float(config.p0)] * len(items)  # the same IEEE sums as a float64 array
+    demands = [0] * len(bidders)  # bitmasks over item positions
+    stale = list(range(len(bidders)))
     history: list[np.ndarray] = []
     per_round_calls: list[int] = []
     rounds = charged = 0
     terminated = False
     while rounds < config.max_rounds:
         rounds += 1
-        demands[stale] = engine.demand(np.flatnonzero(stale), prices)
+        for k, mask in zip(stale, engine.demand(stale, prices)):
+            demands[k] = mask
         per_round_calls.append(engine.calls - charged)
         charged = engine.calls
-        history.append(prices.copy())
-        over = demands.sum(axis=0) >= 2
-        if not over.any():
+        history.append(np.array(prices))
+        seen = over = 0  # items demanded at least once, at least twice
+        for mask in demands:
+            over |= seen & mask
+            seen |= mask
+        if not over:
             terminated = True
             break
-        prices[over] += config.epsilon
-        stale = demands[:, over].any(axis=1)
+        for i in range(len(prices)):
+            if (over >> i) & 1:
+                prices[i] += config.epsilon
+        stale = [k for k, mask in enumerate(demands) if mask & over]
 
-    packages = {
-        b: frozenset(items[i] for i in np.flatnonzero(row)) for b, row in zip(bidders, demands)
-    }
+    packages = {b: _package(items, mask) for b, mask in zip(bidders, demands)}
     assignment: dict[int, Optional[int]] = {item: None for item in items}
     if terminated:
         assignment.update((item, b) for b, pkg in packages.items() for item in pkg)
     return AuctionState(
-        prices={item: float(prices[i]) for i, item in enumerate(items)},
+        prices=dict(zip(items, prices)),
         demand=packages,
         rounds=rounds,
         valuation_calls=engine.calls,

@@ -8,6 +8,7 @@ with error rows (written as ``nan`` rows).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -16,6 +17,7 @@ from d2dgames.config import ConfigError, ExperimentConfig, dump_config, load_con
 from d2dgames.harness import run_experiment
 
 
+@functools.cache  # built on the first main call, then reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="d2dgames",

@@ -10,6 +10,7 @@ from d2dgames.auction import (
     AuctionConfig,
     AuctionInstance,
     _DemandEngine,
+    _tie_order,
     all_cellular_allocation,
     allocation_from_auction,
     auction_instance_from_radio,
@@ -110,6 +111,20 @@ class TestBidderDemand:
         inst = _table_instance(values, n_items=2)
         # zero prices: {0}, {1} and {0,1} all give surplus 2.0
         assert bidder_demand(inst, np.zeros(2), 0) == frozenset({0})
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_tie_order_rows_are_their_bitmasks(self, n):
+        # exact demand maps a table column c to the package bitmask order[c],
+        # which holds only if mask row r has bit i equal to (r >> i) & 1
+        items = (7, 3, 11, 5, 2, 9)[:n]
+        masks, order = _tie_order(items)
+        assert masks.shape == (2**n, n)
+        for r, row in enumerate(masks):
+            assert sum(1 << i for i in range(n) if row[i] == 1.0) == r
+            assert set(row.tolist()) <= {0.0, 1.0}
+        assert sorted(order.tolist()) == list(range(2**n))
+        labels = [sorted(items[i] for i in range(n) if (r >> i) & 1) for r in order]
+        assert labels == sorted(labels, key=lambda pkg: (len(pkg), pkg))
 
     def test_greedy_mode_reasonable(self):
         # additive values: greedy is exact, so it must match enumeration
@@ -420,7 +435,12 @@ def _reference_clock(inst, max_rounds):
 
 
 class TestArrayClock:
-    """The array clock equals a step-by-step reference clock, field by field."""
+    """The bitmask clock equals a step-by-step reference clock, field by field.
+
+    The reference keeps prices in a float64 array and packages as frozensets,
+    so each round's price raises and over-demand count are checked against
+    array sums and set counts.
+    """
 
     @staticmethod
     def _assert_matches_reference(inst, max_rounds=10_000):
@@ -467,6 +487,18 @@ class TestArrayClock:
                 assert state.terminated
                 count += 1
         assert count >= 100
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_default_size_radio_instances(self, direction):
+        # the default m_cue = 10 RBs at the largest exact size and at two
+        # greedy sizes, one of them 16 items as in the paper's sweep
+        params = replace(PARAMS, link_direction=direction).validate()
+        for n, seed in ((12, 1101), (13, 1103), (16, 1105)):
+            topo = radio.generate_topology(params, m=10, n=n, rng_seed=seed)
+            gains = radio.draw_gains(topo, params, rng_seed=seed + 1)
+            inst = auction_instance_from_radio(topo, gains, params)
+            state, _ = self._assert_matches_reference(inst)
+            assert state.terminated and state.rounds > 1
 
     def test_integer_tables_with_ties(self):
         rng = np.random.default_rng(43)

@@ -7,9 +7,11 @@ other paths through the content kernel, and so is the greedy sum-rate CSV,
 whose auctions take other greedy walks. The paper-scale content run, the
 default ``content-distribution`` config (50 drops x 50 rounds x 2 schemes), is
 pinned as well, and so are the pricing-power CSVs at seeds 2 and 3, whose
-channels give other price grids and other power-game iterates. The content
-CSV is pinned in the uplink too, where the cellular transmitter and receiver
-of every RB swap places. These tests only read the configs and the digests.
+channels give other price grids and other power-game iterates. The exact
+sum-rate CSV is pinned at seeds 2 and 3, whose auctions take other clock paths
+through the exhaustive demand tables. The content CSV and both sum-rate CSVs
+are pinned in the uplink too, where the cellular transmitter and receiver of
+every RB swap places. These tests only read the configs and the digests.
 """
 
 import hashlib
@@ -39,6 +41,18 @@ CONTENT_DIGESTS = {
 
 # content.csv of perfbench/configs/content.cfg with link_direction = uplink, program seed 1
 UPLINK_CONTENT_DIGEST = "2729d8d244e29699f9788b12b3829c325c94d0fe0f0ab83dadf627772addd1f3"
+
+# sumrate.csv of perfbench/configs/sumrate-exact.cfg at further program seeds
+SUMRATE_EXACT_DIGESTS = {
+    2: "9258ce769d2166fe50a56f068289b4feeb19a63679fd3bc1d54e7833549584f5",
+    3: "a17024aafb89d655928bd2c83d46d49f7937eb7ed651fc9f294e766e2a388853",
+}
+
+# sumrate.csv of each sum-rate config with link_direction = uplink, program seed 1
+UPLINK_SUMRATE_DIGESTS = {
+    "sumrate-exact.cfg": "0898819ab3e97681c758aa1b8048b00493b698b1a354afeba44d5f9361b33713",
+    "sumrate-greedy.cfg": "70d90f4b8438c3c0a7b26897bf80818429066c90af864cff24ef81d8301b10de",
+}
 
 # sumrate.csv of perfbench/configs/sumrate-greedy.cfg at further program seeds
 SUMRATE_GREEDY_DIGESTS = {
@@ -83,14 +97,30 @@ def test_content_digest_at_more_seeds(seed, tmp_path):
     assert digest == CONTENT_DIGESTS[seed], f"content.csv moved at seed {seed}"
 
 
-def test_uplink_content_digest(tmp_path):
-    cfg = tmp_path / "content-uplink.cfg"
-    base = (PERFBENCH / "configs" / "content.cfg").read_text(encoding="utf-8")
+def _uplink_digest(config, csv, tmp_path):
+    cfg = tmp_path / "uplink.cfg"
+    base = (PERFBENCH / "configs" / config).read_text(encoding="utf-8")
     cfg.write_text(base + "[radio]\nlink_direction = uplink\n", encoding="utf-8")
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / "content.csv").read_bytes()).hexdigest()
+    return hashlib.sha256((out / csv).read_bytes()).hexdigest()
+
+
+def test_uplink_content_digest(tmp_path):
+    digest = _uplink_digest("content.cfg", "content.csv", tmp_path)
     assert digest == UPLINK_CONTENT_DIGEST, "uplink content.csv moved"
+
+
+@pytest.mark.parametrize("config", sorted(UPLINK_SUMRATE_DIGESTS))
+def test_uplink_sumrate_digest(config, tmp_path):
+    digest = _uplink_digest(config, "sumrate.csv", tmp_path)
+    assert digest == UPLINK_SUMRATE_DIGESTS[config], f"uplink sumrate.csv of {config} moved"
+
+
+@pytest.mark.parametrize("seed", sorted(SUMRATE_EXACT_DIGESTS))
+def test_sumrate_exact_digest_at_more_seeds(seed, tmp_path):
+    digest = _run_digest("sumrate-exact.cfg", "sumrate.csv", seed, tmp_path)
+    assert digest == SUMRATE_EXACT_DIGESTS[seed], f"sumrate.csv moved at seed {seed}"
 
 
 @pytest.mark.parametrize("seed", sorted(SUMRATE_GREEDY_DIGESTS))

@@ -393,6 +393,27 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
+    def test_failed_parse_leaves_the_next_call_working(self, tmp_path, capsys):
+        from d2dgames.cli import _build_parser, main
+
+        # the parser is built once per process, so a failed parse must not
+        # leave state behind for the next call
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--seed", "not-a-number"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "experiment = sumrate-vs-pairs\nsweep = 2\ndrops = 1\nm_cue = 2\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(out_dir)]) == 0
+        assert "master_seed = 7" in (out_dir / "effective_config.txt").read_text()
+        assert main(["print-defaults"]) == 0
+        args = _build_parser().parse_args(["run", "--config", str(cfg)])
+        assert args.seed is None and args.out is None
+        assert _build_parser() is _build_parser()
+
     def test_error_rows_exit_code(self, tmp_path, capsys, monkeypatch):
         from d2dgames import auction
         from d2dgames.cli import main
