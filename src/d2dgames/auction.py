@@ -23,10 +23,17 @@ cheap without altering the outcome:
   surpluses, so the cached argmax (and the greedy path) is unchanged.
 - Greedy memo: the candidate values of one greedy step depend on the bidder
   and the current package only, not on prices. The engine of one auction
-  stores them per (bidder, package bitmask), so greedy paths that repeat
-  their prefixes over many clock rounds cost one valuation call per new
-  package instead of one per step. ``valuation_calls`` still counts every
-  candidate row a cache-free engine would evaluate.
+  keeps one dict per bidder, keyed by the package bitmask, so greedy paths
+  that repeat their prefixes over many clock rounds cost one valuation call
+  per new package instead of one per step. A miss copies its candidate rows
+  out of a read-only identity and sets the package's columns, so the
+  valuation always gets a fresh array. ``valuation_calls`` still counts
+  every candidate row a cache-free engine would evaluate.
+
+The radio-backed valuation of :func:`auction_instance_from_radio` computes
+the member rates in one work array, in place, with the same IEEE operations
+as the plain expression; a package's size is ``masks @ ones``, whose row
+sums of 0/1 entries are exact in any summation order.
 """
 
 from __future__ import annotations
@@ -150,9 +157,12 @@ class _DemandEngine:
         self.n = instance.n_items
         self.exact = self.n <= instance.config.exact_cap
         self.calls = 0
-        # (bidder, package mask) -> (value of the empty package when mask == 0
-        # else None, [(item outside the mask, value of mask plus it), ...])
-        self._steps: dict[tuple[int, int], tuple[Optional[float], list[tuple[int, float]]]] = {}
+        # one dict per bidder position: package mask -> (value of the empty
+        # package when mask == 0 else None, [(item outside the mask, value of
+        # mask plus it), ...])
+        self._steps: list[dict[int, tuple[Optional[float], list[tuple[int, float]]]]] = [
+            {} for _ in bidders
+        ]
         if self.exact:
             # one table row per bidder; tables and price sums are computed over
             # the masks in plain order, then permuted so a row's first maximum
@@ -164,6 +174,11 @@ class _DemandEngine:
             _check_finite(bidders, tables)
             self._tables = tables[:, self._order]
             self.calls += len(bidders) * (2**self.n - 1)  # non-empty packages evaluated
+        else:
+            # a miss copies its candidate rows out of this identity, so a
+            # valuation that writes to its input never sees a shared array
+            self._eye = np.eye(self.n)
+            self._eye.setflags(write=False)
 
     def demand(self, rows: list[int], prices: list[float]) -> list[int]:
         """Demanded packages of the bidders at positions ``rows``, as bitmasks.
@@ -175,41 +190,47 @@ class _DemandEngine:
             surplus = self._tables[rows]  # fancy indexing: a copy
             surplus -= (self._masks @ np.array(prices))[self._order]
             return self._order[surplus.argmax(axis=1)].tolist()
-        return [self._demand_greedy(self.bidders[k], prices) for k in rows]
+        return [self._demand_greedy(k, prices) for k in rows]
 
-    def _greedy_step(self, bidder: int, mask: int):
+    def _greedy_step(self, k: int, mask: int):
         """Value and store the candidates of one greedy step from package ``mask``.
 
-        Returns the empty package's value when ``mask == 0`` (else None) and
-        one ``(item index, value of mask plus that item)`` pair per item
-        outside the mask, in index order, as Python scalars. The values depend
-        on (bidder, mask) only, never on prices, so the walk reads a repeat of
-        the step from ``self._steps`` and calls this only on a miss.
+        ``k`` is the bidder's position. Returns the empty package's value when
+        ``mask == 0`` (else None) and one ``(item index, value of mask plus
+        that item)`` pair per item outside the mask, in index order, as Python
+        scalars. The values depend on (bidder, mask) only, never on prices, so
+        the walk reads a repeat of the step from ``self._steps[k]`` and calls
+        this only on a miss.
         """
-        out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
-        lead = int(mask == 0)  # leading all-zero row for the empty package
-        rows = np.zeros((lead + len(out_idx), self.n))
-        rows[lead:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
-        rows[lead + np.arange(len(out_idx)), out_idx] = 1.0
+        bidder = self.bidders[k]
+        if mask:
+            out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
+            rows = self._eye.take(out_idx, axis=0)  # a fresh, writable copy
+            rows[:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
+        else:
+            out_idx = list(range(self.n))
+            rows = np.eye(self.n + 1, self.n, k=-1)  # the empty package, then each item alone
         vals = np.asarray(self.inst.batch_valuation(bidder, rows), dtype=float)
         _check_finite((bidder,), vals)
         vals = vals.tolist()
-        step = (vals[0] if lead else None, list(zip(out_idx, vals[lead:])))
-        self._steps[(bidder, mask)] = step
+        step = (None if mask else vals.pop(0), list(zip(out_idx, vals)))
+        self._steps[k][mask] = step
         return step
 
-    def _demand_greedy(self, bidder: int, prices: list[float]) -> int:
+    def _demand_greedy(self, k: int, prices: list[float]) -> int:
         """Add the item of largest marginal surplus until none is positive.
 
-        Returns the package as a bitmask over item positions. Ties go to the
-        smallest item index. A package's value is carried from the step that
-        added its last item, the empty package's from its step. Each marginal
-        is ``value_with_item - value - price``, subtracted left to right.
+        ``k`` is the bidder's position. Returns the package as a bitmask over
+        item positions. Ties go to the smallest item index. A package's value
+        is carried from the step that added its last item, the empty
+        package's from its step. Each marginal is ``value_with_item - value -
+        price``, subtracted left to right.
         """
+        steps = self._steps[k]
         mask = 0
         full = (1 << self.n) - 1
         while mask != full:
-            step = self._steps.get((bidder, mask)) or self._greedy_step(bidder, mask)
+            step = steps.get(mask) or self._greedy_step(k, mask)
             empty_value, candidates = step
             if mask == 0:
                 value = empty_value
@@ -234,6 +255,11 @@ def _package(items: tuple[int, ...], mask: int) -> frozenset[int]:
 def bidder_demand(instance: AuctionInstance, prices, bidder: int) -> frozenset[int]:
     """Surplus-maximizing package for one bidder at per-item prices in item order."""
     prices = np.asarray(prices, dtype=float)
+    if prices.shape != (instance.n_items,):
+        raise ValueError(
+            f"prices must be a 1-D vector of length {instance.n_items}, one per item, "
+            f"got shape {prices.shape}"
+        )
     if not (np.isfinite(prices).all() and (prices >= 0).all()):
         raise ValueError("prices must be finite and >= 0")
     mask = _DemandEngine(instance, (bidder,)).demand([0], prices.tolist())[0]
@@ -356,25 +382,32 @@ def auction_instance_from_radio(
     cross = p_cell[:, None] * gains.gather(cell_tx[:, None], drx, rbs[:, None])
     m = p_d * gains.gather(dtx[:, None], drx, rbs[:, None, None])
     m[:, np.arange(n), np.arange(n)] = 0.0
+    floor = sigma + cross  # noise plus cross-tier interference at each D2D receiver
     per_bidder = {
-        rb: (float(s_c[k]), w[k], direct[k], cross[k], m[k]) for k, rb in enumerate(bidders)
+        rb: (float(s_c[k]), w[k], direct[k], floor[k], m[k]) for k, rb in enumerate(bidders)
     }
+    ones = np.ones(n)
 
     def batch_valuation(bidder: int, masks: np.ndarray) -> np.ndarray:
-        s_c, w, direct, cross, m = per_bidder[bidder]
+        s_c, w, direct, floor, m = per_bidder[bidder]
         masks = np.asarray(masks, dtype=float)
         cell = np.log2(1.0 + s_c / (sigma + masks @ w))
-        i_d2d = masks @ m
-        with np.errstate(divide="ignore"):
-            member_rates = np.log2(1.0 + direct / (sigma + cross + i_d2d))
-        d2d = (member_rates * masks).sum(axis=1)
-        return cell + d2d - c0 * masks.sum(axis=1)
+        # member rates log2(1 + direct / (floor + masks @ m)) * masks, in
+        # place; every denominator is at least sigma > 0
+        rates = masks @ m
+        rates += floor
+        np.divide(direct, rates, out=rates)
+        rates += 1.0
+        np.log2(rates, out=rates)
+        rates *= masks
+        return cell + rates.sum(axis=1) - c0 * (masks @ ones)
 
     if config.epsilon is None:
         single = []
+        standalone = np.eye(n + 1, n, k=-1)  # the empty package, then each item alone
         for rb in bidders:
-            empty_v = float(batch_valuation(rb, np.zeros((1, n)))[0])
-            single.extend(max(v - empty_v, 0.0) for v in batch_valuation(rb, np.eye(n)))
+            empty_v, *alone = batch_valuation(rb, standalone).tolist()
+            single.extend(max(v - empty_v, 0.0) for v in alone)
         mean_standalone = float(np.mean(single)) if single else 0.0
         config = replace(config, epsilon=max(0.01 * mean_standalone, 1e-6))
 

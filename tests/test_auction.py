@@ -317,13 +317,17 @@ class TestGreedyMemo:
         assert not engine.exact
         seen = {b: set() for b in inst.bidders}
         for prices in price_seq:
-            for b in inst.bidders:
+            for k, b in enumerate(inst.bidders):
                 want, want_calls = _greedy_reference(reference, inst.n_items, b, prices)
                 before = engine.calls
-                got = engine._demand_greedy(b, prices)
+                got = engine._demand_greedy(k, prices)
                 assert got == sum(1 << i for i in want)
                 assert engine.calls - before == want_calls
                 seen[b].add(got)
+        # one memo per bidder position, keyed by the package bitmask
+        assert len(engine._steps) == len(inst.bidders)
+        assert all(type(mask) is int for memo in engine._steps for mask in memo)
+        assert batch_calls == sum(len(memo) for memo in engine._steps)
         queries = len(price_seq) * len(inst.bidders)
         return queries, batch_calls, any(len(pkgs) > 1 for pkgs in seen.values())
 
@@ -371,6 +375,91 @@ class TestGreedyMemo:
             queries, batch_calls, moved = self._replay(inst, seq)
             assert batch_calls < queries
             assert moved
+
+
+def _zero_built_rows(n, mask):
+    """Candidate rows of a greedy step from ``mask``, built as a zero matrix.
+
+    A leading all-zero row for the empty package when ``mask == 0``, then one
+    row per item outside the mask, in index order: the mask's columns and
+    that item's column set to 1.0.
+    """
+    out_idx = [i for i in range(n) if not (mask >> i) & 1]
+    lead = int(mask == 0)
+    rows = np.zeros((lead + len(out_idx), n))
+    rows[lead:, [i for i in range(n) if (mask >> i) & 1]] = 1.0
+    rows[lead + np.arange(len(out_idx)), out_idx] = 1.0
+    return rows
+
+
+class TestGreedyMissRows:
+    """Every greedy miss passes the valuation the zero-built rows, in order."""
+
+    def test_every_mask_size(self):
+        # the valuation writes over its input, as a user-supplied one may, so
+        # a shared identity handed out by the engine would break later calls
+        rng = np.random.default_rng(97)
+        for n in (1, 5, 13):
+            item_values = {4: rng.uniform(0.0, 2.0, n), 9: rng.uniform(0.0, 2.0, n)}
+            calls = []
+
+            def scribbling(bidder, masks):
+                calls.append((bidder, masks.copy()))
+                values = masks @ item_values[bidder]
+                masks[...] = 7.0
+                return values
+
+            inst = AuctionInstance(
+                items=tuple(range(n)), bidders=(4, 9), batch_valuation=scribbling,
+                config=AuctionConfig(epsilon=0.1, exact_cap=0),
+            )
+            engine = _DemandEngine(inst, inst.bidders)
+            # the empty package for both bidders, so a shared root batch shows
+            if n <= 5:
+                masks = [0] + list(range(2**n - 1))  # every mask but the full one
+            else:
+                masks = [0, 0] + [
+                    sum(1 << int(i) for i in rng.permutation(n)[:size])
+                    for size in range(1, n)
+                    for _ in range(2)
+                ]
+            for j, mask in enumerate(masks):
+                k = j % 2  # the bidders take turns, by position
+                step = engine._greedy_step(k, mask)
+                assert len(calls) == j + 1
+                bidder, rows = calls[-1]
+                want = _zero_built_rows(n, mask)
+                assert bidder == inst.bidders[k] and rows.dtype == want.dtype
+                assert np.array_equal(rows, want)
+                assert engine._steps[k][mask] is step
+            assert np.array_equal(engine._eye, np.eye(n))
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_clock_walk_misses(self, direction):
+        # the misses of a whole price path, bidder by bidder, in the order the
+        # memo stored their masks
+        params = replace(PARAMS, link_direction=direction).validate()
+        topo = radio.generate_topology(params, m=4, n=14, rng_seed=113)
+        gains = radio.draw_gains(topo, params, rng_seed=114)
+        inst = auction_instance_from_radio(topo, gains, params)
+        history = run_auction(inst).price_history
+        valuation = inst.batch_valuation
+        calls = []
+
+        def recorded(bidder, masks):
+            calls.append((bidder, masks.copy()))
+            return valuation(bidder, masks)
+
+        inst.batch_valuation = recorded
+        engine = _DemandEngine(inst, inst.bidders)
+        for prices in history:
+            engine.demand(list(range(len(inst.bidders))), prices.tolist())
+        assert len(calls) == sum(len(memo) for memo in engine._steps) > len(inst.bidders)
+        for k, bidder in enumerate(inst.bidders):
+            got = [rows for b, rows in calls if b == bidder]
+            want = [_zero_built_rows(14, mask) for mask in engine._steps[k]]
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def _reference_clock(inst, max_rounds):
@@ -622,6 +711,108 @@ class TestNonFiniteInputs:
         inst = _table_instance(values, n_items=2, exact_cap=exact_cap)
         with pytest.raises(ValueError, match="prices must be finite and >= 0"):
             bidder_demand(inst, np.array([0.0, bad]), 0)
+
+
+def _reference_radio_valuation(topo, gains, params, c0):
+    """The radio-backed valuation as plain allocating numpy expressions.
+
+    The gathers of ``auction_instance_from_radio``, then a new array for every
+    intermediate: member rates under ``errstate(divide="ignore")`` and the
+    package size as ``masks.sum(axis=1)``.
+    """
+    items = tuple(range(topo.n_pairs))
+    bidders = tuple(range(topo.rb_count))
+    n = len(items)
+    sigma = radio.effective_noise_w(params)
+    rbs = np.asarray(bidders, dtype=np.intp)
+    cell_tx, cell_rx, p_cell = radio.cellular_links(gains, params, bidders)
+    dtx = gains.tx_indices([("dtx", j) for j in items])
+    drx = gains.rx_indices([("drx", j) for j in items])
+    p_d = params.p_d2d_w
+    s_c = p_cell * gains.gather(cell_tx, cell_rx, rbs)
+    w = p_d * gains.gather(dtx, cell_rx[:, None], rbs[:, None])
+    direct = p_d * gains.gather(dtx, drx, rbs[:, None])
+    cross = p_cell[:, None] * gains.gather(cell_tx[:, None], drx, rbs[:, None])
+    m = p_d * gains.gather(dtx[:, None], drx, rbs[:, None, None])
+    m[:, np.arange(n), np.arange(n)] = 0.0
+
+    def valuation(bidder, masks):
+        k = bidders.index(bidder)
+        masks = np.asarray(masks, dtype=float)
+        cell = np.log2(1.0 + float(s_c[k]) / (sigma + masks @ w[k]))
+        i_d2d = masks @ m[k]
+        with np.errstate(divide="ignore"):
+            member_rates = np.log2(1.0 + direct[k] / (sigma + cross[k] + i_d2d))
+        d2d = (member_rates * masks).sum(axis=1)
+        return cell + d2d - c0 * masks.sum(axis=1)
+
+    return valuation
+
+
+class TestRadioValuationBits:
+    """The in-place radio valuation gives the reference expression's floats.
+
+    Runs under ``errstate(divide="raise", invalid="raise")``: the valuation
+    sets no error state of its own, and none of its operations may trip one.
+    """
+
+    @staticmethod
+    def _instances(n, m=3, seed=131):
+        for direction in (radio.DOWNLINK, radio.UPLINK):
+            params = replace(PARAMS, link_direction=direction).validate()
+            topo = radio.generate_topology(params, m=m, n=n, rng_seed=seed + n)
+            gains = radio.draw_gains(topo, params, rng_seed=seed + n + 1)
+            with np.errstate(divide="raise", invalid="raise"):
+                inst = auction_instance_from_radio(topo, gains, params)
+            yield inst, _reference_radio_valuation(topo, gains, params, inst.config.c0)
+
+    @pytest.mark.parametrize("n", [0, 2, 7, 12])
+    def test_full_tables(self, n):
+        masks, _ = _tie_order(tuple(range(n)))
+        for inst, reference in self._instances(n):
+            for bidder in inst.bidders:
+                with np.errstate(divide="raise", invalid="raise"):
+                    got = inst.batch_valuation(bidder, masks)
+                assert np.array_equal(got, reference(bidder, masks))
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_greedy_step_rows(self, n):
+        for inst, reference in self._instances(n, m=4):
+            valuation = inst.batch_valuation
+            calls = []
+
+            def recorded(bidder, masks):
+                calls.append((bidder, masks.copy(), valuation(bidder, masks)))
+                return calls[-1][2]
+
+            inst.batch_valuation = recorded
+            with np.errstate(divide="raise", invalid="raise"):
+                assert run_auction(inst).terminated
+            assert len(calls) > len(inst.bidders)
+            for bidder, masks, got in calls:
+                assert np.array_equal(got, reference(bidder, masks))
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 16])
+    def test_auto_epsilon_matches_two_call_reference(self, n):
+        for inst, reference in self._instances(n):
+            single = []
+            for rb in inst.bidders:
+                empty_v = float(reference(rb, np.zeros((1, n)))[0])
+                single.extend(max(v - empty_v, 0.0) for v in reference(rb, np.eye(n)))
+            mean_standalone = float(np.mean(single)) if single else 0.0
+            assert inst.config.epsilon == max(0.01 * mean_standalone, 1e-6)
+
+
+class TestBidderDemandPriceLength:
+    @pytest.mark.parametrize("exact_cap", [3, 0])  # tables; greedy
+    @pytest.mark.parametrize("prices", [np.zeros(5), np.zeros(2), np.zeros(0), np.zeros((1, 3))])
+    def test_wrong_shape_names_both_lengths(self, exact_cap, prices):
+        values = _random_values(np.random.default_rng(101), 3, bidders=(0,))
+        inst = _table_instance(values, n_items=3, exact_cap=exact_cap)
+        shape = str(prices.shape).replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(ValueError, match=f"length 3, one per item, got shape {shape}"):
+            bidder_demand(inst, prices, 0)
+        bidder_demand(inst, np.zeros(3), 0)  # one price per item is accepted
 
 
 class TestRadioBackedAuction:
