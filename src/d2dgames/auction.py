@@ -26,8 +26,8 @@ cheap without altering the outcome:
   keeps one dict per bidder, keyed by the package bitmask, so greedy paths
   that repeat their prefixes over many clock rounds cost one valuation call
   per new package instead of one per step. A miss copies its candidate rows
-  out of a read-only identity and sets the package's columns, so the
-  valuation always gets a fresh array. ``valuation_calls`` still counts
+  out of a read-only zero row stacked on the identity and sets the package's
+  columns, so the valuation always gets a fresh array. ``valuation_calls`` still counts
   every candidate row a cache-free engine would evaluate.
 
 The radio-backed valuation of :func:`auction_instance_from_radio` computes
@@ -175,9 +175,10 @@ class _DemandEngine:
             self._tables = tables[:, self._order]
             self.calls += len(bidders) * (2**self.n - 1)  # non-empty packages evaluated
         else:
-            # a miss copies its candidate rows out of this identity, so a
-            # valuation that writes to its input never sees a shared array
-            self._eye = np.eye(self.n)
+            # the empty package, then each item alone; a miss copies its
+            # candidate rows out of it, so a valuation that writes to its
+            # input never sees a shared array
+            self._eye = np.eye(self.n + 1, self.n, k=-1)
             self._eye.setflags(write=False)
 
     def demand(self, rows: list[int], prices: list[float]) -> list[int]:
@@ -203,13 +204,10 @@ class _DemandEngine:
         this only on a miss.
         """
         bidder = self.bidders[k]
-        if mask:
-            out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
-            rows = self._eye.take(out_idx, axis=0)  # a fresh, writable copy
-            rows[:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
-        else:
-            out_idx = list(range(self.n))
-            rows = np.eye(self.n + 1, self.n, k=-1)  # the empty package, then each item alone
+        out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
+        # a fresh, writable copy: the empty package's row first when mask == 0
+        rows = self._eye.take(([] if mask else [0]) + [i + 1 for i in out_idx], axis=0)
+        rows[:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
         vals = np.asarray(self.inst.batch_valuation(bidder, rows), dtype=float)
         _check_finite((bidder,), vals)
         vals = vals.tolist()

@@ -432,7 +432,7 @@ class TestGreedyMissRows:
                 assert bidder == inst.bidders[k] and rows.dtype == want.dtype
                 assert np.array_equal(rows, want)
                 assert engine._steps[k][mask] is step
-            assert np.array_equal(engine._eye, np.eye(n))
+            assert np.array_equal(engine._eye, np.eye(n + 1, n, k=-1))
 
     @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
     def test_clock_walk_misses(self, direction):

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 from d2dgames import cli
@@ -11,9 +12,11 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "paper_bench.py"
 
 
 def _load_script():
+    path = list(sys.path)
     spec = importlib.util.spec_from_file_location("paper_bench", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    assert sys.path == path  # loading the writer leaves the import path alone
     return module
 
 

@@ -1,7 +1,7 @@
 """Paper-scale wall and CPU time of the two default experiments.
 
 Runs the default ``sumrate-vs-pairs`` and ``content-distribution`` configs
-(each file sets only ``experiment``) ``--repeats`` times each, alternating
+(each file sets only ``experiment``) ``REPEATS`` times each, alternating
 between them, every run in a fresh interpreter through the package's CLI with
 the BLAS and OpenMP thread pools pinned to one thread. Writes one JSON file
 with each config's per-run and median wall and CPU seconds, the sha256 of the
@@ -30,15 +30,17 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))  # run as a script: the checkout's package
 
-from d2dgames.harness import CSV_FILENAMES  # noqa: E402  (the checkout's package)
+from d2dgames.harness import CSV_FILENAMES  # noqa: E402
 
 # name -> config file text; the default experiments at paper scale
 DEFAULT_CONFIGS = {
     "sumrate-vs-pairs": "experiment = sumrate-vs-pairs\n",
     "content-distribution": "experiment = content-distribution\n",
 }
+REPEATS = 3  # runs per config
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -133,12 +135,9 @@ def write_bench(path: Path, configs: dict[str, str], repeats: int, workdir: Path
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=3, help="runs per config")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
     with tempfile.TemporaryDirectory() as tmp:
-        record = write_bench(Path(args.out), DEFAULT_CONFIGS, args.repeats, Path(tmp))
+        record = write_bench(Path(args.out), DEFAULT_CONFIGS, REPEATS, Path(tmp))
     for name, summary in record["configs"].items():
         print(
             f"{name}: wall {summary['wall_s_median']:.2f} s  cpu {summary['cpu_s_median']:.2f} s"
