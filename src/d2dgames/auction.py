@@ -366,19 +366,18 @@ def auction_instance_from_radio(
     sigma = radio.effective_noise_w(params)
     n = len(items)
 
-    rbs = np.asarray(bidders, dtype=np.intp)
-    cell_tx, cell_rx, p_cell = radio.cellular_links(gains, params, bidders)
-    dtx = gains.tx_indices([("dtx", j) for j in items])
-    drx = gains.rx_indices([("drx", j) for j in items])
-    p_d = params.p_d2d_w
-    # one row per bidder: cellular signal, package members' interference at
-    # the cellular receiver, direct D2D signals, cross-tier interference at the
-    # D2D receivers, and member-to-member interference m[k, a, b] (a's tx at b's rx)
-    s_c = p_cell * gains.gather(cell_tx, cell_rx, rbs)
-    w = p_d * gains.gather(dtx, cell_rx[:, None], rbs[:, None])
-    direct = p_d * gains.gather(dtx, drx, rbs[:, None])
-    cross = p_cell[:, None] * gains.gather(cell_tx[:, None], drx, rbs[:, None])
-    m = p_d * gains.gather(dtx[:, None], drx, rbs[:, None, None])
+    # per bidder: cellular signal, package members' interference at the
+    # cellular receiver, cross-tier interference at the D2D receivers, and
+    # member-to-member powers m[k, a, b] (a's tx at b's rx), whose diagonal
+    # is the direct D2D signals; the rows masks @ w[k] and masks @ m[k]
+    # multiply are kept C-contiguous
+    dtx, drx = [("dtx", j) for j in items], [("drx", j) for j in items]
+    block = radio.co_channel(gains, params, dtx, drx, len(bidders))
+    s_c = block[:, 0, 0]
+    w = np.ascontiguousarray(block[:, 1:, 0])
+    cross = block[:, 0, 1:]
+    m = block[:, 1:, 1:].copy()
+    direct = m.diagonal(axis1=1, axis2=2).copy()
     m[:, np.arange(n), np.arange(n)] = 0.0
     floor = sigma + cross  # noise plus cross-tier interference at each D2D receiver
     per_bidder = {

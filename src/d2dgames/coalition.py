@@ -75,8 +75,6 @@ class ContentInstance:
     cue_pos: tuple[Point, ...]
     enb_pos: Point
     seeds: frozenset[int]
-    # ContentRound's index plans, keyed by radio parameters and gain-tensor layout
-    _round_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def distances(self) -> np.ndarray:
         pos = np.asarray(self.ue_pos)
@@ -204,62 +202,18 @@ class _Rows(dict):
         return row
 
 
-def _round_plan(
-    inst: ContentInstance, gains: radio.GainTensor, params: radio.RadioParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into ``gains.g`` of every gain a :class:`ContentRound` reads,
-    and the transmit power that scales each.
-
-    The entries run ``cell_signal`` (per RB), ``cell_at_ue`` (RB x UE),
-    ``ue_at_cellrx`` (RB x UE), then ``uu`` (RB x tx UE x rx UE). A UE does
-    not hear itself and its own link is not modeled, so each ``uu`` diagonal
-    entry reads its RB's cellular link at power 0.0, which gives exactly 0.0.
-    The plan depends only on the parameters and the tensor's layout, so one
-    plan serves every draw of :func:`content_pathloss`.
-    """
-    n = inst.scenario.n_d2d
-    m = inst.scenario.m_cue
-    rbs = np.arange(m)
-    ue = [("ue", i) for i in range(n)]
-    ue_tx, ue_rx = gains.tx_indices(ue), gains.rx_indices(ue)
-    cell_tx, cell_rx, p_cell = radio.cellular_links(gains, params, rbs)
-
-    def flat(tx, rx, rb):
-        # raises ValueError for an RB the tensor does not hold
-        return np.ravel_multi_index(np.broadcast_arrays(tx, rx, rb), gains.g.shape).ravel()
-
-    own = np.eye(n, dtype=bool)
-    cell = flat(cell_tx, cell_rx, rbs)
-    uu = flat(ue_tx[:, None], ue_rx, rbs[:, None, None]).reshape(m, n, n)
-    index = np.concatenate([
-        cell,
-        flat(cell_tx[:, None], ue_rx, rbs[:, None]),
-        flat(ue_tx, cell_rx[:, None], rbs[:, None]),
-        np.where(own, cell[:, None, None], uu).ravel(),
-    ])
-    power = np.concatenate([
-        p_cell,
-        np.repeat(p_cell, n),
-        np.full(m * n, params.p_d2d_w),
-        np.tile(np.where(own, 0.0, params.p_d2d_w).ravel(), m),
-    ])
-    return index, power
-
-
 class ContentRound:
     """One round of content distribution: its channel and its seed set.
 
-    The received powers are sliced from the gain tensor as per-RB lists of
-    floats, indexed by RB first: ``cell_signal[r]``, ``cell_at_ue[r][u]``,
-    ``ue_at_cellrx[r][s]`` and ``uu[r][t][u]``. They are read in one gather
-    through :func:`_round_plan`, built once per instance, parameter set and
-    tensor layout; reading a link the tensor does not model raises
-    ``KeyError``. Only seeds
-    transmit, so a row ``uu[r][t]`` is converted when first read. ``seeds``
-    defaults to the instance's initial seeds; ``ranked[u]`` lists them by
-    distance from UE ``u``, ties to the smaller index. None of the slices
-    depends on the seed set, so :meth:`with_seeds` gives the same channel to
-    another seed set.
+    The received powers are slices of :func:`radio.co_channel` with every UE
+    on both axes, as per-RB lists of floats indexed by RB first:
+    ``cell_signal[r]``, ``cell_at_ue[r][u]``, ``ue_at_cellrx[r][s]`` and
+    ``uu[r][t][u]``, where a UE's power at itself is 0.0. Reading a link the
+    tensor does not model raises ``KeyError``. Only seeds transmit, so a row
+    ``uu[r][t]`` is converted when first read. ``seeds`` defaults to the
+    instance's initial seeds; ``ranked[u]`` lists them by distance from UE
+    ``u``, ties to the smaller index. None of the slices depends on the seed
+    set, so :meth:`with_seeds` gives the same channel to another seed set.
     """
 
     def __init__(
@@ -269,23 +223,14 @@ class ContentRound:
         params: radio.RadioParams,
         seeds: Iterable[int] | None = None,
     ):
-        n = inst.scenario.n_d2d
-        m = inst.scenario.m_cue
-        key = (params, gains.tx_nodes, gains.rx_nodes, gains.g.shape)
-        plan = inst._round_plans.get(key)
-        if plan is None:
-            plan = inst._round_plans[key] = _round_plan(inst, gains, params)
-        index, power = plan
-        received = power * gains.g.reshape(-1)[index]
-        if np.isnan(received).any():
-            raise KeyError("a content round read a link that is not modeled")
-        at_ue, at_cellrx, uu = m, m + m * n, m + 2 * m * n
+        ue = [("ue", u) for u in range(inst.scenario.n_d2d)]
+        block = radio.co_channel(gains, params, ue, ue, inst.scenario.m_cue)
         self.inst = inst
         self.sigma = radio.effective_noise_w(params)
-        self.cell_signal = received[:at_ue].tolist()
-        self.cell_at_ue = received[at_ue:at_cellrx].reshape(m, n).tolist()
-        self.ue_at_cellrx = received[at_cellrx:uu].reshape(m, n).tolist()
-        self.uu = [_Rows(x) for x in received[uu:].reshape(m, n, n)]
+        self.cell_signal = block[:, 0, 0].tolist()
+        self.cell_at_ue = block[:, 0, 1:].tolist()
+        self.ue_at_cellrx = block[:, 1:, 0].tolist()
+        self.uu = [_Rows(x) for x in block[:, 1:, 1:]]
         self.seeds = inst.seeds if seeds is None else frozenset(seeds)
 
     def with_seeds(self, seeds: Iterable[int]) -> "ContentRound":

@@ -10,6 +10,7 @@ bits/s/Hz so that bandwidth never enters any reported number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -433,6 +434,64 @@ def cellular_links(
     rx = [cellular_rx_node(params, rb) for rb in rbs]
     power = np.array([default_power_w(params, node) for node in tx])
     return gains.tx_indices(tx), gains.rx_indices(rx), power
+
+
+@functools.lru_cache(maxsize=32)
+def _co_channel_plan(
+    params: RadioParams, tx_nodes: tuple[Node, ...], rx_nodes: tuple[Node, ...],
+    shape: tuple[int, ...], tx: tuple[Node, ...], rx: tuple[Node, ...], rb_count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a tensor's ``g`` of every entry :func:`co_channel`
+    reads, and the transmit power that scales each, both in block shape.
+
+    A node's entry at itself reads its RB's cellular link at power 0.0, which
+    gives exactly 0.0. Raises ``KeyError`` for a node the layout lacks.
+    """
+    tx_index = {node: i for i, node in enumerate(tx_nodes)}
+    rx_index = {node: i for i, node in enumerate(rx_nodes)}
+    txs = [(cellular_tx_node(params, rb), *tx) for rb in range(rb_count)]
+    rxs = [(cellular_rx_node(params, rb), *rx) for rb in range(rb_count)]
+    t = np.array([[tx_index[node] for node in row] for row in txs], dtype=np.intp)
+    r = np.array([[rx_index[node] for node in row] for row in rxs], dtype=np.intp)
+    rbs = np.arange(rb_count)[:, None, None]
+    flat = np.ravel_multi_index(np.broadcast_arrays(t[:, :, None], r[:, None, :], rbs), shape)
+    own = np.array([[[a == b for b in rx_r] for a in tx_r] for tx_r, rx_r in zip(txs, rxs)])
+    p_tx = np.array([[default_power_w(params, node) for node in row] for row in txs])
+    index = np.where(own, flat[:, :1, :1], flat)
+    power = np.where(own, 0.0, p_tx[:, :, None])
+    index.setflags(write=False)  # shared by every draw over this layout
+    power.setflags(write=False)
+    return index, power
+
+
+def co_channel(
+    gains: GainTensor, params: RadioParams, tx: Sequence[Node], rx: Sequence[Node], rb_count: int
+) -> np.ndarray:
+    """Received powers among each RB's cellular link and the devices ``tx`` and ``rx``.
+
+    Returns ``block`` of shape ``(rb_count, 1 + len(tx), 1 + len(rx))``:
+    ``block[rb, a, b]`` is the power transmitter ``a`` delivers at receiver
+    ``b`` on ``rb``, where index 0 on each axis is that RB's cellular
+    transmitter or receiver and ``1 + i`` is ``tx[i]`` or ``rx[i]``. Every
+    transmitter sends at its class power, and a node's power at itself is
+    0.0. Reading a link the model does not have raises ``KeyError``; a tensor
+    with fewer than ``rb_count`` RBs raises ``ValueError``.
+
+    This is the one reader of ``g``'s flat layout for the engines whose
+    games are defined on received powers. Its index plan is built once per
+    parameter set, tensor layout and device list, so a redraw of the same
+    geometry costs one gather and one product.
+    """
+    if gains.rb_count < rb_count:
+        raise ValueError(
+            f"{rb_count} RBs are read, but the gain tensor holds only {gains.rb_count}"
+        )
+    layout = (gains.tx_nodes, gains.rx_nodes, gains.g.shape)
+    index, power = _co_channel_plan(params, *layout, tuple(tx), tuple(rx), rb_count)
+    block = power * gains.g.reshape(-1)[index]
+    if np.isnan(block).any():
+        raise KeyError("read a link the model does not have")
+    return block
 
 
 def sinr(

@@ -137,7 +137,7 @@ def _per_entry_channel(inst, gains, params):
 
 
 class TestRoundChannel:
-    """A ContentRound reads its channel through the instance's index plan."""
+    """A ContentRound reads its channel as slices of radio.co_channel."""
 
     @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
     @pytest.mark.parametrize("n", [1, 2, 20])
@@ -147,10 +147,11 @@ class TestRoundChannel:
         inst = generate_content_instance(
             ContentScenario(n_d2d=n, k_seeds=1, m_cue=m), params, 60 + n + m
         )
-        # the second draw reuses the plan the first one built
         for draw in (61, 62):
             gains = draw_content_gains(inst, params, rng_seed=draw)
+            before = radio._co_channel_plan.cache_info()
             rnd = ContentRound(inst, gains, params)
+            after = radio._co_channel_plan.cache_info()
             cell_signal, cell_at_ue, ue_at_cellrx, uu = _per_entry_channel(inst, gains, params)
             assert rnd.cell_signal == cell_signal
             assert rnd.cell_at_ue == cell_at_ue
@@ -158,7 +159,8 @@ class TestRoundChannel:
             for r in range(m):
                 for t in range(n):
                     assert rnd.uu[r][t] == uu[r][t], (r, t)
-        assert len(inst._round_plans) == 1
+        # the second draw reuses the plan the first one built
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
     def test_a_missing_link_raises_key_error(self, direction):
@@ -178,6 +180,13 @@ class TestRoundChannel:
             g[gains.tx_index[tx], gains.rx_index[rx], rb] = np.nan
             with pytest.raises(KeyError):
                 ContentRound(inst, radio.GainTensor(gains.tx_nodes, gains.rx_nodes, g), params)
+
+    def test_a_tensor_with_fewer_rbs_raises_value_error(self):
+        inst = _instance(n=3, k=1, m=2, seed=65)
+        gains = draw_content_gains(inst, PARAMS, rng_seed=66)
+        short = radio.GainTensor(gains.tx_nodes, gains.rx_nodes, gains.g[:, :, :1])
+        with pytest.raises(ValueError, match="2 RBs are read, but the gain tensor holds only 1"):
+            ContentRound(inst, short, PARAMS)
 
 
 class TestDerivedValue:

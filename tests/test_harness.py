@@ -363,6 +363,22 @@ class TestOracleCheck:
         assert checks["auction_below_exhaustive_optimum"] is False
         assert not checks["all_passed"]
 
+    def test_under_reporting_value_fn_fails_switch_check(self, monkeypatch):
+        # 0.9 x every coalition value keeps the same moves and stays below the
+        # exhaustive optimum; only the oracle's own score of the partition catches it
+        from d2dgames import coalition
+
+        true_make_value_fn = coalition.make_value_fn
+
+        def scaled(rnd):
+            value_fn = true_make_value_fn(rnd)
+            return lambda anchor, members: 0.9 * value_fn(anchor, members)
+
+        monkeypatch.setattr(coalition, "make_value_fn", scaled)
+        checks = oracle_check(ExperimentConfig())
+        assert checks["switch_stable_and_below_optimum"] is False
+        assert not checks["all_passed"]
+
 
 class TestCli:
     def test_print_defaults(self, capsys):

@@ -247,6 +247,81 @@ class TestDenseGainTensor:
                 GainTensor((("dtx", 0),), (("drx", 0),), g)
 
 
+def _layout_gains(layout, direction, n, m=3, seed=150):
+    """Parameters, one gain draw and co_channel's device lists for an engine's layout.
+
+    ``auction``: a sum-rate cell, ``("dtx", j)`` against ``("drx", j)``;
+    ``content``: standalone UEs, ``("ue", i)`` on both axes.
+    """
+    params = RadioParams(link_direction=direction).validate()
+    if layout == "auction":
+        topo = generate_topology(params, m=m, n=n, rng_seed=seed + n)
+        gains = draw_gains(topo, params, rng_seed=seed + n + 1)
+        return params, gains, [("dtx", j) for j in range(n)], [("drx", j) for j in range(n)]
+    rng = np.random.default_rng(seed + n)
+    ue_pos = [tuple(p) for p in rng.uniform(300.0, 330.0, (n, 2))]
+    cue_pos = [tuple(p) for p in rng.uniform(-300.0, 300.0, (m, 2))]
+    ues = [(("ue", i), pos) for i, pos in enumerate(ue_pos)]
+    links = radio.modeled_links((0.0, 0.0), cue_pos, list(zip(ues, ues)))
+    gains = radio.link_pathloss(links, m, params).draw(seed + n + 1)
+    ue = [("ue", i) for i in range(n)]
+    return params, gains, ue, ue
+
+
+def _cell_nodes(direction, rb):
+    if direction == radio.DOWNLINK:
+        return ("enb", 0), ("cue", rb)
+    return ("cue", rb), ("enb", 0)
+
+
+class TestCoChannel:
+    """radio.co_channel entry by entry against GainTensor.get, in both engines' layouts."""
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    @pytest.mark.parametrize("layout", ["auction", "content"])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_matches_per_entry_reference(self, direction, layout, n):
+        params, gains, tx, rx = _layout_gains(layout, direction, n)
+        m = gains.rb_count
+        power = {
+            "enb": params.p_enb_w,
+            "cue": params.p_cue_w,
+            "dtx": params.p_d2d_w,
+            "ue": params.p_d2d_w,
+        }
+        block = radio.co_channel(gains, params, tx, rx, m)
+        assert block.shape == (m, 1 + n, 1 + n)
+        for rb in range(m):
+            cell_tx, cell_rx = _cell_nodes(direction, rb)
+            want = [
+                [0.0 if a == b else power[a[0]] * gains.get(a, b, rb) for b in [cell_rx, *rx]]
+                for a in [cell_tx, *tx]
+            ]
+            assert block[rb].tolist() == want, rb
+        # the auction's diagonal is each pair's direct link, the content one a UE at itself
+        diagonal = np.diagonal(block[:, 1:, 1:], axis1=1, axis2=2)
+        assert ((diagonal == 0.0) if layout == "content" else (diagonal > 0.0)).all()
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    @pytest.mark.parametrize("layout", ["auction", "content"])
+    def test_a_missing_link_raises_key_error(self, direction, layout):
+        params, gains, tx, rx = _layout_gains(layout, direction, 3)
+        radio.co_channel(gains, params, tx, rx, 3)  # builds the plan on a complete tensor
+        cell_tx, cell_rx = _cell_nodes(direction, 1)
+        for a, b in [(cell_tx, cell_rx), (cell_tx, rx[2]), (tx[0], cell_rx), (tx[0], rx[2])]:
+            g = gains.g.copy()
+            g[gains.tx_index[a], gains.rx_index[b], 1] = np.nan
+            with pytest.raises(KeyError):
+                radio.co_channel(GainTensor(gains.tx_nodes, gains.rx_nodes, g), params, tx, rx, 3)
+        with pytest.raises(KeyError):
+            radio.co_channel(gains, params, [*tx, ("dtx", 9)], rx, 3)
+
+    def test_fewer_rbs_than_read_raises_value_error(self):
+        params, gains, tx, rx = _layout_gains("auction", radio.DOWNLINK, 2)
+        with pytest.raises(ValueError, match="4 RBs are read, but the gain tensor holds only 3"):
+            radio.co_channel(gains, params, tx, rx, 4)
+
+
 def _synthetic_gains(entries, rb_count):
     return GainTensor.from_entries(dict(entries), rb_count)
 
