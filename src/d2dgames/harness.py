@@ -370,6 +370,15 @@ def oracle_check(config: ExperimentConfig) -> dict:
         )
         out = stackelberg_mod.leader_optimize(s_inst)
         ok = ok and stackelberg_mod.verify_equilibrium(s_inst, out, eps=1e-9)
+        # the leader scored by the oracle, at (lambda*, p*) and at every grid
+        # price with the engine's follower response: a leader utility the
+        # engine gets wrong cannot vouch for its own optimum
+        value = oracle_mod._leader_utility(s_inst, out.lambda_star, out.p_star_w)
+        ok = ok and math.isclose(out.u_leader, value, rel_tol=1e-9)
+        lams = s_inst.lambda_grid()
+        responses = stackelberg_mod.follower_best_response(s_inst, lams)
+        for lam, p in zip(lams.tolist(), responses.tolist()):
+            ok = ok and oracle_mod._leader_utility(s_inst, lam, p) - value <= 1e-9
     checks["stackelberg_equilibrium_verified"] = ok
 
     checks["all_passed"] = all(checks.values())

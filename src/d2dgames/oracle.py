@@ -197,6 +197,13 @@ def solve_min_power(instance: PowerGameInstance) -> MinPowerResult:
     return MinPowerResult(feasible=True, powers=powers, spectral_radius=radius)
 
 
+def _leader_utility(instance: StackelbergInstance, lam: float, p: float) -> float:
+    # the leader's own rate plus the follower's payment, on scalar floats
+    return math.log2(
+        1.0 + instance.p_c_w * instance.g_cc / (instance.sigma_w + p * instance.g_db)
+    ) + lam * p
+
+
 def grid_equilibrium(instance: StackelbergInstance, grid_points: int = 1000) -> StackelbergOutcome:
     """Bilevel optimum by exhaustive search over a (price, power) grid."""
     if grid_points < 2:
@@ -210,9 +217,7 @@ def grid_equilibrium(instance: StackelbergInstance, grid_points: int = 1000) -> 
         # follower: best grid power at this price (ties to the smaller power)
         u_f = np.log2(1.0 + powers * instance.g_dd / interf) - lam * powers
         p = float(powers[int(np.argmax(u_f))])
-        u_l = math.log2(
-            1.0 + instance.p_c_w * instance.g_cc / (instance.sigma_w + p * instance.g_db)
-        ) + lam * p
+        u_l = _leader_utility(instance, lam, p)
         if best is None or u_l > best[0]:
             best = (u_l, lam, p, float(np.max(u_f)))
     u_l, lam, p, u_f = best

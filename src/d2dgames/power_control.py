@@ -152,13 +152,14 @@ def power_game_from_radio(
     target = 10.0 ** (config.validate().sinr_target_db / 10.0)
     n = len(pair_indices)
     sigma = radio.effective_noise_w(params)
-    cell_tx, _, p_cell = radio.cellular_links(gains, params, [rb])
-    dtx = gains.tx_indices([("dtx", j) for j in pair_indices])
-    drx = gains.rx_indices([("drx", i) for i in pair_indices])
-    g = gains.gather(dtx, drx[:, None], rb)  # g[a, b]: pair b's tx at pair a's rx
-    noise = sigma + p_cell[0] * gains.gather(cell_tx[0], drx, rb)
+    cell_tx = radio.cellular_tx_node(params, rb)
+    p_cell = radio.default_power_w(params, cell_tx)
+    drx = [("drx", a) for a in pair_indices]
+    # g[a, b]: pair b's tx at pair a's rx
+    g = [[gains.get(("dtx", b), rx, rb) for b in pair_indices] for rx in drx]
+    noise = [sigma + p_cell * gains.get(cell_tx, rx, rb) for rx in drx]
     return PowerGameInstance(
-        gains=g,
+        gains=np.array(g, dtype=float).reshape(n, n),
         targets=np.full(n, target),
         noise_w=noise,
         p_max_w=params.p_d2d_w,

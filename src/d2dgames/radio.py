@@ -182,7 +182,8 @@ class GainTensor:
     ``rx_nodes`` list the transmitters and receivers in index order (eNB,
     cellular users, then devices). Links that are not modeled hold NaN and
     :meth:`get` raises ``KeyError`` for them; every modeled gain must be
-    positive and finite.
+    positive and finite. The engines read a tensor two ways: :meth:`get`
+    reads one raw gain and :func:`co_channel` reads blocks of received power.
     """
 
     tx_nodes: tuple[Node, ...]
@@ -214,19 +215,6 @@ class GainTensor:
         if value != value:  # NaN: the link is not modeled
             raise KeyError((tx, rx, rb))
         return value
-
-    def tx_indices(self, nodes: Sequence[Node]) -> np.ndarray:
-        return np.array([self.tx_index[node] for node in nodes], dtype=np.intp)
-
-    def rx_indices(self, nodes: Sequence[Node]) -> np.ndarray:
-        return np.array([self.rx_index[node] for node in nodes], dtype=np.intp)
-
-    def gather(self, tx, rx, rb=slice(None)) -> np.ndarray:
-        """``g[tx, rx, rb]`` for index arrays (numpy broadcasting); every link must be modeled."""
-        out = self.g[tx, rx, rb]
-        if np.isnan(out).any():
-            raise KeyError("gathered a link that is not modeled")
-        return out
 
     def entries(self) -> Iterator[tuple[tuple[Node, Node, int], float]]:
         """``((tx, rx, rb), gain)`` for every modeled link, in index order."""
@@ -425,17 +413,6 @@ def default_power_w(params: RadioParams, node: Node) -> float:
     raise ValueError(f"node {node!r} is not a transmitter")
 
 
-def cellular_links(
-    gains: GainTensor, params: RadioParams, rbs: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per RB in ``rbs``: tensor index of the cellular transmitter and receiver,
-    and the transmitter's default power."""
-    tx = [cellular_tx_node(params, rb) for rb in rbs]
-    rx = [cellular_rx_node(params, rb) for rb in rbs]
-    power = np.array([default_power_w(params, node) for node in tx])
-    return gains.tx_indices(tx), gains.rx_indices(rx), power
-
-
 @functools.lru_cache(maxsize=32)
 def _co_channel_plan(
     params: RadioParams, tx_nodes: tuple[Node, ...], rx_nodes: tuple[Node, ...],
@@ -477,10 +454,11 @@ def co_channel(
     0.0. Reading a link the model does not have raises ``KeyError``; a tensor
     with fewer than ``rb_count`` RBs raises ``ValueError``.
 
-    This is the one reader of ``g``'s flat layout for the engines whose
-    games are defined on received powers. Its index plan is built once per
-    parameter set, tensor layout and device list, so a redraw of the same
-    geometry costs one gather and one product.
+    This is the reader for the engines whose games are defined on received
+    powers; the others read raw gains through :meth:`GainTensor.get`, so
+    ``radio`` is the only module that indexes ``g``. Its index plan is built
+    once per parameter set, tensor layout and device list, so a redraw of
+    the same geometry costs one fancy-indexed read and one product.
     """
     if gains.rb_count < rb_count:
         raise ValueError(

@@ -716,25 +716,30 @@ class TestNonFiniteInputs:
 def _reference_radio_valuation(topo, gains, params, c0):
     """The radio-backed valuation as plain allocating numpy expressions.
 
-    The gathers of ``auction_instance_from_radio``, then a new array for every
-    intermediate: member rates under ``errstate(divide="ignore")`` and the
-    package size as ``masks.sum(axis=1)``.
+    Every received power is read link by link with ``GainTensor.get``, then a
+    new array is made for every intermediate: member rates under
+    ``errstate(divide="ignore")`` and the package size as ``masks.sum(axis=1)``.
     """
     items = tuple(range(topo.n_pairs))
     bidders = tuple(range(topo.rb_count))
     n = len(items)
     sigma = radio.effective_noise_w(params)
-    rbs = np.asarray(bidders, dtype=np.intp)
-    cell_tx, cell_rx, p_cell = radio.cellular_links(gains, params, bidders)
-    dtx = gains.tx_indices([("dtx", j) for j in items])
-    drx = gains.rx_indices([("drx", j) for j in items])
     p_d = params.p_d2d_w
-    s_c = p_cell * gains.gather(cell_tx, cell_rx, rbs)
-    w = p_d * gains.gather(dtx, cell_rx[:, None], rbs[:, None])
-    direct = p_d * gains.gather(dtx, drx, rbs[:, None])
-    cross = p_cell[:, None] * gains.gather(cell_tx[:, None], drx, rbs[:, None])
-    m = p_d * gains.gather(dtx[:, None], drx, rbs[:, None, None])
-    m[:, np.arange(n), np.arange(n)] = 0.0
+    s_c = np.zeros(len(bidders))
+    w, direct, cross = (np.zeros((len(bidders), n)) for _ in range(3))
+    m = np.zeros((len(bidders), n, n))
+    for k, rb in enumerate(bidders):
+        cell_tx = radio.cellular_tx_node(params, rb)
+        cell_rx = radio.cellular_rx_node(params, rb)
+        p_cell = radio.default_power_w(params, cell_tx)
+        s_c[k] = p_cell * gains.get(cell_tx, cell_rx, rb)
+        for i in items:
+            w[k, i] = p_d * gains.get(("dtx", i), cell_rx, rb)
+            direct[k, i] = p_d * gains.get(("dtx", i), ("drx", i), rb)
+            cross[k, i] = p_cell * gains.get(cell_tx, ("drx", i), rb)
+            for j in items:
+                if j != i:
+                    m[k, i, j] = p_d * gains.get(("dtx", i), ("drx", j), rb)
 
     def valuation(bidder, masks):
         k = bidders.index(bidder)

@@ -379,6 +379,27 @@ class TestOracleCheck:
         assert checks["switch_stable_and_below_optimum"] is False
         assert not checks["all_passed"]
 
+    @pytest.mark.parametrize("direction", ["downlink", "uplink"])
+    def test_leader_payment_sign_flip_fails_stackelberg_check(self, monkeypatch, direction):
+        # the flipped leader prices the follower out (p* = 0), where both
+        # signs give the same value; only the oracle's score of the other
+        # grid prices catches it
+        from d2dgames import stackelberg
+
+        def flipped(instance, lam, p_w):
+            own = stackelberg._log2(
+                1.0 + instance.p_c_w * instance.g_cc / (instance.sigma_w + p_w * instance.g_db)
+            )
+            return own - lam * p_w
+
+        monkeypatch.setattr(stackelberg.StackelbergInstance, "leader_utility", flipped)
+        config = loads_config(
+            f"experiment = oracle-check\n[radio]\nlink_direction = {direction}\n"
+        )
+        checks = oracle_check(config)
+        assert checks["stackelberg_equilibrium_verified"] is False
+        assert not checks["all_passed"]
+
 
 class TestCli:
     def test_print_defaults(self, capsys):

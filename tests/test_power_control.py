@@ -178,6 +178,34 @@ class TestFromRadio:
         assert inst.gains[1, 0] == pytest.approx(gains.get(("dtx", 0), ("drx", 2), 1))
         assert np.all(inst.noise_w > radio.effective_noise_w(params))
 
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_every_entry_matches_raw_gains(self, direction):
+        # unsorted pairs on a nonzero RB pin the orientation: row a is pair
+        # pairs[a]'s receiver, column b is pair pairs[b]'s transmitter
+        params = radio.RadioParams(link_direction=direction).validate()
+        topo = radio.generate_topology(params, m=3, n=4, rng_seed=7)
+        gains = radio.draw_gains(topo, params, rng_seed=8)
+        rb, pairs = 2, [3, 0, 2]
+        inst = power_game_from_radio(gains, params, rb=rb, pair_indices=pairs)
+        if direction == radio.DOWNLINK:
+            cell_tx, p_cell = ("enb", 0), params.p_enb_w
+        else:
+            cell_tx, p_cell = ("cue", rb), params.p_cue_w
+        sigma = radio.effective_noise_w(params)
+        assert inst.gains.shape == (3, 3) and inst.noise_w.shape == (3,)
+        for a, rx in enumerate(pairs):
+            for b, tx in enumerate(pairs):
+                assert inst.gains[a, b] == gains.get(("dtx", tx), ("drx", rx), rb)
+            assert inst.noise_w[a] == sigma + p_cell * gains.get(cell_tx, ("drx", rx), rb)
+
+    def test_no_pairs_gives_an_empty_game(self):
+        params = radio.RadioParams().validate()
+        topo = radio.generate_topology(params, m=2, n=2, rng_seed=9)
+        gains = radio.draw_gains(topo, params, rng_seed=10)
+        inst = power_game_from_radio(gains, params, rb=1, pair_indices=[])
+        assert inst.gains.shape == (0, 0) and inst.noise_w.shape == (0,)
+        assert run_power_game(inst).converged
+
 
 class TestInvalidInputs:
     @pytest.mark.parametrize(

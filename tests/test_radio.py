@@ -227,8 +227,6 @@ class TestDenseGainTensor:
         for rb in (-1, 3):
             with pytest.raises(KeyError):
                 gains.get(("enb", 0), ("cue", 0), rb)
-        with pytest.raises(KeyError):
-            gains.gather(gains.tx_indices([("cue", 0)]), gains.rx_indices([("cue", 1)]))
         inst = generate_content_instance(ContentScenario(n_d2d=3, k_seeds=1, m_cue=2), PARAMS, 63)
         content = draw_content_gains(inst, PARAMS, rng_seed=64)
         with pytest.raises(KeyError):

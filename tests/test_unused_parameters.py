@@ -1,10 +1,11 @@
 """Every function in ``src/d2dgames`` reads each parameter it takes, and the
-package uses each private function and class it defines.
+package uses each function and class it defines.
 
 A parameter its body never reads is an option that does nothing, yet every
 caller still has to pass it. Names starting with ``_`` are exempt. A private
 top-level function or class that no package code loads is dead code, even
-when a test still calls it.
+when a test still calls it. So is a public one, or a public method, unless
+it is one of the few kept on purpose for tests and readers (``_KEPT``).
 """
 
 import ast
@@ -104,3 +105,61 @@ def test_every_private_definition_is_used():
         f"{module}:{line} {name}" for module, line, name in _unloaded_private_definitions(trees)
     ]
     assert not unloaded, unloaded
+
+
+# Public definitions that no package code loads, each kept on purpose.
+_KEPT = {
+    "auction.py bidder_demand": "the public single-bidder demand query",
+    "coalition.py merge_split": "a paper mechanism beside the switch rule",
+    "oracle.py grid_equilibrium": "the oracle's own bilevel grid search",
+    "radio.py GainTensor.from_entries": "the test fixture that builds a tensor by link",
+    "stackelberg.py choose_channel": "a paper mechanism: the follower's channel choice",
+}
+
+
+def _unloaded_public_definitions(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """``(module, line, name)`` of each public top-level function or class, and
+    each public method (as ``Class.method``), whose name no code in ``trees``
+    loads, by name or as an attribute."""
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (*functions, ast.ClassDef)):
+                continue
+            defined = [(top, top.name)]
+            if isinstance(top, ast.ClassDef):
+                methods = [f for f in top.body if isinstance(f, functions)]
+                defined += [(f, f"{top.name}.{f.name}") for f in methods]
+            for node, name in defined:
+                if not node.name.startswith("_") and node.name not in loaded:
+                    found.append((module, node.lineno, name))
+    return found
+
+
+def test_scanner_finds_unloaded_public_definitions():
+    trees = {
+        "a": ast.parse(
+            "def used():\n    pass\n"
+            "def dead():\n    pass\n"
+            "class Box:\n"
+            "    def read(self):\n        return used()\n"
+            "    def unread(self):\n        pass\n"
+            "    def _private(self):\n        pass\n"
+        ),
+        "b": ast.parse("import a\nx = a.Box().read\n"),
+    }
+    assert _unloaded_public_definitions(trees) == [("a", 3, "dead"), ("a", 8, "Box.unread")]
+
+
+def test_every_public_definition_is_used():
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in sorted(SRC.glob("*.py"))}
+    unloaded = {f"{module} {name}" for module, _, name in _unloaded_public_definitions(trees)}
+    # a keeper that is gone, or that package code now loads, leaves _KEPT too
+    assert unloaded == set(_KEPT), sorted(unloaded ^ set(_KEPT))
