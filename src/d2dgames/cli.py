@@ -69,8 +69,9 @@ def main(argv: list[str] | None = None) -> int:
         st = groups[key]
         print(f"  {key}: mean={st.mean:.4f} stddev={st.stddev:.4f} n={st.count}")
     for (sweep, a, b), st in paired.items():
+        ci95 = "n/a" if st.ci95 is None else f"±{st.ci95:.4f}"
         print(
-            f"  paired {sweep} {a}-{b}: mean_diff={st.mean_diff:.4f} "
+            f"  paired {sweep} {a}-{b}: mean_diff={st.mean_diff:.4f} ci95={ci95} "
             f"wins={st.wins_a}:{st.wins_b} ties={st.ties} n={st.count}"
         )
     if summary.errors:

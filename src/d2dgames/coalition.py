@@ -75,6 +75,8 @@ class ContentInstance:
     cue_pos: tuple[Point, ...]
     enb_pos: Point
     seeds: frozenset[int]
+    # seed set -> seed_ranking(seeds)
+    _rankings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def distances(self) -> np.ndarray:
         pos = np.asarray(self.ue_pos)
@@ -85,6 +87,20 @@ class ContentInstance:
     def distance_order(self) -> np.ndarray:
         """Row ``u``: every UE index by distance from UE ``u``, ties to the smaller index."""
         return np.argsort(self.distances(), axis=0, kind="stable").T
+
+    def seed_ranking(self, seeds: frozenset[int]) -> list[list[int]]:
+        """Row ``u``: the UEs of ``seeds`` by distance from UE ``u``, ties to the
+        smaller index. Kept per seed set, which often holds over several rounds."""
+        ranking = self._rankings.get(seeds)
+        if ranking is None:
+            n = self.scenario.n_d2d
+            order = self.distance_order
+            is_seed = np.zeros(n, dtype=bool)
+            is_seed[list(seeds)] = True
+            # every row holds each UE once, so each keeps len(seeds) entries, in order
+            ranking = order[is_seed[order]].reshape(n, len(seeds)).tolist()
+            self._rankings[seeds] = ranking
+        return ranking
 
 
 @dataclass(frozen=True)
@@ -108,13 +124,6 @@ class Partition:
             if ue in ms:
                 return anchor
         raise KeyError(ue)
-
-    def move(self, ue: int, target: int) -> "Partition":
-        src = self.anchor_of(ue)
-        new = list(self.members)
-        new[src] = new[src] - {ue}
-        new[target] = new[target] | {ue}
-        return Partition(members=tuple(new))
 
     def total_value(self, value_fn: Callable[[int, frozenset], float]) -> float:
         return sum(value_fn(a, ms) for a, ms in enumerate(self.members))
@@ -214,6 +223,9 @@ class ContentRound:
     instance's initial seeds; ``ranked[u]`` lists them by distance from UE
     ``u``, ties to the smaller index. None of the slices depends on the seed
     set, so :meth:`with_seeds` gives the same channel to another seed set.
+    ``solo_rate[r]`` is the value of a coalition on RB ``r`` without a normal
+    UE, which is the cellular rate alone: the float :func:`_valued` returns
+    for it, with no transmitter adding interference.
     """
 
     def __init__(
@@ -231,6 +243,8 @@ class ContentRound:
         self.cell_at_ue = block[:, 0, 1:].tolist()
         self.ue_at_cellrx = block[:, 1:, 0].tolist()
         self.uu = [_Rows(x) for x in block[:, 1:, 1:]]
+        # sigma + 0: the empty interference sum, as _valued adds it
+        self.solo_rate = [math.log2(1.0 + c / (self.sigma + 0)) for c in self.cell_signal]
         self.seeds = inst.seeds if seeds is None else frozenset(seeds)
 
     def with_seeds(self, seeds: Iterable[int]) -> "ContentRound":
@@ -240,19 +254,15 @@ class ContentRound:
         attribute that depends on the seed set must be dropped here; today
         that is only ``ranked``.
         """
-        rnd = copy.copy(self)
+        rnd = object.__new__(ContentRound)  # a shallow copy, cheaper than copy.copy
+        rnd.__dict__.update(self.__dict__)
         rnd.seeds = frozenset(seeds)
         rnd.__dict__.pop("ranked", None)
         return rnd
 
     @cached_property
     def ranked(self) -> list[list[int]]:
-        n = self.inst.scenario.n_d2d
-        order = self.inst.distance_order
-        is_seed = np.zeros(n, dtype=bool)
-        is_seed[list(self.seeds)] = True
-        # every row holds each UE once, so each keeps len(seeds) entries, in order
-        return order[is_seed[order]].reshape(n, len(self.seeds)).tolist()
+        return self.inst.seed_ranking(self.seeds)
 
 
 def _serving_seed(ranked_u: list[int], members: frozenset[int]) -> int | None:
@@ -273,27 +283,38 @@ def _serving(
     normals = tuple(sorted(members - seeds))
     if seeds.isdisjoint(members):
         return normals, (None,) * len(normals), ()
-    serving = tuple([_serving_seed(rnd.ranked[u], members) for u in normals])
+    ranked = rnd.ranked
+    if seeds <= members:  # every seed is here, so each UE's nearest one serves it
+        serving = tuple([ranked[u][0] for u in normals])
+    else:
+        serving = tuple([_serving_seed(ranked[u], members) for u in normals])
     return normals, serving, tuple(sorted(set(serving)))
 
 
 def _sinr(
-    rnd: ContentRound, anchor: int, u: int, s: int | None, transmitting: tuple[int, ...]
+    uu: list,
+    cell_at_ue: list[float],
+    sigma: float,
+    u: int,
+    s: int | None,
+    transmitting: tuple[int, ...],
 ) -> float:
-    """Normal UE ``u``'s SINR on RB ``anchor`` when served by seed ``s``.
+    """Normal UE ``u``'s SINR on one RB when served by seed ``s``.
 
-    ``u`` hears the cellular transmitter plus every seed of ``transmitting``
-    other than ``s`` as interference, so the result is the same whether or
-    not ``s`` is in the set. A UE without a serving seed gets 0.0.
+    ``uu`` and ``cell_at_ue`` are the RB's entries of a :class:`ContentRound`
+    (``rnd.uu[r]``, ``rnd.cell_at_ue[r]``) and ``sigma`` its noise, so a
+    caller scoring many UEs on one RB reads them once. ``u`` hears the
+    cellular transmitter plus every seed of ``transmitting`` other than ``s``
+    as interference, so the result is the same whether or not ``s`` is in
+    the set. A UE without a serving seed gets 0.0.
     """
     if s is None:
         return 0.0
-    uu = rnd.uu[anchor]
-    interf = rnd.cell_at_ue[anchor][u]
+    interf = cell_at_ue[u]
     for t in transmitting:
         if t != s:
             interf += uu[t][u]
-    return uu[s][u] / (rnd.sigma + interf)
+    return uu[s][u] / (sigma + interf)
 
 
 # A coalition's value with the parts it is summed from: (value, cell_term,
@@ -322,11 +343,13 @@ def _valued(rnd: ContentRound, anchor: int, members: frozenset[int]) -> _Valued:
     cellular link's rate plus the normal UEs' rates.
     """
     normals, serving, transmitting = _serving(rnd, members)
+    sigma = rnd.sigma
     to_cell = rnd.ue_at_cellrx[anchor]
     interf_c = sum(to_cell[s] for s in transmitting)
-    cell_term = math.log2(1.0 + rnd.cell_signal[anchor] / (rnd.sigma + interf_c))
+    cell_term = math.log2(1.0 + rnd.cell_signal[anchor] / (sigma + interf_c))
+    uu, cell_at_ue = rnd.uu[anchor], rnd.cell_at_ue[anchor]
     terms = tuple([
-        math.log2(1.0 + _sinr(rnd, anchor, u, s, transmitting))
+        math.log2(1.0 + _sinr(uu, cell_at_ue, sigma, u, s, transmitting))
         for u, s in zip(normals, serving)
     ])
     return (_sum_terms(cell_term, terms), cell_term, normals, serving, transmitting, terms)
@@ -358,7 +381,8 @@ def _derived(
         s = _serving_seed(rnd.ranked[u], members)
         if s is not None and s not in transmitting:
             return None
-        term = math.log2(1.0 + _sinr(rnd, anchor, u, s, transmitting))
+        sinr = _sinr(rnd.uu[anchor], rnd.cell_at_ue[anchor], rnd.sigma, u, s, transmitting)
+        term = math.log2(1.0 + sinr)
         i = bisect.bisect_left(normals, u)
         normals = normals[:i] + (u,) + normals[i:]
         serving = serving[:i] + (s,) + serving[i:]
@@ -412,27 +436,50 @@ def initial_partition(inst: ContentInstance) -> Partition:
     return Partition(members=tuple(frozenset(ms) for ms in members))
 
 
+def _toggled(flips: dict[int, frozenset], members: frozenset, ue: int) -> frozenset:
+    """``members`` with ``ue`` removed if it is a member and added if not,
+    built once per UE in ``flips``, the sets toggled from ``members``."""
+    out = flips.get(ue)
+    if out is None:
+        out = flips[ue] = members - {ue} if ue in members else members | {ue}
+    return out
+
+
 def switch_step(
-    partition: Partition, value_fn: Callable[[int, frozenset], float]
+    partition: Partition,
+    value_fn: Callable[[int, frozenset], float],
+    toggled: dict[frozenset, dict[int, frozenset]] | None = None,
 ) -> tuple[Partition, bool]:
     """Execute the first strictly-improving single-UE move, if any.
 
     Players and target coalitions are scanned in fixed index order; a move
     needs the combined value of the two touched coalitions to rise by more
-    than :data:`GAIN_EPS`.
+    than :data:`GAIN_EPS`. ``toggled`` keeps, per coalition, the sets with
+    one UE removed or added across the steps of one run (see
+    :func:`_toggled`), so the moved partition holds those same sets and a
+    memoized ``value_fn`` finds them by identity.
     """
-    n_coal = len(partition.members)
-    for ue in sorted(set().union(*partition.members)):
-        src = partition.anchor_of(ue)
-        v_src = value_fn(src, partition.members[src])
-        v_src_out = value_fn(src, partition.members[src] - {ue})
+    if toggled is None:
+        toggled = {}
+    members = partition.members
+    flips = [toggled.setdefault(ms, {}) for ms in members]
+    anchor_of = {ue: a for a, ms in enumerate(members) for ue in ms}
+    n_coal = len(members)
+    for ue in sorted(anchor_of):
+        src = anchor_of[ue]
+        src_out = _toggled(flips[src], members[src], ue)
+        v_src = value_fn(src, members[src])
+        v_src_out = value_fn(src, src_out)
         for dst in range(n_coal):
             if dst == src:
                 continue
-            v_dst = value_fn(dst, partition.members[dst])
-            v_dst_in = value_fn(dst, partition.members[dst] | {ue})
+            dst_in = _toggled(flips[dst], members[dst], ue)
+            v_dst = value_fn(dst, members[dst])
+            v_dst_in = value_fn(dst, dst_in)
             if (v_src_out + v_dst_in) - (v_src + v_dst) > GAIN_EPS:
-                return partition.move(ue, dst), True
+                moved = list(members)
+                moved[src], moved[dst] = src_out, dst_in
+                return Partition(members=tuple(moved)), True
     return partition, False
 
 
@@ -441,8 +488,9 @@ def run_switch_dynamics(
 ) -> Partition:
     """Iterate switch moves to a switch-stable partition."""
     partition = partition0
+    toggled: dict[frozenset, dict[int, frozenset]] = {}
     for _ in range(MAX_STEPS):
-        partition, moved = switch_step(partition, value_fn)
+        partition, moved = switch_step(partition, value_fn, toggled)
         if not moved:
             return partition
     raise RuntimeError(
@@ -526,21 +574,23 @@ def noncooperative_baseline(rnd: ContentRound, partition0: Partition | None = No
     # on any other RB a UE has no serving seed and SINR 0.0, which never wins
     seeded = [r for r, ms in enumerate(coalitions) if not rnd.seeds.isdisjoint(ms)]
     normals = [u for u in range(rnd.inst.scenario.n_d2d) if u not in rnd.seeds]
+    uu, cell_at_ue, sigma, ranked = rnd.uu, rnd.cell_at_ue, rnd.sigma, rnd.ranked
     for _ in range(MAX_SWEEPS):
         moved = False
         for u in normals:
             current = rb_of[u]
             # u's own SINR on each RB, everyone else as last placed; u's own
             # serving seed never interferes with u, so u may stay in its coalition
-            ranked_u = rnd.ranked[u]
+            ranked_u = ranked[u]
             best_r = current
             best_g = _sinr(
-                rnd, current, u, _serving_seed(ranked_u, coalitions[current]),
-                transmitting[current],
+                uu[current], cell_at_ue[current], sigma, u,
+                _serving_seed(ranked_u, coalitions[current]), transmitting[current],
             )
             for r in seeded:
                 if r != current:
-                    g = _sinr(rnd, r, u, _serving_seed(ranked_u, coalitions[r]), transmitting[r])
+                    s = _serving_seed(ranked_u, coalitions[r])
+                    g = _sinr(uu[r], cell_at_ue[r], sigma, u, s, transmitting[r])
                     if g > best_g * (1.0 + 1e-12):
                         best_r, best_g = r, g
             if best_r != current:
@@ -592,6 +642,10 @@ class _SchemeRun:
                 self.partition = noncooperative_baseline(rnd, partition0=self.partition)
         round_value = 0.0
         for anchor, members in enumerate(self.partition.members):
+            if members <= rnd.seeds:
+                # no normal UE: nothing to deliver, and the value is fixed
+                round_value += rnd.solo_rate[anchor]
+                continue
             value, _, normals, _, _, terms = _valued(rnd, anchor, members)
             round_value += value
             for u, term in zip(normals, terms):

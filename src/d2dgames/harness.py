@@ -53,13 +53,38 @@ class GroupStats:
     count: int
 
 
+# two-sided 95% quantiles of Student's t by degrees of freedom; a df between
+# two entries reads the smaller one, which gives the wider interval
+_T975 = {
+    **dict(enumerate((
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+        2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+        2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+    ), start=1)),
+    40: 2.021, 50: 2.009, 60: 2.000, 80: 1.990, 100: 1.984, 120: 1.980,
+    200: 1.972, 500: 1.965, 1000: 1.962,
+}
+
+
+def t975(df: int) -> float:
+    """The tabulated two-sided 95% t quantile for ``df >= 1`` degrees of freedom."""
+    return _T975[max(k for k in _T975 if k <= df)]
+
+
 @dataclass(frozen=True)
 class PairedStats:
+    """Paired differences ``a - b`` over the drops both schemes completed.
+
+    ``ci95`` is the paired-t 95% confidence half-width of ``mean_diff``,
+    ``t975(n - 1) * stddev / sqrt(n)``; None for fewer than two pairs.
+    """
+
     mean_diff: float
     wins_a: int
     wins_b: int
     ties: int
     count: int
+    ci95: float | None = None
 
 
 @dataclass
@@ -87,13 +112,14 @@ def summarize(rows: list[tuple]) -> tuple[dict, dict]:
     Rows start ``(sweep, scheme, drop_seed, value, ...)``; ``nan`` values are skipped.
     """
     by_group: dict[tuple, list[float]] = {}
-    by_cell: dict[tuple, dict] = {}
+    # sweep -> drop seed -> scheme -> value, each level in first-seen order
+    by_cell: dict = {}
     for sweep, scheme, seed, value, *_ in rows:
         value = float(value)
         if math.isnan(value):
             continue
         by_group.setdefault((sweep, scheme), []).append(value)
-        by_cell.setdefault((sweep, seed), {})[scheme] = value
+        by_cell.setdefault(sweep, {}).setdefault(seed, {})[scheme] = value
     groups = {}
     for key in sorted(by_group):
         vals = by_group[key]
@@ -106,24 +132,25 @@ def summarize(rows: list[tuple]) -> tuple[dict, dict]:
                 count=len(vals),
             )
     schemes = sorted({key[1] for key in by_group})
-    sweeps = sorted({key[0] for key in by_group})
     paired = {}
-    for sweep in sweeps:
+    for sweep in sorted(by_cell):
+        cells = by_cell[sweep].values()
         for i, a in enumerate(schemes):
             for b in schemes[i + 1:]:
-                diffs = [
-                    cell[a] - cell[b]
-                    for (s, _), cell in by_cell.items()
-                    if s == sweep and a in cell and b in cell
-                ]
+                diffs = [cell[a] - cell[b] for cell in cells if a in cell and b in cell]
                 if not diffs:
                     continue
+                n = len(diffs)
+                ci95 = None
+                if n >= 2:
+                    ci95 = t975(n - 1) * float(np.std(diffs, ddof=1)) / math.sqrt(n)
                 paired[(sweep, a, b)] = PairedStats(
                     mean_diff=float(np.mean(diffs)),
                     wins_a=sum(1 for d in diffs if d > 0),
                     wins_b=sum(1 for d in diffs if d < 0),
                     ties=sum(1 for d in diffs if d == 0),
-                    count=len(diffs),
+                    count=n,
+                    ci95=ci95,
                 )
     return groups, paired
 

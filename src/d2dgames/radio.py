@@ -165,8 +165,23 @@ def _node_axis(nodes: Iterable[Node]) -> tuple[tuple[Node, ...], dict[Node, int]
     return axis, {node: i for i, node in enumerate(axis)}
 
 
-def _check_gains(values: np.ndarray) -> None:
-    bad = ~((values > 0.0) & np.isfinite(values))
+@functools.lru_cache(maxsize=64)
+def _axis_index(nodes: tuple[Node, ...]) -> dict[Node, int]:
+    """Each node's index along a tensor axis; one dict per axis, shared by every
+    tensor over it (a redraw of a geometry keeps its axes), so it is read-only."""
+    return {node: i for i, node in enumerate(nodes)}
+
+
+def _check_gains(values: np.ndarray, nan_unmodelled: bool = False) -> None:
+    """Raise ``ValueError`` unless every value is positive and finite.
+
+    With ``nan_unmodelled``, NaN marks a link that is not modeled and passes;
+    the message names the first bad value in C order either way.
+    """
+    if nan_unmodelled:
+        bad = (values <= 0.0) | (values == math.inf)
+    else:
+        bad = ~((values > 0.0) & np.isfinite(values))
     if bad.any():
         raise ValueError(
             f"gains must be positive and finite, got {float(values[bad][0])} "
@@ -197,9 +212,10 @@ class GainTensor:
                 f"gain array of shape {self.g.shape} does not match "
                 f"{len(self.tx_nodes)} transmitters x {len(self.rx_nodes)} receivers x RBs"
             )
-        self.tx_index = {node: i for i, node in enumerate(self.tx_nodes)}
-        self.rx_index = {node: i for i, node in enumerate(self.rx_nodes)}
-        _check_gains(self.g[~np.isnan(self.g)])
+        self.tx_nodes, self.rx_nodes = tuple(self.tx_nodes), tuple(self.rx_nodes)
+        self.tx_index = _axis_index(self.tx_nodes)
+        self.rx_index = _axis_index(self.rx_nodes)
+        _check_gains(self.g, nan_unmodelled=True)
 
     @property
     def rb_count(self) -> int:
@@ -256,17 +272,32 @@ class LinkPathLoss:
     pathloss: np.ndarray
     rb_count: int
 
+    @functools.cached_property
+    def _scatter(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat index into ``g`` of each (link, RB) entry in draw order, and the
+        all-NaN cube a draw copies before filling those entries."""
+        shape = (len(self.tx_nodes), len(self.rx_nodes), self.rb_count)
+        rbs = np.arange(self.rb_count)
+        flat = np.ravel_multi_index((self.tx[:, None], self.rx[:, None], rbs), shape).reshape(-1)
+        template = np.full(shape, np.nan)
+        flat.setflags(write=False)  # shared by every draw of this geometry
+        template.setflags(write=False)
+        return flat, template
+
     def draw(self, rng_seed: int) -> GainTensor:
         """Path loss times per-(link, RB) unit-mean exponential fading power.
 
         One ``(links, RBs)`` draw consumes the generator stream exactly as one
         draw of ``RBs`` values per link in link order would, so identical
-        inputs give a bit-identical tensor.
+        inputs give a bit-identical tensor. ``standard_exponential`` gives
+        the values of ``exponential(1.0)``, whose scale multiplies by 1.0.
         """
         rng = np.random.default_rng(rng_seed)
-        fading = rng.exponential(1.0, size=(len(self.pathloss), self.rb_count))
-        g = np.full((len(self.tx_nodes), len(self.rx_nodes), self.rb_count), np.nan)
-        g[self.tx, self.rx] = self.pathloss[:, None] * fading
+        fading = rng.standard_exponential(size=(len(self.pathloss), self.rb_count))
+        fading *= self.pathloss[:, None]
+        flat, template = self._scatter
+        g = template.copy()
+        g.reshape(-1)[flat] = fading.reshape(-1)
         return GainTensor(self.tx_nodes, self.rx_nodes, g)
 
 

@@ -548,7 +548,11 @@ def _reference_sinr(gains, params, inst, anchor, members, u):
 def _sinrs(rnd, anchor, members):
     """Each normal UE's SINR in a coalition, from its serving seed and transmitting set."""
     normals, serving, transmitting = _serving(rnd, members)
-    return {u: _sinr(rnd, anchor, u, s, transmitting) for u, s in zip(normals, serving)}
+    uu, cell_at_ue = rnd.uu[anchor], rnd.cell_at_ue[anchor]
+    return {
+        u: _sinr(uu, cell_at_ue, rnd.sigma, u, s, transmitting)
+        for u, s in zip(normals, serving)
+    }
 
 
 class TestSeedTies:
@@ -602,7 +606,8 @@ class TestJoinQuery:
 
         def score(rnd, anchor, members, u):
             s = _serving_seed(rnd.ranked[u], members)
-            return _sinr(rnd, anchor, u, s, _serving(rnd, members)[2])
+            transmitting = _serving(rnd, members)[2]
+            return _sinr(rnd.uu[anchor], rnd.cell_at_ue[anchor], rnd.sigma, u, s, transmitting)
 
         for direction in (radio.DOWNLINK, radio.UPLINK):
             params = radio.RadioParams(link_direction=direction).validate()
@@ -972,3 +977,107 @@ class TestEverySeedInvariant:
             members=tuple(frozenset(u for u in range(n) if owner[u] == a) for a in range(m))
         )
         assert switch_step(part, value_fn) == (part, False)
+
+
+class TestRoundValues:
+    """A round's value is the float sum of every coalition's from-scratch value,
+    also where delivery reads a seeds-only coalition's rate off the round."""
+
+    def test_total_values_match_valued_sum(self):
+        scenario = ContentScenario()
+        saw = {"all_seeds": 0, "seeds_only_coalition": 0}
+        for drop in range(3):
+            rng_seed = derive_seed(1, 0, drop, 0)
+            inst = generate_content_instance(scenario, PARAMS, derive_seed(rng_seed, 0))
+            pathloss = coalition.content_pathloss(inst, PARAMS)
+            start = initial_partition(inst)
+            runs = [coalition._SchemeRun(allocator, inst, start) for allocator in BOTH]
+            for t in range(1, scenario.rounds + 1):
+                gains = draw_content_gains(inst, PARAMS, derive_seed(rng_seed, t), pathloss)
+                channel = ContentRound(inst, gains, PARAMS)
+                for run in runs:
+                    rnd = channel.with_seeds(run.seeds)
+                    run.play(channel)
+                    want = 0.0
+                    for anchor, members in enumerate(run.partition.members):
+                        want += _valued(rnd, anchor, members)[0]
+                        saw["seeds_only_coalition"] += members <= rnd.seeds
+                    assert run.curve.total_values[-1] == want, (drop, t, run.curve.allocator)
+                    saw["all_seeds"] += len(rnd.seeds) == scenario.n_d2d
+            curves = simulate_content_distribution(scenario, PARAMS, BOTH, rng_seed)
+            assert [run.curve for run in runs] == curves
+        assert min(saw.values()) > 0, saw
+
+
+def _reference_switch_queries(partition, value_fn):
+    """Switch dynamics as a plain scan that builds every moved set afresh: the
+    queries it makes, in order, and the stable partition."""
+    queries = []
+
+    def query(anchor, members):
+        queries.append((anchor, members))
+        return value_fn(anchor, members)
+
+    while True:
+        for ue in sorted(set().union(*partition.members)):
+            src = partition.anchor_of(ue)
+            v_src = query(src, partition.members[src])
+            v_src_out = query(src, partition.members[src] - {ue})
+            moved = False
+            for dst in range(len(partition.members)):
+                if dst == src:
+                    continue
+                v_dst = query(dst, partition.members[dst])
+                v_dst_in = query(dst, partition.members[dst] | {ue})
+                if (v_src_out + v_dst_in) - (v_src + v_dst) > coalition.GAIN_EPS:
+                    members = list(partition.members)
+                    members[src] = members[src] - {ue}
+                    members[dst] = members[dst] | {ue}
+                    partition = Partition(members=tuple(members))
+                    moved = True
+                    break
+            if moved:
+                break
+        else:
+            return queries, partition
+
+
+class TestSwitchSetsReused:
+    """run_switch_dynamics asks the same queries and makes the same moves as a
+    scan that builds fresh sets, and its moved sets are the ones it queried."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        k=st.integers(1, 8),
+        m=st.integers(1, 4),
+        uplink=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    def test_matches_fresh_set_reference(self, n, k, m, uplink, seed, data):
+        params = radio.RadioParams(
+            link_direction=radio.UPLINK if uplink else radio.DOWNLINK
+        ).validate()
+        scenario = ContentScenario(n_d2d=n, k_seeds=min(k, n), m_cue=m, hotspot_radius_m=60.0)
+        inst = generate_content_instance(scenario, params, seed)
+        gains = draw_content_gains(inst, params, rng_seed=seed + 1)
+        owner = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        start = Partition(
+            members=tuple(frozenset(u for u in range(n) if owner[u] == a) for a in range(m))
+        )
+        want_queries, want = _reference_switch_queries(
+            start, make_value_fn(ContentRound(inst, gains, params))
+        )
+        value_fn = make_value_fn(ContentRound(inst, gains, params))
+        queries, queried = [], set()
+
+        def logged(anchor, members):
+            queries.append((anchor, members))
+            queried.add(id(members))
+            return value_fn(anchor, members)
+
+        got = run_switch_dynamics(start, logged)
+        assert queries == want_queries
+        assert got == want
+        assert all(id(ms) in queried for ms in got.members)

@@ -1,14 +1,18 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from d2dgames.config import ExperimentConfig, loads_config
 from d2dgames.harness import (
     CSV_HEADERS,
+    PairedStats,
     oracle_check,
     rows_to_csv,
     run_experiment,
     summarize,
+    t975,
 )
 
 
@@ -24,6 +28,37 @@ def _small_sumrate_config(**kw):
     from dataclasses import replace
 
     return replace(config, **kw) if kw else config
+
+
+def _brute_force_paired(rows):
+    """Paired stats by rescanning every (sweep, drop seed) cell for each sweep."""
+    by_cell = {}
+    for sweep, scheme, seed, value, *_ in rows:
+        if not math.isnan(value):
+            by_cell.setdefault((sweep, seed), {})[scheme] = float(value)
+    schemes = sorted({scheme for cell in by_cell.values() for scheme in cell})
+    paired = {}
+    for sweep in sorted({sweep for sweep, _ in by_cell}):
+        for i, a in enumerate(schemes):
+            for b in schemes[i + 1:]:
+                diffs = [
+                    cell[a] - cell[b]
+                    for (s, _), cell in by_cell.items()
+                    if s == sweep and a in cell and b in cell
+                ]
+                if not diffs:
+                    continue
+                n = len(diffs)
+                paired[(sweep, a, b)] = PairedStats(
+                    mean_diff=float(np.mean(diffs)),
+                    wins_a=sum(d > 0 for d in diffs),
+                    wins_b=sum(d < 0 for d in diffs),
+                    ties=sum(d == 0 for d in diffs),
+                    count=n,
+                    ci95=t975(n - 1) * float(np.std(diffs, ddof=1)) / math.sqrt(n)
+                    if n >= 2 else None,
+                )
+    return paired
 
 
 class TestSummarize:
@@ -69,6 +104,41 @@ class TestSummarize:
         assert st.wins_b == 1
         assert st.ties == 1
         assert st.mean_diff == pytest.approx((1.0 - 2.0 + 0.0) / 3)
+
+    def test_paired_ci95_is_the_paired_t_half_width(self):
+        values_a = [2.0, 1.0, 2.0, 5.5, 0.25]
+        values_b = [1.0, 3.0, 2.0, 2.5, 1.0]
+        rows = [(2, "a", i, v, 0, 0) for i, v in enumerate(values_a)]
+        rows += [(2, "b", i, v, 0, 0) for i, v in enumerate(values_b)]
+        _, paired = summarize(rows)
+        diffs = [x - y for x, y in zip(values_a, values_b)]
+        mean = sum(diffs) / 5
+        sd = math.sqrt(sum((d - mean) ** 2 for d in diffs) / 4)
+        # t quantile 0.975 at 4 degrees of freedom
+        assert paired[(2, "a", "b")].ci95 == pytest.approx(2.776 * sd / math.sqrt(5), rel=1e-12)
+        _, paired = summarize(rows[:1] + rows[5:6])
+        assert paired[(2, "a", "b")].count == 1 and paired[(2, "a", "b")].ci95 is None
+
+    def test_t_table_reads_the_smaller_tabulated_df(self):
+        assert t975(1) == 12.706 and t975(30) == 2.042
+        assert t975(49) == t975(40) == 2.021
+        assert t975(10**6) == 1.962
+        stats = pytest.importorskip("scipy.stats")
+        for df in [*range(1, 31), 40, 50, 60, 80, 100, 120, 200, 500, 1000]:
+            assert t975(df) == pytest.approx(float(stats.t.ppf(0.975, df)), abs=5e-4)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_brute_force_pairing(self, seed):
+        rng = random.Random(seed)
+        schemes = ["rica", "random", "all_cellular", "x"][: rng.randint(1, 4)]
+        rows = []
+        for _ in range(rng.randint(0, 200)):
+            value = rng.choice([rng.uniform(-5, 5), float(rng.randint(0, 2)), math.nan])
+            rows.append((rng.randint(0, 6), rng.choice(schemes), rng.randint(0, 9), value, 0, 0))
+        _, paired = summarize(rows)
+        want = _brute_force_paired(rows)
+        assert list(paired) == list(want)
+        assert paired == want
 
     def test_nan_rows_excluded(self):
         rows = [(2, "a", 1, float("nan"), 0, 0), (2, "a", 2, 4.0, 0, 0)]
@@ -128,9 +198,23 @@ class TestPairedPrint:
         ]
         assert printed == [
             f"  paired {sweep} {a}-{b}: mean_diff={st.mean_diff:.4f} "
+            f"ci95={'n/a' if st.ci95 is None else f'±{st.ci95:.4f}'} "
             f"wins={st.wins_a}:{st.wins_b} ties={st.ties} n={st.count}"
             for (sweep, a, b), st in paired.items()
         ]
+
+    def test_half_width_printed_with_two_drops(self, tmp_path, capsys):
+        from d2dgames.cli import main
+
+        text = TestGroupOrder.CONFIGS["sumrate"].replace("drops = 1", "drops = 2")
+        paired = run_experiment(loads_config(text)).paired
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert [st.count for st in paired.values()] == [2, 2, 2]
+        for (sweep, a, b), st in paired.items():
+            assert f"  paired {sweep} {a}-{b}: mean_diff={st.mean_diff:.4f} ci95=±" in out
 
 
 def _fmt_cell_rows_to_csv(header, rows):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +245,62 @@ class TestDenseGainTensor:
             g[0, 0, 1] = bad
             with pytest.raises(ValueError, match="positive and finite"):
                 GainTensor((("dtx", 0),), (("drx", 0),), g)
+
+
+class TestRedraw:
+    """LinkPathLoss.draw fills a cached NaN cube through cached flat indices; the
+    cube, its checks and its readers are those of the plain construction."""
+
+    @staticmethod
+    def _layouts(direction):
+        params = RadioParams(link_direction=direction).validate()
+        topo = generate_topology(params, m=3, n=4, rng_seed=31)
+        inst = generate_content_instance(
+            ContentScenario(n_d2d=5, k_seeds=2, m_cue=3), params, rng_seed=32
+        )
+        links = {
+            "sumrate": radio.link_pathloss(radio._topology_links(topo), 3, params),
+            "content": content_pathloss(inst, params),
+        }
+        return params, links
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_matches_full_and_scatter_construction(self, direction):
+        _, links = self._layouts(direction)
+        for pl in links.values():
+            for seed in (0, 7, 7, 123):  # a repeated seed redraws from the cached cube
+                fading = np.random.default_rng(seed).exponential(
+                    1.0, size=(len(pl.pathloss), pl.rb_count)
+                )
+                want = np.full((len(pl.tx_nodes), len(pl.rx_nodes), pl.rb_count), np.nan)
+                want[pl.tx, pl.rx] = pl.pathloss[:, None] * fading
+                assert np.array_equal(pl.draw(seed).g, want, equal_nan=True)
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf])
+    def test_zero_or_infinite_pathloss_raises_value_error(self, bad):
+        _, links = self._layouts(radio.DOWNLINK)
+        for pl in links.values():
+            pl.draw(1)  # builds the cached cube first
+            pathloss = pl.pathloss.copy()
+            pathloss[3] = bad
+            broken = dataclasses.replace(pl, pathloss=pathloss)
+            want = f"gains must be positive and finite, got {bad} ({pl.rb_count} bad entries)"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                broken.draw(1)
+            assert np.isnan(pl.draw(1).g).any()  # the cached cube stays NaN
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_unmodelled_link_raises_key_error(self, direction):
+        params, links = self._layouts(direction)
+        for name, pl in links.items():
+            gains = pl.draw(5)
+            with pytest.raises(KeyError):
+                gains.get(("cue", 0), ("cue", 1), 0)
+            # a CUE that sends to another CUE's cellular receiver, or hears the
+            # other CUE's cellular transmitter: not modeled in either layout
+            tx, rx = ([("cue", 1)], []) if direction == radio.DOWNLINK else ([], [("cue", 0)])
+            with pytest.raises(KeyError):
+                radio.co_channel(gains, params, tx, rx, 3)
 
 
 def _layout_gains(layout, direction, n, m=3, seed=150):
