@@ -14,7 +14,6 @@ to a switch-stable partition.
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -219,22 +218,17 @@ class ContentRound:
     ``cell_signal[r]``, ``cell_at_ue[r][u]``, ``ue_at_cellrx[r][s]`` and
     ``uu[r][t][u]``, where a UE's power at itself is 0.0. Reading a link the
     tensor does not model raises ``KeyError``. Only seeds transmit, so a row
-    ``uu[r][t]`` is converted when first read. ``seeds`` defaults to the
-    instance's initial seeds; ``ranked[u]`` lists them by distance from UE
-    ``u``, ties to the smaller index. None of the slices depends on the seed
-    set, so :meth:`with_seeds` gives the same channel to another seed set.
+    ``uu[r][t]`` is converted when first read. A new round holds the
+    instance's initial ``seeds``; ``ranked[u]`` lists them by distance from
+    UE ``u``, ties to the smaller index. None of the slices depends on the
+    seed set, so :meth:`with_seeds` gives the same channel to another seed
+    set.
     ``solo_rate[r]`` is the value of a coalition on RB ``r`` without a normal
     UE, which is the cellular rate alone: the float :func:`_valued` returns
     for it, with no transmitter adding interference.
     """
 
-    def __init__(
-        self,
-        inst: ContentInstance,
-        gains: radio.GainTensor,
-        params: radio.RadioParams,
-        seeds: Iterable[int] | None = None,
-    ):
+    def __init__(self, inst: ContentInstance, gains: radio.GainTensor, params: radio.RadioParams):
         ue = [("ue", u) for u in range(inst.scenario.n_d2d)]
         block = radio.co_channel(gains, params, ue, ue, inst.scenario.m_cue)
         self.inst = inst
@@ -245,24 +239,16 @@ class ContentRound:
         self.uu = [_Rows(x) for x in block[:, 1:, 1:]]
         # sigma + 0: the empty interference sum, as _valued adds it
         self.solo_rate = [math.log2(1.0 + c / (self.sigma + 0)) for c in self.cell_signal]
-        self.seeds = inst.seeds if seeds is None else frozenset(seeds)
+        self.seeds = inst.seeds
+        self.ranked = inst.seed_ranking(self.seeds)
 
     def with_seeds(self, seeds: Iterable[int]) -> "ContentRound":
-        """This round's channel with another seed set; the channel lists are shared.
-
-        The copy shares every attribute but ``seeds``, so each cached
-        attribute that depends on the seed set must be dropped here; today
-        that is only ``ranked``.
-        """
+        """This round's channel with another seed set; the channel lists are shared."""
         rnd = object.__new__(ContentRound)  # a shallow copy, cheaper than copy.copy
         rnd.__dict__.update(self.__dict__)
         rnd.seeds = frozenset(seeds)
-        rnd.__dict__.pop("ranked", None)
+        rnd.ranked = self.inst.seed_ranking(rnd.seeds)
         return rnd
-
-    @cached_property
-    def ranked(self) -> list[list[int]]:
-        return self.inst.seed_ranking(self.seeds)
 
 
 def _serving_seed(ranked_u: list[int], members: frozenset[int]) -> int | None:
@@ -284,10 +270,7 @@ def _serving(
     if seeds.isdisjoint(members):
         return normals, (None,) * len(normals), ()
     ranked = rnd.ranked
-    if seeds <= members:  # every seed is here, so each UE's nearest one serves it
-        serving = tuple([ranked[u][0] for u in normals])
-    else:
-        serving = tuple([_serving_seed(ranked[u], members) for u in normals])
+    serving = tuple([_serving_seed(ranked[u], members) for u in normals])
     return normals, serving, tuple(sorted(set(serving)))
 
 
@@ -436,44 +419,27 @@ def initial_partition(inst: ContentInstance) -> Partition:
     return Partition(members=tuple(frozenset(ms) for ms in members))
 
 
-def _toggled(flips: dict[int, frozenset], members: frozenset, ue: int) -> frozenset:
-    """``members`` with ``ue`` removed if it is a member and added if not,
-    built once per UE in ``flips``, the sets toggled from ``members``."""
-    out = flips.get(ue)
-    if out is None:
-        out = flips[ue] = members - {ue} if ue in members else members | {ue}
-    return out
-
-
 def switch_step(
-    partition: Partition,
-    value_fn: Callable[[int, frozenset], float],
-    toggled: dict[frozenset, dict[int, frozenset]] | None = None,
+    partition: Partition, value_fn: Callable[[int, frozenset], float]
 ) -> tuple[Partition, bool]:
     """Execute the first strictly-improving single-UE move, if any.
 
     Players and target coalitions are scanned in fixed index order; a move
     needs the combined value of the two touched coalitions to rise by more
-    than :data:`GAIN_EPS`. ``toggled`` keeps, per coalition, the sets with
-    one UE removed or added across the steps of one run (see
-    :func:`_toggled`), so the moved partition holds those same sets and a
-    memoized ``value_fn`` finds them by identity.
+    than :data:`GAIN_EPS`.
     """
-    if toggled is None:
-        toggled = {}
     members = partition.members
-    flips = [toggled.setdefault(ms, {}) for ms in members]
     anchor_of = {ue: a for a, ms in enumerate(members) for ue in ms}
     n_coal = len(members)
     for ue in sorted(anchor_of):
         src = anchor_of[ue]
-        src_out = _toggled(flips[src], members[src], ue)
+        src_out = members[src] - {ue}
         v_src = value_fn(src, members[src])
         v_src_out = value_fn(src, src_out)
         for dst in range(n_coal):
             if dst == src:
                 continue
-            dst_in = _toggled(flips[dst], members[dst], ue)
+            dst_in = members[dst] | {ue}
             v_dst = value_fn(dst, members[dst])
             v_dst_in = value_fn(dst, dst_in)
             if (v_src_out + v_dst_in) - (v_src + v_dst) > GAIN_EPS:
@@ -488,9 +454,8 @@ def run_switch_dynamics(
 ) -> Partition:
     """Iterate switch moves to a switch-stable partition."""
     partition = partition0
-    toggled: dict[frozenset, dict[int, frozenset]] = {}
     for _ in range(MAX_STEPS):
-        partition, moved = switch_step(partition, value_fn, toggled)
+        partition, moved = switch_step(partition, value_fn)
         if not moved:
             return partition
     raise RuntimeError(

@@ -127,9 +127,9 @@ def exhaustive_best_partition(
     gains: radio.GainTensor,
     params: radio.RadioParams,
     budget: OracleBudget = OracleBudget(),
-    seeds: frozenset[int] | None = None,
 ):
-    """Enumerate all anchor assignments of UEs; return the best partition."""
+    """Enumerate all anchor assignments of UEs; return the best partition
+    with the instance's seeds."""
     from d2dgames.coalition import Partition
 
     budget.validate()
@@ -137,11 +137,10 @@ def exhaustive_best_partition(
     m = inst.scenario.m_cue
     if m**n > budget.max_assignments:
         raise ValueError(f"{m**n} partitions exceed oracle budget {budget.max_assignments}")
-    use_seeds = inst.seeds if seeds is None else seeds
     best_anchors = None
     best_value = -math.inf
     for anchors in itertools.product(range(m), repeat=n):
-        value = _partition_value(anchors, inst, gains, params, use_seeds)
+        value = _partition_value(anchors, inst, gains, params, inst.seeds)
         if value > best_value:
             best_value = value
             best_anchors = anchors

@@ -1,6 +1,6 @@
+import dataclasses
 import itertools
 import math
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -499,7 +499,7 @@ class TestNoncooperativeReference:
                 # round 2: a grown seed set, warm-started from round 1's partition
                 grown = inst.seeds | frozenset(u for u in range(k, n) if rng.random() < 0.3)
                 gains = draw_content_gains(inst, params, rng_seed=990 + seed)
-                rnd = ContentRound(inst, gains, params, grown)
+                rnd = ContentRound(inst, gains, params).with_seeds(grown)
                 got2 = noncooperative_baseline(rnd, partition0=got)
                 want2 = _noncoop_reference(gains, params, inst, grown, got)
                 assert got2.members == want2, (direction, seed)
@@ -621,7 +621,7 @@ class TestJoinQuery:
                 )
                 seeds = frozenset(np.flatnonzero(rng.random(n) < 0.4).tolist())
                 gains = draw_content_gains(inst, params, rng_seed=1400 + trial)
-                rnd = ContentRound(inst, gains, params, seeds)
+                rnd = ContentRound(inst, gains, params).with_seeds(seeds)
                 anchor = int(rng.integers(m))
                 # a random start (without seeds in every fourth trial), then the
                 # other normal UEs join one at a time
@@ -684,7 +684,7 @@ class TestServing:
             )
             gains = draw_content_gains(inst, PARAMS, rng_seed=1600 + trial)
             seeds = frozenset(np.flatnonzero(rng.random(n) < 0.4).tolist())
-            rnd = ContentRound(inst, gains, PARAMS, seeds)
+            rnd = ContentRound(inst, gains, PARAMS).with_seeds(seeds)
             for _ in range(6):
                 members = frozenset(np.flatnonzero(rng.random(n) < 0.6).tolist())
                 got = _serving(rnd, members)
@@ -782,8 +782,8 @@ class TestContentSimulation:
             return drawn[-1]
 
         class RecordingRound(ContentRound):
-            def __init__(self, inst, gains, params, seeds=None):
-                super().__init__(inst, gains, params, seeds)
+            def __init__(self, inst, gains, params):
+                super().__init__(inst, gains, params)
                 self.gains = gains
 
             def with_seeds(self, seeds):
@@ -822,7 +822,7 @@ def _reference_curve(scenario, params, allocator, rng_seed):
     cumulative, values = [sum(packets)], []
     for t in range(1, scenario.rounds + 1):
         gains = draw_content_gains(inst, params, derive_seed(rng_seed, t))
-        rnd = ContentRound(inst, gains, params, seeds)
+        rnd = ContentRound(inst, gains, params).with_seeds(seeds)
         if allocator == "coalition":
             partition = run_switch_dynamics(partition, make_value_fn(rnd))
         else:
@@ -903,14 +903,11 @@ class TestLockstep:
         inst = _instance(n=7, k=2, m=3, seed=35)
         gains = draw_content_gains(inst, PARAMS, rng_seed=36)
         channel = ContentRound(inst, gains, PARAMS)
-        cached = [k for k, v in vars(ContentRound).items() if isinstance(v, cached_property)]
-        for name in cached:  # read before re-seeding: the copy must not keep them
-            getattr(channel, name)
+        reranked = 0
         for _ in range(5):
             seeds = frozenset(rng.choice(7, size=int(rng.integers(1, 8)), replace=False).tolist())
-            got, want = channel.with_seeds(seeds), ContentRound(inst, gains, PARAMS, seeds)
-            for name in cached:
-                getattr(got, name), getattr(want, name)
+            got = channel.with_seeds(seeds)
+            want = ContentRound(dataclasses.replace(inst, seeds=seeds), gains, PARAMS)
             assert vars(got).keys() == vars(want).keys()
             for key, value in vars(want).items():
                 if key == "inst":
@@ -921,6 +918,9 @@ class TestLockstep:
                 else:
                     assert vars(got)[key] == value, key
             assert got.cell_signal is channel.cell_signal and got.uu is channel.uu
+            reranked += got.ranked != channel.ranked
+        # the copy must not keep the source round's seed ranking
+        assert reranked >= 3, reranked
 
     def test_a_failing_scheme_raises_its_own_error(self, monkeypatch):
         scenario = self.SCENARIOS["never_saturates"]
@@ -949,7 +949,7 @@ class TestLockstep:
 class TestEverySeedInvariant:
     """With every UE a seed the value ignores the members, so no switch can gain."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         n=st.integers(1, 7),
         k=st.integers(1, 7),
@@ -1046,7 +1046,7 @@ class TestSwitchSetsReused:
     """run_switch_dynamics asks the same queries and makes the same moves as a
     scan that builds fresh sets, and its moved sets are the ones it queried."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         n=st.integers(1, 8),
         k=st.integers(1, 8),

@@ -1,11 +1,14 @@
-"""Every function in ``src/d2dgames`` reads each parameter it takes, and the
-package uses each function and class it defines.
+"""Every function in ``src/d2dgames`` reads each parameter it takes, the
+package uses each function and class it defines, and each module uses what
+it imports.
 
 A parameter its body never reads is an option that does nothing, yet every
 caller still has to pass it. Names starting with ``_`` are exempt. A private
 top-level function or class that no package code loads is dead code, even
 when a test still calls it. So is a public one, or a public method, unless
 it is one of the few kept on purpose for tests and readers (``_KEPT``).
+An import its module never loads is a dead dependency; a name the module
+lists in ``__all__`` is exported, so it counts as used.
 """
 
 import ast
@@ -163,3 +166,53 @@ def test_every_public_definition_is_used():
     unloaded = {f"{module} {name}" for module, _, name in _unloaded_public_definitions(trees)}
     # a keeper that is gone, or that package code now loads, leaves _KEPT too
     assert unloaded == set(_KEPT), sorted(unloaded ^ set(_KEPT))
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` of each name the module imports but never loads and
+    does not list in ``__all__``; ``from __future__`` imports are exempt."""
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append((node.lineno, name))
+    return found
+
+
+def test_scanner_finds_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from math import log2, pi\n"
+        "from typing import Any\n"
+        "__all__ = ['pi']\n"
+        "def f(x: Any):\n"
+        "    return log2(x)\n"
+    )
+    assert _unused_imports(ast.parse(source)) == [(2, "os"), (3, "os"), (4, "js")]
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{path.name} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for _, name in _unused_imports(ast.parse(path.read_text("utf-8")))
+    ]
+    assert not unused, unused
