@@ -4,8 +4,8 @@ Every drop derives its own seed from (master_seed, sweep index, drop index)
 through a stable hash, so results do not depend on execution order and every
 scheme at a given (sweep, drop) point sees the identical channel realization.
 Outputs are written in a fixed order with repr'd floats (``str`` of a Python
-float equals its ``repr``, so a row is written with one ``join``), which makes
-reruns of the same configuration byte-identical.
+float equals its ``repr``, so a row is written with one ``%s`` format), which
+makes reruns of the same configuration byte-identical.
 """
 
 from __future__ import annotations
@@ -100,9 +100,21 @@ class RunSummary:
 
 
 def rows_to_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
-    """Cells hold Python ``int``, ``str`` and ``float``; ``str`` of a float is its ``repr``."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
+    """Cells hold Python ``int``, ``str`` and ``float``; ``str`` of a float is its ``repr``.
+
+    Each row is one ``%s`` format; a row whose length is not the header's raises.
+    """
+    row_fmt = ",".join(["%s"] * len(header))
+    try:
+        lines = [row_fmt % tuple(row) for row in rows]
+    except TypeError:
+        for index, row in enumerate(rows):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"row {index} has {len(row)} cells, the header {len(header)}"
+                ) from None
+        raise
+    lines.insert(0, ",".join(header))
     return "\n".join(lines) + "\n"
 
 
@@ -141,11 +153,13 @@ def summarize(rows: list[tuple]) -> tuple[dict, dict]:
                 if not diffs:
                     continue
                 n = len(diffs)
-                ci95 = None
-                if n >= 2:
+                if n == 1:
+                    mean_diff, ci95 = float(diffs[0]), None
+                else:
+                    mean_diff = float(np.mean(diffs))
                     ci95 = t975(n - 1) * float(np.std(diffs, ddof=1)) / math.sqrt(n)
                 paired[(sweep, a, b)] = PairedStats(
-                    mean_diff=float(np.mean(diffs)),
+                    mean_diff=mean_diff,
                     wins_a=sum(1 for d in diffs if d > 0),
                     wins_b=sum(1 for d in diffs if d < 0),
                     ties=sum(1 for d in diffs if d == 0),
@@ -351,15 +365,13 @@ def oracle_check(config: ExperimentConfig) -> dict:
         # scored by the oracle, so a value function that misjudges every
         # coalition alike cannot vouch for its own partition
         anchors = [stable.anchor_of(ue) for ue in range(scen.n_d2d)]
-        value = oracle_mod._partition_value(anchors, inst, gains, params, inst.seeds)
+        value = oracle_mod._partition_value(anchors, inst, gains, params)
         ok = ok and math.isclose(stable.total_value(value_fn), value, rel_tol=1e-9)
         for ue in range(scen.n_d2d):
             for dst in range(scen.m_cue):
                 if dst != anchors[ue]:
                     moved = anchors[:ue] + [dst] + anchors[ue + 1 :]
-                    moved_value = oracle_mod._partition_value(
-                        moved, inst, gains, params, inst.seeds
-                    )
+                    moved_value = oracle_mod._partition_value(moved, inst, gains, params)
                     ok = ok and moved_value - value <= 1e-9
         _, best = oracle_mod.exhaustive_best_partition(inst, gains, params)
         ok = ok and value <= best + 1e-9

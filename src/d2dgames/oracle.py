@@ -84,11 +84,12 @@ def exhaustive_best_allocation(
     return allocation, best_value
 
 
-def _partition_value(anchors, inst: ContentInstance, gains, params, seeds):
+def _partition_value(anchors, inst: ContentInstance, gains, params):
     # independent nearest-seed pairing and SINR summation per coalition
     sigma = radio.effective_noise_w(params)
     downlink = params.link_direction == radio.DOWNLINK
     pos = inst.ue_pos
+    seeds = inst.seeds
     total = 0.0
     for rb in range(inst.scenario.m_cue):
         members = [u for u, a in enumerate(anchors) if a == rb]
@@ -140,7 +141,7 @@ def exhaustive_best_partition(
     best_anchors = None
     best_value = -math.inf
     for anchors in itertools.product(range(m), repeat=n):
-        value = _partition_value(anchors, inst, gains, params, inst.seeds)
+        value = _partition_value(anchors, inst, gains, params)
         if value > best_value:
             best_value = value
             best_anchors = anchors

@@ -51,22 +51,26 @@ class PowerGameInstance:
 
     ``gains[i, j]`` is the linear power gain from transmitter j to receiver i,
     so the diagonal holds the direct link gains. ``noise_w`` bundles thermal
-    noise and any interference from transmitters outside the game.
+    noise and any interference from transmitters outside the game. The
+    instance keeps a read-only copy of ``gains`` and reads its diagonal once.
     """
 
     gains: np.ndarray
     targets: np.ndarray
     noise_w: np.ndarray
     p_max_w: float
+    _direct: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=float)
+        self.gains = np.array(self.gains, dtype=float)
+        self.gains.flags.writeable = False
         self.targets = np.asarray(self.targets, dtype=float)
         self.noise_w = np.asarray(self.noise_w, dtype=float)
         n = self.n_players
         if self.gains.shape != (n, n):
             raise ValueError(f"gain matrix must be square, got {self.gains.shape}")
-        if self.n_players and not np.all(np.diag(self.gains) > 0):
+        self._direct = self.gains.diagonal()
+        if self.n_players and not np.all(self._direct > 0):
             raise ValueError("every direct link gain must be > 0")
         # written so that a NaN fails them
         if not np.all(self.gains >= 0):
@@ -83,10 +87,10 @@ class PowerGameInstance:
         return len(self.targets)
 
     def interference_w(self, p: np.ndarray) -> np.ndarray:
-        return self.noise_w + self.gains @ p - np.diag(self.gains) * p
+        return self.noise_w + self.gains @ p - self._direct * p
 
     def sinr(self, p: np.ndarray) -> np.ndarray:
-        return np.diag(self.gains) * p / self.interference_w(p)
+        return self._direct * p / self.interference_w(p)
 
 
 @dataclass
@@ -109,7 +113,7 @@ def best_response_step(instance: PowerGameInstance, p: np.ndarray) -> np.ndarray
     p = np.asarray(p, dtype=float)
     if np.any(p < 0) or np.any(p > instance.p_max_w):
         raise ValueError("power vector out of [0, p_max]")
-    wanted = instance.targets * instance.interference_w(p) / np.diag(instance.gains)
+    wanted = instance.targets * instance.interference_w(p) / instance._direct
     return np.minimum(wanted, instance.p_max_w)
 
 

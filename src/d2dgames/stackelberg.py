@@ -21,13 +21,13 @@ import numpy as np
 from d2dgames import radio
 
 LN2 = math.log(2.0)
-_LOG2 = np.frompyfunc(math.log2, 1, 1)
 
 
 def _log2(x):
     """``math.log2`` of a float, or of each element of a float array."""
-    y = _LOG2(x)
-    return y.astype(float) if isinstance(y, np.ndarray) else y
+    if isinstance(x, np.ndarray) and x.ndim:
+        return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return math.log2(x)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,25 @@ def _brute_force_paired(rows):
 
 
 class TestSummarize:
+    @pytest.mark.parametrize(
+        "values_a, values_b",
+        [([3], [1]), ([0.1], [0.3]), ([2.5, 1], [0.25, 4])],
+        ids=["one-int", "one-float", "two"],
+    )
+    def test_paired_stats_bit_identical_to_numpy(self, values_a, values_b):
+        rows = [(2, "a", i, v, 0, 0) for i, v in enumerate(values_a)]
+        rows += [(2, "b", i, v, 0, 0) for i, v in enumerate(values_b)]
+        st = summarize(rows)[1][(2, "a", "b")]
+        diffs = [float(x) - float(y) for x, y in zip(values_a, values_b)]
+        n = len(diffs)
+        assert float.hex(st.mean_diff) == float.hex(float(np.mean(diffs)))
+        assert type(st.mean_diff) is float and st.count == n
+        if n == 1:
+            assert st.ci95 is None
+        else:
+            want = t975(n - 1) * float(np.std(diffs, ddof=1)) / math.sqrt(n)
+            assert float.hex(st.ci95) == float.hex(want)
+
     def test_single_row_flagged(self):
         groups, _ = summarize([(2, "rica", 111, 5.0, 0, 0)])
         st = groups[(2, "rica")]
@@ -236,6 +255,27 @@ class TestRowsToCsv:
         header = ("a", "b", "c", "d", "e", "f")
         assert rows_to_csv(header, rows) == _fmt_cell_rows_to_csv(header, rows)
         assert rows_to_csv(header, []) == "a,b,c,d,e,f\n"
+
+    def test_list_rows_numpy_scalar_and_bool_cells(self):
+        # numpy scalars and bools are not what the engines emit, but the writer
+        # gives them the bytes of the cell-by-cell writer
+        rows = [
+            [1, "x", 0.25, np.int64(-3)],
+            (np.float32(0.1), np.int32(7), True, False),
+            [np.bool_(True), np.uint8(200), -0.0, ""],
+        ]
+        header = ("a", "b", "c", "d")
+        assert rows_to_csv(header, rows) == _fmt_cell_rows_to_csv(header, rows)
+        assert rows_to_csv(("a",), [[1.5], (2,)]) == "a\n1.5\n2\n"
+        # a numpy float64 is a float whose repr names its type; it is written by str
+        cells = (np.float64(0.1), np.float64(1e-300))
+        assert rows_to_csv(("a", "b"), [cells]) == "a,b\n0.1,1e-300\n"
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_ragged_row_raises_naming_index_and_lengths(self, length):
+        rows = [(1, 2.0, "x"), (3, 4.0, "y"), tuple(range(length))]
+        with pytest.raises(ValueError, match=f"row 2 has {length} cells, the header 3"):
+            rows_to_csv(("a", "b", "c"), rows)
 
     @pytest.mark.parametrize(
         "text",

@@ -160,7 +160,7 @@ class TestExhaustiveBestPartition:
                         )
                     )
                     assert part.total_value(value_fn) == pytest.approx(
-                        _partition_value(anchors, inst, gains, params, inst.seeds), rel=1e-12
+                        _partition_value(anchors, inst, gains, params), rel=1e-12
                     )
 
     def test_dominates_switch_dynamics(self):

@@ -165,6 +165,35 @@ class TestRunPowerGame:
         np.testing.assert_allclose(inst.sinr(trace.final), inst.targets, rtol=1e-9)
 
 
+class TestDirectGains:
+    def test_gains_are_a_read_only_copy(self):
+        g = np.array([[1.0, 0.2], [0.3, 2.0]])
+        inst = PowerGameInstance(
+            gains=g, targets=np.array([2.0, 2.0]), noise_w=np.array([0.5, 0.5]), p_max_w=10.0
+        )
+        with pytest.raises(ValueError):
+            inst.gains[0, 0] = 5.0
+        g[1, 1] = 7.0
+        assert inst.gains[1, 1] == 2.0
+        # the second player's direct gain is still 2.0: interference 0.5 + 0.3
+        np.testing.assert_allclose(inst.sinr(np.array([1.0, 1.0])), [1.0 / 0.7, 2.0 / 0.8])
+
+    def test_bit_identical_to_the_np_diag_expressions(self):
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 4, 7):
+            for _ in range(5):
+                inst = _random_instance(rng, n)
+                diag = np.diag(inst.gains)
+                p = rng.uniform(0.0, inst.p_max_w, n)
+                interference = inst.noise_w + inst.gains @ p - diag * p
+                np.testing.assert_array_equal(inst.interference_w(p), interference)
+                np.testing.assert_array_equal(inst.sinr(p), diag * p / interference)
+                np.testing.assert_array_equal(
+                    best_response_step(inst, p),
+                    np.minimum(inst.targets * interference / diag, inst.p_max_w),
+                )
+
+
 class TestFromRadio:
     def test_builds_co_channel_game(self):
         params = radio.RadioParams().validate()

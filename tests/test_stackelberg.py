@@ -258,6 +258,29 @@ def _bits(rows):
     return [tuple(float.hex(v) for v in row) for row in rows]
 
 
+class TestLog2:
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (0,)])
+    def test_arrays_match_math_log2_element_by_element(self, shape):
+        x = np.random.default_rng(3).uniform(1e-3, 1e3, shape)
+        y = stackelberg._log2(x)
+        assert y.shape == shape and y.dtype == float
+        assert [float.hex(v) for v in y.ravel().tolist()] == [
+            float.hex(math.log2(v)) for v in x.ravel().tolist()
+        ]
+
+    @pytest.mark.parametrize(
+        "x", [1.7, np.float64(1.7), np.array(1.7)], ids=["float", "np-scalar", "0-d"]
+    )
+    def test_scalars_give_a_python_float(self, x):
+        y = stackelberg._log2(x)
+        assert type(y) is float and float.hex(y) == float.hex(math.log2(1.7))
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, np.array([1.0, 0.0]), np.array([[2.0], [-3.0]])])
+    def test_zero_or_below_raises(self, x):
+        with pytest.raises(ValueError):
+            stackelberg._log2(x)
+
+
 class TestArraySweep:
     @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
     def test_sweep_matches_per_point_reference_bit_for_bit(self, direction):
