@@ -6,16 +6,17 @@ or more bidders gets its price raised by epsilon, and the auction stops as
 soon as no item is over-demanded. Winner packages then transmit on the
 winning bidder's RB; undemanded pairs stay silent. The clock runs on Python
 ints and floats: each bidder's demand is an int bitmask over item positions
-and the prices are a list of floats. numpy is used only for the exact-mode
-tables and surpluses. ``AuctionState.price_history`` holds one float64 array
-of prices per round.
+and the prices are a list of floats, raised item by item over the set bits
+of the over-demanded mask. numpy is used only for the exact-mode tables and
+surpluses. Each round copies the prices into one float64 array, which that
+round's demand reads and ``AuctionState.price_history`` keeps.
 
 Demand is the exact surplus-maximizing package (a row-wise argmax over the
 bidders' tables of all packages) up to ``exact_cap`` items, and a greedy
 marginal-surplus construction beyond that. Exact ties go to the package with
 fewest items, then to the lexicographically smallest sorted tuple of item
 values. Valuations have one interface, ``AuctionInstance.batch_valuation``,
-which values a batch of 0/1 package masks. Two caches keep big instances
+which values a batch of 0/1 package masks. Three caches keep big instances
 cheap without altering the outcome:
 
 - Stale demand: a bidder whose demanded items saw no price change keeps its
@@ -25,10 +26,29 @@ cheap without altering the outcome:
   and the current package only, not on prices. The engine of one auction
   keeps one dict per bidder, keyed by the package bitmask, so greedy paths
   that repeat their prefixes over many clock rounds cost one valuation call
-  per new package instead of one per step. A miss copies its candidate rows
-  out of a read-only zero row stacked on the identity and sets the package's
-  columns, so the valuation always gets a fresh array. ``valuation_calls`` still counts
-  every candidate row a cache-free engine would evaluate.
+  per new package instead of one per step. The candidate rows of a package
+  are built once per auction out of a read-only zero row stacked on the
+  identity, shared by the bidders and kept read-only; each miss passes the
+  valuation a copy, so it always gets a fresh array. ``valuation_calls``
+  still counts every candidate row a cache-free engine would evaluate.
+- Dominated packages: prices only rise, so the surplus of a package without
+  item ``i`` minus that of the package with it (``p_i`` minus the marginal
+  value of ``i``) never falls. At rounds 32, 64, 128, ... :func:`run_auction`
+  drops from the exact tables every package that, for every bidder, a
+  package one item smaller beats by more than ``delta``; the empty package
+  has no smaller package and always stays. Exact demand is the same argmax
+  over the columns left, still in tie order, and the price sums are still one
+  ``masks @ prices`` over all packages, so every surplus keeps its bits.
+  ``delta`` comes from the tables, ``n``, ``epsilon`` and ``p0``. With ``u =
+  2**-53``, ``R`` the range of the tables' values and 0, and ``A`` their
+  largest magnitude, every price stays below ``pmax = max(p0, 2 (R +
+  epsilon) + 4 u A)``: a demanded package beats the empty one, so its price
+  sum is at most ``R`` plus rounding, and a raise adds ``epsilon``. A
+  computed surplus ``T - P`` is then within about ``u (A + n**2 pmax)`` of
+  its exact value, less than half of ``eta = 2 u (A + (n + 1)**2 pmax)``.
+  With ``delta = 4 eta``, a margin above ``delta`` at the prune leaves the
+  smaller package ahead at every later price, after the rounding of both
+  surpluses then and now.
 
 The radio-backed valuation of :func:`auction_instance_from_radio` computes
 the member rates in one work array, in place, with the same IEEE operations
@@ -139,13 +159,54 @@ def _tie_order(items: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _check_finite(bidders: tuple[int, ...], values: np.ndarray) -> None:
     """Raise naming the first bidder whose row of ``values`` is not all finite.
 
-    Demand has no answer for a NaN: ``argmax`` would pick it and the greedy
-    walk's ``>`` scan would skip it.
+    Exact demand has no answer for a NaN: ``argmax`` would pick it.
     """
     finite = np.isfinite(values)
     if not finite.all():
         bad = np.argmin(finite.reshape(len(bidders), -1).all(axis=1))
         raise ValueError(f"bidder {bidders[bad]}: valuation is not finite")
+
+
+def _prune_margin(tables: np.ndarray, n: int, epsilon: float, p0: float) -> float:
+    """The drop margin ``delta`` of the dominated-package prune (module docstring).
+
+    ``tables`` holds every bidder's value of every package over ``n`` items;
+    with no bidders, ``R`` and ``A`` are 0.
+    """
+    u = 2.0**-53
+    hi, lo = float(tables.max(initial=0.0)), float(tables.min(initial=0.0))
+    top = max(hi, -lo)
+    pmax = max(p0, 2.0 * (hi - lo + epsilon) + 4.0 * u * top)
+    return 4.0 * 2.0 * u * (top + (n + 1) ** 2 * pmax)
+
+
+def _lattice_gain(tables: np.ndarray, cand: np.ndarray, price_sums: np.ndarray) -> np.ndarray:
+    """Per package, the least over these bidders of the surplus gained by dropping its best item.
+
+    ``tables`` holds some bidders' values of the candidate packages ``cand``
+    (bitmasks, one column each) and ``price_sums`` every package's price sum
+    in plain order. The surplus of every package is laid out in plain order,
+    -inf for the packages that are not candidates; there the packages one
+    item smaller are strided views, one bit at a time. Returns one value per
+    package in plain order, meaningful for the candidates only.
+    """
+    full = len(price_sums)
+    surplus = np.full((len(tables), full), -np.inf)
+    surplus[:, cand] = tables
+    surplus -= price_sums
+    best = np.full_like(surplus, -np.inf)
+    bit = 1
+    while bit < full:
+        shape = (len(tables), full // (2 * bit), 2, bit)
+        with_bit = best.reshape(shape)[:, :, 1]
+        without = surplus.reshape(shape)[:, :, 0]
+        if 2 * bit * bit < full:  # run the loop along the longer axis
+            with_bit, without = with_bit.transpose(0, 2, 1), without.transpose(0, 2, 1)
+        np.maximum(with_bit, without, out=with_bit, order="C")
+        bit <<= 1
+    with np.errstate(invalid="ignore"):  # -inf - -inf at the packages dropped
+        best -= surplus
+    return best.min(axis=0, initial=np.inf)
 
 
 class _DemandEngine:
@@ -165,33 +226,83 @@ class _DemandEngine:
         ]
         if self.exact:
             # one table row per bidder; tables and price sums are computed over
-            # the masks in plain order, then permuted so a row's first maximum
-            # is the tie rule. Mask row r is the package with bitmask r, so a
-            # row's argmax column c demands the package order[c].
-            self._masks, self._order = _tie_order(instance.items)
+            # the masks in plain order, then the tables are permuted so a row's
+            # first maximum is the tie rule. Mask row r is the package with
+            # bitmask r, and table column c is the candidate package
+            # self._cand[c]; a prune drops columns, keeping their order.
+            self._masks, self._cand = _tie_order(instance.items)
             tables = [instance.batch_valuation(bidder, self._masks) for bidder in bidders]
             tables = np.array(tables, dtype=float).reshape(len(bidders), 2**self.n)
             _check_finite(bidders, tables)
-            self._tables = tables[:, self._order]
+            config = instance.config
+            self._margin = _prune_margin(tables, self.n, config.epsilon, config.p0)
+            self._tables = tables[:, self._cand]
             self.calls += len(bidders) * (2**self.n - 1)  # non-empty packages evaluated
         else:
-            # the empty package, then each item alone; a miss copies its
-            # candidate rows out of it, so a valuation that writes to its
+            # the empty package, then each item alone; a package's candidate
+            # rows are taken out of it once and kept read-only, and a miss
+            # passes the valuation a copy, so a valuation that writes to its
             # input never sees a shared array
             self._eye = np.eye(self.n + 1, self.n, k=-1)
             self._eye.setflags(write=False)
+            # package mask -> (items outside it, its candidate rows), for all bidders
+            self._rows: dict[int, tuple[list[int], np.ndarray]] = {}
 
-    def demand(self, rows: list[int], prices: list[float]) -> list[int]:
+    def demand(self, rows: list[int], prices: np.ndarray) -> list[int]:
         """Demanded packages of the bidders at positions ``rows``, as bitmasks.
 
-        Bit ``i`` of a package's mask is item position ``i``; any ``n`` fits a
-        Python int.
+        ``prices`` is a float64 array in item order. Bit ``i`` of a package's
+        mask is item position ``i``; any ``n`` fits a Python int.
         """
         if self.exact:
             surplus = self._tables[rows]  # fancy indexing: a copy
-            surplus -= (self._masks @ np.array(prices))[self._order]
-            return self._order[surplus.argmax(axis=1)].tolist()
+            surplus -= (self._masks @ prices)[self._cand]
+            return self._cand[surplus.argmax(axis=1)].tolist()
+        prices = prices.tolist()
         return [self._demand_greedy(k, prices) for k in rows]
+
+    def prune(self, prices: np.ndarray) -> None:
+        """Drop the packages that no bidder can demand again (exact mode only).
+
+        Valid only while prices never fall from ``prices`` on, as on the
+        clock. A candidate is dropped when, for every bidder, some candidate
+        one item smaller has a surplus higher by more than ``self._margin``.
+        """
+        cand = self._cand
+        bidders, size = self._tables.shape
+        full = 1 << self.n
+        price_sums = self._masks @ prices
+        # the lattice of all packages costs the same at any candidate count,
+        # gathering each candidate's subsets costs per candidate: below half
+        # of the packages, gathering is the cheaper
+        if 2 * size > full:
+            # half the bidders at a time, so the work arrays of a half are no
+            # bigger than the tables
+            half = (bidders + 1) // 2
+            gain = np.minimum(
+                _lattice_gain(self._tables[:half], cand, price_sums),
+                _lattice_gain(self._tables[half:], cand, price_sums),
+            )[cand]
+        else:
+            # a last column of -inf stands for the dropped packages
+            padded = np.empty((bidders, size + 1))
+            surplus = padded[:, :size]
+            np.subtract(self._tables, price_sums[cand], out=surplus)
+            padded[:, size] = -np.inf
+            column = np.full(full, size)
+            column[cand] = np.arange(size)
+            bits = (1 << np.arange(self.n))[:, None]
+            smaller = np.where(cand & bits, column[cand ^ bits], size)  # one row per bit
+            best = padded.take(smaller[0], axis=1)
+            other = np.empty_like(best)
+            for columns in smaller[1:]:
+                np.maximum(best, padded.take(columns, axis=1, out=other), out=best)
+            best -= surplus
+            gain = best.min(axis=0)
+        dominated = gain > self._margin
+        if dominated.any():
+            self._cand = cand[~dominated]
+            self._tables = self._tables[:, ~dominated]
 
     def _greedy_step(self, k: int, mask: int):
         """Value and store the candidates of one greedy step from package ``mask``.
@@ -204,13 +315,17 @@ class _DemandEngine:
         this only on a miss.
         """
         bidder = self.bidders[k]
-        out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
-        # a fresh, writable copy: the empty package's row first when mask == 0
-        rows = self._eye.take(([] if mask else [0]) + [i + 1 for i in out_idx], axis=0)
-        rows[:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
-        vals = np.asarray(self.inst.batch_valuation(bidder, rows), dtype=float)
-        _check_finite((bidder,), vals)
-        vals = vals.tolist()
+        if mask not in self._rows:
+            out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
+            # the empty package's row first when mask == 0
+            rows = self._eye.take(([] if mask else [0]) + [i + 1 for i in out_idx], axis=0)
+            rows[:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
+            rows.setflags(write=False)
+            self._rows[mask] = out_idx, rows
+        out_idx, rows = self._rows[mask]
+        vals = np.asarray(self.inst.batch_valuation(bidder, rows.copy()), dtype=float).tolist()
+        if not all(map(math.isfinite, vals)):  # the walk's ``>`` scan would skip a NaN
+            raise ValueError(f"bidder {bidder}: valuation is not finite")
         step = (None if mask else vals.pop(0), list(zip(out_idx, vals)))
         self._steps[k][mask] = step
         return step
@@ -260,7 +375,7 @@ def bidder_demand(instance: AuctionInstance, prices, bidder: int) -> frozenset[i
         )
     if not (np.isfinite(prices).all() and (prices >= 0).all()):
         raise ValueError("prices must be finite and >= 0")
-    mask = _DemandEngine(instance, (bidder,)).demand([0], prices.tolist())[0]
+    mask = _DemandEngine(instance, (bidder,)).demand([0], prices)[0]
     return _package(instance.items, mask)
 
 
@@ -283,11 +398,14 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
     terminated = False
     while rounds < config.max_rounds:
         rounds += 1
-        for k, mask in zip(stale, engine.demand(stale, prices)):
+        price_array = np.array(prices)
+        if engine.exact and rounds >= 32 and not rounds & (rounds - 1):
+            engine.prune(price_array)  # at rounds 32, 64, 128, ...: prices only rise
+        for k, mask in zip(stale, engine.demand(stale, price_array)):
             demands[k] = mask
         per_round_calls.append(engine.calls - charged)
         charged = engine.calls
-        history.append(np.array(prices))
+        history.append(price_array)
         seen = over = 0  # items demanded at least once, at least twice
         for mask in demands:
             over |= seen & mask
@@ -295,9 +413,11 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
         if not over:
             terminated = True
             break
-        for i in range(len(prices)):
-            if (over >> i) & 1:
-                prices[i] += config.epsilon
+        raised = over
+        while raised:
+            low = raised & -raised
+            prices[low.bit_length() - 1] += config.epsilon
+            raised ^= low
         stale = [k for k, mask in enumerate(demands) if mask & over]
 
     packages = {b: _package(items, mask) for b, mask in zip(bidders, demands)}

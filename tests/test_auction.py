@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from d2dgames import radio
+from d2dgames import auction, radio
 from d2dgames.auction import (
     AuctionConfig,
     AuctionInstance,
@@ -173,6 +173,14 @@ class TestRunAuction:
         assert state.terminated
         assert state.rounds == 1
         assert state.assignment == {}
+
+    @pytest.mark.parametrize("exact_cap", [12, 0])
+    def test_no_bidders_leaves_every_item_unsold(self, exact_cap):
+        # an exact engine with no table rows still derives its prune margin
+        inst = _table_instance({}, n_items=2, bidders=(), exact_cap=exact_cap)
+        state = run_auction(inst)
+        assert state.terminated and state.rounds == 1
+        assert state.assignment == {0: None, 1: None}
 
     def test_identical_bidders_compete_until_drop(self):
         values = {}
@@ -453,7 +461,7 @@ class TestGreedyMissRows:
         inst.batch_valuation = recorded
         engine = _DemandEngine(inst, inst.bidders)
         for prices in history:
-            engine.demand(list(range(len(inst.bidders))), prices.tolist())
+            engine.demand(list(range(len(inst.bidders))), prices)
         assert len(calls) == sum(len(memo) for memo in engine._steps) > len(inst.bidders)
         for k, bidder in enumerate(inst.bidders):
             got = [rows for b, rows in calls if b == bidder]
@@ -653,6 +661,178 @@ class TestArrayClock:
         )
         state, _ = self._assert_matches_reference(inst)
         assert state.terminated and state.rounds > 1
+
+
+def _slow_prune(engine, prices, neighbour):
+    """Keep mask of the candidates under a loop-by-loop dominance test.
+
+    A candidate goes when, for every bidder, some candidate ``neighbour(r,
+    bit)`` (None when there is none) has a surplus higher by more than the
+    engine's margin. The real rule's neighbour is the package one item smaller.
+    """
+    surplus = engine._tables - (engine._masks @ prices)[engine._cand]
+    column = {r: c for c, r in enumerate(engine._cand.tolist())}
+    keep = []
+    for c, r in enumerate(engine._cand.tolist()):
+        others = [column.get(neighbour(r, 1 << i)) for i in range(engine.n)]
+        gains = surplus[:, [s for s in others if s is not None]] - surplus[:, [c]]
+        keep.append(not (gains > engine._margin).any(axis=1).all())
+    return np.array(keep, dtype=bool)
+
+
+def _one_smaller(r, bit):
+    return r ^ bit if r & bit else None
+
+
+def _one_larger(r, bit):
+    return None if r & bit else r | bit
+
+
+def _audit_exact_demand(monkeypatch):
+    """Check every exact demand call against the full-table argmax in tie order.
+
+    The engine's tables and candidates are copied before the first prune;
+    each call's packages are compared with the argmax over all columns of
+    ``tables - (masks @ prices)[order]``, the unpruned rule. Each prune the
+    engine makes is compared with :func:`_slow_prune`. Returns counters.
+    """
+    init, demand, prune = _DemandEngine.__init__, _DemandEngine.demand, _DemandEngine.prune
+    seen = Counter()
+
+    def audited_init(self, instance, bidders):
+        init(self, instance, bidders)
+        if self.exact:
+            self.full_tables, self.order, self.prunes = self._tables.copy(), self._cand, 0
+
+    def audited_demand(self, rows, prices):
+        got = demand(self, rows, prices)
+        if self.exact:
+            surplus = self.full_tables[rows] - (self._masks @ prices)[self.order]
+            want = self.order[surplus.argmax(axis=1)].tolist()
+            seen["calls"] += 1
+            pruned = len(self._cand) < len(self.order)
+            seen["pruned calls"] += pruned
+            seen["mismatches"] += got != want
+            seen["empty demanded after a prune"] += pruned and 0 in want
+        return got
+
+    def audited_prune(self, prices):
+        keep = _slow_prune(self, prices, _one_smaller)
+        cand = self._cand
+        prune(self, prices)
+        self.prunes += 1
+        seen["prunes"] += 1
+        seen["many-candidate prunes"] += 2 * len(cand) > len(self.order)
+        seen["two prunes dropped"] += self.prunes == 2 and len(self._cand) < len(self.order)
+        seen["prune mismatches"] += not np.array_equal(self._cand, cand[keep])
+
+    monkeypatch.setattr(_DemandEngine, "__init__", audited_init)
+    monkeypatch.setattr(_DemandEngine, "demand", audited_demand)
+    monkeypatch.setattr(_DemandEngine, "prune", audited_prune)
+    return seen
+
+
+def _quadratic_instance(rng, n, n_bidders, epsilon):
+    """Values ``base + masks @ a - masks Q masks / 2``: random item values, pair costs."""
+    bidders = tuple(range(n_bidders))
+    base = rng.uniform(0.0, 2.0, n_bidders)
+    alone = rng.uniform(-0.5, 3.0, (n_bidders, n))
+    pairs = rng.uniform(0.0, 1.0, (n_bidders, n, n))
+    pairs = np.triu(pairs, 1) + np.triu(pairs, 1).transpose(0, 2, 1)
+
+    def batch_valuation(bidder, masks):
+        masks = np.asarray(masks, dtype=float)
+        return base[bidder] + masks @ alone[bidder] - ((masks @ pairs[bidder]) * masks).sum(axis=1) / 2
+
+    return AuctionInstance(
+        items=tuple(range(n)), bidders=bidders, batch_valuation=batch_valuation,
+        config=AuctionConfig(epsilon=epsilon),
+    )
+
+
+def _integer_tie_instance(rng, n, n_bidders):
+    """Integer item values less one per pair, plus 0 or 1 per package; epsilon 1/16.
+
+    Prices and surpluses are exact multiples of 1/16, so demands tie exactly.
+    """
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    size = bits.sum(axis=1)
+    tables = [
+        bits @ rng.integers(0, 9, n) - size * (size - 1) // 2 + rng.integers(0, 2, 2**n)
+        for _ in range(n_bidders)
+    ]
+    weights = 1 << np.arange(n)
+    return AuctionInstance(
+        items=tuple(range(n)), bidders=tuple(range(n_bidders)),
+        batch_valuation=lambda b, masks: tables[b][(np.asarray(masks) @ weights).astype(int)] * 1.0,
+        config=AuctionConfig(epsilon=1.0 / 16),
+    )
+
+
+def _prune_instances():
+    """Exact auctions at 8-10 items that run past two prunes (rounds 32 and 64)."""
+    rng = np.random.default_rng(61)
+    for n_bidders in (3, 5, 8, 10):  # the more bidders, the more are priced out
+        yield _quadratic_instance(rng, int(rng.integers(8, 11)), n_bidders, epsilon=0.01)
+    for direction in (radio.DOWNLINK, radio.UPLINK):
+        params = replace(PARAMS, link_direction=direction).validate()
+        for n, m, seed in ((8, 10, 1201), (10, 4, 1203), (9, 6, 1205)):
+            topo = radio.generate_topology(params, m=m, n=n, rng_seed=seed)
+            gains = radio.draw_gains(topo, params, rng_seed=seed + 1)
+            yield auction_instance_from_radio(topo, gains, params)
+    for _ in range(4):
+        yield _integer_tie_instance(rng, int(rng.integers(8, 10)), int(rng.integers(3, 7)))
+
+
+class TestDominatedPrune:
+    """The prune at rounds 32, 64, ... never changes an exact demand."""
+
+    def test_every_demand_equals_the_full_argmax(self, monkeypatch):
+        seen = _audit_exact_demand(monkeypatch)
+        for inst in _prune_instances():
+            before = seen["prunes"]
+            state = run_auction(inst)
+            assert state.terminated and state.rounds > 64
+            # one prune at each of rounds 32, 64, 128, ... that the clock reached
+            assert seen["prunes"] - before == state.rounds.bit_length() - 5
+        assert seen["mismatches"] == 0 and seen["prune mismatches"] == 0
+        assert seen["pruned calls"] > seen["calls"] // 2
+        assert seen["two prunes dropped"] > 0 and seen["empty demanded after a prune"] > 0
+        # both ways of finding the smaller packages ran
+        assert 0 < seen["many-candidate prunes"] < seen["prunes"]
+
+    def test_bidder_demand_never_prunes(self, monkeypatch):
+        # only the clock knows that prices never fall
+        calls = []
+        monkeypatch.setattr(_DemandEngine, "prune", lambda self, prices: calls.append(prices))
+        inst = next(_prune_instances())
+        for price in (0.0, 1.0, 10.0):
+            bidder_demand(inst, np.full(inst.n_items, price), 0)
+        assert calls == []
+
+    @pytest.mark.parametrize("mutant", ["superset", "negative margin", "empty package"])
+    def test_wrong_prunes_are_caught(self, mutant, monkeypatch):
+        prune = _DemandEngine.prune
+        if mutant == "superset":
+            def mutated(self, prices):
+                keep = _slow_prune(self, prices, _one_larger)
+                self._cand, self._tables = self._cand[keep], self._tables[:, keep]
+        elif mutant == "negative margin":
+            margin = auction._prune_margin
+            monkeypatch.setattr(
+                auction, "_prune_margin", lambda tables, n, eps, p0: -margin(tables, n, eps, p0) - eps
+            )
+            mutated = prune
+        else:
+            def mutated(self, prices):
+                prune(self, prices)
+                if self._cand[0] == 0:  # the empty package leads the tie order
+                    self._cand, self._tables = self._cand[1:], self._tables[:, 1:]
+        monkeypatch.setattr(_DemandEngine, "prune", mutated)
+        seen = _audit_exact_demand(monkeypatch)
+        for inst in _prune_instances():
+            run_auction(replace(inst, config=replace(inst.config, max_rounds=200)))
+        assert seen["mismatches"] > 0
 
 
 class TestInvalidLimits:

@@ -9,9 +9,12 @@ default ``content-distribution`` config (50 drops x 50 rounds x 2 schemes), is
 pinned as well, and so are the pricing-power CSVs at seeds 2 and 3, whose
 channels give other price grids and other power-game iterates. The exact
 sum-rate CSV is pinned at seeds 2 and 3, whose auctions take other clock paths
-through the exhaustive demand tables. The content CSV and both sum-rate CSVs
-are pinned in the uplink too, where the cellular transmitter and receiver of
-every RB swap places. These tests only read the configs and the digests.
+through the exhaustive demand tables, and at seeds 11 and 17, the first seeds
+above 3 whose two 12-pair auctions both run past round 128, so each of them
+passes the dominated-package prunes of rounds 32, 64 and 128. The content CSV
+and both sum-rate CSVs are pinned in the uplink too, where the cellular
+transmitter and receiver of every RB swap places. These tests only read the
+configs and the digests.
 """
 
 import hashlib
@@ -46,6 +49,8 @@ UPLINK_CONTENT_DIGEST = "2729d8d244e29699f9788b12b3829c325c94d0fe0f0ab83dadf6277
 SUMRATE_EXACT_DIGESTS = {
     2: "9258ce769d2166fe50a56f068289b4feeb19a63679fd3bc1d54e7833549584f5",
     3: "a17024aafb89d655928bd2c83d46d49f7937eb7ed651fc9f294e766e2a388853",
+    11: "e537666da7045f6d602d6f89c24cc158b0199a15c19a0f18afcc209e30eacb95",
+    17: "b9ed94551cd8f7a91967b806d6d1ab9d9f56f533a932f8d4a692cd7b3c69c21e",
 }
 
 # sumrate.csv of each sum-rate config with link_direction = uplink, program seed 1
