@@ -294,9 +294,8 @@ class _DemandEngine:
             bits = (1 << np.arange(self.n))[:, None]
             smaller = np.where(cand & bits, column[cand ^ bits], size)  # one row per bit
             best = padded.take(smaller[0], axis=1)
-            other = np.empty_like(best)
             for columns in smaller[1:]:
-                np.maximum(best, padded.take(columns, axis=1, out=other), out=best)
+                np.maximum(best, padded.take(columns, axis=1), out=best)
             best -= surplus
             gain = best.min(axis=0)
         dominated = gain > self._margin
