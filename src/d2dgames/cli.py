@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("oracle-check", help="cross-validate engines against oracles")
 
-    sub.add_parser("print-defaults", help="print the full default configuration")
+    sub.add_parser("print-defaults", help="print the default sumrate-vs-pairs configuration")
     return parser
 
 

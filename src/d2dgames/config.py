@@ -3,10 +3,12 @@
 Each key is a field of its section's dataclass, parsed by the field's
 declared type: plain fields of :class:`ExperimentConfig` form ``[harness]``
 and each of its dataclass-valued fields is a section of its own. An empty
-file yields the full desk-scale defaults. Unknown sections or keys are
-rejected with their line number so typos never silently fall back to a
-default; the effective configuration can be dumped back out and reparses to
-an identical object, which is how runs are made reproducible.
+file yields the full desk-scale defaults. Each experiment reads only some
+keys (:data:`EXPERIMENTS`); unknown sections or keys, and keys the file's
+experiment does not read, are rejected with their line number, so no line
+silently falls back to a default or does nothing. The keys a run read can be
+dumped back out and reparse to an identical object, which is how runs are
+made reproducible.
 """
 
 from __future__ import annotations
@@ -20,33 +22,62 @@ from d2dgames.power_control import PowerConfig
 from d2dgames.radio import RadioParams
 from d2dgames.stackelberg import StackelbergConfig
 
-EXPERIMENTS = (
-    "sumrate-vs-pairs",
-    "content-distribution",
-    "power-control",
-    "stackelberg",
-    "oracle-check",
-)
 
-# each experiment's full scheme set: its default, and all that validate() admits
-_DEFAULT_SCHEMES = {
-    "sumrate-vs-pairs": ("rica", "random", "all_cellular"),
-    "content-distribution": ("coalition", "noncooperative"),
+@dataclass(frozen=True)
+class Reads:
+    """What one experiment reads: ``fields`` names the fields of
+    :class:`ExperimentConfig` it reads, each a ``[harness]`` key or a section
+    read whole. ``drops`` and ``schemes`` are its defaults, None where it
+    reads neither; ``schemes`` is also every scheme it runs.
+    """
+
+    fields: tuple[str, ...]
+    drops: int | None = None
+    schemes: tuple[str, ...] | None = None
+
+    def has(self, section: str, key: str) -> bool:
+        return (key if section == "harness" else section) in self.fields
+
+
+_EVERY_RUN = ("experiment", "master_seed", "output_path", "radio")
+
+# experiment -> what it reads; a file that sets any other key is rejected
+EXPERIMENTS = {
+    "sumrate-vs-pairs": Reads(
+        _EVERY_RUN + ("sweep", "drops", "schemes", "m_cue", "auction"),
+        drops=200,
+        schemes=("rica", "random", "all_cellular"),
+    ),
+    "content-distribution": Reads(
+        _EVERY_RUN + ("drops", "schemes", "content"),
+        drops=50,
+        schemes=("coalition", "noncooperative"),
+    ),
+    "power-control": Reads(_EVERY_RUN + ("m_cue", "power")),
+    "stackelberg": Reads(_EVERY_RUN + ("m_cue", "stackelberg")),
+    "oracle-check": Reads(_EVERY_RUN),
 }
-
-# experiment -> drops when not given; every other experiment gets 200
-_DEFAULT_DROPS = {"content-distribution": 50}
 
 
 class ConfigError(Exception):
     pass
 
 
+def _reads(experiment: str) -> Reads:
+    try:
+        return EXPERIMENTS[experiment]
+    except KeyError:
+        raise ConfigError(
+            f"experiment must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run; ``drops`` and ``schemes`` left at ``None`` take the experiment's
-    defaults at construction. ``dataclasses.replace`` of ``experiment`` keeps
-    them as resolved, so it must also pass ``drops=None, schemes=None``.
+    defaults at construction, and stay ``None`` where it reads neither.
+    ``dataclasses.replace`` of ``experiment`` keeps them as resolved, so it
+    must also pass ``drops=None, schemes=None``.
     """
 
     experiment: str = "sumrate-vs-pairs"
@@ -63,20 +94,20 @@ class ExperimentConfig:
     stackelberg: StackelbergConfig = field(default_factory=StackelbergConfig)
 
     def __post_init__(self):
-        if self.drops is None:
-            object.__setattr__(self, "drops", _DEFAULT_DROPS.get(self.experiment, 200))
-        if self.schemes is None:
-            schemes = _DEFAULT_SCHEMES.get(self.experiment, _DEFAULT_SCHEMES["sumrate-vs-pairs"])
-            object.__setattr__(self, "schemes", schemes)
+        reads = EXPERIMENTS.get(self.experiment)  # an unknown one fails validate()
+        if reads is not None:
+            if self.drops is None:
+                object.__setattr__(self, "drops", reads.drops)
+            if self.schemes is None:
+                object.__setattr__(self, "schemes", reads.schemes)
 
     def validate(self) -> "ExperimentConfig":
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"experiment must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}"
-            )
-        if self.drops < 1:
+        """Check the keys the experiment reads; the others are never used."""
+        reads = _reads(self.experiment)
+        read = reads.fields
+        if "drops" in read and self.drops < 1:
             raise ConfigError(f"drops must be >= 1 (invariant: drops >= 1), got {self.drops}")
-        allowed = _DEFAULT_SCHEMES.get(self.experiment)
+        allowed = reads.schemes
         if allowed and not (
             self.schemes
             and len(set(self.schemes)) == len(self.schemes)
@@ -86,25 +117,27 @@ class ExperimentConfig:
                 f"schemes of {self.experiment} must be distinct, non-empty and among "
                 f"{', '.join(allowed)}, got {','.join(self.schemes)!r}"
             )
-        if self.experiment == "sumrate-vs-pairs" and not self.sweep:
-            raise ConfigError("sweep must not be empty for sumrate-vs-pairs")
-        if any(v < 0 for v in self.sweep):
-            raise ConfigError(f"sweep values must be >= 0, got {self.sweep}")
-        if self.m_cue < 1:
+        if "sweep" in read:
+            if not self.sweep:
+                raise ConfigError(f"sweep must not be empty for {self.experiment}")
+            if any(v < 0 for v in self.sweep):
+                raise ConfigError(f"sweep values must be >= 0, got {self.sweep}")
+        if "m_cue" in read and self.m_cue < 1:
             raise ConfigError(f"m_cue must be >= 1, got {self.m_cue}")
         for f in fields(self):
             section = getattr(self, f.name)
-            if is_dataclass(section):
+            if f.name in read and is_dataclass(section):
                 try:
                     section.validate()
                 except ValueError as exc:
                     raise ConfigError(f"[{f.name}] {exc}") from exc
         # the two checks that span sections
-        try:
-            check_hotspot_radius(self.content.hotspot_radius_m, self.radio)
-        except ValueError as exc:
-            raise ConfigError(f"[content] {exc}") from exc
-        if not 0 <= self.stackelberg.rb < self.m_cue:
+        if "content" in read:
+            try:
+                check_hotspot_radius(self.content.hotspot_radius_m, self.radio)
+            except ValueError as exc:
+                raise ConfigError(f"[content] {exc}") from exc
+        if "stackelberg" in read and not 0 <= self.stackelberg.rb < self.m_cue:
             raise ConfigError(
                 f"[stackelberg] rb must satisfy 0 <= rb < m_cue = {self.m_cue}, "
                 f"got {self.stackelberg.rb}"
@@ -172,8 +205,9 @@ _SECTIONS = _schema(ExperimentConfig)
 
 
 def loads_config(text: str) -> ExperimentConfig:
-    """Parse configuration text; unknown keys and sections are hard errors."""
-    values: dict[str, dict[str, object]] = {}
+    """Parse configuration text; unknown sections and keys, and keys the
+    file's experiment does not read, are hard errors."""
+    given: dict[tuple[str, str], tuple[int, str]] = {}  # (section, key) -> (line, text)
     section = "harness"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -188,14 +222,22 @@ def loads_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in _SECTIONS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
-        given = values.setdefault(section, {})
-        if key in given:
+        if (section, key) in given:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in section [{section}]")
+        given[section, key] = lineno, value.strip()
+
+    _, experiment = given.get(("harness", "experiment"), (0, ExperimentConfig.experiment))
+    reads = _reads(experiment)
+    values: dict[str, dict[str, object]] = {}
+    for (section, key), (lineno, value) in given.items():
+        if not reads.has(section, key):
+            raise ConfigError(
+                f"line {lineno}: {experiment} does not read key {key!r} in section [{section}]"
+            )
         try:
-            given[key] = _SECTIONS[section][key](value)
+            values.setdefault(section, {})[key] = _SECTIONS[section][key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
@@ -226,9 +268,14 @@ def _fmt(value) -> str:
 
 
 def dump_config(config: ExperimentConfig) -> str:
-    """Render every effective value; the result reparses to an equal config."""
+    """Render every value the experiment reads; the result reparses to a config
+    equal to ``config`` on those keys, and equal outright for a loaded config."""
+    reads = EXPERIMENTS[config.experiment]
     lines = []
     for section, keys in _SECTIONS.items():
+        keys = [key for key in keys if reads.has(section, key)]
+        if not keys:
+            continue
         values = config if section == "harness" else getattr(config, section)
         lines.append(f"[{section}]")
         lines.extend(f"{key} = {_fmt(getattr(values, key))}" for key in keys)

@@ -8,20 +8,26 @@ import pytest
 from d2dgames.auction import auction_instance_from_radio, run_auction
 from d2dgames.coalition import ContentScenario
 from d2dgames.config import (
+    EXPERIMENTS,
     AuctionConfig,
     ConfigError,
     ExperimentConfig,
     PowerConfig,
     StackelbergConfig,
+    _SECTIONS,
+    _fmt,
     _schema,
     dump_config,
     load_config,
     loads_config,
 )
+from d2dgames.harness import run_experiment
 from d2dgames.power_control import power_game_from_radio, run_power_game
 from d2dgames.stackelberg import stackelberg_from_radio
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+CONTENT_RUN = "experiment = content-distribution\n"
 
 # `d2dgames print-defaults`, byte for byte
 DEFAULTS_TEXT = """\
@@ -51,26 +57,6 @@ epsilon = auto
 p0 = 0.0
 exact_cap = 12
 max_rounds = 1000000
-
-[content]
-n_d2d = 20
-k_seeds = 4
-m_cue = 6
-file_packets = 500
-packets_per_rate_unit = 10.0
-rounds = 50
-hotspot_radius_m = 15.0
-
-[power]
-players = 4
-sinr_target_db = 10.0
-tol_w = 1e-09
-max_iters = 1000
-
-[stackelberg]
-lambda_points = 2000
-pair = 0
-rb = 0
 """
 
 
@@ -142,11 +128,14 @@ class TestDefaults:
         assert ",".join(config.schemes) == "coalition,noncooperative"
         assert config.validate() == ExperimentConfig(experiment="content-distribution")
 
-    def test_sumrate_defaults_for_every_other_experiment(self):
-        for experiment in ("sumrate-vs-pairs", "power-control", "stackelberg", "oracle-check"):
+    def test_drops_and_schemes_only_where_read(self):
+        config = ExperimentConfig(experiment="sumrate-vs-pairs")
+        assert config.drops == 200
+        assert config.schemes == ("rica", "random", "all_cellular")
+        for experiment in ("power-control", "stackelberg", "oracle-check"):
             config = ExperimentConfig(experiment=experiment)
-            assert config.drops == 200
-            assert config.schemes == ("rica", "random", "all_cellular")
+            assert (config.drops, config.schemes) == (None, None)
+            assert loads_config(f"experiment = {experiment}\n") == config
         assert ExperimentConfig() == loads_config("")
 
     def test_drops_and_schemes_from_a_file_are_kept(self):
@@ -216,8 +205,8 @@ class TestParsing:
         ],
     )
     def test_invalid_content_scenario_rejected(self, line, message):
-        with pytest.raises(ConfigError, match=message):
-            loads_config(f"[content]\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"^\[content\] .*{message}"):
+            loads_config(f"{CONTENT_RUN}[content]\n{line}\n")
 
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_packet_pacing_rejected(self, bad, tmp_path, capsys):
@@ -225,7 +214,7 @@ class TestParsing:
 
         message = f"packets_per_rate_unit must be finite and >= 0, got {bad}"
         with pytest.raises(ConfigError, match=re.escape(message)):
-            loads_config(f"[content]\npackets_per_rate_unit = {bad}\n")
+            loads_config(f"{CONTENT_RUN}[content]\npackets_per_rate_unit = {bad}\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(
             f"experiment = content-distribution\ndrops = 1\n"
@@ -301,11 +290,13 @@ class TestParsing:
     @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-5", "1000"])
     def test_invalid_hotspot_radius_rejected(self, radius):
         # the default cell radius is 500 m, so 1000 is twice the cell
-        with pytest.raises(ConfigError, match="hotspot_radius_m"):
-            loads_config(f"[content]\nhotspot_radius_m = {radius}\n")
+        with pytest.raises(ConfigError, match=re.escape("[content] hotspot_radius_m")):
+            loads_config(f"{CONTENT_RUN}[content]\nhotspot_radius_m = {radius}\n")
 
     def test_hotspot_radius_up_to_cell_radius_accepted(self):
-        config = loads_config("[radio]\ncell_radius_m = 300\n[content]\nhotspot_radius_m = 300\n")
+        config = loads_config(
+            f"{CONTENT_RUN}[radio]\ncell_radius_m = 300\n[content]\nhotspot_radius_m = 300\n"
+        )
         assert config.content.hotspot_radius_m == 300.0
 
     @pytest.mark.parametrize(
@@ -320,7 +311,7 @@ class TestParsing:
         from d2dgames.cli import main
 
         with pytest.raises(ConfigError, match=message):
-            loads_config(f"[stackelberg]\n{line}\n")
+            loads_config(f"experiment = stackelberg\n[stackelberg]\n{line}\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"experiment = stackelberg\n[stackelberg]\nlambda_points = 8\n{line}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -341,7 +332,7 @@ class TestParsing:
         from d2dgames.cli import main
 
         with pytest.raises(ConfigError, match=re.escape(f"[power] {message}")):
-            loads_config(f"[power]\n{line}\n")
+            loads_config(f"experiment = power-control\n[power]\n{line}\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"experiment = power-control\n[power]\n{line}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -382,6 +373,7 @@ class TestDerivedSchema:
         assert dump_config(ExperimentConfig()) == DEFAULTS_TEXT
         assert main(["print-defaults"]) == 0
         assert capsys.readouterr().out == DEFAULTS_TEXT
+        assert loads_config(DEFAULTS_TEXT) == ExperimentConfig()
 
     @pytest.mark.parametrize(
         "cls, where", [(_ListRoot, "_ListSection.values"), (_ComplexRoot, "_ComplexRoot.z")]
@@ -395,7 +387,7 @@ class TestDerivedSchema:
             _schema(_UncheckedRoot)
 
     def test_content_section_is_the_content_scenario(self):
-        config = loads_config("[content]\nrounds = 7\nhotspot_radius_m = 20\n")
+        config = loads_config(f"{CONTENT_RUN}[content]\nrounds = 7\nhotspot_radius_m = 20\n")
         assert config.content == ContentScenario(rounds=7, hotspot_radius_m=20.0)
 
     def test_zero_rounds_rejected(self, tmp_path):
@@ -404,7 +396,7 @@ class TestDerivedSchema:
         with pytest.raises(ValueError, match="rounds must be >= 1, got 0"):
             ContentScenario(rounds=0).validate()
         with pytest.raises(ConfigError, match="rounds must be >= 1, got 0"):
-            loads_config("[content]\nrounds = 0\n")
+            loads_config(f"{CONTENT_RUN}[content]\nrounds = 0\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("experiment = content-distribution\ndrops = 1\n[content]\nrounds = 0\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -440,11 +432,13 @@ class TestExtremeValues:
     def test_rejected_before_the_run(self, section, line, experiment, tmp_path, capsys):
         from d2dgames.cli import main
 
+        # each experiment's own size keys, so a run that got past the check stays small
+        sizes = {
+            SUMRATE: "drops = 1\nsweep = 2\n",
+            CONTENT: "drops = 1\n[content]\nrounds = 2\n",
+        }.get(experiment, "")
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(
-            f"experiment = {experiment}\ndrops = 1\nsweep = 2\n"
-            f"[content]\nrounds = 2\n[{section}]\n{line}\n"
-        )
+        cfg.write_text(f"experiment = {experiment}\n{sizes}[{section}]\n{line}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: [{section}] ")
         assert not (tmp_path / "out").exists()
@@ -503,8 +497,138 @@ class TestSchemesAndSweep:
         text = "experiment = content-distribution\nschemes = noncooperative\n"
         assert loads_config(text).schemes == ("noncooperative",)
 
-    def test_schemes_unchecked_where_unused(self):
-        assert loads_config("experiment = stackelberg\nsweep =\n").sweep == ()
+
+_ALL_KEYS = [(section, key) for section, keys in _SECTIONS.items() for key in keys]
+UNREAD = [
+    (experiment, section, key)
+    for experiment in EXPERIMENTS
+    for section, key in _ALL_KEYS
+    if not EXPERIMENTS[experiment].has(section, key)
+]
+
+# a small run of each experiment, in keys it reads
+SMALL_RUNS = {
+    "sumrate-vs-pairs": "sweep = 2\ndrops = 1\nm_cue = 2\n",
+    "content-distribution": (
+        "drops = 1\n[content]\nn_d2d = 4\nk_seeds = 2\nm_cue = 2\nrounds = 1\n"
+    ),
+    "power-control": "[power]\nmax_iters = 20\n",
+    "stackelberg": "[stackelberg]\nlambda_points = 8\n",
+    "oracle-check": "",
+}
+
+
+class _Recorder:
+    """Hands a config's fields through and records the name of each one read."""
+
+    def __init__(self, config):
+        self._config = config
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._config, name)
+
+
+class TestReadKeys:
+    """Each experiment accepts exactly the keys its run reads."""
+
+    def test_settable_keys_per_experiment(self):
+        counts = {
+            experiment: sum(reads.has(*key) for key in _ALL_KEYS)
+            for experiment, reads in EXPERIMENTS.items()
+        }
+        assert counts == {
+            "sumrate-vs-pairs": 21,
+            "content-distribution": 21,
+            "power-control": 17,
+            "stackelberg": 16,
+            "oracle-check": 12,
+        }
+        assert len(_ALL_KEYS) == 35 and len(UNREAD) == 88
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_table_is_what_the_run_reads(self, experiment):
+        config = loads_config(f"experiment = {experiment}\n{SMALL_RUNS[experiment]}")
+        recorder = _Recorder(config)
+        run_experiment(recorder)
+        names = {f.name for f in fields(ExperimentConfig)}
+        assert recorder.read & names == set(EXPERIMENTS[experiment].fields)
+
+    @pytest.mark.parametrize(
+        "experiment, section, key", UNREAD, ids=["-".join(case) for case in UNREAD]
+    )
+    def test_unread_key_is_rejected(self, experiment, section, key, tmp_path, capsys):
+        from d2dgames.cli import main
+
+        defaults = ExperimentConfig()
+        value = getattr(defaults if section == "harness" else getattr(defaults, section), key)
+        text = (
+            f"experiment = {experiment}\n{SMALL_RUNS[experiment]}"
+            f"[{section}]\n{key} = {_fmt(value)}\n"
+        )
+        lineno = text.count("\n")  # the key is the last line
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: line {lineno}: {experiment} does not read key "
+            f"{key!r} in section [{section}]\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_unread_key_is_named_before_a_bad_value(self):
+        with pytest.raises(ConfigError, match=r"line 2: stackelberg does not read key 'drops'"):
+            loads_config("experiment = stackelberg\ndrops = many\n")
+
+    def test_experiment_may_follow_its_keys(self):
+        config = loads_config("[power]\nplayers = 2\n[harness]\nexperiment = power-control\n")
+        assert config.power.players == 2
+        with pytest.raises(ConfigError, match="line 2: power-control does not read key 'rb'"):
+            loads_config("[stackelberg]\nrb = 1\n[harness]\nexperiment = power-control\n")
+
+    def test_validate_checks_only_read_keys(self):
+        bad = ContentScenario(rounds=0)
+        config = ExperimentConfig(
+            experiment="stackelberg", drops=0, sweep=(-1,), schemes=("bogus",), content=bad
+        )
+        assert config.validate() is config
+        config = ExperimentConfig(experiment="content-distribution", content=bad)
+        with pytest.raises(ConfigError, match=r"\[content\] rounds must be >= 1"):
+            config.validate()
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_effective_config_holds_the_read_keys(self, experiment, tmp_path):
+        from d2dgames.cli import main
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{SMALL_RUNS[experiment]}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "effective_config.txt").read_text(encoding="utf-8")
+        written, section = set(), None
+        for line in text.splitlines():
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line:
+                written.add((section, line.partition(" = ")[0]))
+        assert written == {key for key in _ALL_KEYS if EXPERIMENTS[experiment].has(*key)}
+        assert loads_config(text) == replace(load_config(str(cfg)), output_path=str(out))
+
+    def test_small_cell_sumrate_ignores_the_content_hotspot(self, tmp_path):
+        from d2dgames.cli import main
+
+        # [content] hotspot_radius_m = 15 is wider than this cell, and a
+        # sum-rate run never places a hotspot
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(
+            f"{SMALL_RUNS['sumrate-vs-pairs']}[radio]\ncell_radius_m = 12\nmax_d2d_distance_m = 5\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "sumrate.csv").exists()
+        with pytest.raises(ConfigError, match=r"\[content\] hotspot_radius_m"):
+            loads_config(f"{CONTENT_RUN}[radio]\ncell_radius_m = 12\nmax_d2d_distance_m = 5\n")
 
 
 class TestOneHome:
@@ -540,9 +664,11 @@ class TestOneHome:
 class TestReadme:
     def test_config_block_loads_to_the_defaults(self):
         blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-        assert len(blocks) == 1
-        config = loads_config(blocks[0])
-        assert replace(config, output_path="") == ExperimentConfig()
+        configs = [loads_config(block) for block in blocks]
+        assert [config.experiment for config in configs] == list(EXPERIMENTS)
+        for config in configs:
+            expected = ExperimentConfig(experiment=config.experiment)
+            assert replace(config, output_path="") == expected
 
     def test_quick_start_runs(self, capsys):
         blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

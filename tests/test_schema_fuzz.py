@@ -1,15 +1,16 @@
 """Every config the schema admits either runs or is rejected.
 
-Configs are drawn from ``config._SECTIONS``: each size key from a small range
-so that every run stays fast, then a few keys of any kind set to edge values
-(0, negative values, +-4000, +-1e300, nan and inf for floats). A run must
-end in one of two ways:
+Configs are drawn from ``config._SECTIONS``, each from the keys its drawn
+experiment reads: each size key from a small range so that every run stays
+fast, then a few keys of any kind set to edge values (0, negative values,
++-4000, +-1e300, nan and inf for floats). A run must end in one of two ways:
 
 - exit 2 with a ``config error:`` line;
 - exit 0 or 4 without raising, where every error row names a documented limit.
 
 A key of a type this file has no values for fails the test, so a key added
-to the schema later is fuzzed too.
+to the schema later is fuzzed too. A config that also sets one key its
+experiment does not read must exit 2 naming that key.
 """
 
 import contextlib
@@ -23,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dgames import cli
-from d2dgames.config import _DEFAULT_SCHEMES, _SECTIONS, EXPERIMENTS, ExperimentConfig
+from d2dgames.config import _SECTIONS, EXPERIMENTS, ExperimentConfig
 
-# the experiments a run can take; oracle-check ignores the config's sizes
+# the experiments a run can take; oracle-check runs fixed instances and reads no size
 RUNNABLE = tuple(e for e in EXPERIMENTS if e != "oracle-check")
 
 # size keys: the range every config draws from, so that each run stays small
@@ -48,7 +49,7 @@ SWEEP_RANGE = (0, 4)
 
 EDGE_FLOATS = ["0", "-1", "4000", "-4000", "1e300", "-1e300", "nan", "inf", "-inf"]
 EDGE_INTS = [-(2**63), -1, 0, 1, 2**64]
-SCHEME_NAMES = sorted({s for schemes in _DEFAULT_SCHEMES.values() for s in schemes})
+SCHEME_NAMES = sorted({s for reads in EXPERIMENTS.values() for s in reads.schemes or ()})
 
 # error rows a run may write: each one a limit the README documents
 DOCUMENTED_LIMITS = [re.compile(r"auction hit max_rounds=\d+ without terminating")]
@@ -92,19 +93,45 @@ def _value_text(section: str, key: str, edge: bool) -> st.SearchStrategy[str]:
 # output_path is replaced by --out
 KEYS = [(s, k) for s, keys in _SECTIONS.items() for k in keys if k != "output_path"]
 
+# experiment -> the keys of KEYS it reads
+READ = {name: [key for key in KEYS if reads.has(*key)] for name, reads in EXPERIMENTS.items()}
 
-@st.composite
-def config_texts(draw) -> str:
-    values = {key: draw(_value_text(*key, edge=False)) for key in SIZES}
-    values["harness", "sweep"] = draw(_value_text("harness", "sweep", edge=False))
-    values["harness", "experiment"] = draw(_value_text("harness", "experiment", edge=False))
-    for key in draw(st.lists(st.sampled_from(KEYS), max_size=4, unique=True)):
-        values[key] = draw(_value_text(*key, edge=True))
+
+def _text(values: dict[tuple[str, str], str]) -> str:
     lines = []
     for section in _SECTIONS:
         lines.append(f"[{section}]")
         lines.extend(f"{k} = {v}" for (s, k), v in values.items() if s == section)
     return "\n".join(lines) + "\n"
+
+
+def _sized(draw, experiment: str) -> dict[tuple[str, str], str]:
+    """The experiment's size keys and sweep at small values."""
+    values = {("harness", "experiment"): experiment}
+    for key in READ[experiment]:
+        if key in SIZES or key == ("harness", "sweep"):
+            values[key] = draw(_value_text(*key, edge=False))
+    return values
+
+
+@st.composite
+def config_texts(draw) -> str:
+    experiment = draw(_value_text("harness", "experiment", edge=False))
+    values = _sized(draw, experiment)
+    for key in draw(st.lists(st.sampled_from(READ[experiment]), max_size=4, unique=True)):
+        values[key] = draw(_value_text(*key, edge=True))
+    return _text(values)
+
+
+@st.composite
+def unread_key_texts(draw) -> tuple[str, str, str]:
+    """(text, experiment, key): a small config plus one key its experiment does not read."""
+    experiment = draw(_value_text("harness", "experiment", edge=False))
+    values = _sized(draw, experiment)
+    unread = [key for key in KEYS if key not in READ[experiment]]
+    key = draw(st.sampled_from(unread))
+    values[key] = draw(_value_text(*key, edge=draw(st.booleans())))
+    return _text(values), experiment, key[1]
 
 
 def _error_lines(stdout: str) -> list[str]:
@@ -127,20 +154,37 @@ def test_every_key_has_fuzz_values():
         _value_text(*key, edge=False)
 
 
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
-@given(text=config_texts())
-def test_a_config_runs_or_is_rejected(text):
+def _run(text: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``run`` on ``text``."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"
         cfg.write_text(text)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(text=config_texts())
+def test_a_config_runs_or_is_rejected(text):
+    code, out, err = _run(text)
     if code == 2:
-        assert err.getvalue().startswith("config error: "), (text, err.getvalue())
+        assert err.startswith("config error: "), (text, err)
         return
-    assert code in (0, 4), (text, code, out.getvalue())
-    errors = _error_lines(out.getvalue())
-    assert bool(errors) == (code == 4), (text, out.getvalue())
+    assert code in (0, 4), (text, code, out)
+    errors = _error_lines(out)
+    assert bool(errors) == (code == 4), (text, out)
     for line in errors:
         assert any(limit.search(line) for limit in DOCUMENTED_LIMITS), (text, line)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=unread_key_texts())
+def test_one_unread_key_is_rejected(case):
+    text, experiment, key = case
+    code, _, err = _run(text)
+    assert code == 2, (text, code)
+    assert re.match(rf"config error: line \d+: {experiment} does not read key {key!r}", err), (
+        text, err
+    )

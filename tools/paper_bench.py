@@ -9,6 +9,11 @@ CSV it wrote (every run must write the same bytes) and a host record::
 
     python tools/paper_bench.py --out bench.json
 
+Each run also records ``speed_index``: the mean wall time of the calibration
+loop of ``perfbench/hostspeed.py``, timed once before and once after the run,
+over that loop's time on the reference host. A run's wall seconds divided by
+its index are seconds at reference speed, which compare across hours and
+hosts where raw seconds do not (files written before this field have none).
 Per-layer totals and solver counters are not recorded yet.
 """
 
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -35,6 +41,11 @@ if __name__ == "__main__":
 
 from d2dgames.harness import CSV_FILENAMES  # noqa: E402
 
+# perfbench/hostspeed.py by path, so that loading this file leaves sys.path alone
+_spec = importlib.util.spec_from_file_location("hostspeed", ROOT / "perfbench" / "hostspeed.py")
+hostspeed = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(hostspeed)
+
 # name -> config file text; the default experiments at paper scale
 DEFAULT_CONFIGS = {
     "sumrate-vs-pairs": "experiment = sumrate-vs-pairs\n",
@@ -49,8 +60,11 @@ def _child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def time_run(experiment: str, config_text: str, workdir: Path) -> tuple[float, float, str]:
-    """One CLI run in a fresh interpreter: (wall s, CPU s, sha256 of its CSV)."""
+def time_run(
+    experiment: str, config_text: str, workdir: Path
+) -> tuple[float, float, str, float]:
+    """One CLI run in a fresh interpreter: (wall s, CPU s, sha256 of its CSV,
+    host speed index around it)."""
     workdir.mkdir(parents=True, exist_ok=True)
     cfg = workdir / "run.cfg"
     cfg.write_text(config_text, encoding="utf-8")
@@ -58,13 +72,16 @@ def time_run(experiment: str, config_text: str, workdir: Path) -> tuple[float, f
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "d2dgames", "run", "--config", str(cfg), "--out", str(out)]
+    loop_before, _ = hostspeed.measure()
     cpu0, wall0 = _child_cpu_s(), time.perf_counter()
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     wall, cpu = time.perf_counter() - wall0, _child_cpu_s() - cpu0
+    loop_after, _ = hostspeed.measure()
+    index = (loop_before + loop_after) / 2 / hostspeed.REFERENCE_S
     if proc.returncode != 0:
         raise RuntimeError(f"{experiment} exited {proc.returncode}:\n{proc.stderr}")
     digest = hashlib.sha256((out / CSV_FILENAMES[experiment]).read_bytes()).hexdigest()
-    return wall, cpu, digest
+    return wall, cpu, digest, index
 
 
 def host_record() -> dict:
@@ -101,23 +118,25 @@ def host_record() -> dict:
 
 def write_bench(path: Path, configs: dict[str, str], repeats: int, workdir: Path) -> dict:
     """Run each config ``repeats`` times, alternating, and write the summary to ``path``."""
-    runs: dict[str, list[tuple[float, float, str]]] = {name: [] for name in configs}
+    runs: dict[str, list[tuple[float, float, str, float]]] = {name: [] for name in configs}
     for r in range(repeats):
         for name, text in configs.items():
             runs[name].append(time_run(name, text, workdir / f"{name}-{r}"))
     result = {}
     for name, timed in runs.items():
-        digests = {digest for _, _, digest in timed}
+        walls, cpus, digests, indices = zip(*timed)
+        digests = set(digests)
         if len(digests) != 1:
             raise RuntimeError(f"{name}: runs wrote different CSVs: {sorted(digests)}")
-        walls = [round(wall, 3) for wall, _, _ in timed]
-        cpus = [round(cpu, 3) for _, cpu, _ in timed]
+        walls = [round(wall, 3) for wall in walls]
+        cpus = [round(cpu, 3) for cpu in cpus]
         result[name] = {
             "config": configs[name],
             "csv": CSV_FILENAMES[name],
             "csv_sha256": digests.pop(),
             "wall_s": walls,
             "cpu_s": cpus,
+            "speed_index": [round(index, 3) for index in indices],
             "wall_s_median": statistics.median(walls),
             "cpu_s_median": statistics.median(cpus),
         }
