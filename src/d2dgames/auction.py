@@ -33,12 +33,20 @@ cheap without altering the outcome:
   still counts every candidate row a cache-free engine would evaluate.
 - Dominated packages: prices only rise, so the surplus of a package without
   item ``i`` minus that of the package with it (``p_i`` minus the marginal
-  value of ``i``) never falls. At rounds 32, 64, 128, ... :func:`run_auction`
-  drops from the exact tables every package that, for every bidder, a
-  package one item smaller beats by more than ``delta``; the empty package
-  has no smaller package and always stays. Exact demand is the same argmax
-  over the columns left, still in tie order, and the price sums are still one
-  ``masks @ prices`` over all packages, so every surplus keeps its bits.
+  value of ``i``) never falls. On tables of more than 256 packages (9 items
+  or more), at rounds 32, 64, 128, ... :func:`run_auction` drops from the
+  exact tables every package that, for every bidder, a package one item
+  smaller beats by more than ``delta``; the empty package has no smaller
+  package and always stays. Smaller tables are not pruned: there the prune
+  costs about as much as it saves. Exact demand is the same argmax over the
+  columns left, still in tie order. Its price sums are one ``block @
+  prices`` over the live packages' mask rows, kept in tie order and padded
+  with zero rows to a multiple of 4; a prune compacts the block with the
+  tables. OpenBLAS's dgemv sums each row of a full group of 4 rows in one
+  order, and only a last partial group takes another path. All ``2**n``
+  masks (``n >= 2``) fill whole groups, so every live package's sum has the
+  bits of ``masks @ prices`` and every surplus keeps its bits; at ``n <= 1``
+  a row has at most one nonzero entry, whose sum is exact in any order.
   ``delta`` comes from the tables, ``n``, ``epsilon`` and ``p0``. With ``u =
   2**-53``, ``R`` the range of the tables' values and 0, and ``A`` their
   largest magnitude, every price stays below ``pmax = max(p0, 2 (R +
@@ -156,6 +164,26 @@ def _tie_order(items: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return masks, order
 
 
+def _padded_rows(masks: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """``masks[cand]`` followed by zero rows up to a multiple of 4 rows.
+
+    A zero row's price sum is never read; the padding only keeps every
+    candidate row in a full group of 4 of the dgemv (module docstring).
+    """
+    block = np.zeros((-(-len(cand) // 4) * 4, masks.shape[1]))
+    block[: len(cand)] = masks[cand]
+    return block
+
+
+@functools.lru_cache(maxsize=32)
+def _tie_block(items: tuple[int, ...]) -> np.ndarray:
+    """All package masks in tie order, padded: the price-sum block of an unpruned engine."""
+    masks, order = _tie_order(items)
+    block = _padded_rows(masks, order)
+    block.setflags(write=False)  # shared by every auction over these items
+    return block
+
+
 def _check_finite(bidders: tuple[int, ...], values: np.ndarray) -> None:
     """Raise naming the first bidder whose row of ``values`` is not all finite.
 
@@ -180,24 +208,22 @@ def _prune_margin(tables: np.ndarray, n: int, epsilon: float, p0: float) -> floa
     return 4.0 * 2.0 * u * (top + (n + 1) ** 2 * pmax)
 
 
-def _lattice_gain(tables: np.ndarray, cand: np.ndarray, price_sums: np.ndarray) -> np.ndarray:
+def _lattice_gain(surplus_cand: np.ndarray, cand: np.ndarray, full: int) -> np.ndarray:
     """Per package, the least over these bidders of the surplus gained by dropping its best item.
 
-    ``tables`` holds some bidders' values of the candidate packages ``cand``
-    (bitmasks, one column each) and ``price_sums`` every package's price sum
-    in plain order. The surplus of every package is laid out in plain order,
-    -inf for the packages that are not candidates; there the packages one
-    item smaller are strided views, one bit at a time. Returns one value per
-    package in plain order, meaningful for the candidates only.
+    ``surplus_cand`` holds some bidders' surpluses of the candidate packages
+    ``cand`` (bitmasks, one column each) out of ``full`` packages. The
+    surplus of every package is laid out in plain order, -inf for the
+    packages that are not candidates; there the packages one item smaller
+    are strided views, one bit at a time. Returns one value per package in
+    plain order, meaningful for the candidates only.
     """
-    full = len(price_sums)
-    surplus = np.full((len(tables), full), -np.inf)
-    surplus[:, cand] = tables
-    surplus -= price_sums
+    surplus = np.full((len(surplus_cand), full), -np.inf)
+    surplus[:, cand] = surplus_cand
     best = np.full_like(surplus, -np.inf)
     bit = 1
     while bit < full:
-        shape = (len(tables), full // (2 * bit), 2, bit)
+        shape = (len(surplus), full // (2 * bit), 2, bit)
         with_bit = best.reshape(shape)[:, :, 1]
         without = surplus.reshape(shape)[:, :, 0]
         if 2 * bit * bit < full:  # run the loop along the longer axis
@@ -229,7 +255,9 @@ class _DemandEngine:
             # the masks in plain order, then the tables are permuted so a row's
             # first maximum is the tie rule. Mask row r is the package with
             # bitmask r, and table column c is the candidate package
-            # self._cand[c]; a prune drops columns, keeping their order.
+            # self._cand[c]; a prune drops columns, keeping their order. Row c
+            # of self._block is mask row self._cand[c], then zero rows pad it
+            # to a multiple of 4 rows (module docstring).
             self._masks, self._cand = _tie_order(instance.items)
             tables = [instance.batch_valuation(bidder, self._masks) for bidder in bidders]
             tables = np.array(tables, dtype=float).reshape(len(bidders), 2**self.n)
@@ -237,6 +265,7 @@ class _DemandEngine:
             config = instance.config
             self._margin = _prune_margin(tables, self.n, config.epsilon, config.p0)
             self._tables = tables[:, self._cand]
+            self._block = _tie_block(instance.items)
             self.calls += len(bidders) * (2**self.n - 1)  # non-empty packages evaluated
         else:
             # the empty package, then each item alone; a package's candidate
@@ -252,11 +281,13 @@ class _DemandEngine:
         """Demanded packages of the bidders at positions ``rows``, as bitmasks.
 
         ``prices`` is a float64 array in item order. Bit ``i`` of a package's
-        mask is item position ``i``; any ``n`` fits a Python int.
+        mask is item position ``i``; any ``n`` fits a Python int. Exact
+        demand prices only the live candidates, with one ``block @ prices``
+        whose sums have the bits of the full ``masks @ prices``.
         """
         if self.exact:
             surplus = self._tables[rows]  # fancy indexing: a copy
-            surplus -= (self._masks @ prices)[self._cand]
+            surplus -= self._price_sums(prices)
             return self._cand[surplus.argmax(axis=1)].tolist()
         prices = prices.tolist()
         return [self._demand_greedy(k, prices) for k in rows]
@@ -267,11 +298,18 @@ class _DemandEngine:
         Valid only while prices never fall from ``prices`` on, as on the
         clock. A candidate is dropped when, for every bidder, some candidate
         one item smaller has a surplus higher by more than ``self._margin``.
+        The dropped packages leave the tables and the block of mask rows
+        together, so the block stays in tie order and padded to a multiple
+        of 4 rows.
         """
         cand = self._cand
         bidders, size = self._tables.shape
         full = 1 << self.n
-        price_sums = self._masks @ prices
+        # a last column of -inf stands for the dropped packages
+        padded = np.empty((bidders, size + 1))
+        surplus = padded[:, :size]
+        np.subtract(self._tables, self._price_sums(prices), out=surplus)
+        padded[:, size] = -np.inf
         # the lattice of all packages costs the same at any candidate count,
         # gathering each candidate's subsets costs per candidate: below half
         # of the packages, gathering is the cheaper
@@ -280,15 +318,10 @@ class _DemandEngine:
             # bigger than the tables
             half = (bidders + 1) // 2
             gain = np.minimum(
-                _lattice_gain(self._tables[:half], cand, price_sums),
-                _lattice_gain(self._tables[half:], cand, price_sums),
+                _lattice_gain(surplus[:half], cand, full),
+                _lattice_gain(surplus[half:], cand, full),
             )[cand]
         else:
-            # a last column of -inf stands for the dropped packages
-            padded = np.empty((bidders, size + 1))
-            surplus = padded[:, :size]
-            np.subtract(self._tables, price_sums[cand], out=surplus)
-            padded[:, size] = -np.inf
             column = np.full(full, size)
             column[cand] = np.arange(size)
             bits = (1 << np.arange(self.n))[:, None]
@@ -300,8 +333,17 @@ class _DemandEngine:
             gain = best.min(axis=0)
         dominated = gain > self._margin
         if dominated.any():
-            self._cand = cand[~dominated]
-            self._tables = self._tables[:, ~dominated]
+            self._keep(~dominated)
+
+    def _keep(self, keep: np.ndarray) -> None:
+        """Keep the candidates where ``keep`` is set: table columns and block rows, in order."""
+        self._cand = self._cand[keep]
+        self._tables = self._tables[:, keep]
+        self._block = _padded_rows(self._masks, self._cand)
+
+    def _price_sums(self, prices: np.ndarray) -> np.ndarray:
+        """The candidates' price sums in column order, ``(masks @ prices)[cand]`` bit for bit."""
+        return (self._block @ prices)[: len(self._cand)]
 
     def _greedy_step(self, k: int, mask: int):
         """Value and store the candidates of one greedy step from package ``mask``.
@@ -359,6 +401,11 @@ class _DemandEngine:
         return mask
 
 
+# exact tables of at most this many packages (8 items) are never pruned: a
+# prune there costs about as much as the demand scans it shortens
+PRUNE_ABOVE_PACKAGES = 256
+
+
 def _package(items: tuple[int, ...], mask: int) -> frozenset[int]:
     """The items whose positions are the set bits of ``mask``."""
     return frozenset(item for i, item in enumerate(items) if (mask >> i) & 1)
@@ -384,10 +431,14 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
     Returns an :class:`AuctionState` whose ``terminated`` flag is False when
     ``config.max_rounds`` ran out; callers must check it before using the
     assignment. Exact-mode tables are valued before round 1 and charged to it.
+    The dominated-package prune runs at rounds 32, 64, 128, ... only on
+    tables of more than ``PRUNE_ABOVE_PACKAGES`` (256) packages, 9 items or
+    more; a prune never changes a demand, so skipping it moves no byte.
     """
     config = instance.config
     items, bidders = instance.items, instance.bidders
     engine = _DemandEngine(instance, bidders)
+    prunes = engine.exact and 2 ** engine.n > PRUNE_ABOVE_PACKAGES
     prices = [float(config.p0)] * len(items)  # the same IEEE sums as a float64 array
     demands = [0] * len(bidders)  # bitmasks over item positions
     stale = list(range(len(bidders)))
@@ -398,7 +449,7 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
     while rounds < config.max_rounds:
         rounds += 1
         price_array = np.array(prices)
-        if engine.exact and rounds >= 32 and not rounds & (rounds - 1):
+        if prunes and rounds >= 32 and not rounds & (rounds - 1):
             engine.prune(price_array)  # at rounds 32, 64, 128, ...: prices only rise
         for k, mask in zip(stale, engine.demand(stale, price_array)):
             demands[k] = mask

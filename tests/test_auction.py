@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -7,6 +10,7 @@ import pytest
 
 from d2dgames import auction, radio
 from d2dgames.auction import (
+    PRUNE_ABOVE_PACKAGES,
     AuctionConfig,
     AuctionInstance,
     _DemandEngine,
@@ -693,8 +697,10 @@ def _audit_exact_demand(monkeypatch):
 
     The engine's tables and candidates are copied before the first prune;
     each call's packages are compared with the argmax over all columns of
-    ``tables - (masks @ prices)[order]``, the unpruned rule. Each prune the
-    engine makes is compared with :func:`_slow_prune`. Returns counters.
+    ``tables - (masks @ prices)[order]``, the unpruned rule, and its
+    candidates' price sums with ``(masks @ prices)[cand]``, bit for bit.
+    Each prune the engine makes is compared with :func:`_slow_prune`.
+    Returns counters.
     """
     init, demand, prune = _DemandEngine.__init__, _DemandEngine.demand, _DemandEngine.prune
     seen = Counter()
@@ -713,6 +719,8 @@ def _audit_exact_demand(monkeypatch):
             pruned = len(self._cand) < len(self.order)
             seen["pruned calls"] += pruned
             seen["mismatches"] += got != want
+            sums = (self._masks @ prices)[self._cand]
+            seen["price sum mismatches"] += self._price_sums(prices).tobytes() != sums.tobytes()
             seen["empty demanded after a prune"] += pruned and 0 in want
         return got
 
@@ -770,13 +778,17 @@ def _integer_tie_instance(rng, n, n_bidders):
 
 
 def _prune_instances():
-    """Exact auctions at 8-10 items that run past two prunes (rounds 32 and 64)."""
+    """Exact auctions at 8-12 items that run past rounds 32 and 64.
+
+    Those of 9 items or more prune at both; those of 8 are below the prune's
+    table size and never prune.
+    """
     rng = np.random.default_rng(61)
     for n_bidders in (3, 5, 8, 10):  # the more bidders, the more are priced out
         yield _quadratic_instance(rng, int(rng.integers(8, 11)), n_bidders, epsilon=0.01)
     for direction in (radio.DOWNLINK, radio.UPLINK):
         params = replace(PARAMS, link_direction=direction).validate()
-        for n, m, seed in ((8, 10, 1201), (10, 4, 1203), (9, 6, 1205)):
+        for n, m, seed in ((8, 10, 1201), (10, 4, 1203), (9, 6, 1205), (12, 10, 1207)):
             topo = radio.generate_topology(params, m=m, n=n, rng_seed=seed)
             gains = radio.draw_gains(topo, params, rng_seed=seed + 1)
             yield auction_instance_from_radio(topo, gains, params)
@@ -789,17 +801,36 @@ class TestDominatedPrune:
 
     def test_every_demand_equals_the_full_argmax(self, monkeypatch):
         seen = _audit_exact_demand(monkeypatch)
+        pruned, unpruned = set(), set()
         for inst in _prune_instances():
             before = seen["prunes"]
             state = run_auction(inst)
             assert state.terminated and state.rounds > 64
-            # one prune at each of rounds 32, 64, 128, ... that the clock reached
-            assert seen["prunes"] - before == state.rounds.bit_length() - 5
+            # one prune at each of rounds 32, 64, 128, ... that the clock
+            # reached, on tables of more than 256 packages only
+            if 2**inst.n_items > PRUNE_ABOVE_PACKAGES:
+                assert seen["prunes"] - before == state.rounds.bit_length() - 5
+                pruned.add(inst.n_items)
+            else:
+                assert seen["prunes"] == before
+                unpruned.add(inst.n_items)
+        assert pruned == {9, 10, 12} and unpruned == {8}
         assert seen["mismatches"] == 0 and seen["prune mismatches"] == 0
+        assert seen["price sum mismatches"] == 0
         assert seen["pruned calls"] > seen["calls"] // 2
         assert seen["two prunes dropped"] > 0 and seen["empty demanded after a prune"] > 0
         # both ways of finding the smaller packages ran
         assert 0 < seen["many-candidate prunes"] < seen["prunes"]
+
+    def test_eight_items_or_fewer_never_prune(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_DemandEngine, "prune", lambda self, prices: calls.append(prices))
+        rng = np.random.default_rng(67)
+        small = [inst for inst in _prune_instances() if inst.n_items <= 8]
+        small += [_quadratic_instance(rng, n, 6, epsilon=0.002) for n in (2, 4, 6)]
+        for inst in small:
+            assert run_auction(inst).rounds > 64  # past two of the prune rounds
+        assert len(small) == 7 and calls == []
 
     def test_bidder_demand_never_prunes(self, monkeypatch):
         # only the clock knows that prices never fall
@@ -815,8 +846,7 @@ class TestDominatedPrune:
         prune = _DemandEngine.prune
         if mutant == "superset":
             def mutated(self, prices):
-                keep = _slow_prune(self, prices, _one_larger)
-                self._cand, self._tables = self._cand[keep], self._tables[:, keep]
+                self._keep(_slow_prune(self, prices, _one_larger))
         elif mutant == "negative margin":
             margin = auction._prune_margin
             monkeypatch.setattr(
@@ -827,12 +857,56 @@ class TestDominatedPrune:
             def mutated(self, prices):
                 prune(self, prices)
                 if self._cand[0] == 0:  # the empty package leads the tie order
-                    self._cand, self._tables = self._cand[1:], self._tables[:, 1:]
+                    self._keep(np.arange(len(self._cand)) > 0)
         monkeypatch.setattr(_DemandEngine, "prune", mutated)
         seen = _audit_exact_demand(monkeypatch)
         for inst in _prune_instances():
-            run_auction(replace(inst, config=replace(inst.config, max_rounds=200)))
+            run_auction(replace(inst, config=replace(inst.config, max_rounds=400)))
         assert seen["mismatches"] > 0
+
+
+def _numpy_blas_is_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+class TestCandidatePriceSums:
+    """Exact demand's padded candidate block gives ``(masks @ prices)[cand]`` bit for bit."""
+
+    def test_padded_block_matches_the_full_product(self):
+        rng = np.random.default_rng(2803)
+        remainders = Counter()
+        for n in range(13):
+            items = tuple(range(n))
+            masks, _ = _tie_order(items)
+            inst = AuctionInstance(
+                items=items, bidders=(0,), batch_valuation=lambda b, rows: np.zeros(len(rows)),
+                config=AuctionConfig(epsilon=1.0),
+            )
+            for share in (0.02, 0.1, 0.3, 0.6, 0.9) * 12:
+                engine = _DemandEngine(inst, (0,))
+                prices = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+                want = (masks @ prices)[engine._cand]  # every package, before a prune
+                assert engine._price_sums(prices).tobytes() == want.tobytes(), n
+                engine._keep(rng.random(2**n) < share)  # a random set, still in tie order
+                assert len(engine._block) % 4 == 0
+                # item prices spread over six decades, so the summation order shows
+                prices = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+                want = (masks @ prices)[engine._cand]
+                assert engine._price_sums(prices).tobytes() == want.tobytes(), (n, engine._cand)
+                remainders[len(engine._cand) % 4] += 1
+        assert all(remainders[r] > 50 for r in range(4))  # counts off a multiple of 4 too
+
+    def test_under_an_older_dgemv_kernel(self):
+        if not _numpy_blas_is_openblas():
+            pytest.skip("numpy's BLAS is not OpenBLAS, so OPENBLAS_CORETYPE would pick nothing")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge")
+        test = f"{__file__}::TestCandidatePriceSums::test_padded_block_matches_the_full_product"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            cwd=os.path.dirname(os.path.dirname(__file__)), env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestInvalidLimits:
