@@ -885,12 +885,12 @@ class TestCandidatePriceSums:
             )
             for share in (0.02, 0.1, 0.3, 0.6, 0.9) * 12:
                 engine = _DemandEngine(inst, (0,))
+                # item prices spread over six decades, so the summation order shows
                 prices = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
                 want = (masks @ prices)[engine._cand]  # every package, before a prune
                 assert engine._price_sums(prices).tobytes() == want.tobytes(), n
                 engine._keep(rng.random(2**n) < share)  # a random set, still in tie order
                 assert len(engine._block) % 4 == 0
-                # item prices spread over six decades, so the summation order shows
                 prices = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
                 want = (masks @ prices)[engine._cand]
                 assert engine._price_sums(prices).tobytes() == want.tobytes(), (n, engine._cand)
