@@ -21,7 +21,15 @@ cheap without altering the outcome:
 
 - Stale demand: a bidder whose demanded items saw no price change keeps its
   demand. A price rise elsewhere can only lower competing packages'
-  surpluses, so the cached argmax (and the greedy path) is unchanged.
+  surpluses, so the cached argmax (and the greedy path) is unchanged. Exact
+  demand skips the stale list while the live table holds at most 256
+  packages (``PRUNE_ABOVE_PACKAGES``: always at 8 items or fewer, and once a
+  prune has cut it that far): each round then takes every bidder's demand in
+  one argmax, which is cheaper than gathering the stale rows and gives the
+  same bits. The demanded package of a bidder that saw no raise has a 0 in
+  every raised item's column, so its price sum, and its surplus, keep their
+  bits; every other sum takes the same operations on prices no smaller, so
+  every other surplus can only fall, and the first maximum stays put.
 - Greedy memo: the candidate values of one greedy step depend on the bidder
   and the current package only, not on prices. The engine of one auction
   keeps one dict per bidder, keyed by the package bitmask, so greedy paths
@@ -277,17 +285,23 @@ class _DemandEngine:
             # package mask -> (items outside it, its candidate rows), for all bidders
             self._rows: dict[int, tuple[list[int], np.ndarray]] = {}
 
-    def demand(self, rows: list[int], prices: np.ndarray) -> list[int]:
+    def demand(self, rows: list[int] | slice, prices: np.ndarray) -> list[int]:
         """Demanded packages of the bidders at positions ``rows``, as bitmasks.
 
         ``prices`` is a float64 array in item order. Bit ``i`` of a package's
         mask is item position ``i``; any ``n`` fits a Python int. Exact
         demand prices only the live candidates, with one ``block @ prices``
-        whose sums have the bits of the full ``masks @ prices``.
+        whose sums have the bits of the full ``masks @ prices``. In exact
+        mode ``rows`` may be ``slice(None)``, every bidder in one argmax; the
+        slice is a view of the tables, so its surpluses are a new array.
         """
         if self.exact:
-            surplus = self._tables[rows]  # fancy indexing: a copy
-            surplus -= self._price_sums(prices)
+            sums = self._price_sums(prices)
+            if isinstance(rows, slice):  # a view of the tables: never in place
+                surplus = self._tables[rows] - sums
+            else:
+                surplus = self._tables[rows]  # fancy indexing: a copy
+                surplus -= sums
             return self._cand[surplus.argmax(axis=1)].tolist()
         prices = prices.tolist()
         return [self._demand_greedy(k, prices) for k in rows]
@@ -402,7 +416,9 @@ class _DemandEngine:
 
 
 # exact tables of at most this many packages (8 items) are never pruned: a
-# prune there costs about as much as the demand scans it shortens
+# prune there costs about as much as the demand scans it shortens. A live
+# table this small is re-demanded whole each round: its stale-row gather cost
+# more than the rows it skips
 PRUNE_ABOVE_PACKAGES = 256
 
 
@@ -434,11 +450,17 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
     The dominated-package prune runs at rounds 32, 64, 128, ... only on
     tables of more than ``PRUNE_ABOVE_PACKAGES`` (256) packages, 9 items or
     more; a prune never changes a demand, so skipping it moves no byte.
+    While the live exact table holds at most that many packages, each round
+    takes every bidder's demand in one argmax and builds no stale list; a
+    bidder whose package saw no raise gets the same package back, bit for
+    bit (module docstring). Greedy demand and larger tables re-demand only
+    the stale bidders, those whose package holds a raised item.
     """
     config = instance.config
     items, bidders = instance.items, instance.bidders
     engine = _DemandEngine(instance, bidders)
     prunes = engine.exact and 2 ** engine.n > PRUNE_ABOVE_PACKAGES
+    everyone = engine.exact and not prunes  # one argmax over every bidder per round
     prices = [float(config.p0)] * len(items)  # the same IEEE sums as a float64 array
     demands = [0] * len(bidders)  # bitmasks over item positions
     stale = list(range(len(bidders)))
@@ -451,8 +473,12 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
         price_array = np.array(prices)
         if prunes and rounds >= 32 and not rounds & (rounds - 1):
             engine.prune(price_array)  # at rounds 32, 64, 128, ...: prices only rise
-        for k, mask in zip(stale, engine.demand(stale, price_array)):
-            demands[k] = mask
+            everyone = len(engine._cand) <= PRUNE_ABOVE_PACKAGES
+        if everyone:
+            demands = engine.demand(slice(None), price_array)
+        else:
+            for k, mask in zip(stale, engine.demand(stale, price_array)):
+                demands[k] = mask
         per_round_calls.append(engine.calls - charged)
         charged = engine.calls
         history.append(price_array)
@@ -468,7 +494,8 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
             low = raised & -raised
             prices[low.bit_length() - 1] += config.epsilon
             raised ^= low
-        stale = [k for k, mask in enumerate(demands) if mask & over]
+        if not everyone:  # a live table only shrinks: once everyone, always
+            stale = [k for k, mask in enumerate(demands) if mask & over]
 
     packages = {b: _package(items, mask) for b, mask in zip(bidders, demands)}
     assignment: dict[int, Optional[int]] = {item: None for item in items}

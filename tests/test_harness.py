@@ -612,3 +612,28 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 3
         assert '"all_passed": false' in capsys.readouterr().out
         assert '"all_passed": false' in (out_dir / "oracle_check.json").read_text()
+
+    @pytest.mark.parametrize("text", [
+        "experiment = sumrate-vs-pairs\nsweep = 2\ndrops = 1\nm_cue = 2\n",
+        "experiment = content-distribution\ndrops = 1\n[content]\nn_d2d = 4\nrounds = 3\n",
+        "experiment = power-control\n[power]\nplayers = 3\n",
+        "experiment = stackelberg\n[stackelberg]\nlambda_points = 20\n",
+        "experiment = oracle-check\n",
+    ])
+    def test_rerun_into_the_same_directory_writes_the_same_bytes(self, text, tmp_path):
+        from d2dgames.cli import main
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+
+        def run(out_dir):
+            main(["run", "--config", str(cfg), "--out", str(out_dir)])
+            return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+        out_dir = tmp_path / "out"
+        first = run(out_dir)
+        assert len(first) == 2
+        assert run(out_dir) == first
+        for name, data in first.items():  # longer files under the same names
+            (out_dir / name).write_bytes(data + b"stale tail\n" * 100)
+        assert run(out_dir) == first
