@@ -712,7 +712,10 @@ class TestEveryBidderArgmax:
 
     @staticmethod
     def _outcome(inst, monkeypatch, cut):
-        """Every field of the outcome under cut ``cut``, floats as bytes, and each round's rule."""
+        """Every field of the outcome under cut ``cut``, floats by their bits, and each round's rule.
+
+        A round's rule is True when it took every bidder's demand in one argmax.
+        """
         rules = []
         demand = _DemandEngine.demand
 
