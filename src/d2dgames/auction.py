@@ -524,12 +524,14 @@ def allocation_from_auction(state: AuctionState) -> radio.Allocation:
 
 
 def random_allocation(topology: radio.Topology, rng_seed: int) -> radio.Allocation:
-    """Assign every D2D pair a uniformly random RB, independently per pair."""
+    """Assign every D2D pair a uniformly random RB, independently per pair.
+
+    One draw of ``n_pairs`` values gives the values of one scalar
+    ``integers`` call per pair, in pair order.
+    """
     rng = np.random.default_rng(rng_seed)
-    rb_of_d2d = {
-        j: int(rng.integers(0, topology.rb_count)) for j in range(topology.n_pairs)
-    }
-    return radio.Allocation(rb_of_d2d=rb_of_d2d)
+    rbs = rng.integers(0, topology.rb_count, size=topology.n_pairs).tolist()
+    return radio.Allocation(rb_of_d2d=dict(enumerate(rbs)))
 
 
 def all_cellular_allocation(topology: radio.Topology) -> radio.Allocation:
@@ -537,7 +539,7 @@ def all_cellular_allocation(topology: radio.Topology) -> radio.Allocation:
     rb_of_d2d = {}
     for j, (tx, _) in enumerate(topology.d2d_pairs):
         dists = [math.hypot(tx[0] - c[0], tx[1] - c[1]) for c in topology.cue]
-        rb_of_d2d[j] = int(np.argmin(dists))
+        rb_of_d2d[j] = min(range(len(dists)), key=dists.__getitem__)  # the first nearest
     return radio.Allocation(
         rb_of_d2d=rb_of_d2d, relay_d2d=frozenset(range(topology.n_pairs))
     )
@@ -597,12 +599,13 @@ def auction_instance_from_radio(
         return cell + rates.sum(axis=1) - c0 * (masks @ ones)
 
     if config.epsilon is None:
-        single = []
-        standalone = np.eye(n + 1, n, k=-1)  # the empty package, then each item alone
-        for rb in bidders:
-            empty_v, *alone = batch_valuation(rb, standalone).tolist()
-            single.extend(max(v - empty_v, 0.0) for v in alone)
-        mean_standalone = float(np.mean(single)) if single else 0.0
+        # batch_valuation of the empty package and of each item alone, in
+        # closed form: with one-hot rows every product, row sum and
+        # masks @ ones in it is exact, so these are its values bit for bit
+        empty_v = np.log2(1.0 + s_c / sigma)
+        alone_v = np.log2(1.0 + s_c[:, None] / (sigma + w)) + np.log2(1.0 + direct / floor) - c0
+        single = np.maximum(alone_v - empty_v[:, None], 0.0).reshape(-1)
+        mean_standalone = float(np.mean(single)) if n else 0.0
         config = replace(config, epsilon=max(0.01 * mean_standalone, 1e-6))
 
     return AuctionInstance(items, bidders, batch_valuation, config)

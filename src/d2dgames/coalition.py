@@ -152,17 +152,14 @@ def generate_content_instance(
     scenario.validate()
     params.validate()
     check_hotspot_radius(scenario.hotspot_radius_m, params)
-    rng = np.random.default_rng(rng_seed)
+    disc = radio._DiscPoints(np.random.default_rng(rng_seed), scenario.n_d2d + scenario.m_cue)
     hotspot_center = (0.8 * params.cell_radius_m, 0.0)
     ue = []
     while len(ue) < scenario.n_d2d:
-        p = radio._draw_disc_point(rng, hotspot_center, scenario.hotspot_radius_m)
+        p = disc.draw(hotspot_center, scenario.hotspot_radius_m)
         if math.hypot(*p) <= params.cell_radius_m:
             ue.append(p)
-    cue = tuple(
-        radio._draw_disc_point(rng, (0.0, 0.0), params.cell_radius_m)
-        for _ in range(scenario.m_cue)
-    )
+    cue = tuple(disc.draw((0.0, 0.0), params.cell_radius_m) for _ in range(scenario.m_cue))
     return ContentInstance(
         scenario=scenario,
         ue_pos=tuple(ue),
@@ -172,14 +169,9 @@ def generate_content_instance(
     )
 
 
-def _content_links(inst: ContentInstance):
-    ues = [(("ue", i), pos) for i, pos in enumerate(inst.ue_pos)]
-    return radio.modeled_links(inst.enb_pos, inst.cue_pos, list(zip(ues, ues)))
-
-
 def content_pathloss(inst: ContentInstance, params: radio.RadioParams) -> radio.LinkPathLoss:
     """Path loss of every content link; fixed for the instance's geometry."""
-    return radio.link_pathloss(_content_links(inst), inst.scenario.m_cue, params)
+    return radio.link_pathloss(params, inst.enb_pos, inst.cue_pos, inst.ue_pos, paired=False)
 
 
 def draw_content_gains(

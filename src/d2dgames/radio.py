@@ -20,11 +20,6 @@ import numpy as np
 UPLINK = "uplink"
 DOWNLINK = "downlink"
 
-# Device-to-device links (including cross links between different pairs) are
-# modeled line-of-sight; everything touching the eNB, and the interference
-# links between cellular users and devices, are non-line-of-sight.
-_DEVICE_KINDS = frozenset({"dtx", "drx", "ue"})
-
 Node = tuple[str, int]
 Point = tuple[float, float]
 
@@ -124,11 +119,13 @@ def pathloss_db(d_m: float, fc_ghz: float, los: bool) -> float:
 
     LOS:  22 log10(d) + 28 + 20 log10(fc); NLOS: 36.7 log10(d) + 22.7 + 26 log10(fc).
     Distances below 10 m are clamped to 10 m so the model stays finite at short range.
+    Raises ``ValueError`` for a distance that is not > 0 (NaN included) and for a
+    carrier that is not finite and > 0.
     """
-    if d_m <= 0:
+    if not d_m > 0:
         raise ValueError(f"distance must be > 0 m, got {d_m}")
-    if fc_ghz <= 0:
-        raise ValueError(f"carrier frequency must be > 0 GHz, got {fc_ghz}")
+    if not 0 < fc_ghz < math.inf:
+        raise ValueError(f"carrier frequency must be finite and > 0 GHz, got {fc_ghz}")
     d = max(d_m, 10.0)
     if los:
         return 22.0 * math.log10(d) + 28.0 + 20.0 * math.log10(fc_ghz)
@@ -256,33 +253,83 @@ class GainTensor:
 
 
 @dataclass(frozen=True)
-class LinkPathLoss:
-    """Per-geometry half of a gain draw: the modeled links and their linear path loss.
+class _LinkPlan:
+    """The modeled links of a cell shape, fixed by its node lists alone.
 
-    Link ``l`` runs from ``tx_nodes[tx[l]]`` to ``rx_nodes[rx[l]]``; the link
-    order fixes the order of the fading draw. :meth:`draw` adds one fading
-    realization, so a fixed geometry can be redrawn without recomputing path
-    loss.
+    Link ``l`` runs from ``tx_nodes[tx[l]]`` to ``rx_nodes[rx[l]]``, and the
+    link order fixes the order of the fading draw. ``ends[l]`` holds the
+    indices of the link's two end points in the point list that
+    :func:`link_pathloss` reads, and whether the link is line-of-sight.
     """
 
     tx_nodes: tuple[Node, ...]
     rx_nodes: tuple[Node, ...]
     tx: np.ndarray
     rx: np.ndarray
-    pathloss: np.ndarray
+    ends: tuple[tuple[int, int, bool], ...]
     rb_count: int
 
     @functools.cached_property
-    def _scatter(self) -> tuple[np.ndarray, np.ndarray]:
+    def scatter(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat index into ``g`` of each (link, RB) entry in draw order, and the
         all-NaN cube a draw copies before filling those entries."""
         shape = (len(self.tx_nodes), len(self.rx_nodes), self.rb_count)
         rbs = np.arange(self.rb_count)
         flat = np.ravel_multi_index((self.tx[:, None], self.rx[:, None], rbs), shape).reshape(-1)
         template = np.full(shape, np.nan)
-        flat.setflags(write=False)  # shared by every draw of this geometry
+        flat.setflags(write=False)  # shared by every draw over this plan
         template.setflags(write=False)
         return flat, template
+
+
+@functools.lru_cache(maxsize=64)
+def _link_plan(m: int, n: int, paired: bool) -> _LinkPlan:
+    """The link plan of a cell with ``m`` cellular users (one RB each) and ``n`` devices.
+
+    Points are numbered as :func:`link_pathloss` lists them: 0 is the eNB and
+    ``1 + i`` cellular user ``i``. With ``paired``, device ``j`` is a D2D
+    pair, ``("dtx", j)`` at point ``1 + m + 2j`` sending to ``("drx", j)`` at
+    ``2 + m + 2j``; otherwise it is a standalone UE ``("ue", j)`` at point
+    ``1 + m + j`` that both sends and receives. The links are eNB<->CUE, then
+    per device tx->eNB, eNB->rx, tx->each CUE, each CUE->rx, and tx->every
+    device receiver but itself. Device-to-device links (cross links between
+    pairs included) are line-of-sight; everything touching the eNB, and the
+    links between cellular users and devices, are not.
+    """
+    enb = ("enb", 0)
+    cue = [(("cue", i), 1 + i) for i in range(m)]
+    if paired:
+        devices = [((("dtx", j), 1 + m + 2 * j), (("drx", j), 2 + m + 2 * j)) for j in range(n)]
+    else:
+        devices = [((("ue", j), 1 + m + j),) * 2 for j in range(n)]
+    links = []  # (tx node, tx point, rx node, rx point, line-of-sight)
+    for node, c in cue:
+        links += [(enb, 0, node, c, False), (node, c, enb, 0, False)]
+    for (tx, t), (rx, r) in devices:
+        links += [(tx, t, enb, 0, False), (enb, 0, rx, r, False)]
+        for node, c in cue:
+            links += [(tx, t, node, c, False), (node, c, rx, r, False)]
+        links.extend((tx, t, node, p, True) for _, (node, p) in devices if node != tx)
+    tx_nodes, tx_index = _node_axis(link[0] for link in links)
+    rx_nodes, rx_index = _node_axis(link[2] for link in links)
+    tx = np.array([tx_index[link[0]] for link in links], dtype=np.intp)
+    rx = np.array([rx_index[link[2]] for link in links], dtype=np.intp)
+    tx.setflags(write=False)  # shared by every geometry of this shape
+    rx.setflags(write=False)
+    ends = tuple((t, r, los) for _, t, _, r, los in links)
+    return _LinkPlan(tx_nodes, rx_nodes, tx, rx, ends, m)
+
+
+@dataclass(frozen=True)
+class LinkPathLoss:
+    """Per-geometry half of a gain draw: a cell's link plan and each link's linear path loss.
+
+    :meth:`draw` adds one fading realization, so a fixed geometry can be
+    redrawn without recomputing path loss.
+    """
+
+    plan: _LinkPlan
+    pathloss: np.ndarray
 
     def draw(self, rng_seed: int) -> GainTensor:
         """Path loss times per-(link, RB) unit-mean exponential fading power.
@@ -292,13 +339,55 @@ class LinkPathLoss:
         inputs give a bit-identical tensor. ``standard_exponential`` gives
         the values of ``exponential(1.0)``, whose scale multiplies by 1.0.
         """
+        plan = self.plan
         rng = np.random.default_rng(rng_seed)
-        fading = rng.standard_exponential(size=(len(self.pathloss), self.rb_count))
+        fading = rng.standard_exponential(size=(len(self.pathloss), plan.rb_count))
         fading *= self.pathloss[:, None]
-        flat, template = self._scatter
+        flat, template = plan.scatter
         g = template.copy()
         g.reshape(-1)[flat] = fading.reshape(-1)
-        return GainTensor(self.tx_nodes, self.rx_nodes, g)
+        return GainTensor(plan.tx_nodes, plan.rx_nodes, g)
+
+
+def link_pathloss(
+    params: RadioParams,
+    enb_pos: Point,
+    cue: Sequence[Point],
+    devices: Sequence[Point],
+    paired: bool,
+) -> LinkPathLoss:
+    """Linear path loss of every modeled link of a cell, in link order.
+
+    ``devices`` lists each D2D pair's transmitter and then receiver position
+    when ``paired``, else each standalone UE's position (see
+    :func:`_link_plan`). Per geometry this is one scalar loop that evaluates
+    :func:`pathloss_db`'s expressions, operation for operation, with the
+    carrier terms computed once. It stays scalar because numpy's ``hypot``,
+    ``log10`` and ``power`` differ from ``math``'s in the last bit on some
+    inputs. Raises ``ValueError`` for a link distance that is not a number.
+    """
+    fc_ghz = params.carrier_ghz
+    if not 0 < fc_ghz < math.inf:
+        raise ValueError(f"carrier frequency must be finite and > 0 GHz, got {fc_ghz}")
+    plan = _link_plan(len(cue), len(devices) // 2 if paired else len(devices), paired)
+    points = [enb_pos, *cue, *devices]
+    log10, hypot = math.log10, math.hypot
+    los_fc, nlos_fc = 20.0 * log10(fc_ghz), 26.0 * log10(fc_ghz)
+    pathloss = []
+    for a, b, los in plan.ends:
+        (ax, ay), (bx, by) = points[a], points[b]
+        d = hypot(ax - bx, ay - by)
+        if d < 10.0:  # pathloss_db's clamp
+            d = 10.0
+        if los:
+            db = 22.0 * log10(d) + 28.0 + los_fc
+        else:
+            db = 36.7 * log10(d) + 22.7 + nlos_fc
+        pathloss.append(10.0 ** (-db / 10.0))
+    pathloss = np.array(pathloss, dtype=float)
+    if np.isnan(pathloss).any():
+        raise ValueError("distance must be > 0 m, got nan")
+    return LinkPathLoss(plan, pathloss)
 
 
 @dataclass
@@ -316,19 +405,33 @@ class Allocation:
     rb_of_d2d: dict[int, int] = field(default_factory=dict)
     relay_d2d: frozenset[int] = frozenset()
 
-    def active_direct(self) -> list[int]:
-        return sorted(j for j in self.rb_of_d2d if j not in self.relay_d2d)
 
-    def direct_on_rb(self, rb: int) -> list[int]:
-        return sorted(
-            j for j, r in self.rb_of_d2d.items() if r == rb and j not in self.relay_d2d
-        )
+class _DiscPoints:
+    """Uniform points in discs, read from blocks of one generator's uniforms.
 
+    A point takes the next two uniforms ``u, v`` and sits at radius
+    ``radius * sqrt(u)`` and angle ``0.0 + 2π v`` from its centre: the
+    doubles that ``rng.uniform()`` and ``rng.uniform(0.0, 2π)`` would give
+    from the same stream. A block holds ``points`` points; when it runs out
+    the next is read from the same generator, so the points do not depend
+    on the block size.
+    """
 
-def _draw_disc_point(rng: np.random.Generator, center: Point, radius: float) -> Point:
-    r = radius * math.sqrt(rng.uniform())
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return (center[0] + r * math.cos(theta), center[1] + r * math.sin(theta))
+    def __init__(self, rng: np.random.Generator, points: int):
+        self._rng = rng
+        self._size = 2 * max(points, 1)
+        self._u = rng.random(self._size).tolist()
+        self._next = 0
+
+    def draw(self, center: Point, radius: float) -> Point:
+        i = self._next
+        if i == self._size:
+            self._u = self._rng.random(self._size).tolist()
+            i = 0
+        self._next = i + 2
+        r = radius * math.sqrt(self._u[i])
+        theta = 0.0 + 2.0 * math.pi * self._u[i + 1]
+        return (center[0] + r * math.cos(theta), center[1] + r * math.sin(theta))
 
 
 def generate_topology(params: RadioParams, m: int, n: int, rng_seed: int) -> Topology:
@@ -343,86 +446,25 @@ def generate_topology(params: RadioParams, m: int, n: int, rng_seed: int) -> Top
         raise ValueError(f"need at least one cellular user, got m={m}")
     if n < 0:
         raise ValueError(f"pair count must be >= 0, got n={n}")
-    rng = np.random.default_rng(rng_seed)
-    enb = (0.0, 0.0)
-    cue = tuple(_draw_disc_point(rng, enb, params.cell_radius_m) for _ in range(m))
+    disc = _DiscPoints(np.random.default_rng(rng_seed), m + 2 * n)
+    enb, radius = (0.0, 0.0), params.cell_radius_m
+    cue = tuple(disc.draw(enb, radius) for _ in range(m))
     pairs = []
     for _ in range(n):
-        tx = _draw_disc_point(rng, enb, params.cell_radius_m)
+        tx = disc.draw(enb, radius)
         while True:
-            rx = _draw_disc_point(rng, tx, params.max_d2d_distance_m)
-            if math.hypot(rx[0], rx[1]) <= params.cell_radius_m:
+            rx = disc.draw(tx, params.max_d2d_distance_m)
+            if math.hypot(rx[0], rx[1]) <= radius:
                 break
         pairs.append((tx, rx))
     return Topology(enb_pos=enb, cue=cue, d2d_pairs=tuple(pairs))
 
 
-def is_los(tx: Node, rx: Node) -> bool:
-    return tx[0] in _DEVICE_KINDS and rx[0] in _DEVICE_KINDS
-
-
-def link_pathloss(
-    links: Sequence[tuple[Node, Point, Node, Point]],
-    rb_count: int,
-    params: RadioParams,
-) -> LinkPathLoss:
-    """Linear path loss of every link, in link order.
-
-    Kept as a scalar loop over ``math.hypot`` and :func:`pathloss_db`: their
-    numpy counterparts differ in the last bit on some inputs.
-    """
-    tx_nodes, tx_index = _node_axis(link[0] for link in links)
-    rx_nodes, rx_index = _node_axis(link[2] for link in links)
-    pathloss = np.empty(len(links))
-    for l, (tx, tx_pos, rx, rx_pos) in enumerate(links):
-        d = max(math.hypot(tx_pos[0] - rx_pos[0], tx_pos[1] - rx_pos[1]), 1e-9)
-        pathloss[l] = 10.0 ** (-pathloss_db(d, params.carrier_ghz, is_los(tx, rx)) / 10.0)
-    return LinkPathLoss(
-        tx_nodes=tx_nodes,
-        rx_nodes=rx_nodes,
-        tx=np.array([tx_index[link[0]] for link in links], dtype=np.intp),
-        rx=np.array([rx_index[link[2]] for link in links], dtype=np.intp),
-        pathloss=pathloss,
-        rb_count=rb_count,
-    )
-
-
-def modeled_links(
-    enb_pos: Point,
-    cue: Sequence[Point],
-    devices: Sequence[tuple[tuple[Node, Point], tuple[Node, Point]]],
-) -> list[tuple[Node, Point, Node, Point]]:
-    """Every modeled link of a cell, in the order that fixes the fading draw.
-
-    ``devices`` holds each device's transmitting and receiving ``(node,
-    position)``. The links are eNB<->CUE, then per device tx->eNB, eNB->rx,
-    tx->each CUE, each CUE->rx, and tx->every device receiver but itself.
-    """
-    enb: Node = ("enb", 0)
-    links = []
-    for i, cpos in enumerate(cue):
-        links.append((enb, enb_pos, ("cue", i), cpos))
-        links.append((("cue", i), cpos, enb, enb_pos))
-    for (tx, tx_pos), (rx, rx_pos) in devices:
-        links.append((tx, tx_pos, enb, enb_pos))
-        links.append((enb, enb_pos, rx, rx_pos))
-        for i, cpos in enumerate(cue):
-            links.append((tx, tx_pos, ("cue", i), cpos))
-            links.append((("cue", i), cpos, rx, rx_pos))
-        links.extend((tx, tx_pos, node, pos) for _, (node, pos) in devices if node != tx)
-    return links
-
-
-def _topology_links(topology: Topology) -> list[tuple[Node, Point, Node, Point]]:
-    pairs = enumerate(topology.d2d_pairs)
-    devices = [((("dtx", j), tx), (("drx", j), rx)) for j, (tx, rx) in pairs]
-    return modeled_links(topology.enb_pos, topology.cue, devices)
-
-
 def draw_gains(topology: Topology, params: RadioParams, rng_seed: int) -> GainTensor:
     """Draw the full gain tensor for one fading realization of a topology."""
     params.validate()
-    return link_pathloss(_topology_links(topology), topology.rb_count, params).draw(rng_seed)
+    ends = [point for pair in topology.d2d_pairs for point in pair]
+    return link_pathloss(params, topology.enb_pos, topology.cue, ends, paired=True).draw(rng_seed)
 
 
 def cellular_tx_node(params: RadioParams, rb: int) -> Node:
@@ -503,6 +545,16 @@ def co_channel(
     return block
 
 
+def _direct_by_rb(allocation: Allocation) -> dict[int, list[int]]:
+    """The directly transmitting pairs of each occupied RB, in ascending order."""
+    by_rb: dict[int, list[int]] = {}
+    relay = allocation.relay_d2d
+    for j, rb in sorted(allocation.rb_of_d2d.items()):
+        if j not in relay:
+            by_rb.setdefault(rb, []).append(j)
+    return by_rb
+
+
 def sinr(
     allocation: Allocation,
     gains: GainTensor,
@@ -516,16 +568,17 @@ def sinr(
     and every co-channel directly-transmitting D2D pair (co tier). Raises if
     the receiver is not active on that RB.
     """
+    direct = _direct_by_rb(allocation).get(rb, [])
     if receiver[0] == "drx":
         j = receiver[1]
-        if allocation.rb_of_d2d.get(j) != rb or j in allocation.relay_d2d:
+        if j not in direct:
             raise ValueError(f"D2D receiver {j} is not directly active on RB {rb}")
         tx = ("dtx", j)
-        interferers = [("dtx", k) for k in allocation.direct_on_rb(rb) if k != j]
+        interferers = [("dtx", k) for k in direct if k != j]
         interferers.append(cellular_tx_node(params, rb))
     elif receiver == cellular_rx_node(params, rb):
         tx = cellular_tx_node(params, rb)
-        interferers = [("dtx", k) for k in allocation.direct_on_rb(rb)]
+        interferers = [("dtx", k) for k in direct]
     else:
         raise ValueError(f"receiver {receiver!r} is not active on RB {rb}")
     signal = default_power_w(params, tx) * gains.get(tx, receiver, rb)
@@ -536,29 +589,52 @@ def sinr(
 
 
 def rate(gamma: float) -> float:
-    """Shannon spectral efficiency log2(1 + SINR) in bits/s/Hz."""
-    if gamma < 0:
+    """Shannon spectral efficiency log2(1 + SINR) in bits/s/Hz.
+
+    Raises ``ValueError`` for an SINR that is not >= 0, NaN included.
+    """
+    if not gamma >= 0:
         raise ValueError(f"SINR must be >= 0, got {gamma}")
     return math.log2(1.0 + gamma)
 
 
-def _relay_rate(allocation: Allocation, gains: GainTensor, params: RadioParams, j: int) -> float:
-    # Two orthogonal hops through the eNB; the bottleneck is halved because the
-    # relay occupies two scheduling slots.
-    rb = allocation.rb_of_d2d[j]
-    sigma = effective_noise_w(params)
-    up = rate(params.p_d2d_w * gains.get(("dtx", j), ("enb", 0), rb) / sigma)
-    down = rate(params.p_enb_w * gains.get(("enb", 0), ("drx", j), rb) / sigma)
-    return 0.5 * min(up, down)
-
-
 def sum_rate(allocation: Allocation, gains: GainTensor, params: RadioParams) -> float:
-    """Total spectral efficiency over all cellular links and D2D flows."""
+    """Total spectral efficiency over all cellular links and D2D flows.
+
+    The terms are added in a fixed order: each RB's cellular link, each
+    directly transmitting pair in ascending order, then each relayed pair.
+    A denominator is the noise plus the co-channel pairs in ascending order,
+    and for a D2D receiver then the cellular transmitter: :func:`sinr`'s
+    order, so each term is ``rate(sinr(...))`` bit for bit. A relayed pair is
+    carried over two orthogonal hops through the eNB; the bottleneck is
+    halved because the relay occupies two scheduling slots.
+    """
+    sigma = effective_noise_w(params)
+    p_d2d, p_enb = params.p_d2d_w, params.p_enb_w
+    p_cell = p_enb if params.link_direction == DOWNLINK else params.p_cue_w
+    enb = ("enb", 0)
+    get = gains.get
+    by_rb = _direct_by_rb(allocation)
     total = 0.0
     for rb in range(gains.rb_count):
-        total += rate(sinr(allocation, gains, params, cellular_rx_node(params, rb), rb))
-    for j in allocation.active_direct():
-        total += rate(sinr(allocation, gains, params, ("drx", j), allocation.rb_of_d2d[j]))
+        cell_tx, cell_rx = cellular_tx_node(params, rb), cellular_rx_node(params, rb)
+        denom = sigma
+        for k in by_rb.get(rb, ()):
+            denom += p_d2d * get(("dtx", k), cell_rx, rb)
+        total += rate(p_cell * get(cell_tx, cell_rx, rb) / denom)
+    for j, rb in sorted(allocation.rb_of_d2d.items()):
+        if j in allocation.relay_d2d:
+            continue
+        rx = ("drx", j)
+        denom = sigma
+        for k in by_rb[rb]:
+            if k != j:
+                denom += p_d2d * get(("dtx", k), rx, rb)
+        denom += p_cell * get(cellular_tx_node(params, rb), rx, rb)
+        total += rate(p_d2d * get(("dtx", j), rx, rb) / denom)
     for j in sorted(allocation.relay_d2d):
-        total += _relay_rate(allocation, gains, params, j)
+        rb = allocation.rb_of_d2d[j]
+        up = rate(p_d2d * get(("dtx", j), enb, rb) / sigma)
+        down = rate(p_enb * get(enb, ("drx", j), rb) / sigma)
+        total += 0.5 * min(up, down)
     return total

@@ -1130,7 +1130,7 @@ class TestRadioValuationBits:
             for bidder, masks, got in calls:
                 assert np.array_equal(got, reference(bidder, masks))
 
-    @pytest.mark.parametrize("n", [0, 1, 5, 16])
+    @pytest.mark.parametrize("n", range(17))
     def test_auto_epsilon_matches_two_call_reference(self, n):
         for inst, reference in self._instances(n):
             single = []
@@ -1139,6 +1139,12 @@ class TestRadioValuationBits:
                 single.extend(max(v - empty_v, 0.0) for v in reference(rb, np.eye(n)))
             mean_standalone = float(np.mean(single)) if single else 0.0
             assert inst.config.epsilon == max(0.01 * mean_standalone, 1e-6)
+            # the closed form against the instance's own valuation, one call per RB
+            standalone, valued = np.eye(n + 1, n, k=-1), []
+            for rb in inst.bidders:
+                empty_v, *alone = inst.batch_valuation(rb, standalone).tolist()
+                valued.extend(max(v - empty_v, 0.0) for v in alone)
+            assert [v.hex() for v in valued] == [v.hex() for v in single]
 
 
 class TestBidderDemandPriceLength:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from d2dgames import coalition, radio
+from d2dgames import auction, radio
 from d2dgames.coalition import (
     ContentScenario,
     content_pathloss,
@@ -30,6 +30,53 @@ from d2dgames.radio import (
 )
 
 PARAMS = RadioParams().validate()
+_DEVICE_KINDS = frozenset({"dtx", "drx", "ue"})
+
+
+def _los(tx, rx):
+    # device-to-device links are line-of-sight; everything touching the eNB,
+    # and the links between cellular users and devices, are not
+    return tx[0] in _DEVICE_KINDS and rx[0] in _DEVICE_KINDS
+
+
+def _modeled_links(enb_pos, cue, devices):
+    """Every modeled link of a cell as ``(tx, tx_pos, rx, rx_pos)``, in draw order:
+    eNB<->CUE, then per device tx->eNB, eNB->rx, tx->each CUE, each CUE->rx,
+    and tx->every device receiver but itself."""
+    enb = ("enb", 0)
+    links = []
+    for i, cpos in enumerate(cue):
+        links.append((enb, enb_pos, ("cue", i), cpos))
+        links.append((("cue", i), cpos, enb, enb_pos))
+    for (tx, tx_pos), (rx, rx_pos) in devices:
+        links.append((tx, tx_pos, enb, enb_pos))
+        links.append((enb, enb_pos, rx, rx_pos))
+        for i, cpos in enumerate(cue):
+            links.append((tx, tx_pos, ("cue", i), cpos))
+            links.append((("cue", i), cpos, rx, rx_pos))
+        links.extend((tx, tx_pos, node, pos) for _, (node, pos) in devices if node != tx)
+    return links
+
+
+def _topology_links(topo):
+    pairs = enumerate(topo.d2d_pairs)
+    devices = [((("dtx", j), tx), (("drx", j), rx)) for j, (tx, rx) in pairs]
+    return _modeled_links(topo.enb_pos, topo.cue, devices)
+
+
+def _ue_links(enb_pos, cue_pos, ue_pos):
+    ues = [(("ue", i), pos) for i, pos in enumerate(ue_pos)]
+    return _modeled_links(enb_pos, cue_pos, list(zip(ues, ues)))
+
+
+def _content_links(inst):
+    return _ue_links(inst.enb_pos, inst.cue_pos, inst.ue_pos)
+
+
+def _link_pathloss(tx, tx_pos, rx, rx_pos, fc_ghz):
+    """One link's linear path loss through pathloss_db, as the per-link loop had it."""
+    d = max(math.hypot(tx_pos[0] - rx_pos[0], tx_pos[1] - rx_pos[1]), 1e-9)
+    return 10.0 ** (-pathloss_db(d, fc_ghz, _los(tx, rx)) / 10.0)
 
 
 class TestDbmToWatt:
@@ -85,6 +132,18 @@ class TestPathloss:
             pathloss_db(0.0, 2.0, los=True)
         with pytest.raises(ValueError):
             pathloss_db(-5.0, 2.0, los=False)
+
+    def test_rejects_nan_distance(self):
+        with pytest.raises(ValueError, match="distance must be > 0 m"):
+            pathloss_db(math.nan, 2.0, los=True)
+
+    def test_rejects_nan_carrier(self):
+        with pytest.raises(ValueError, match="carrier frequency must be finite and > 0 GHz"):
+            pathloss_db(100.0, math.nan, los=False)
+
+    def test_rejects_infinite_carrier(self):
+        with pytest.raises(ValueError, match="carrier frequency must be finite and > 0 GHz"):
+            pathloss_db(100.0, math.inf, los=True)
 
     @given(
         st.floats(0.1, 5000.0),
@@ -156,11 +215,8 @@ class TestDrawGains:
             d2d_pairs=(((100.0, 0.0), (110.0, 0.0)),),
         )
         pl_lin = {}
-        for tx, tx_pos, rx, rx_pos in radio._topology_links(topo):
-            d = max(math.hypot(tx_pos[0] - rx_pos[0], tx_pos[1] - rx_pos[1]), 1e-9)
-            pl_lin[(tx, rx)] = 10.0 ** (
-                -pathloss_db(d, PARAMS.carrier_ghz, radio.is_los(tx, rx)) / 10.0
-            )
+        for tx, tx_pos, rx, rx_pos in _topology_links(topo):
+            pl_lin[(tx, rx)] = _link_pathloss(tx, tx_pos, rx, rx_pos, PARAMS.carrier_ghz)
         factors = []
         for seed in range(1200):
             gains = draw_gains(topo, PARAMS, rng_seed=seed)
@@ -170,11 +226,33 @@ class TestDrawGains:
         assert np.mean(factors) == pytest.approx(1.0, abs=0.05)
 
     def test_los_policy(self):
-        assert radio.is_los(("dtx", 0), ("drx", 1))
-        assert radio.is_los(("ue", 0), ("ue", 1))
-        assert not radio.is_los(("enb", 0), ("drx", 0))
-        assert not radio.is_los(("cue", 0), ("drx", 0))
-        assert not radio.is_los(("dtx", 0), ("cue", 2))
+        enb, cue = (0.0, 0.0), [(100.0, 0.0), (0.0, 100.0), (-100.0, 0.0)]
+        pairs = [(0.0, -100.0), (0.0, -200.0), (-100.0, -200.0), (-100.0, -300.0)]
+        ues = [(0.0, -150.0), (50.0, -250.0)]
+        pos = {("enb", 0): enb, **{("cue", i): p for i, p in enumerate(cue)}}
+        for j in range(2):
+            pos[("dtx", j)], pos[("drx", j)] = pairs[2 * j], pairs[2 * j + 1]
+            pos[("ue", j)] = ues[j]
+        lookup = {}
+        for pl in (
+            radio.link_pathloss(PARAMS, enb, cue, pairs, paired=True),
+            radio.link_pathloss(PARAMS, enb, cue, ues, paired=False),
+        ):
+            plan = pl.plan
+            for l, value in enumerate(pl.pathloss.tolist()):
+                lookup[(plan.tx_nodes[plan.tx[l]], plan.rx_nodes[plan.rx[l]])] = value
+
+        def check(tx, rx, los):
+            (ax, ay), (bx, by) = pos[tx], pos[rx]
+            d = math.hypot(ax - bx, ay - by)
+            assert lookup[(tx, rx)] == 10.0 ** (-pathloss_db(d, PARAMS.carrier_ghz, los) / 10.0)
+
+        check(("dtx", 0), ("drx", 1), True)
+        check(("ue", 0), ("ue", 1), True)
+        check(("enb", 0), ("drx", 0), False)
+        check(("cue", 0), ("drx", 0), False)
+        check(("dtx", 0), ("cue", 2), False)
+        check(("ue", 1), ("enb", 0), False)
 
 
 def _reference_gains(links, rb_count, params, rng_seed):
@@ -183,8 +261,7 @@ def _reference_gains(links, rb_count, params, rng_seed):
     rng = np.random.default_rng(rng_seed)
     ref = {}
     for tx, tx_pos, rx, rx_pos in links:
-        d = max(math.hypot(tx_pos[0] - rx_pos[0], tx_pos[1] - rx_pos[1]), 1e-9)
-        pl_lin = 10.0 ** (-pathloss_db(d, params.carrier_ghz, radio.is_los(tx, rx)) / 10.0)
+        pl_lin = _link_pathloss(tx, tx_pos, rx, rx_pos, params.carrier_ghz)
         fading = rng.exponential(1.0, size=rb_count)
         for rb in range(rb_count):
             ref[(tx, rx, rb)] = pl_lin * float(fading[rb])
@@ -200,7 +277,7 @@ class TestDenseGainTensor:
             for seed in range(6):
                 topo = generate_topology(params, m=1 + seed % 4, n=seed, rng_seed=60 + seed)
                 gains = draw_gains(topo, params, rng_seed=70 + seed)
-                ref = _reference_gains(radio._topology_links(topo), topo.rb_count, params, 70 + seed)
+                ref = _reference_gains(_topology_links(topo), topo.rb_count, params, 70 + seed)
                 assert dict(gains.entries()) == ref
 
     def test_draw_content_gains_matches_per_link_loop(self):
@@ -210,9 +287,7 @@ class TestDenseGainTensor:
                 scenario = ContentScenario(n_d2d=2 + seed, k_seeds=1, m_cue=1 + seed % 3)
                 inst = generate_content_instance(scenario, params, rng_seed=80 + seed)
                 gains = draw_content_gains(inst, params, rng_seed=90 + seed)
-                ref = _reference_gains(
-                    coalition._content_links(inst), scenario.m_cue, params, 90 + seed
-                )
+                ref = _reference_gains(_content_links(inst), scenario.m_cue, params, 90 + seed)
                 assert dict(gains.entries()) == ref
                 reused = draw_content_gains(
                     inst, params, 90 + seed, pathloss=content_pathloss(inst, params)
@@ -258,8 +333,9 @@ class TestRedraw:
         inst = generate_content_instance(
             ContentScenario(n_d2d=5, k_seeds=2, m_cue=3), params, rng_seed=32
         )
+        ends = [point for pair in topo.d2d_pairs for point in pair]
         links = {
-            "sumrate": radio.link_pathloss(radio._topology_links(topo), 3, params),
+            "sumrate": radio.link_pathloss(params, topo.enb_pos, topo.cue, ends, paired=True),
             "content": content_pathloss(inst, params),
         }
         return params, links
@@ -268,12 +344,13 @@ class TestRedraw:
     def test_matches_full_and_scatter_construction(self, direction):
         _, links = self._layouts(direction)
         for pl in links.values():
+            plan = pl.plan
             for seed in (0, 7, 7, 123):  # a repeated seed redraws from the cached cube
                 fading = np.random.default_rng(seed).exponential(
-                    1.0, size=(len(pl.pathloss), pl.rb_count)
+                    1.0, size=(len(pl.pathloss), plan.rb_count)
                 )
-                want = np.full((len(pl.tx_nodes), len(pl.rx_nodes), pl.rb_count), np.nan)
-                want[pl.tx, pl.rx] = pl.pathloss[:, None] * fading
+                want = np.full((len(plan.tx_nodes), len(plan.rx_nodes), plan.rb_count), np.nan)
+                want[plan.tx, plan.rx] = pl.pathloss[:, None] * fading
                 assert np.array_equal(pl.draw(seed).g, want, equal_nan=True)
 
     @pytest.mark.parametrize("bad", [0.0, math.inf])
@@ -284,7 +361,7 @@ class TestRedraw:
             pathloss = pl.pathloss.copy()
             pathloss[3] = bad
             broken = dataclasses.replace(pl, pathloss=pathloss)
-            want = f"gains must be positive and finite, got {bad} ({pl.rb_count} bad entries)"
+            want = f"gains must be positive and finite, got {bad} ({pl.plan.rb_count} bad entries)"
             with pytest.raises(ValueError, match=re.escape(want)):
                 broken.draw(1)
             assert np.isnan(pl.draw(1).g).any()  # the cached cube stays NaN
@@ -317,9 +394,8 @@ def _layout_gains(layout, direction, n, m=3, seed=150):
     rng = np.random.default_rng(seed + n)
     ue_pos = [tuple(p) for p in rng.uniform(300.0, 330.0, (n, 2))]
     cue_pos = [tuple(p) for p in rng.uniform(-300.0, 300.0, (m, 2))]
-    ues = [(("ue", i), pos) for i, pos in enumerate(ue_pos)]
-    links = radio.modeled_links((0.0, 0.0), cue_pos, list(zip(ues, ues)))
-    gains = radio.link_pathloss(links, m, params).draw(seed + n + 1)
+    pathloss = radio.link_pathloss(params, (0.0, 0.0), cue_pos, ue_pos, paired=False)
+    gains = pathloss.draw(seed + n + 1)
     ue = [("ue", i) for i in range(n)]
     return params, gains, ue, ue
 
@@ -441,6 +517,10 @@ class TestSinr:
 
 
 class TestRate:
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="SINR must be >= 0"):
+            rate(math.nan)
+
     def test_known_points(self):
         assert rate(0.0) == 0.0
         assert rate(1.0) == pytest.approx(1.0, rel=1e-12)
@@ -550,3 +630,229 @@ class TestParamsValidation:
     def test_bad_direction(self):
         with pytest.raises(ValueError, match="link_direction"):
             RadioParams(link_direction="sideways").validate()
+
+
+def _disc_point(rng, center, radius):
+    # the per-point draw the block reader replaced: two scalar uniform() calls
+    r = radius * math.sqrt(rng.uniform())
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return (center[0] + r * math.cos(theta), center[1] + r * math.sin(theta))
+
+
+def _per_point_topology(params, m, n, rng_seed):
+    """generate_topology's layout drawn point by point; also the receiver redraw count."""
+    rng = np.random.default_rng(rng_seed)
+    cue = tuple(_disc_point(rng, (0.0, 0.0), params.cell_radius_m) for _ in range(m))
+    pairs, redraws = [], 0
+    for _ in range(n):
+        tx = _disc_point(rng, (0.0, 0.0), params.cell_radius_m)
+        rx = _disc_point(rng, tx, params.max_d2d_distance_m)
+        while math.hypot(*rx) > params.cell_radius_m:
+            rx = _disc_point(rng, tx, params.max_d2d_distance_m)
+            redraws += 1
+        pairs.append((tx, rx))
+    return Topology((0.0, 0.0), cue, tuple(pairs)), redraws
+
+
+def _per_point_content(scenario, params, rng_seed):
+    """generate_content_instance's positions drawn point by point; also the rejection count."""
+    rng = np.random.default_rng(rng_seed)
+    center = (0.8 * params.cell_radius_m, 0.0)
+    ue, rejected = [], 0
+    while len(ue) < scenario.n_d2d:
+        p = _disc_point(rng, center, scenario.hotspot_radius_m)
+        if math.hypot(*p) <= params.cell_radius_m:
+            ue.append(p)
+        else:
+            rejected += 1
+    cue = tuple(_disc_point(rng, (0.0, 0.0), params.cell_radius_m) for _ in range(scenario.m_cue))
+    return tuple(ue), cue, rejected
+
+
+def _hex_points(points):
+    return [(x.hex(), y.hex()) for x, y in points]
+
+
+def _per_link_sum_rate(alloc, gains, params):
+    # the sum the one-pass scoring replaced: rate(sinr(...)) per receiver
+    total = 0.0
+    for rb in range(gains.rb_count):
+        total += rate(sinr(alloc, gains, params, radio.cellular_rx_node(params, rb), rb))
+    for j in sorted(j for j in alloc.rb_of_d2d if j not in alloc.relay_d2d):
+        total += rate(sinr(alloc, gains, params, ("drx", j), alloc.rb_of_d2d[j]))
+    sigma = effective_noise_w(params)
+    for j in sorted(alloc.relay_d2d):
+        rb = alloc.rb_of_d2d[j]
+        up = rate(params.p_d2d_w * gains.get(("dtx", j), ("enb", 0), rb) / sigma)
+        down = rate(params.p_enb_w * gains.get(("enb", 0), ("drx", j), rb) / sigma)
+        total += 0.5 * min(up, down)
+    return total
+
+
+class TestRadioLayerBits:
+    """The buffered disc draws, the per-layout link plan and the one-pass
+    scoring give the floats of the per-point, per-link and per-receiver code
+    they replaced, compared with ``==`` on every float."""
+
+    SMALL = dict(cell_radius_m=12.0, max_d2d_distance_m=5.0)
+
+    @pytest.mark.parametrize("cell", [{}, SMALL], ids=["default", "small"])
+    def test_topology_matches_per_point_draws(self, cell):
+        params = RadioParams(**cell).validate()
+        redraws = 0
+        for seed in range(200):
+            m, n = 1 + seed % 10, seed % 17
+            want, extra = _per_point_topology(params, m, n, seed)
+            got = generate_topology(params, m, n, seed)
+            assert _hex_points(got.cue) == _hex_points(want.cue)
+            assert list(map(_hex_points, got.d2d_pairs)) == list(map(_hex_points, want.d2d_pairs))
+            redraws += extra
+        if cell:  # receivers near the small cell's edge redraw, refilling the block
+            assert redraws > 100
+
+    @pytest.mark.parametrize("cell", [{}, SMALL], ids=["default", "small"])
+    def test_content_instance_matches_per_point_draws(self, cell):
+        params = RadioParams(**cell).validate()
+        rejected = 0
+        for seed in range(100):
+            scenario = ContentScenario(
+                n_d2d=2 + seed % 20,
+                k_seeds=1,
+                m_cue=1 + seed % 6,
+                hotspot_radius_m=min(30.0, params.cell_radius_m),
+            )
+            ue, cue, extra = _per_point_content(scenario, params, seed)
+            inst = generate_content_instance(scenario, params, seed)
+            assert _hex_points(inst.ue_pos) == _hex_points(ue)
+            assert _hex_points(inst.cue_pos) == _hex_points(cue)
+            rejected += extra
+        if cell:  # the hotspot reaches past the small cell's edge
+            assert rejected > 100
+
+    @pytest.mark.parametrize("carrier_ghz", [2.0, 5.9])
+    def test_link_pathloss_matches_pathloss_db(self, carrier_ghz):
+        params = RadioParams(carrier_ghz=carrier_ghz).validate()
+        enb, cue = (0.0, 0.0), [(3.0, 4.0), (120.5, -7.25), (0.0, 0.0)]  # CUE 2 sits on the eNB
+        pairs = [
+            ((30.0, 40.0), (30.0, 40.0)),  # coincident ends
+            ((3.0, 4.0), (6.0, 4.0)),  # the transmitter on CUE 0, 3 m from its receiver
+            ((-250.0, 111.0), (-262.5, 115.75)),
+        ]
+        ues = [(30.0, 40.0), (31.0, 40.0), (3.0, 4.0), (-400.0, 0.5)]
+        topo = Topology(enb, tuple(cue), tuple(pairs))
+        ends = [p for pair in pairs for p in pair]
+        for pl, links in (
+            (radio.link_pathloss(params, enb, cue, ends, paired=True), _topology_links(topo)),
+            (radio.link_pathloss(params, enb, cue, ues, paired=False), _ue_links(enb, cue, ues)),
+        ):
+            plan = pl.plan
+            got = pl.pathloss.tolist()
+            assert len(got) == len(links)
+            kinds = set()
+            for l, (tx, tx_pos, rx, rx_pos) in enumerate(links):
+                assert (plan.tx_nodes[plan.tx[l]], plan.rx_nodes[plan.rx[l]]) == (tx, rx)
+                assert got[l].hex() == _link_pathloss(tx, tx_pos, rx, rx_pos, carrier_ghz).hex()
+                kinds.add((_los(tx, rx), math.dist(tx_pos, rx_pos) < 10.0))
+            assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_link_pathloss_rejects_a_nan_distance(self):
+        topo = Topology((0.0, 0.0), ((100.0, 0.0),), (((math.nan, 0.0), (5.0, 0.0)),))
+        with pytest.raises(ValueError, match="distance must be > 0 m, got nan"):
+            draw_gains(topo, PARAMS, rng_seed=1)
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_sum_rate_matches_per_receiver_sum(self, direction):
+        params = RadioParams(link_direction=direction).validate()
+        checked = 0
+        for seed in range(60):
+            m, n = 1 + seed % 6, seed % 9
+            topo = generate_topology(params, m, n, 400 + seed)
+            gains = draw_gains(topo, params, 500 + seed)
+            rng = np.random.default_rng(seed)
+            allocs = [
+                Allocation(),
+                Allocation({j: 0 for j in range(n)}),  # every pair on one RB
+                Allocation({j: m - 1 for j in range(n)}, frozenset(range(0, n, 2))),
+                auction.random_allocation(topo, seed),
+                auction.all_cellular_allocation(topo),
+            ]
+            for _ in range(4):  # some pairs silent, some relayed, some RBs empty
+                rb_of = {j: int(rng.integers(0, m)) for j in range(n) if rng.random() < 0.7}
+                allocs.append(Allocation(rb_of, frozenset(j for j in rb_of if rng.random() < 0.3)))
+            for alloc in allocs:
+                got = sum_rate(alloc, gains, params)
+                assert got.hex() == _per_link_sum_rate(alloc, gains, params).hex()
+                checked += 1
+        assert checked == 60 * 9
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_sum_rate_adds_interference_in_ascending_pair_order(self, direction):
+        """One RB and four direct pairs, where every rate but one listener's is
+        below the last bit of the total: the total is then that listener's
+        rate, whose denominator adds the co-channel pairs in ascending order,
+        and at a D2D receiver the cellular transmitter after them."""
+        params = RadioParams(link_direction=direction).validate()
+        sigma = effective_noise_w(params)
+        p_d = params.p_d2d_w
+        p_c = params.p_enb_w if direction == radio.DOWNLINK else params.p_cue_w
+        cell_tx, cell_rx = _cell_nodes(direction, 0)
+        n = 4
+        alloc = Allocation({j: 0 for j in range(n)})
+        shows = 0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            for listener in (cell_rx, ("drx", 0)):
+                # received powers span six decades, so their order shows in the last bits
+                entries = {(cell_tx, cell_rx, 0): 1e-40}
+                for j in range(n):
+                    entries[(("dtx", j), cell_rx, 0)] = 10.0 ** rng.uniform(-14, -8)
+                    entries[(cell_tx, ("drx", j), 0)] = 10.0 ** rng.uniform(-14, -8)
+                    for k in range(n):
+                        gain = 1e-40 if j == k else 10.0 ** rng.uniform(-14, -8)
+                        entries[(("dtx", j), ("drx", k), 0)] = gain
+                if listener == cell_rx:
+                    signal_key, p_signal = (cell_tx, cell_rx, 0), p_c
+                    terms = [p_d * entries[(("dtx", k), cell_rx, 0)] for k in range(n)]
+                else:
+                    signal_key, p_signal = (("dtx", 0), ("drx", 0), 0), p_d
+                    terms = [p_d * entries[(("dtx", k), ("drx", 0), 0)] for k in range(1, n)]
+                    terms.append(p_c * entries[(cell_tx, ("drx", 0), 0)])
+                denom = sigma
+                for term in terms:
+                    denom += term
+                # signal set for an SINR in [0.3, 0.9]
+                entries[signal_key] = rng.uniform(0.3, 0.9) * denom / p_signal
+                gains = GainTensor.from_entries(entries, rb_count=1)
+                want = rate(p_signal * gains.get(*signal_key) / denom)
+                got = sum_rate(alloc, gains, params)
+                assert got.hex() == want.hex()
+                assert got.hex() == _per_link_sum_rate(alloc, gains, params).hex()
+                reverse = sigma
+                for term in reversed(terms):
+                    reverse += term
+                shows += rate(p_signal * gains.get(*signal_key) / reverse) != want
+        assert shows > 20  # the check can tell the two orders apart
+
+    def test_all_cellular_takes_the_first_nearest_cue(self):
+        cue = ((0.0, 100.0), (100.0, 0.0), (0.0, -100.0), (-100.0, 0.0))
+        pairs = (
+            ((0.0, 0.0), (1.0, 0.0)),  # all four equidistant: RB 0
+            ((50.0, -50.0), (51.0, -50.0)),  # CUEs 1 and 2 tie: RB 1
+            ((-50.0, -50.0), (-51.0, -50.0)),  # CUEs 2 and 3 tie: RB 2
+            ((-60.0, 0.0), (-61.0, 0.0)),  # CUE 3 alone
+        )
+        topo = Topology((0.0, 0.0), cue, pairs)
+        alloc = auction.all_cellular_allocation(topo)
+        assert alloc.rb_of_d2d == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert alloc.relay_d2d == frozenset(range(4))
+        for j, (tx, _) in enumerate(pairs):
+            dists = [math.hypot(tx[0] - c[0], tx[1] - c[1]) for c in cue]
+            assert alloc.rb_of_d2d[j] == int(np.argmin(dists))
+
+    def test_random_allocation_matches_per_pair_draws(self):
+        for seed in range(300):
+            m, n = 1 + seed % 12, seed % 17
+            topo = generate_topology(PARAMS, m, n, seed)
+            rng = np.random.default_rng(seed + 1)
+            want = {j: int(rng.integers(0, m)) for j in range(n)}
+            assert auction.random_allocation(topo, seed + 1).rb_of_d2d == want
