@@ -34,20 +34,20 @@ cheap without altering the outcome:
   and the current package only, not on prices. The engine of one auction
   keeps one dict per bidder, keyed by the package bitmask, so greedy paths
   that repeat their prefixes over many clock rounds cost one valuation call
-  per new package instead of one per step. The candidate rows of a package
-  are built once per auction out of a read-only zero row stacked on the
-  identity, shared by the bidders and kept read-only; each miss passes the
-  valuation a copy, so it always gets a fresh array. ``valuation_calls``
-  still counts every candidate row a cache-free engine would evaluate.
+  per new package instead of one per step. Each miss takes its candidate
+  rows out of a read-only zero row stacked on the identity into a new
+  array, so a valuation that writes to its input never sees a shared array.
+  ``valuation_calls`` still counts every candidate row a cache-free engine
+  would evaluate.
 - Dominated packages: prices only rise, so the surplus of a package without
   item ``i`` minus that of the package with it (``p_i`` minus the marginal
   value of ``i``) never falls. On tables of more than 256 packages (9 items
   or more), at rounds 32, 64, 128, ... :func:`run_auction` drops from the
-  exact tables every package that, for every bidder, a package one item
-  smaller beats by more than ``delta``; the empty package has no smaller
-  package and always stays. Smaller tables are not pruned: there the prune
-  costs about as much as it saves. Exact demand is the same argmax over the
-  columns left, still in tie order. Its price sums are one ``block @
+  exact tables every package that, for every bidder, a live package one
+  item smaller beats by more than ``delta``; the empty package has no
+  smaller package and always stays. Smaller tables are not pruned: there
+  the prune costs about as much as it saves. Exact demand is the same argmax
+  over the columns left, still in tie order. Its price sums are one ``block @
   prices`` over the live packages' mask rows, kept in tie order and padded
   with zero rows to a multiple of 4; a prune compacts the block with the
   tables. OpenBLAS's dgemv sums each row of a full group of 4 rows in one
@@ -216,33 +216,6 @@ def _prune_margin(tables: np.ndarray, n: int, epsilon: float, p0: float) -> floa
     return 4.0 * 2.0 * u * (top + (n + 1) ** 2 * pmax)
 
 
-def _lattice_gain(surplus_cand: np.ndarray, cand: np.ndarray, full: int) -> np.ndarray:
-    """Per package, the least over these bidders of the surplus gained by dropping its best item.
-
-    ``surplus_cand`` holds some bidders' surpluses of the candidate packages
-    ``cand`` (bitmasks, one column each) out of ``full`` packages. The
-    surplus of every package is laid out in plain order, -inf for the
-    packages that are not candidates; there the packages one item smaller
-    are strided views, one bit at a time. Returns one value per package in
-    plain order, meaningful for the candidates only.
-    """
-    surplus = np.full((len(surplus_cand), full), -np.inf)
-    surplus[:, cand] = surplus_cand
-    best = np.full_like(surplus, -np.inf)
-    bit = 1
-    while bit < full:
-        shape = (len(surplus), full // (2 * bit), 2, bit)
-        with_bit = best.reshape(shape)[:, :, 1]
-        without = surplus.reshape(shape)[:, :, 0]
-        if 2 * bit * bit < full:  # run the loop along the longer axis
-            with_bit, without = with_bit.transpose(0, 2, 1), without.transpose(0, 2, 1)
-        np.maximum(with_bit, without, out=with_bit, order="C")
-        bit <<= 1
-    with np.errstate(invalid="ignore"):  # -inf - -inf at the packages dropped
-        best -= surplus
-    return best.min(axis=0, initial=np.inf)
-
-
 class _DemandEngine:
     """Valuation tables, the greedy memo and the demand rule of one auction."""
 
@@ -276,14 +249,11 @@ class _DemandEngine:
             self._block = _tie_block(instance.items)
             self.calls += len(bidders) * (2**self.n - 1)  # non-empty packages evaluated
         else:
-            # the empty package, then each item alone; a package's candidate
-            # rows are taken out of it once and kept read-only, and a miss
-            # passes the valuation a copy, so a valuation that writes to its
-            # input never sees a shared array
+            # the empty package, then each item alone; a miss takes its
+            # candidate rows out of it into a new array, so a valuation that
+            # writes to its input never sees a shared array
             self._eye = np.eye(self.n + 1, self.n, k=-1)
             self._eye.setflags(write=False)
-            # package mask -> (items outside it, its candidate rows), for all bidders
-            self._rows: dict[int, tuple[list[int], np.ndarray]] = {}
 
     def demand(self, rows: list[int] | slice, prices: np.ndarray) -> list[int]:
         """Demanded packages of the bidders at positions ``rows``, as bitmasks.
@@ -312,40 +282,35 @@ class _DemandEngine:
         Valid only while prices never fall from ``prices`` on, as on the
         clock. A candidate is dropped when, for every bidder, some candidate
         one item smaller has a surplus higher by more than ``self._margin``.
-        The dropped packages leave the tables and the block of mask rows
-        together, so the block stays in tie order and padded to a multiple
-        of 4 rows.
+        Each candidate's subsets one item smaller are gathered by table
+        column, one bit at a time and 1,024 candidates at a time, on the
+        first prune over the full table as on later ones; a subset already
+        dropped, or a bit the candidate lacks, reads a column of -inf. The dropped packages leave the tables
+        and the block of mask rows together, so the block stays in tie order
+        and padded to a multiple of 4 rows.
         """
         cand = self._cand
         bidders, size = self._tables.shape
-        full = 1 << self.n
         # a last column of -inf stands for the dropped packages
         padded = np.empty((bidders, size + 1))
         surplus = padded[:, :size]
         np.subtract(self._tables, self._price_sums(prices), out=surplus)
         padded[:, size] = -np.inf
-        # the lattice of all packages costs the same at any candidate count,
-        # gathering each candidate's subsets costs per candidate: below half
-        # of the packages, gathering is the cheaper
-        if 2 * size > full:
-            # half the bidders at a time, so the work arrays of a half are no
-            # bigger than the tables
-            half = (bidders + 1) // 2
-            gain = np.minimum(
-                _lattice_gain(surplus[:half], cand, full),
-                _lattice_gain(surplus[half:], cand, full),
-            )[cand]
-        else:
-            column = np.full(full, size)
-            column[cand] = np.arange(size)
-            bits = (1 << np.arange(self.n))[:, None]
-            smaller = np.where(cand & bits, column[cand ^ bits], size)  # one row per bit
+        column = np.full(1 << self.n, size)
+        column[cand] = np.arange(size)
+        bits = (1 << np.arange(self.n))[:, None]
+        dominated = np.empty(size, dtype=bool)
+        # 1,024 candidates at a time: the work arrays of all 4,096 at once
+        # (12 items) took fresh pages from the OS on every first prune
+        for start in range(0, size, 1024):
+            part = slice(start, start + 1024)
+            chunk = cand[part]
+            smaller = np.where(chunk & bits, column[chunk ^ bits], size)  # one row per bit
             best = padded.take(smaller[0], axis=1)
             for columns in smaller[1:]:
                 np.maximum(best, padded.take(columns, axis=1), out=best)
-            best -= surplus
-            gain = best.min(axis=0)
-        dominated = gain > self._margin
+            best -= surplus[:, part]
+            dominated[part] = best.min(axis=0) > self._margin
         if dominated.any():
             self._keep(~dominated)
 
@@ -367,18 +332,15 @@ class _DemandEngine:
         that item)`` pair per item outside the mask, in index order, as Python
         scalars. The values depend on (bidder, mask) only, never on prices, so
         the walk reads a repeat of the step from ``self._steps[k]`` and calls
-        this only on a miss.
+        this only on a miss. Each call values a new array of candidate rows,
+        so the valuation may write to it.
         """
         bidder = self.bidders[k]
-        if mask not in self._rows:
-            out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
-            # the empty package's row first when mask == 0
-            rows = self._eye.take(([] if mask else [0]) + [i + 1 for i in out_idx], axis=0)
-            rows[:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
-            rows.setflags(write=False)
-            self._rows[mask] = out_idx, rows
-        out_idx, rows = self._rows[mask]
-        vals = np.asarray(self.inst.batch_valuation(bidder, rows.copy()), dtype=float).tolist()
+        out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
+        # the empty package's row first when mask == 0; take returns a new array
+        rows = self._eye.take(([] if mask else [0]) + [i + 1 for i in out_idx], axis=0)
+        rows[:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
+        vals = np.asarray(self.inst.batch_valuation(bidder, rows), dtype=float).tolist()
         if not all(map(math.isfinite, vals)):  # the walk's ``>`` scan would skip a NaN
             raise ValueError(f"bidder {bidder}: valuation is not finite")
         step = (None if mask else vals.pop(0), list(zip(out_idx, vals)))

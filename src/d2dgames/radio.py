@@ -497,8 +497,7 @@ def _co_channel_plan(
     A node's entry at itself reads its RB's cellular link at power 0.0, which
     gives exactly 0.0. Raises ``KeyError`` for a node the layout lacks.
     """
-    tx_index = {node: i for i, node in enumerate(tx_nodes)}
-    rx_index = {node: i for i, node in enumerate(rx_nodes)}
+    tx_index, rx_index = _axis_index(tx_nodes), _axis_index(rx_nodes)
     txs = [(cellular_tx_node(params, rb), *tx) for rb in range(rb_count)]
     rxs = [(cellular_rx_node(params, rb), *rx) for rb in range(rb_count)]
     t = np.array([[tx_index[node] for node in row] for row in txs], dtype=np.intp)

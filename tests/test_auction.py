@@ -752,14 +752,16 @@ def _slow_prune(engine, prices, neighbour):
     A candidate goes when, for every bidder, some candidate ``neighbour(r,
     bit)`` (None when there is none) has a surplus higher by more than the
     engine's margin. The real rule's neighbour is the package one item smaller.
+    Surpluses are the engine's bits; the test itself is plain Python loops.
     """
-    surplus = engine._tables - (engine._masks @ prices)[engine._cand]
-    column = {r: c for c, r in enumerate(engine._cand.tolist())}
+    surplus = (engine._tables - (engine._masks @ prices)[engine._cand]).tolist()
+    cand = engine._cand.tolist()
+    column = {r: c for c, r in enumerate(cand)}
     keep = []
-    for c, r in enumerate(engine._cand.tolist()):
-        others = [column.get(neighbour(r, 1 << i)) for i in range(engine.n)]
-        gains = surplus[:, [s for s in others if s is not None]] - surplus[:, [c]]
-        keep.append(not (gains > engine._margin).any(axis=1).all())
+    for c, r in enumerate(cand):
+        others = [column[s] for s in (neighbour(r, 1 << i) for i in range(engine.n)) if s in column]
+        dropped = all(any(row[s] - row[c] > engine._margin for s in others) for row in surplus)
+        keep.append(not dropped)
     return np.array(keep, dtype=bool)
 
 
@@ -898,8 +900,33 @@ class TestDominatedPrune:
         assert seen["price sum mismatches"] == 0
         assert seen["pruned calls"] > seen["calls"] // 2
         assert seen["two prunes dropped"] > 0 and seen["empty demanded after a prune"] > 0
-        # both ways of finding the smaller packages ran
+        # prunes over the full table and over fewer candidates both ran
         assert 0 < seen["many-candidate prunes"] < seen["prunes"]
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_kept_set_matches_the_plain_rule(self, direction, monkeypatch):
+        # an under-prune leaves every demand as it was, so only the kept set
+        # itself shows it
+        prune = _DemandEngine.prune
+        kept = []
+
+        def recorded(self, prices):
+            size, want = len(self._cand), self._cand[_slow_prune(self, prices, _one_smaller)]
+            prune(self, prices)
+            kept.append((size, want, self._cand))
+
+        monkeypatch.setattr(_DemandEngine, "prune", recorded)
+        params = replace(PARAMS, link_direction=direction).validate()
+        for n, seed in ((9, 1301), (10, 1303), (12, 1305)):
+            topo = radio.generate_topology(params, m=10, n=n, rng_seed=seed)
+            gains = radio.draw_gains(topo, params, rng_seed=seed + 1)
+            kept.clear()
+            assert run_auction(auction_instance_from_radio(topo, gains, params)).terminated
+            for size, want, got in kept:
+                assert np.array_equal(got, want), (n, size)
+            # the full-table prune, then one over fewer candidates; both drop some
+            (first, want, _), (later, want_later, _) = kept[:2]
+            assert first == 2**n > later == len(want) > len(want_later)
 
     def test_eight_items_or_fewer_never_prune(self, monkeypatch):
         calls = []

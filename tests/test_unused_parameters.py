@@ -1,6 +1,6 @@
-"""Every function in ``src/d2dgames`` reads each parameter it takes, the
-package uses each function and class it defines, and each module uses what
-it imports.
+"""Every function in ``src/d2dgames`` and ``tools`` reads each parameter it
+takes, the package uses each function and class it defines, and each module
+of the package and of ``tools`` uses what it imports.
 
 A parameter its body never reads is an option that does nothing, yet every
 caller still has to pass it. Names starting with ``_`` are exempt. A private
@@ -14,7 +14,10 @@ lists in ``__all__`` is exported, so it counts as used.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "d2dgames"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "d2dgames"
+# the package and the scripts beside it; the definition scans read the package only
+SOURCES = sorted(SRC.glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def _unread_parameters(tree: ast.AST) -> list[tuple[int, str, str]]:
@@ -56,8 +59,8 @@ def test_scanner_finds_unread_parameters():
 
 def test_every_parameter_is_read():
     unread = [
-        f"{path.name}:{line} {function}({param})"
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.relative_to(ROOT)}:{line} {function}({param})"
+        for path in SOURCES
         for line, function, param in _unread_parameters(ast.parse(path.read_text("utf-8")))
     ]
     assert not unread, unread
@@ -211,8 +214,8 @@ def test_scanner_finds_unused_imports():
 
 def test_every_import_is_used():
     unused = [
-        f"{path.name} {name}"
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.relative_to(ROOT)} {name}"
+        for path in SOURCES
         for _, name in _unused_imports(ast.parse(path.read_text("utf-8")))
     ]
     assert not unused, unused

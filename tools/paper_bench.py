@@ -9,19 +9,15 @@ CSV it wrote (every run must write the same bytes) and a host record::
 
     python tools/paper_bench.py --out bench.json
 
-Each run also records ``speed_index``: the mean wall time of the calibration
-loop of ``perfbench/hostspeed.py``, timed once before and once after the run,
-over that loop's time on the reference host. A run's wall seconds divided by
-its index are seconds at reference speed, which compare across hours and
-hosts where raw seconds do not (files written before this field have none).
-Per-layer totals and solver counters are not recorded yet.
+Raw seconds swing with the host's load, so compare runs taken in alternating
+order in the same hour. Per-layer totals and solver counters are not
+recorded yet.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import os
 import platform
@@ -41,11 +37,6 @@ if __name__ == "__main__":
 
 from d2dgames.harness import CSV_FILENAMES  # noqa: E402
 
-# perfbench/hostspeed.py by path, so that loading this file leaves sys.path alone
-_spec = importlib.util.spec_from_file_location("hostspeed", ROOT / "perfbench" / "hostspeed.py")
-hostspeed = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(hostspeed)
-
 # name -> config file text; the default experiments at paper scale
 DEFAULT_CONFIGS = {
     "sumrate-vs-pairs": "experiment = sumrate-vs-pairs\n",
@@ -60,11 +51,8 @@ def _child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def time_run(
-    experiment: str, config_text: str, workdir: Path
-) -> tuple[float, float, str, float]:
-    """One CLI run in a fresh interpreter: (wall s, CPU s, sha256 of its CSV,
-    host speed index around it)."""
+def time_run(experiment: str, config_text: str, workdir: Path) -> tuple[float, float, str]:
+    """One CLI run in a fresh interpreter: (wall s, CPU s, sha256 of its CSV)."""
     workdir.mkdir(parents=True, exist_ok=True)
     cfg = workdir / "run.cfg"
     cfg.write_text(config_text, encoding="utf-8")
@@ -72,16 +60,13 @@ def time_run(
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "d2dgames", "run", "--config", str(cfg), "--out", str(out)]
-    loop_before, _ = hostspeed.measure()
     cpu0, wall0 = _child_cpu_s(), time.perf_counter()
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     wall, cpu = time.perf_counter() - wall0, _child_cpu_s() - cpu0
-    loop_after, _ = hostspeed.measure()
-    index = (loop_before + loop_after) / 2 / hostspeed.REFERENCE_S
     if proc.returncode != 0:
         raise RuntimeError(f"{experiment} exited {proc.returncode}:\n{proc.stderr}")
     digest = hashlib.sha256((out / CSV_FILENAMES[experiment]).read_bytes()).hexdigest()
-    return wall, cpu, digest, index
+    return wall, cpu, digest
 
 
 def host_record() -> dict:
@@ -118,13 +103,13 @@ def host_record() -> dict:
 
 def write_bench(path: Path, configs: dict[str, str], repeats: int, workdir: Path) -> dict:
     """Run each config ``repeats`` times, alternating, and write the summary to ``path``."""
-    runs: dict[str, list[tuple[float, float, str, float]]] = {name: [] for name in configs}
+    runs: dict[str, list[tuple[float, float, str]]] = {name: [] for name in configs}
     for r in range(repeats):
         for name, text in configs.items():
             runs[name].append(time_run(name, text, workdir / f"{name}-{r}"))
     result = {}
     for name, timed in runs.items():
-        walls, cpus, digests, indices = zip(*timed)
+        walls, cpus, digests = zip(*timed)
         digests = set(digests)
         if len(digests) != 1:
             raise RuntimeError(f"{name}: runs wrote different CSVs: {sorted(digests)}")
@@ -136,7 +121,6 @@ def write_bench(path: Path, configs: dict[str, str], repeats: int, workdir: Path
             "csv_sha256": digests.pop(),
             "wall_s": walls,
             "cpu_s": cpus,
-            "speed_index": [round(index, 3) for index in indices],
             "wall_s_median": statistics.median(walls),
             "cpu_s_median": statistics.median(cpus),
         }
