@@ -154,11 +154,12 @@ class AuctionState:
 
 
 @functools.lru_cache(maxsize=32)
-def _tie_order(items: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """All package masks and their tie order.
+def _tie_order(items: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All package masks, their tie order and the masks in that order, padded.
 
     Column ``i`` of the masks is ``items[i]`` and row ``r`` is the package
-    whose bitmask is ``r``: its entry ``i`` is ``(r >> i) & 1``.
+    whose bitmask is ``r``: its entry ``i`` is ``(r >> i) & 1``. The padded
+    block is the price-sum block of an unpruned engine.
     """
     n = len(items)
     masks = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
@@ -167,9 +168,10 @@ def _tie_order(items: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         return r.bit_count(), sorted(items[i] for i in range(n) if (r >> i) & 1)
 
     order = np.array(sorted(range(2**n), key=tie_key), dtype=np.intp)
-    masks.setflags(write=False)  # shared by every auction over these items
-    order.setflags(write=False)
-    return masks, order
+    block = _padded_rows(masks, order)
+    for shared in (masks, order, block):  # shared by every auction over these items
+        shared.setflags(write=False)
+    return masks, order, block
 
 
 def _padded_rows(masks: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -180,15 +182,6 @@ def _padded_rows(masks: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """
     block = np.zeros((-(-len(cand) // 4) * 4, masks.shape[1]))
     block[: len(cand)] = masks[cand]
-    return block
-
-
-@functools.lru_cache(maxsize=32)
-def _tie_block(items: tuple[int, ...]) -> np.ndarray:
-    """All package masks in tie order, padded: the price-sum block of an unpruned engine."""
-    masks, order = _tie_order(items)
-    block = _padded_rows(masks, order)
-    block.setflags(write=False)  # shared by every auction over these items
     return block
 
 
@@ -239,14 +232,13 @@ class _DemandEngine:
             # self._cand[c]; a prune drops columns, keeping their order. Row c
             # of self._block is mask row self._cand[c], then zero rows pad it
             # to a multiple of 4 rows (module docstring).
-            self._masks, self._cand = _tie_order(instance.items)
+            self._masks, self._cand, self._block = _tie_order(instance.items)
             tables = [instance.batch_valuation(bidder, self._masks) for bidder in bidders]
             tables = np.array(tables, dtype=float).reshape(len(bidders), 2**self.n)
             _check_finite(bidders, tables)
             config = instance.config
             self._margin = _prune_margin(tables, self.n, config.epsilon, config.p0)
             self._tables = tables[:, self._cand]
-            self._block = _tie_block(instance.items)
             self.calls += len(bidders) * (2**self.n - 1)  # non-empty packages evaluated
         else:
             # the empty package, then each item alone; a miss takes its
@@ -478,7 +470,7 @@ def run_auction(instance: AuctionInstance) -> AuctionState:
 def allocation_from_auction(state: AuctionState) -> radio.Allocation:
     """Winning packages transmit on their bidder's RB; unassigned pairs stay silent."""
     if not state.terminated:
-        raise ValueError("auction did not terminate; no allocation available")
+        raise ValueError(f"auction hit max_rounds={state.rounds} without terminating")
     rb_of_d2d = {
         item: bidder for item, bidder in state.assignment.items() if bidder is not None
     }

@@ -165,7 +165,6 @@ _PARSERS = {
     float: float,
     str: str,
     tuple[int, ...]: _parse_list(int),
-    tuple[str, ...]: _parse_list(str),
     float | None: _parse_auto_float,
     int | None: int,
     tuple[str, ...] | None: _parse_list(str),

@@ -27,22 +27,18 @@ from d2dgames import stackelberg as stackelberg_mod
 from d2dgames.config import ExperimentConfig, dump_config
 from d2dgames.seeding import derive_seed
 
-CSV_HEADERS = {
+# experiment -> (CSV file name, header); oracle-check writes JSON instead
+CSV_TABLES = {
     "sumrate-vs-pairs": (
-        "n_pairs", "scheme", "drop_seed", "sum_rate_bps_hz", "rounds", "valuation_calls",
+        "sumrate.csv",
+        ("n_pairs", "scheme", "drop_seed", "sum_rate_bps_hz", "rounds", "valuation_calls"),
     ),
     "content-distribution": (
-        "round", "scheme", "drop_seed", "cumulative_packets", "total_value_bps_hz",
+        "content.csv",
+        ("round", "scheme", "drop_seed", "cumulative_packets", "total_value_bps_hz"),
     ),
-    "power-control": ("iter", "player", "power_w", "sinr_db"),
-    "stackelberg": ("lambda", "p_star_w", "u_leader", "u_follower"),
-}
-
-CSV_FILENAMES = {
-    "sumrate-vs-pairs": "sumrate.csv",
-    "content-distribution": "content.csv",
-    "power-control": "power.csv",
-    "stackelberg": "stackelberg.csv",
+    "power-control": ("power.csv", ("iter", "player", "power_w", "sinr_db")),
+    "stackelberg": ("stackelberg.csv", ("lambda", "p_star_w", "u_leader", "u_follower")),
 }
 
 
@@ -90,8 +86,7 @@ class PairedStats:
 @dataclass
 class RunSummary:
     experiment: str
-    header: tuple[str, ...]
-    rows: list[tuple]
+    rows: list[tuple] = field(default_factory=list)
     groups: dict[tuple, GroupStats] = field(default_factory=dict)
     paired: dict[tuple, PairedStats] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
@@ -184,10 +179,6 @@ def _sumrate_drop(config: ExperimentConfig, sweep_idx: int, n_pairs: int, drop: 
                     topo, gains, config.radio, config.auction
                 )
                 state = auction_mod.run_auction(inst)
-                if not state.terminated:
-                    raise RuntimeError(
-                        f"auction hit max_rounds={config.auction.max_rounds} without terminating"
-                    )
                 alloc = auction_mod.allocation_from_auction(state)
                 rounds, calls = state.rounds, state.valuation_calls
             elif scheme == "random":
@@ -255,43 +246,26 @@ def _run_drops(tasks, worker):
 def run_experiment(config: ExperimentConfig) -> RunSummary:
     config.validate()
     started = time.monotonic()
-    experiment = config.experiment
-    checks = None
-    if experiment == "sumrate-vs-pairs":
+    summary = RunSummary(experiment=config.experiment)
+    if config.experiment == "sumrate-vs-pairs":
         tasks = [
             (config, si, n_pairs, drop)
             for si, n_pairs in enumerate(config.sweep)
             for drop in range(config.drops)
         ]
-        rows, errors = _run_drops(tasks, _sumrate_drop)
-        groups, paired = summarize(rows)
-    elif experiment == "content-distribution":
+        summary.rows, summary.errors = _run_drops(tasks, _sumrate_drop)
+        summary.groups, summary.paired = summarize(summary.rows)
+    elif config.experiment == "content-distribution":
         tasks = [(config, drop) for drop in range(config.drops)]
-        rows, errors = _run_drops(tasks, _content_drop)
-        groups, paired = summarize(rows)
-    elif experiment == "power-control":
-        rows, errors = _power_rows(config)
-        groups, paired = {}, {}
-    elif experiment == "stackelberg":
-        rows, errors = _stackelberg_rows(config)
-        groups, paired = {}, {}
-    elif experiment == "oracle-check":
-        rows, errors = [], []
-        groups, paired = {}, {}
-        checks = oracle_check(config)
-    else:
-        raise ValueError(f"unknown experiment {experiment!r}")
-
-    summary = RunSummary(
-        experiment=experiment,
-        header=CSV_HEADERS.get(experiment, ()),
-        rows=rows,
-        groups=groups,
-        paired=paired,
-        errors=errors,
-        wall_clock_s=time.monotonic() - started,
-        checks=checks,
-    )
+        summary.rows, summary.errors = _run_drops(tasks, _content_drop)
+        summary.groups, summary.paired = summarize(summary.rows)
+    elif config.experiment == "power-control":
+        summary.rows = _power_rows(config)
+    elif config.experiment == "stackelberg":
+        summary.rows = _stackelberg_rows(config)
+    else:  # oracle-check; validate() admits no other experiment
+        summary.checks = oracle_check(config)
+    summary.wall_clock_s = time.monotonic() - started
     if config.output_path:
         write_outputs(config, summary)
     return summary
@@ -311,7 +285,7 @@ def _power_rows(config: ExperimentConfig):
             gamma = float(sinrs[player])
             sinr_db = 10.0 * math.log10(gamma) if gamma > 0 else float("-inf")
             rows.append((it, player, float(p[player]), sinr_db))
-    return rows, []
+    return rows
 
 
 def _stackelberg_rows(config: ExperimentConfig):
@@ -319,7 +293,7 @@ def _stackelberg_rows(config: ExperimentConfig):
     topo = radio.generate_topology(config.radio, config.m_cue, config.stackelberg.pair + 1, seed)
     gains = radio.draw_gains(topo, config.radio, derive_seed(config.master_seed, 0, 0, 1))
     inst = stackelberg_mod.stackelberg_from_radio(gains, config.radio, config.stackelberg)
-    return stackelberg_mod.price_sweep(inst), []
+    return stackelberg_mod.price_sweep(inst)
 
 
 def oracle_check(config: ExperimentConfig) -> dict:
@@ -447,6 +421,6 @@ def write_outputs(config: ExperimentConfig, summary: RunSummary) -> None:
         text = json.dumps(summary.checks, indent=2, sort_keys=True) + "\n"
         _write_new(os.path.join(config.output_path, "oracle_check.json"), text)
         return
-    filename = CSV_FILENAMES[summary.experiment]
-    text = rows_to_csv(summary.header, summary.rows)
+    filename, header = CSV_TABLES[summary.experiment]
+    text = rows_to_csv(header, summary.rows)
     _write_new(os.path.join(config.output_path, filename), text, newline="")

@@ -32,7 +32,7 @@ from d2dgames.coalition import (
     switch_step,
 )
 from d2dgames.config import loads_config
-from d2dgames.harness import run_experiment, rows_to_csv
+from d2dgames.harness import CSV_TABLES, run_experiment, rows_to_csv
 from d2dgames.oracle import exhaustive_best_allocation, grid_equilibrium, solve_min_power
 from d2dgames.power_control import PowerConfig, PowerGameInstance, run_power_game
 from d2dgames.seeding import derive_seed
@@ -469,8 +469,9 @@ def test_criterion_9_determinism(tmp_path):
         config = loads_config(text)
         first = run_experiment(config)
         second = run_experiment(config)
-        csv_first = rows_to_csv(first.header, first.rows)
-        csv_second = rows_to_csv(second.header, second.rows)
+        _, header = CSV_TABLES[config.experiment]
+        csv_first = rows_to_csv(header, first.rows)
+        csv_second = rows_to_csv(header, second.rows)
         if csv_first != csv_second:
             mismatched.append(name)
     ok = not mismatched

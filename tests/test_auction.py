@@ -121,7 +121,7 @@ class TestBidderDemand:
         # exact demand maps a table column c to the package bitmask order[c],
         # which holds only if mask row r has bit i equal to (r >> i) & 1
         items = (7, 3, 11, 5, 2, 9)[:n]
-        masks, order = _tie_order(items)
+        masks, order, block = _tie_order(items)
         assert masks.shape == (2**n, n)
         for r, row in enumerate(masks):
             assert sum(1 << i for i in range(n) if row[i] == 1.0) == r
@@ -129,6 +129,9 @@ class TestBidderDemand:
         assert sorted(order.tolist()) == list(range(2**n))
         labels = [sorted(items[i] for i in range(n) if (r >> i) & 1) for r in order]
         assert labels == sorted(labels, key=lambda pkg: (len(pkg), pkg))
+        # the unpruned price-sum block: the masks in tie order, then zero rows
+        assert len(block) % 4 == 0 and not block[2**n :].any()
+        assert (block[: 2**n] == masks[order]).all()
 
     def test_greedy_mode_reasonable(self):
         # additive values: greedy is exact, so it must match enumeration
@@ -210,7 +213,7 @@ class TestRunAuction:
         inst = _table_instance(values, n_items=1, bidders=(0, 1), epsilon=1e-3, max_rounds=10)
         state = run_auction(inst)
         assert not state.terminated
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="auction hit max_rounds=10 without terminating"):
             allocation_from_auction(state)
 
     def test_final_demands_are_argmax_at_final_prices(self):
@@ -984,7 +987,7 @@ class TestCandidatePriceSums:
         remainders = Counter()
         for n in range(13):
             items = tuple(range(n))
-            masks, _ = _tie_order(items)
+            masks, _, _ = _tie_order(items)
             inst = AuctionInstance(
                 items=items, bidders=(0,), batch_valuation=lambda b, rows: np.zeros(len(rows)),
                 config=AuctionConfig(epsilon=1.0),
@@ -1133,7 +1136,7 @@ class TestRadioValuationBits:
 
     @pytest.mark.parametrize("n", [0, 2, 7, 12])
     def test_full_tables(self, n):
-        masks, _ = _tie_order(tuple(range(n)))
+        masks, _, _ = _tie_order(tuple(range(n)))
         for inst, reference in self._instances(n):
             for bidder in inst.bidders:
                 with np.errstate(divide="raise", invalid="raise"):

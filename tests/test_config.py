@@ -1,7 +1,8 @@
 import inspect
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -14,6 +15,7 @@ from d2dgames.config import (
     ExperimentConfig,
     PowerConfig,
     StackelbergConfig,
+    _PARSERS,
     _SECTIONS,
     _fmt,
     _schema,
@@ -381,6 +383,13 @@ class TestDerivedSchema:
     def test_field_without_parser_is_an_error(self, cls, where):
         with pytest.raises(TypeError, match=rf"{where}: no config parser"):
             _schema(cls)
+
+    def test_every_parser_reads_a_declared_field(self):
+        # a parser keyed by a type no field declares parses nothing
+        declared = set()
+        for hint in get_type_hints(ExperimentConfig).values():
+            declared |= set(get_type_hints(hint).values()) if is_dataclass(hint) else {hint}
+        assert set(_PARSERS) <= declared, set(_PARSERS) - declared
 
     def test_section_without_validate_is_an_error(self):
         with pytest.raises(TypeError, match="_UncheckedSection: a config section needs a validate"):

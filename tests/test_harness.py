@@ -6,7 +6,7 @@ import pytest
 
 from d2dgames.config import ExperimentConfig, loads_config
 from d2dgames.harness import (
-    CSV_HEADERS,
+    CSV_TABLES,
     PairedStats,
     oracle_check,
     rows_to_csv,
@@ -298,7 +298,8 @@ class TestSumrateExperiment:
     def test_row_count_and_schema(self):
         config = _small_sumrate_config()
         summary = run_experiment(config)
-        assert summary.header == CSV_HEADERS["sumrate-vs-pairs"]
+        _, header = CSV_TABLES["sumrate-vs-pairs"]
+        assert all(len(row) == len(header) for row in summary.rows)
         # drops x sweep points x schemes
         assert len(summary.rows) == 3 * 2 * 3
         assert not summary.errors
@@ -354,7 +355,7 @@ class TestContentExperiment:
         # per drop and scheme: rounds+1 rows
         assert len(a.rows) == 2 * 2 * 5
         for row in a.rows:
-            assert len(row) == len(CSV_HEADERS["content-distribution"])
+            assert len(row) == len(CSV_TABLES["content-distribution"][1])
 
     def test_failed_drop_is_a_nan_row_outside_the_statistics(self, monkeypatch):
         from d2dgames import coalition
@@ -408,9 +409,8 @@ class TestContentExperiment:
         monkeypatch.setattr(coalition, "noncooperative_baseline", failing_baseline)
         summary = run_experiment(loads_config(text))
         coop = [row for row in summary.rows if row[1] == "coalition"]
-        assert rows_to_csv(CSV_HEADERS["content-distribution"], coop) == rows_to_csv(
-            CSV_HEADERS["content-distribution"], alone.rows
-        )
+        _, header = CSV_TABLES["content-distribution"]
+        assert rows_to_csv(header, coop) == rows_to_csv(header, alone.rows)
         selfish = [row for row in summary.rows if row[1] == "noncooperative"]
         assert [row[0] for row in selfish] == [0, 0] and all(math.isnan(r[3]) for r in selfish)
         assert summary.errors == [
@@ -596,6 +596,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "errors (1):" in out
         assert "scheme=rica: auction failed on purpose" in out
+
+    def test_non_terminating_auction_exit_code(self, tmp_path, capsys):
+        from d2dgames.cli import main
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "experiment = sumrate-vs-pairs\nsweep = 4\ndrops = 2\nm_cue = 2\n"
+            "[auction]\nmax_rounds = 1\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 4
+        rows = [row.split(",") for row in (out_dir / "sumrate.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        assert [row[3:] for row in rows if row[1] == "rica"] == [["nan", "0", "0"]] * 2
+        assert all(row[3] != "nan" for row in rows if row[1] != "rica")
+        out = capsys.readouterr().out
+        assert "errors (2):" in out
+        assert out.count("scheme=rica: auction hit max_rounds=1 without terminating") == 2
 
     def test_failed_oracle_check_exit_code(self, tmp_path, capsys, monkeypatch):
         from d2dgames import radio

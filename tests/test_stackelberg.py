@@ -7,7 +7,7 @@ import pytest
 from d2dgames import radio
 from d2dgames import stackelberg
 from d2dgames.config import loads_config
-from d2dgames.harness import CSV_HEADERS, rows_to_csv, run_experiment
+from d2dgames.harness import CSV_TABLES, rows_to_csv, run_experiment
 from d2dgames.oracle import grid_equilibrium
 from d2dgames.stackelberg import (
     LN2,
@@ -226,7 +226,7 @@ class TestPriceSweep:
         rows = price_sweep(inst)
         assert summary.rows == rows and len(rows) == 60
         csv = (tmp_path / "stackelberg.csv").read_text(encoding="utf-8")
-        assert csv == rows_to_csv(CSV_HEADERS["stackelberg"], rows)
+        assert csv == rows_to_csv(CSV_TABLES["stackelberg"][1], rows)
         for (lam, p, u_l, u_f), grid_lam in zip(rows, inst.lambda_grid()):
             assert lam == float(grid_lam) and p == follower_best_response(inst, lam)
             assert (u_l, u_f) == (inst.leader_utility(lam, p), inst.follower_utility(p, lam))

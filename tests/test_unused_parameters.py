@@ -118,33 +118,37 @@ _KEPT = {
     "auction.py bidder_demand": "the public single-bidder demand query",
     "coalition.py merge_split": "a paper mechanism beside the switch rule",
     "oracle.py grid_equilibrium": "the oracle's own bilevel grid search",
+    "radio.py GainTensor.entries": "the test fixture that lists a tensor by link",
     "radio.py GainTensor.from_entries": "the test fixture that builds a tensor by link",
     "stackelberg.py choose_channel": "a paper mechanism: the follower's channel choice",
 }
 
 
 def _unloaded_public_definitions(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
-    """``(module, line, name)`` of each public top-level function or class, and
-    each public method (as ``Class.method``), whose name no code in ``trees``
-    loads, by name or as an attribute."""
-    loaded = {
-        node.id if isinstance(node, ast.Name) else node.attr
+    """``(module, line, name)`` of each public top-level function or class that
+    no code in ``trees`` loads by name or as an attribute, and of each public
+    method (as ``Class.method``) that no code loads as an attribute: a bare
+    name spelled like a method, such as a parameter, does not use it."""
+    loads = [
+        node
         for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+    ]
+    attributes = {node.attr for node in loads if isinstance(node, ast.Attribute)}
+    loaded = attributes | {node.id for node in loads if isinstance(node, ast.Name)}
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for module, tree in trees.items():
         for top in tree.body:
             if not isinstance(top, (*functions, ast.ClassDef)):
                 continue
-            defined = [(top, top.name)]
+            defined = [(top, top.name, loaded)]
             if isinstance(top, ast.ClassDef):
                 methods = [f for f in top.body if isinstance(f, functions)]
-                defined += [(f, f"{top.name}.{f.name}") for f in methods]
-            for node, name in defined:
-                if not node.name.startswith("_") and node.name not in loaded:
+                defined += [(f, f"{top.name}.{f.name}", attributes) for f in methods]
+            for node, name, used in defined:
+                if not node.name.startswith("_") and node.name not in used:
                     found.append((module, node.lineno, name))
     return found
 
@@ -158,10 +162,17 @@ def test_scanner_finds_unloaded_public_definitions():
             "    def read(self):\n        return used()\n"
             "    def unread(self):\n        pass\n"
             "    def _private(self):\n        pass\n"
+            "    def items(self):\n        pass\n"
+            "    def build(self, items):\n        return items\n"
         ),
-        "b": ast.parse("import a\nx = a.Box().read\n"),
+        "b": ast.parse("import a\nx = a.Box().read\ny = a.Box().build\n"),
     }
-    assert _unloaded_public_definitions(trees) == [("a", 3, "dead"), ("a", 8, "Box.unread")]
+    # ``items`` is read only as build's parameter, a name and not an attribute
+    assert _unloaded_public_definitions(trees) == [
+        ("a", 3, "dead"),
+        ("a", 8, "Box.unread"),
+        ("a", 12, "Box.items"),
+    ]
 
 
 def test_every_public_definition_is_used():

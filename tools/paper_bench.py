@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))  # run as a script: the checkout's package
 
-from d2dgames.harness import CSV_FILENAMES  # noqa: E402
+from d2dgames.harness import CSV_TABLES  # noqa: E402
 
 # name -> config file text; the default experiments at paper scale
 DEFAULT_CONFIGS = {
@@ -65,7 +65,7 @@ def time_run(experiment: str, config_text: str, workdir: Path) -> tuple[float, f
     wall, cpu = time.perf_counter() - wall0, _child_cpu_s() - cpu0
     if proc.returncode != 0:
         raise RuntimeError(f"{experiment} exited {proc.returncode}:\n{proc.stderr}")
-    digest = hashlib.sha256((out / CSV_FILENAMES[experiment]).read_bytes()).hexdigest()
+    digest = hashlib.sha256((out / CSV_TABLES[experiment][0]).read_bytes()).hexdigest()
     return wall, cpu, digest
 
 
@@ -117,7 +117,7 @@ def write_bench(path: Path, configs: dict[str, str], repeats: int, workdir: Path
         cpus = [round(cpu, 3) for cpu in cpus]
         result[name] = {
             "config": configs[name],
-            "csv": CSV_FILENAMES[name],
+            "csv": CSV_TABLES[name][0],
             "csv_sha256": digests.pop(),
             "wall_s": walls,
             "cpu_s": cpus,
