@@ -16,8 +16,9 @@ bidders' tables of all packages) up to ``exact_cap`` items, and a greedy
 marginal-surplus construction beyond that. Exact ties go to the package with
 fewest items, then to the lexicographically smallest sorted tuple of item
 values. Valuations have one interface, ``AuctionInstance.batch_valuation``,
-which values a batch of 0/1 package masks. Three caches keep big instances
-cheap without altering the outcome:
+which values a batch of 0/1 package masks in blocks of equal size, one block
+per bidder. Three caches keep big instances cheap without altering the
+outcome:
 
 - Stale demand: a bidder whose demanded items saw no price change keeps its
   demand. A price rise elsewhere can only lower competing packages'
@@ -33,12 +34,17 @@ cheap without altering the outcome:
 - Greedy memo: the candidate values of one greedy step depend on the bidder
   and the current package only, not on prices. The engine of one auction
   keeps one dict per bidder, keyed by the package bitmask, so greedy paths
-  that repeat their prefixes over many clock rounds cost one valuation call
-  per new package instead of one per step. Each miss takes its candidate
-  rows out of a read-only zero row stacked on the identity into a new
-  array, so a valuation that writes to its input never sees a shared array.
-  ``valuation_calls`` still counts every candidate row a cache-free engine
-  would evaluate.
+  that repeat their prefixes over many clock rounds value each new package's
+  candidates once instead of once per step. The stale bidders' walks run in
+  passes: each walk goes on until it ends or reaches a package missing from
+  its memo, and the misses of a pass are valued in one call per package
+  size, one block of rows per miss. In round 1 every walk starts from an
+  empty memo and all stand at one package size at every step, so the round
+  takes at most ``n`` calls instead of one per step of every walk. Each
+  block takes its candidate rows out of a read-only zero row stacked on the
+  identity into a new array, so a valuation that writes to its input never
+  sees a shared array. ``valuation_calls`` still counts every candidate row
+  a cache-free engine would evaluate.
 - Dominated packages: prices only rise, so the surplus of a package without
   item ``i`` minus that of the package with it (``p_i`` minus the marginal
   value of ``i``) never falls. On tables of more than 256 packages (9 items
@@ -69,7 +75,12 @@ cheap without altering the outcome:
 The radio-backed valuation of :func:`auction_instance_from_radio` computes
 the member rates in one work array, in place, with the same IEEE operations
 as the plain expression; a package's size is ``masks @ ones``, whose row
-sums of 0/1 entries are exact in any summation order.
+sums of 0/1 entries are exact in any summation order. A call for several
+bidders views its rows as a ``(K, B, n)`` stack and takes each product in one
+stacked ``@``, for which numpy calls, block by block, the same dgemv (``@ w``)
+and dgemm (``@ m``) as a one-bidder call on that block's rows. Each row stays
+in the same group of 4 dgemv rows, so every value keeps its bits whatever
+else the call holds.
 """
 
 from __future__ import annotations
@@ -112,8 +123,10 @@ class AuctionConfig:
 class AuctionInstance:
     items: tuple[int, ...]
     bidders: tuple[int, ...]
-    # the one valuation path: (bidder, masks (B, n_items) of 0/1 rows) -> (B,)
-    batch_valuation: Callable[[int, np.ndarray], np.ndarray]
+    # the one valuation path: (bidders, masks) -> values. For K bidders,
+    # masks is a (K * B, n_items) array of 0/1 rows, and block k (rows k * B
+    # to (k + 1) * B - 1) is valued for bidders[k]; the result is (K * B,)
+    batch_valuation: Callable[[tuple[int, ...], np.ndarray], np.ndarray]
     config: AuctionConfig  # epsilon resolved: auto is for auction_instance_from_radio
 
     def __post_init__(self):
@@ -185,10 +198,26 @@ def _padded_rows(masks: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return block
 
 
-def _check_finite(bidders: tuple[int, ...], values: np.ndarray) -> None:
-    """Raise naming the first bidder whose row of ``values`` is not all finite.
+def _valued(instance: AuctionInstance, bidders: tuple[int, ...], masks: np.ndarray) -> np.ndarray:
+    """``instance.batch_valuation(bidders, masks)`` as float64, checked for one value per row.
 
-    Exact demand has no answer for a NaN: ``argmax`` would pick it.
+    A short or long result would pair values with the wrong packages, so it
+    raises naming the bidders and the expected length.
+    """
+    values = np.asarray(instance.batch_valuation(bidders, masks), dtype=float)
+    if values.shape != (len(masks),):
+        raise ValueError(
+            f"bidders {list(bidders)}: valuation returned shape {values.shape}, "
+            f"expected ({len(masks)},), one value per mask row"
+        )
+    return values
+
+
+def _check_finite(bidders: tuple[int, ...], values: np.ndarray) -> None:
+    """Raise naming the first bidder whose block of ``values`` is not all finite.
+
+    Exact demand has no answer for a NaN (``argmax`` would pick it), and the
+    greedy walk's ``>`` scan would skip it.
     """
     finite = np.isfinite(values)
     if not finite.all():
@@ -233,7 +262,9 @@ class _DemandEngine:
             # of self._block is mask row self._cand[c], then zero rows pad it
             # to a multiple of 4 rows (module docstring).
             self._masks, self._cand, self._block = _tie_order(instance.items)
-            tables = [instance.batch_valuation(bidder, self._masks) for bidder in bidders]
+            # one call per bidder: one stacked call for every table cost more
+            # than it saved from 10 items on
+            tables = [_valued(instance, (bidder,), self._masks) for bidder in bidders]
             tables = np.array(tables, dtype=float).reshape(len(bidders), 2**self.n)
             _check_finite(bidders, tables)
             config = instance.config
@@ -265,8 +296,7 @@ class _DemandEngine:
                 surplus = self._tables[rows]  # fancy indexing: a copy
                 surplus -= sums
             return self._cand[surplus.argmax(axis=1)].tolist()
-        prices = prices.tolist()
-        return [self._demand_greedy(k, prices) for k in rows]
+        return self._demand_greedy(rows, prices.tolist())
 
     def prune(self, prices: np.ndarray) -> None:
         """Drop the packages that no bidder can demand again (exact mode only).
@@ -316,57 +346,98 @@ class _DemandEngine:
         """The candidates' price sums in column order, ``(masks @ prices)[cand]`` bit for bit."""
         return (self._block @ prices)[: len(self._cand)]
 
-    def _greedy_step(self, k: int, mask: int):
-        """Value and store the candidates of one greedy step from package ``mask``.
+    def _value_steps(self, group: list[tuple[int, int]]) -> None:
+        """Value and store one greedy step per ``(position, mask)`` of ``group``, in one call.
 
-        ``k`` is the bidder's position. Returns the empty package's value when
-        ``mask == 0`` (else None) and one ``(item index, value of mask plus
-        that item)`` pair per item outside the mask, in index order, as Python
-        scalars. The values depend on (bidder, mask) only, never on prices, so
-        the walk reads a repeat of the step from ``self._steps[k]`` and calls
-        this only on a miss. Each call values a new array of candidate rows,
-        so the valuation may write to it.
+        Every mask of ``group`` holds the same number of items, so every block
+        of the call has the same number of rows: the empty package's row
+        first when the masks are 0, then one row per item outside the mask,
+        in index order, with the mask's items and that item set to 1.0. Block
+        ``b`` is valued for the bidder at position ``group[b][0]``, and its
+        rows are those a call for that bidder alone would pass. The memo of
+        that position keeps the empty package's value when the mask is 0
+        (else None) and one ``(item index, value of mask plus that item)``
+        pair per item outside the mask, as Python scalars. The values depend
+        on (bidder, mask) only, never on prices. The rows are a new array, so
+        the valuation may write to it.
         """
-        bidder = self.bidders[k]
-        out_idx = [i for i in range(self.n) if not (mask >> i) & 1]
-        # the empty package's row first when mask == 0; take returns a new array
-        rows = self._eye.take(([] if mask else [0]) + [i + 1 for i in out_idx], axis=0)
-        rows[:, [i for i in range(self.n) if (mask >> i) & 1]] = 1.0
-        vals = np.asarray(self.inst.batch_valuation(bidder, rows), dtype=float).tolist()
-        if not all(map(math.isfinite, vals)):  # the walk's ``>`` scan would skip a NaN
-            raise ValueError(f"bidder {bidder}: valuation is not finite")
-        step = (None if mask else vals.pop(0), list(zip(out_idx, vals)))
-        self._steps[k][mask] = step
-        return step
+        n = self.n
+        lead = 0 if group[0][1] else 1  # rows before the first item's: the empty package
+        bidders, outs, take, held = [], [], [], []
+        for b, (k, mask) in enumerate(group):
+            bidders.append(self.bidders[k])
+            out = []
+            if lead:
+                take.append(0)
+            for i in range(n):
+                if (mask >> i) & 1:
+                    held.append(b * n + i)  # flat index into (block, item)
+                else:
+                    out.append(i)
+                    take.append(i + 1)
+            outs.append(out)
+        rows = self._eye.take(take, axis=0)  # a new array
+        if held:
+            inside = np.zeros((len(group), 1, n))
+            inside.put(held, 1.0)
+            blocks = rows.reshape(len(group), -1, n)  # a view of rows
+            blocks += inside  # 0/1 entries on disjoint columns: exact
+        bidders = tuple(bidders)
+        values = _valued(self.inst, bidders, rows)
+        flat = values.tolist()
+        if not all(map(math.isfinite, flat)):
+            _check_finite(bidders, values)
+        width = len(flat) // len(group)
+        for b, ((k, mask), out) in enumerate(zip(group, outs)):
+            block = flat[b * width : (b + 1) * width]
+            self._steps[k][mask] = (block[0] if lead else None, list(zip(out, block[lead:])))
 
-    def _demand_greedy(self, k: int, prices: list[float]) -> int:
-        """Add the item of largest marginal surplus until none is positive.
+    def _demand_greedy(self, rows: list[int], prices: list[float]) -> list[int]:
+        """Greedy demand of the bidders at positions ``rows``, as bitmasks over item positions.
 
-        ``k`` is the bidder's position. Returns the package as a bitmask over
-        item positions. Ties go to the smallest item index. A package's value
-        is carried from the step that added its last item, the empty
-        package's from its step. Each marginal is ``value_with_item - value -
-        price``, subtracted left to right.
+        A walk adds the item of largest marginal surplus until none is
+        positive; ties go to the smallest item index. A package's value is
+        carried from the step that added its last item, the empty package's
+        from its step. Each marginal is ``value_with_item - value - price``,
+        subtracted left to right. The walks run in passes: a pass takes each
+        walk on until it ends or reaches a mask missing from its bidder's
+        memo, then values the misses of the pass in one call per package size
+        (:meth:`_value_steps`), and the suspended walks resume in the next
+        pass. Walks share no state, so their order changes no package.
         """
-        steps = self._steps[k]
-        mask = 0
+        memos = self._steps
         full = (1 << self.n) - 1
-        while mask != full:
-            step = steps.get(mask) or self._greedy_step(k, mask)
-            empty_value, candidates = step
-            if mask == 0:
-                value = empty_value
-            self.calls += len(candidates)
-            best, top = -1, 0.0  # strict > keeps the first maximum, only if positive
-            for i, v in candidates:
-                marginal = v - value - prices[i]
-                if marginal > top:
-                    best, top, best_value = i, marginal, v
-            if best < 0:
-                break
-            mask |= 1 << best
-            value = best_value
-        return mask
+        packages = [0] * len(rows)
+        walks = [(slot, k, 0, None) for slot, k in enumerate(rows)]  # (slot, position, mask, value)
+        while walks:
+            misses: dict[int, list[tuple[int, int]]] = {}  # package size -> (position, mask)
+            suspended = []
+            for slot, k, mask, value in walks:
+                steps = memos[k]
+                while mask != full:
+                    step = steps.get(mask)
+                    if step is None:
+                        misses.setdefault(mask.bit_count(), []).append((k, mask))
+                        suspended.append((slot, k, mask, value))
+                        break
+                    empty_value, candidates = step
+                    if mask == 0:
+                        value = empty_value
+                    self.calls += len(candidates)
+                    best, top = -1, 0.0  # strict > keeps the first maximum, only if positive
+                    for i, v in candidates:
+                        marginal = v - value - prices[i]
+                        if marginal > top:
+                            best, top, best_value = i, marginal, v
+                    if best < 0:
+                        break
+                    mask |= 1 << best
+                    value = best_value
+                packages[slot] = mask  # a suspended walk's entry is overwritten when it ends
+            for group in misses.values():
+                self._value_steps(group)
+            walks = suspended
+        return packages
 
 
 # exact tables of at most this many packages (8 items) are never pruned: a
@@ -533,24 +604,40 @@ def auction_instance_from_radio(
     direct = m.diagonal(axis1=1, axis2=2).copy()
     m[:, np.arange(n), np.arange(n)] = 0.0
     floor = sigma + cross  # noise plus cross-tier interference at each D2D receiver
-    per_bidder = {
-        rb: (float(s_c[k]), w[k], direct[k], floor[k], m[k]) for k, rb in enumerate(bidders)
+    # a one-bidder call values its rows as they come, with that bidder's
+    # parameters; a call for K bidders values a (K, B, n) stack of blocks,
+    # with each bidder's parameters taken from stacks of the same rank: a
+    # (1, 1) signal, an (n, 1) column of w and (1, n) rows of direct and floor
+    one_bidder = {
+        (rb,): (float(s_c[k]), w[k], direct[k], floor[k], m[k]) for k, rb in enumerate(bidders)
     }
+    stacked = (s_c[:, None, None], w[:, :, None], direct[:, None, :], floor[:, None, :], m)
+    position = {rb: k for k, rb in enumerate(bidders)}
     ones = np.ones(n)
 
-    def batch_valuation(bidder: int, masks: np.ndarray) -> np.ndarray:
-        s_c, w, direct, floor, m = per_bidder[bidder]
+    def batch_valuation(bidders: tuple[int, ...], masks: np.ndarray) -> np.ndarray:
         masks = np.asarray(masks, dtype=float)
-        cell = np.log2(1.0 + s_c / (sigma + masks @ w))
+        blocks, params = masks, one_bidder.get(bidders)
+        if params is None:
+            at = [position[rb] for rb in bidders]
+            if at == list(range(at[0], at[0] + len(at))):
+                at = slice(at[0], at[0] + len(at))  # consecutive bidders: views, no gather
+            params = [param[at] for param in stacked]
+            blocks = masks.reshape(len(bidders), len(masks) // len(bidders), n)
+        s_c, w, direct, floor, m = params
+        # one @ per product: numpy calls, block by block, the dgemv (masks @
+        # w) and dgemm (masks @ m) of a one-bidder call, so every row keeps
+        # its bits (module docstring)
+        cell = np.log2(1.0 + s_c / (sigma + blocks @ w))
         # member rates log2(1 + direct / (floor + masks @ m)) * masks, in
         # place; every denominator is at least sigma > 0
-        rates = masks @ m
+        rates = blocks @ m
         rates += floor
         np.divide(direct, rates, out=rates)
         rates += 1.0
         np.log2(rates, out=rates)
-        rates *= masks
-        return cell + rates.sum(axis=1) - c0 * (masks @ ones)
+        rates *= blocks
+        return cell.reshape(-1) + rates.sum(axis=-1).reshape(-1) - c0 * (masks @ ones)
 
     if config.epsilon is None:
         # batch_valuation of the empty package and of each item alone, in

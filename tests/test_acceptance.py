@@ -158,11 +158,13 @@ def test_criterion_3_auction_properties():
         bidders = tuple(range(n_bidders))
         values = _random_auction_values(rng, n_items, bidders)
 
-        def batch_valuation(b, masks, _v=values):
-            # 0/1 mask rows -> frozenset lookups
-            return np.array(
-                [_v[(b, frozenset(np.flatnonzero(row > 0.5).tolist()))] for row in masks]
-            )
+        def batch_valuation(bids, masks, _v=values):
+            # block k of the 0/1 mask rows -> frozenset lookups for bids[k]
+            width = len(masks) // len(bids)
+            return np.array([
+                _v[(bids[r // width], frozenset(np.flatnonzero(row > 0.5).tolist()))]
+                for r, row in enumerate(masks)
+            ])
 
         inst = AuctionInstance(
             items=tuple(range(n_items)),

@@ -27,12 +27,24 @@ PARAMS = radio.RadioParams().validate()
 
 
 def _lookup_batch(values):
-    """Batch valuation that maps each 0/1 mask row to its frozenset lookup."""
+    """Batch valuation that maps each 0/1 mask row of block k to bidder k's frozenset lookup."""
 
-    def batch_valuation(bidder, masks):
-        return np.array(
-            [values[(bidder, frozenset(np.flatnonzero(row > 0.5).tolist()))] for row in masks]
-        )
+    def batch_valuation(bidders, masks):
+        width = len(masks) // len(bidders)
+        return np.array([
+            values[(bidders[r // width], frozenset(np.flatnonzero(row > 0.5).tolist()))]
+            for r, row in enumerate(masks)
+        ])
+
+    return batch_valuation
+
+
+def _blockwise(valuation):
+    """The batch interface over a one-bidder ``valuation(bidder, masks)``: one call per block."""
+
+    def batch_valuation(bidders, masks):
+        blocks = np.split(np.asarray(masks), len(bidders))
+        return np.concatenate([valuation(b, block) for b, block in zip(bidders, blocks)])
 
     return batch_valuation
 
@@ -51,7 +63,7 @@ def _one_row_value(inst, bidder, package):
     """Value of one package of item labels: a one-row ``batch_valuation`` call."""
     mask = np.zeros((1, inst.n_items))
     mask[0, [inst.items.index(item) for item in package]] = 1.0
-    return float(inst.batch_valuation(bidder, mask)[0])
+    return float(inst.batch_valuation((bidder,), mask)[0])
 
 
 def _random_values(rng, n_items, bidders, base_scale=2.0, item_scale=3.0):
@@ -292,7 +304,7 @@ def _greedy_reference(batch_valuation, n, bidder, prices):
     is positive.
     """
     package = []
-    value = float(batch_valuation(bidder, np.zeros((1, n)))[0])
+    value = float(batch_valuation((bidder,), np.zeros((1, n)))[0])
     calls = 0
     while len(package) < n:
         out = [i for i in range(n) if i not in package]
@@ -300,7 +312,7 @@ def _greedy_reference(batch_valuation, n, bidder, prices):
         rows[:, package] = 1.0
         for r, i in enumerate(out):
             rows[r, i] = 1.0
-        vals = batch_valuation(bidder, rows)
+        vals = batch_valuation((bidder,), rows)
         calls += len(out)
         marginals = [vals[r] - value - prices[i] for r, i in enumerate(out)]
         best = max(range(len(out)), key=lambda r: (marginals[r], -r))
@@ -322,10 +334,10 @@ class TestGreedyMemo:
         reference = inst.batch_valuation
         batch_calls = 0
 
-        def counted(bidder, masks):
+        def counted(bidders, masks):
             nonlocal batch_calls
             batch_calls += 1
-            return reference(bidder, masks)
+            return reference(bidders, masks)
 
         inst.batch_valuation = counted
         engine = _DemandEngine(inst, inst.bidders)
@@ -335,7 +347,7 @@ class TestGreedyMemo:
             for k, b in enumerate(inst.bidders):
                 want, want_calls = _greedy_reference(reference, inst.n_items, b, prices)
                 before = engine.calls
-                got = engine._demand_greedy(k, prices)
+                got = engine.demand([k], np.asarray(prices))[0]
                 assert got == sum(1 << i for i in want)
                 assert engine.calls - before == want_calls
                 seen[b].add(got)
@@ -407,52 +419,62 @@ def _zero_built_rows(n, mask):
     return rows
 
 
+def _blocks(bidders, masks):
+    """The ``(bidder, rows)`` blocks of one batch call, in order."""
+    return list(zip(bidders, np.split(masks, len(bidders))))
+
+
 class TestGreedyMissRows:
-    """Every greedy miss passes the valuation the zero-built rows, in order."""
+    """Every greedy miss passes the valuation its zero-built rows, one block per bidder, in order."""
 
     def test_every_mask_size(self):
         # the valuation writes over its input, as a user-supplied one may, so
         # a shared identity handed out by the engine would break later calls
         rng = np.random.default_rng(97)
+        bidders = (4, 9, 2)
         for n in (1, 5, 13):
-            item_values = {4: rng.uniform(0.0, 2.0, n), 9: rng.uniform(0.0, 2.0, n)}
+            item_values = {b: rng.uniform(0.0, 2.0, n) for b in bidders}
             calls = []
 
-            def scribbling(bidder, masks):
-                calls.append((bidder, masks.copy()))
-                values = masks @ item_values[bidder]
+            def scribbling(bids, masks):
+                calls.append((bids, masks.copy()))
+                values = np.concatenate([rows @ item_values[b] for b, rows in _blocks(bids, masks)])
                 masks[...] = 7.0
                 return values
 
             inst = AuctionInstance(
-                items=tuple(range(n)), bidders=(4, 9), batch_valuation=scribbling,
+                items=tuple(range(n)), bidders=bidders, batch_valuation=scribbling,
                 config=AuctionConfig(epsilon=0.1, exact_cap=0),
             )
             engine = _DemandEngine(inst, inst.bidders)
-            # the empty package for both bidders, so a shared root batch shows
-            if n <= 5:
-                masks = [0] + list(range(2**n - 1))  # every mask but the full one
-            else:
-                masks = [0, 0] + [
-                    sum(1 << int(i) for i in rng.permutation(n)[:size])
-                    for size in range(1, n)
-                    for _ in range(2)
+            for size in range(n):
+                # one to three bidder positions in any order, each at its own
+                # mask of ``size`` items; the empty mask for all three first,
+                # so a shared root block shows
+                count = 3 if size == 0 else int(rng.integers(1, 4))
+                positions = rng.permutation(3)[:count].tolist()
+                group = [
+                    (k, sum(1 << int(i) for i in rng.permutation(n)[:size])) for k in positions
                 ]
-            for j, mask in enumerate(masks):
-                k = j % 2  # the bidders take turns, by position
-                step = engine._greedy_step(k, mask)
-                assert len(calls) == j + 1
-                bidder, rows = calls[-1]
-                want = _zero_built_rows(n, mask)
-                assert bidder == inst.bidders[k] and rows.dtype == want.dtype
-                assert np.array_equal(rows, want)
-                assert engine._steps[k][mask] is step
+                engine._value_steps(group)
+                bids, rows = calls[-1]
+                assert len(calls) == size + 1
+                assert bids == tuple(bidders[k] for k in positions)
+                want = np.concatenate([_zero_built_rows(n, mask) for _, mask in group])
+                assert rows.dtype == want.dtype and np.array_equal(rows, want)
+                for k, mask in group:
+                    block = _zero_built_rows(n, mask)
+                    values = (block @ item_values[bidders[k]]).tolist()
+                    out = [i for i in range(n) if not (mask >> i) & 1]
+                    empty = values.pop(0) if mask == 0 else None
+                    assert engine._steps[k][mask] == (empty, list(zip(out, values)))
             assert np.array_equal(engine._eye, np.eye(n + 1, n, k=-1))
 
     @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
     def test_clock_walk_misses(self, direction):
-        # the misses of a whole price path, bidder by bidder, in the order the
-        # memo stored their masks
+        # the misses of a whole price path: each bidder's blocks, call by
+        # call, are the zero-built rows of its memo's masks in the order the
+        # memo stored them, and the blocks of one call are of one package size
         params = replace(PARAMS, link_direction=direction).validate()
         topo = radio.generate_topology(params, m=4, n=14, rng_seed=113)
         gains = radio.draw_gains(topo, params, rng_seed=114)
@@ -461,17 +483,21 @@ class TestGreedyMissRows:
         valuation = inst.batch_valuation
         calls = []
 
-        def recorded(bidder, masks):
-            calls.append((bidder, masks.copy()))
-            return valuation(bidder, masks)
+        def recorded(bidders, masks):
+            calls.append((bidders, masks.copy()))
+            return valuation(bidders, masks)
 
         inst.batch_valuation = recorded
         engine = _DemandEngine(inst, inst.bidders)
         for prices in history:
             engine.demand(list(range(len(inst.bidders))), prices)
-        assert len(calls) == sum(len(memo) for memo in engine._steps) > len(inst.bidders)
+        blocks = [block for bidders, masks in calls for block in _blocks(bidders, masks)]
+        assert len(blocks) == sum(len(memo) for memo in engine._steps) > len(calls)
+        for bidders, masks in calls:
+            assert len(set(bidders)) == len(bidders)
+            assert len({int(rows[-1].sum()) for _, rows in _blocks(bidders, masks)}) == 1
         for k, bidder in enumerate(inst.bidders):
-            got = [rows for b, rows in calls if b == bidder]
+            got = [rows for b, rows in blocks if b == bidder]
             want = [_zero_built_rows(14, mask) for mask in engine._steps[k]]
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -498,7 +524,7 @@ def _reference_clock(inst, max_rounds):
             calls += greedy_calls
             return frozenset(inst.items[i] for i in pkg)
         if bidder not in tables:
-            tables[bidder] = np.asarray(inst.batch_valuation(bidder, masks), dtype=float)
+            tables[bidder] = np.asarray(inst.batch_valuation((bidder,), masks), dtype=float)
             calls += 2**n - 1
         surplus = tables[bidder] - masks @ prices
         best = np.flatnonzero(surplus == surplus.max())
@@ -663,7 +689,7 @@ class TestArrayClock:
         inst = AuctionInstance(
             items=tuple(range(70)),
             bidders=(0, 1),
-            batch_valuation=lambda b, masks: np.asarray(masks) @ item_values[b],
+            batch_valuation=_blockwise(lambda b, masks: masks @ item_values[b]),
             config=AuctionConfig(epsilon=0.25),
         )
         state, _ = self._assert_matches_reference(inst)
@@ -832,12 +858,12 @@ def _quadratic_instance(rng, n, n_bidders, epsilon):
     pairs = rng.uniform(0.0, 1.0, (n_bidders, n, n))
     pairs = np.triu(pairs, 1) + np.triu(pairs, 1).transpose(0, 2, 1)
 
-    def batch_valuation(bidder, masks):
+    def valuation(bidder, masks):
         masks = np.asarray(masks, dtype=float)
         return base[bidder] + masks @ alone[bidder] - ((masks @ pairs[bidder]) * masks).sum(axis=1) / 2
 
     return AuctionInstance(
-        items=tuple(range(n)), bidders=bidders, batch_valuation=batch_valuation,
+        items=tuple(range(n)), bidders=bidders, batch_valuation=_blockwise(valuation),
         config=AuctionConfig(epsilon=epsilon),
     )
 
@@ -856,7 +882,7 @@ def _integer_tie_instance(rng, n, n_bidders):
     weights = 1 << np.arange(n)
     return AuctionInstance(
         items=tuple(range(n)), bidders=tuple(range(n_bidders)),
-        batch_valuation=lambda b, masks: tables[b][(np.asarray(masks) @ weights).astype(int)] * 1.0,
+        batch_valuation=_blockwise(lambda b, masks: tables[b][(masks @ weights).astype(int)] * 1.0),
         config=AuctionConfig(epsilon=1.0 / 16),
     )
 
@@ -1076,6 +1102,36 @@ class TestNonFiniteInputs:
             bidder_demand(inst, np.array([0.0, bad]), 0)
 
 
+class TestValuationLength:
+    """A valuation must return exactly one value per mask row, in both modes."""
+
+    @pytest.mark.parametrize("exact_cap", [4, 0])  # tables; greedy
+    @pytest.mark.parametrize("cut", ["short", "long", "2-D"])
+    def test_wrong_count_names_bidders_and_length(self, exact_cap, cut):
+        # 4 items, 2 bidders; a short result would pair the values that are
+        # left with the wrong packages
+        values = _random_values(np.random.default_rng(107), 4, bidders=(0, 1))
+        lookup = _lookup_batch(values)
+        wrong = {
+            "short": lambda bidders, masks: lookup(bidders, masks)[:-1],
+            "long": lambda bidders, masks: np.append(lookup(bidders, masks), 0.0),
+            "2-D": lambda bidders, masks: lookup(bidders, masks)[:, None],
+        }[cut]
+        inst = AuctionInstance(
+            items=tuple(range(4)), bidders=(0, 1), batch_valuation=wrong,
+            config=AuctionConfig(epsilon=0.5, exact_cap=exact_cap),
+        )
+        # greedy round 1 values both bidders' empty packages in one call of
+        # 2 x 5 rows; exact mode values each bidder's table of 16 alone
+        expected = r"bidders \[0\]: .*expected \(16,\)" if exact_cap else (
+            r"bidders \[0, 1\]: .*expected \(10,\)"
+        )
+        with pytest.raises(ValueError, match=expected):
+            run_auction(inst)
+        with pytest.raises(ValueError, match=r"bidders \[1\]: .*one value per mask row"):
+            bidder_demand(inst, np.zeros(4), 1)
+
+
 def _reference_radio_valuation(topo, gains, params, c0):
     """The radio-backed valuation as plain allocating numpy expressions.
 
@@ -1140,7 +1196,7 @@ class TestRadioValuationBits:
         for inst, reference in self._instances(n):
             for bidder in inst.bidders:
                 with np.errstate(divide="raise", invalid="raise"):
-                    got = inst.batch_valuation(bidder, masks)
+                    got = inst.batch_valuation((bidder,), masks)
                 assert np.array_equal(got, reference(bidder, masks))
 
     @pytest.mark.parametrize("n", [13, 16])
@@ -1149,16 +1205,18 @@ class TestRadioValuationBits:
             valuation = inst.batch_valuation
             calls = []
 
-            def recorded(bidder, masks):
-                calls.append((bidder, masks.copy(), valuation(bidder, masks)))
+            def recorded(bidders, masks):
+                calls.append((bidders, masks.copy(), valuation(bidders, masks)))
                 return calls[-1][2]
 
             inst.batch_valuation = recorded
             with np.errstate(divide="raise", invalid="raise"):
                 assert run_auction(inst).terminated
-            assert len(calls) > len(inst.bidders)
-            for bidder, masks, got in calls:
-                assert np.array_equal(got, reference(bidder, masks))
+            assert len(calls) > 1
+            assert max(len(bidders) for bidders, _, _ in calls) == len(inst.bidders)
+            for bidders, masks, got in calls:
+                want = np.concatenate([reference(b, rows) for b, rows in _blocks(bidders, masks)])
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", range(17))
     def test_auto_epsilon_matches_two_call_reference(self, n):
@@ -1172,9 +1230,129 @@ class TestRadioValuationBits:
             # the closed form against the instance's own valuation, one call per RB
             standalone, valued = np.eye(n + 1, n, k=-1), []
             for rb in inst.bidders:
-                empty_v, *alone = inst.batch_valuation(rb, standalone).tolist()
+                empty_v, *alone = inst.batch_valuation((rb,), standalone).tolist()
                 valued.extend(max(v - empty_v, 0.0) for v in alone)
             assert [v.hex() for v in valued] == [v.hex() for v in single]
+
+
+class TestStackedValuationBits:
+    """Each block of a several-bidder radio valuation call keeps the bits of a one-bidder call."""
+
+    def test_blocks_match_one_bidder_calls(self):
+        rng = np.random.default_rng(3307)
+        remainders = Counter()
+        for n in range(17):
+            for inst, reference in TestRadioValuationBits._instances(n, m=10, seed=3300):
+                for k in range(1, 11):
+                    # consecutive bidders (views of the stacked parameters)
+                    # and any k of them in any order (a gather)
+                    start = int(rng.integers(0, 11 - k))
+                    for bidders in (
+                        inst.bidders[start : start + k],
+                        tuple(rng.permutation(inst.bidders)[:k].tolist()),
+                    ):
+                        rows = int(rng.integers(1, 18))
+                        remainders[rows % 4] += 1
+                        masks = (rng.random((k * rows, n)) < rng.uniform(0.1, 0.9)).astype(float)
+                        with np.errstate(divide="raise", invalid="raise"):
+                            got = inst.batch_valuation(bidders, masks)
+                            alone = [
+                                inst.batch_valuation((b,), block)
+                                for b, block in _blocks(bidders, masks)
+                            ]
+                        want = [reference(b, block) for b, block in _blocks(bidders, masks)]
+                        assert got.shape == (k * rows,)
+                        hexes = [v.hex() for v in got.tolist()]
+                        assert hexes == [v.hex() for v in np.concatenate(alone).tolist()], (n, k)
+                        assert hexes == [v.hex() for v in np.concatenate(want).tolist()], (n, k)
+        assert all(remainders[r] > 50 for r in range(4))  # rows per block off a multiple of 4 too
+
+    def test_under_an_older_dgemv_kernel(self):
+        if not _numpy_blas_is_openblas():
+            pytest.skip("numpy's BLAS is not OpenBLAS, so OPENBLAS_CORETYPE would pick nothing")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge")
+        test = f"{__file__}::TestStackedValuationBits::test_blocks_match_one_bidder_calls"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            cwd=os.path.dirname(os.path.dirname(__file__)), env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class _OneCallPerMiss(_DemandEngine):
+    """The demand engine with every greedy miss valued in its own one-bidder call.
+
+    Each stale bidder walks to its end before the next starts, and a miss is
+    valued on the spot: the engine as it was before misses were batched.
+    """
+
+    def _demand_greedy(self, rows, prices):
+        full = (1 << self.n) - 1
+        packages = []
+        for k in rows:
+            steps, mask = self._steps[k], 0
+            while mask != full:
+                if mask not in steps:
+                    self._value_steps([(k, mask)])
+                empty_value, candidates = steps[mask]
+                if mask == 0:
+                    value = empty_value
+                self.calls += len(candidates)
+                best, top = -1, 0.0
+                for i, v in candidates:
+                    marginal = v - value - prices[i]
+                    if marginal > top:
+                        best, top, best_value = i, marginal, v
+                if best < 0:
+                    break
+                mask |= 1 << best
+                value = best_value
+            packages.append(mask)
+        return packages
+
+
+class TestBatchedGreedyMisses:
+    """Greedy misses batched per package size: fewer calls, the same auction bit for bit."""
+
+    @staticmethod
+    def _counted(inst):
+        calls = []
+        valuation = inst.batch_valuation
+
+        def counted(bidders, masks):
+            calls.append((bidders, len(masks)))
+            return valuation(bidders, masks)
+
+        return replace(inst, batch_valuation=counted), calls
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    @pytest.mark.parametrize("n", [13, 14, 16, 20])
+    def test_radio_auctions_match_one_call_per_miss(self, monkeypatch, direction, n):
+        for seed in (3401, 3403, 3405):
+            inst = _radio_instance(direction, n, 10, seed + n)
+            batched, batched_calls = self._counted(inst)
+            state = run_auction(batched)
+            with monkeypatch.context() as patch:
+                patch.setattr(auction, "_DemandEngine", _OneCallPerMiss)
+                one_by_one, single_calls = self._counted(inst)
+                want = run_auction(one_by_one)
+            assert state.terminated and state.rounds > 1
+            for name in ("prices", "demand", "rounds", "valuation_calls", "per_round_calls",
+                         "assignment", "terminated"):
+                assert getattr(state, name) == getattr(want, name), name
+            assert [p.tobytes() for p in state.price_history] == [
+                p.tobytes() for p in want.price_history
+            ]
+            # the same rows, in fewer calls
+            assert all(len(bidders) == 1 for bidders, _ in single_calls)
+            assert sum(rows for _, rows in batched_calls) == sum(rows for _, rows in single_calls)
+            assert len(batched_calls) < len(single_calls)
+            # round 1: every walk starts from an empty memo, and the walks
+            # stand at one package size at every step
+            first, round_one = self._counted(replace(inst, config=replace(inst.config, max_rounds=1)))
+            run_auction(first)
+            assert len(round_one) <= n + 1
+            assert len(round_one[0][0]) == len(inst.bidders)
 
 
 class TestBidderDemandPriceLength:
@@ -1214,7 +1392,7 @@ class TestRadioBackedAuction:
         rng = np.random.default_rng(0)
         # a one-row call values a package as its row inside a stacked batch
         masks = rng.integers(0, 2, (20, 4)).astype(float)
-        stacked = inst.batch_valuation(1, masks)
+        stacked = inst.batch_valuation((1,), masks)
         for mask, batch in zip(masks, stacked):
             pkg = frozenset(i for i in range(4) if mask[i] > 0.5)
             assert _one_row_value(inst, 1, pkg) == pytest.approx(batch, rel=1e-12)

@@ -108,7 +108,7 @@ class TestExhaustiveBestAllocation:
                         pkg = frozenset(j for j, a in enumerate(assignment) if a == rb)
                         mask = np.zeros((1, topo.n_pairs))
                         mask[0, sorted(pkg)] = 1.0
-                        total += float(inst.batch_valuation(rb, mask)[0]) + c0 * len(pkg)
+                        total += float(inst.batch_valuation((rb,), mask)[0]) + c0 * len(pkg)
                     assert total == pytest.approx(
                         _assignment_sum_rate(assignment, topo, gains, params), rel=1e-9
                     )
