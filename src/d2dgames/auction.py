@@ -75,7 +75,8 @@ outcome:
 The radio-backed valuation of :func:`auction_instance_from_radio` computes
 the member rates in one work array, in place, with the same IEEE operations
 as the plain expression; a package's size is ``masks @ ones``, whose row
-sums of 0/1 entries are exact in any summation order. A call for several
+sums of 0/1 entries are exact in any summation order. A one-bidder call,
+as most greedy misses are, takes its rows as they come. A call for several
 bidders views its rows as a ``(K, B, n)`` stack and takes each product in one
 stacked ``@``, for which numpy calls, block by block, the same dgemv (``@ w``)
 and dgemm (``@ m``) as a one-bidder call on that block's rows. Each row stays
@@ -378,6 +379,8 @@ class _DemandEngine:
             outs.append(out)
         rows = self._eye.take(take, axis=0)  # a new array
         if held:
+            # every block's items in one add: an assignment per block costs
+            # more once a call holds many blocks
             inside = np.zeros((len(group), 1, n))
             inside.put(held, 1.0)
             blocks = rows.reshape(len(group), -1, n)  # a view of rows
@@ -409,15 +412,13 @@ class _DemandEngine:
         full = (1 << self.n) - 1
         packages = [0] * len(rows)
         walks = [(slot, k, 0, None) for slot, k in enumerate(rows)]  # (slot, position, mask, value)
-        while walks:
-            misses: dict[int, list[tuple[int, int]]] = {}  # package size -> (position, mask)
+        while True:
             suspended = []
             for slot, k, mask, value in walks:
                 steps = memos[k]
                 while mask != full:
                     step = steps.get(mask)
                     if step is None:
-                        misses.setdefault(mask.bit_count(), []).append((k, mask))
                         suspended.append((slot, k, mask, value))
                         break
                     empty_value, candidates = step
@@ -434,10 +435,14 @@ class _DemandEngine:
                     mask |= 1 << best
                     value = best_value
                 packages[slot] = mask  # a suspended walk's entry is overwritten when it ends
+            if not suspended:
+                return packages
+            misses: dict[int, list[tuple[int, int]]] = {}  # package size -> (position, mask)
+            for _, k, mask, _ in suspended:
+                misses.setdefault(mask.bit_count(), []).append((k, mask))
             for group in misses.values():
                 self._value_steps(group)
             walks = suspended
-        return packages
 
 
 # exact tables of at most this many packages (8 items) are never pruned: a
@@ -605,9 +610,11 @@ def auction_instance_from_radio(
     m[:, np.arange(n), np.arange(n)] = 0.0
     floor = sigma + cross  # noise plus cross-tier interference at each D2D receiver
     # a one-bidder call values its rows as they come, with that bidder's
-    # parameters; a call for K bidders values a (K, B, n) stack of blocks,
-    # with each bidder's parameters taken from stacks of the same rank: a
-    # (1, 1) signal, an (n, 1) column of w and (1, n) rows of direct and floor
+    # parameters, since the stacked form costs such a call more and most
+    # greedy misses are valued alone. A call for K bidders values a (K, B, n)
+    # stack of blocks, with the bidders' parameters gathered from stacks of
+    # the same rank: a (1, 1) signal, an (n, 1) column of w and (1, n) rows of
+    # direct and floor
     one_bidder = {
         (rb,): (float(s_c[k]), w[k], direct[k], floor[k], m[k]) for k, rb in enumerate(bidders)
     }
@@ -619,10 +626,8 @@ def auction_instance_from_radio(
         masks = np.asarray(masks, dtype=float)
         blocks, params = masks, one_bidder.get(bidders)
         if params is None:
-            at = [position[rb] for rb in bidders]
-            if at == list(range(at[0], at[0] + len(at))):
-                at = slice(at[0], at[0] + len(at))  # consecutive bidders: views, no gather
-            params = [param[at] for param in stacked]
+            at = np.array([position[rb] for rb in bidders])
+            params = [param.take(at, axis=0) for param in stacked]
             blocks = masks.reshape(len(bidders), len(masks) // len(bidders), n)
         s_c, w, direct, floor, m = params
         # one @ per product: numpy calls, block by block, the dgemv (masks @
@@ -637,7 +642,9 @@ def auction_instance_from_radio(
         rates += 1.0
         np.log2(rates, out=rates)
         rates *= blocks
-        return cell.reshape(-1) + rates.sum(axis=-1).reshape(-1) - c0 * (masks @ ones)
+        if blocks is masks:
+            return cell + rates.sum(axis=1) - c0 * (masks @ ones)
+        return (cell[..., 0] + rates.sum(axis=-1)).reshape(-1) - c0 * (masks @ ones)
 
     if config.epsilon is None:
         # batch_valuation of the empty package and of each item alone, in

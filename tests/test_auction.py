@@ -447,27 +447,39 @@ class TestGreedyMissRows:
                 config=AuctionConfig(epsilon=0.1, exact_cap=0),
             )
             engine = _DemandEngine(inst, inst.bidders)
+            valued = 0
             for size in range(n):
-                # one to three bidder positions in any order, each at its own
-                # mask of ``size`` items; the empty mask for all three first,
-                # so a shared root block shows
-                count = 3 if size == 0 else int(rng.integers(1, 4))
-                positions = rng.permutation(3)[:count].tolist()
-                group = [
-                    (k, sum(1 << int(i) for i in rng.permutation(n)[:size])) for k in positions
-                ]
-                engine._value_steps(group)
-                bids, rows = calls[-1]
-                assert len(calls) == size + 1
-                assert bids == tuple(bidders[k] for k in positions)
-                want = np.concatenate([_zero_built_rows(n, mask) for _, mask in group])
-                assert rows.dtype == want.dtype and np.array_equal(rows, want)
-                for k, mask in group:
-                    block = _zero_built_rows(n, mask)
-                    values = (block @ item_values[bidders[k]]).tolist()
-                    out = [i for i in range(n) if not (mask >> i) & 1]
-                    empty = values.pop(0) if mask == 0 else None
-                    assert engine._steps[k][mask] == (empty, list(zip(out, values)))
+                if n <= 5:  # every mask of this size (the full one has no step)
+                    masks = [mask for mask in range(2**n - 1) if mask.bit_count() == size]
+                else:
+                    masks = [sum(1 << int(i) for i in rng.permutation(n)[:size]) for _ in range(3)]
+                groups = []
+                for j in range(len(masks)):
+                    # position k takes mask j + k, so every position gets every
+                    # mask; the three cut into one or two groups, in any order.
+                    # The empty mask goes to all three at once, so a shared
+                    # root block shows
+                    pairs = [(k, masks[(j + k) % len(masks)]) for k in rng.permutation(3).tolist()]
+                    cut = 3 if size == 0 else int(rng.integers(1, 4))
+                    groups += [group for group in (pairs[:cut], pairs[cut:]) if group]
+                for group in groups:
+                    engine._value_steps(group)
+                    valued += 1
+                    assert len(calls) == valued
+                    bids, rows = calls[-1]
+                    assert bids == tuple(bidders[k] for k, _ in group)
+                    want = np.concatenate([_zero_built_rows(n, mask) for _, mask in group])
+                    assert rows.dtype == want.dtype and np.array_equal(rows, want)
+                    for k, mask in group:
+                        block = _zero_built_rows(n, mask)
+                        values = (block @ item_values[bidders[k]]).tolist()
+                        out = [i for i in range(n) if not (mask >> i) & 1]
+                        empty = values.pop(0) if mask == 0 else None
+                        assert engine._steps[k][mask] == (empty, list(zip(out, values)))
+                covered = {(k, mask) for group in groups for k, mask in group}
+                assert covered == {(k, mask) for k in range(3) for mask in masks}
+            if n <= 5:
+                assert all(set(memo) == set(range(2**n - 1)) for memo in engine._steps)
             assert np.array_equal(engine._eye, np.eye(n + 1, n, k=-1))
 
     @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
@@ -1244,8 +1256,7 @@ class TestStackedValuationBits:
         for n in range(17):
             for inst, reference in TestRadioValuationBits._instances(n, m=10, seed=3300):
                 for k in range(1, 11):
-                    # consecutive bidders (views of the stacked parameters)
-                    # and any k of them in any order (a gather)
+                    # k consecutive bidders, and any k of them in any order
                     start = int(rng.integers(0, 11 - k))
                     for bidders in (
                         inst.bidders[start : start + k],

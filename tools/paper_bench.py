@@ -1,40 +1,22 @@
-"""Paper-scale wall time, CPU time and instruction count of the two default experiments.
+"""Paper-scale wall and CPU time of the two default experiments.
 
 Runs the default ``sumrate-vs-pairs`` and ``content-distribution`` configs
 (each file sets only ``experiment``) ``REPEATS`` times each, alternating
 between them, every run in a fresh interpreter through the package's CLI with
 the BLAS and OpenMP thread pools pinned to one thread. Writes one JSON file
-with each config's per-run and median wall and CPU seconds and user-space
-instruction counts, the sha256 of the CSV it wrote (every run must write the
-same bytes) and a host record::
+with each config's per-run and median wall and CPU seconds, the sha256 of the
+CSV it wrote (every run must write the same bytes) and a host record::
 
     python tools/paper_bench.py --out bench.json
 
 Raw seconds swing with the host's load, so compare runs taken in alternating
 order in the same hour. Per-layer totals and solver counters are not
 recorded yet.
-
-Each run's child opens its own ``PERF_COUNT_HW_INSTRUCTIONS`` counter with
-``perf_event_open`` (user space only, this thread only) just before the CLI
-starts, and reads it when the CLI returns, so the count leaves out the
-interpreter's start-up and imports. Where the counter cannot open (no PMU,
-as on many CI runners, or a ``perf_event_paranoid`` above 2) the run records
-``null`` and the errno and still runs. Limits of the count:
-
-- instructions do not see cache misses or memory stalls: a change that
-  trades instructions for memory traffic can count fewer and run slower, so
-  a speed claim still needs time;
-- the count depends on the BLAS kernel and the numpy and Python builds, so
-  compare counts only within one host record;
-- OpenBLAS threads other than the caller are not counted; the runs pin BLAS
-  to one thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
-import errno
 import hashlib
 import json
 import os
@@ -53,7 +35,6 @@ ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))  # run as a script: the checkout's package
 
-from d2dgames import cli  # noqa: E402
 from d2dgames.harness import CSV_TABLES  # noqa: E402
 
 # name -> config file text; the default experiments at paper scale
@@ -65,118 +46,27 @@ REPEATS = 3  # runs per config
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-# perf_event_open(2): its syscall number per machine, the event, and the
-# flag bits of perf_event_attr that leave out the kernel and the hypervisor
-_PERF_EVENT_OPEN = {"x86_64": 298, "aarch64": 241}
-_PERF_TYPE_HARDWARE, _PERF_COUNT_HW_INSTRUCTIONS = 0, 1
-_EXCLUDE_KERNEL, _EXCLUDE_HV = 1 << 5, 1 << 6
-_PERF_FLAG_FD_CLOEXEC = 1 << 3
-
-
-class _PerfEventAttr(ctypes.Structure):
-    """The first 64 bytes of ``struct perf_event_attr`` (``PERF_ATTR_SIZE_VER0``)."""
-
-    _fields_ = [
-        ("type", ctypes.c_uint32),
-        ("size", ctypes.c_uint32),
-        ("config", ctypes.c_uint64),
-        ("sample_period", ctypes.c_uint64),
-        ("sample_type", ctypes.c_uint64),
-        ("read_format", ctypes.c_uint64),
-        ("flags", ctypes.c_uint64),
-        ("wakeup_events", ctypes.c_uint32),
-        ("bp_type", ctypes.c_uint32),
-        ("config1", ctypes.c_uint64),
-    ]
-
-
-def open_instruction_counter() -> tuple[int | None, int | None]:
-    """Open a running count of this thread's user-space instructions: ``(fd, None)``.
-
-    Returns ``(None, errno)`` where the counter cannot open: ``ENOENT`` where
-    the CPU exposes no hardware counters (many virtual machines), ``ENOSYS``
-    on a machine whose syscall number is not known here.
-    """
-    return _open_counter(_PERF_TYPE_HARDWARE, _PERF_COUNT_HW_INSTRUCTIONS)
-
-
-def _open_counter(event_type: int, config: int) -> tuple[int | None, int | None]:
-    """``perf_event_open`` on this thread, user space only, enabled: ``(fd, None)`` or ``(None, errno)``."""
-    number = _PERF_EVENT_OPEN.get(platform.machine())
-    if number is None:
-        return None, errno.ENOSYS
-    try:
-        libc = ctypes.CDLL(None, use_errno=True)
-    except OSError:
-        return None, errno.ENOSYS
-    syscall = libc.syscall
-    syscall.restype = ctypes.c_long
-    syscall.argtypes = [
-        ctypes.c_long, ctypes.POINTER(_PerfEventAttr), ctypes.c_int, ctypes.c_int,
-        ctypes.c_int, ctypes.c_ulong,
-    ]
-    attr = _PerfEventAttr(
-        type=event_type,
-        size=ctypes.sizeof(_PerfEventAttr),
-        config=config,
-        flags=_EXCLUDE_KERNEL | _EXCLUDE_HV,  # enabled from now on
-    )
-    # the calling thread (0), on any CPU (-1), in no group (-1)
-    fd = syscall(number, ctypes.byref(attr), 0, -1, -1, _PERF_FLAG_FD_CLOEXEC)
-    if fd < 0:
-        return None, ctypes.get_errno()
-    return fd, None
-
-
-def read_counter(fd: int) -> int:
-    """The count on ``fd`` since it opened."""
-    return int.from_bytes(os.read(fd, 8), sys.byteorder)
-
-
 def _child_cpu_s() -> float:
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
 
 
-def run_counted(result: Path, cli_args: list[str]) -> int:
-    """The CLI on ``cli_args`` in this process; its instruction count goes to ``result``.
-
-    ``result`` gets ``{"instructions": count or null, "errno": null or errno}``.
-    """
-    fd, err = open_instruction_counter()
-    try:
-        code = cli.main(cli_args)
-        count = None if fd is None else read_counter(fd)
-    finally:
-        if fd is not None:
-            os.close(fd)
-    result.write_text(json.dumps({"instructions": count, "errno": err}), encoding="utf-8")
-    return code
-
-
-def time_run(experiment: str, config_text: str, workdir: Path) -> dict:
-    """One CLI run in a fresh interpreter: wall s, CPU s, instructions and CSV sha256."""
+def time_run(experiment: str, config_text: str, workdir: Path) -> tuple[float, float, str]:
+    """One CLI run in a fresh interpreter: (wall s, CPU s, sha256 of its CSV)."""
     workdir.mkdir(parents=True, exist_ok=True)
     cfg = workdir / "run.cfg"
     cfg.write_text(config_text, encoding="utf-8")
-    out, counted = workdir / "out", workdir / "instructions.json"
+    out = workdir / "out"
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    argv = [
-        sys.executable, str(Path(__file__).resolve()), "--counted", str(counted),
-        "run", "--config", str(cfg), "--out", str(out),
-    ]
+    argv = [sys.executable, "-m", "d2dgames", "run", "--config", str(cfg), "--out", str(out)]
     cpu0, wall0 = _child_cpu_s(), time.perf_counter()
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     wall, cpu = time.perf_counter() - wall0, _child_cpu_s() - cpu0
     if proc.returncode != 0:
         raise RuntimeError(f"{experiment} exited {proc.returncode}:\n{proc.stderr}")
     digest = hashlib.sha256((out / CSV_TABLES[experiment][0]).read_bytes()).hexdigest()
-    count = json.loads(counted.read_text(encoding="utf-8"))
-    return {
-        "wall_s": wall, "cpu_s": cpu, "sha256": digest,
-        "instructions": count["instructions"], "errno": count["errno"],
-    }
+    return wall, cpu, digest
 
 
 def host_record() -> dict:
@@ -213,18 +103,18 @@ def host_record() -> dict:
 
 def write_bench(path: Path, configs: dict[str, str], repeats: int, workdir: Path) -> dict:
     """Run each config ``repeats`` times, alternating, and write the summary to ``path``."""
-    runs: dict[str, list[dict]] = {name: [] for name in configs}
+    runs: dict[str, list[tuple[float, float, str]]] = {name: [] for name in configs}
     for r in range(repeats):
         for name, text in configs.items():
             runs[name].append(time_run(name, text, workdir / f"{name}-{r}"))
     result = {}
     for name, timed in runs.items():
-        digests = {run["sha256"] for run in timed}
+        walls, cpus, digests = zip(*timed)
+        digests = set(digests)
         if len(digests) != 1:
             raise RuntimeError(f"{name}: runs wrote different CSVs: {sorted(digests)}")
-        walls = [round(run["wall_s"], 3) for run in timed]
-        cpus = [round(run["cpu_s"], 3) for run in timed]
-        counts = [run["instructions"] for run in timed]
+        walls = [round(wall, 3) for wall in walls]
+        cpus = [round(cpu, 3) for cpu in cpus]
         result[name] = {
             "config": configs[name],
             "csv": CSV_TABLES[name][0],
@@ -233,10 +123,6 @@ def write_bench(path: Path, configs: dict[str, str], repeats: int, workdir: Path
             "cpu_s": cpus,
             "wall_s_median": statistics.median(walls),
             "cpu_s_median": statistics.median(cpus),
-            "instructions": counts,
-            "instructions_errno": [run["errno"] for run in timed],
-            # null unless every run counted
-            "instructions_median": None if None in counts else statistics.median(counts),
         }
     record = {
         "repeats": repeats,
@@ -250,20 +136,15 @@ def write_bench(path: Path, configs: dict[str, str], repeats: int, workdir: Path
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["--counted"]:  # a run's child: --counted RESULT then the CLI's arguments
-        return run_counted(Path(argv[1]), argv[2:])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         record = write_bench(Path(args.out), DEFAULT_CONFIGS, REPEATS, Path(tmp))
     for name, summary in record["configs"].items():
-        counted = summary["instructions_median"]
-        count = "n/a" if counted is None else f"{counted / 1e9:.3f} G"
         print(
             f"{name}: wall {summary['wall_s_median']:.2f} s  cpu {summary['cpu_s_median']:.2f} s"
-            f"  instructions {count}  {summary['csv']} {summary['csv_sha256'][:12]}…"
+            f"  {summary['csv']} {summary['csv_sha256'][:12]}…"
         )
     return 0
 
