@@ -106,7 +106,7 @@ class AuctionConfig:
     exact_cap: int = 12
     max_rounds: int = 1_000_000
 
-    def validate(self) -> "AuctionConfig":
+    def __post_init__(self):
         if not (math.isfinite(self.c0) and self.c0 >= 0):
             raise ValueError(f"c0 must be finite and >= 0, got {self.c0}")
         if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -117,7 +117,6 @@ class AuctionConfig:
             raise ValueError(f"exact_cap must be >= 0, got {self.exact_cap}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        return self
 
 
 @dataclass
@@ -133,7 +132,6 @@ class AuctionInstance:
     def __post_init__(self):
         if self.config.epsilon is None:
             raise ValueError("epsilon must be resolved for an instance, got auto")
-        self.config.validate()
         if len(set(self.items)) != len(self.items):
             raise ValueError("duplicate items")
         if len(set(self.bidders)) != len(self.bidders):
@@ -589,7 +587,7 @@ def auction_instance_from_radio(
     minus ``config.c0`` per member for signaling overhead. An auto ``epsilon``
     resolves to 1% of the mean positive standalone item value.
     """
-    c0 = config.validate().c0
+    c0 = config.c0
     items = tuple(range(topology.n_pairs))
     bidders = tuple(range(topology.rb_count))
     sigma = radio.effective_noise_w(params)

@@ -52,7 +52,6 @@ def main(argv: list[str] | None = None) -> int:
                 config = replace(config, master_seed=args.seed)
             if args.out is not None:
                 config = replace(config, output_path=args.out)
-            config = config.validate()
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

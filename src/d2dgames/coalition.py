@@ -46,7 +46,7 @@ class ContentScenario:
     rounds: int = 50
     hotspot_radius_m: float = 15.0
 
-    def validate(self) -> "ContentScenario":
+    def __post_init__(self):
         if not 0 < self.k_seeds <= self.n_d2d:
             raise ValueError(
                 f"need 0 < k_seeds <= n_d2d, got K={self.k_seeds}, N={self.n_d2d}"
@@ -62,7 +62,6 @@ class ContentScenario:
             )
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,6 @@ def generate_content_instance(
     every UE is in D2D range of every other.
     The first ``k_seeds`` UE indices start out holding the full file.
     """
-    scenario.validate()
-    params.validate()
     check_hotspot_radius(scenario.hotspot_radius_m, params)
     disc = radio._DiscPoints(np.random.default_rng(rng_seed), scenario.n_d2d + scenario.m_cue)
     hotspot_center = (0.8 * params.cell_radius_m, 0.0)
@@ -646,7 +643,6 @@ def simulate_content_distribution(
     for allocator in allocators:
         if allocator not in ("coalition", "noncooperative"):
             raise ValueError(f"unknown allocator {allocator!r}")
-    scenario.validate()
     inst = generate_content_instance(scenario, params, derive_seed(rng_seed, 0))
     pathloss = content_pathloss(inst, params)
     start = initial_partition(inst)

@@ -2,13 +2,14 @@
 
 Each key is a field of its section's dataclass, parsed by the field's
 declared type: plain fields of :class:`ExperimentConfig` form ``[harness]``
-and each of its dataclass-valued fields is a section of its own. An empty
-file yields the full desk-scale defaults. Each experiment reads only some
-keys (:data:`EXPERIMENTS`); unknown sections or keys, and keys the file's
-experiment does not read, are rejected with their line number, so no line
-silently falls back to a default or does nothing. The keys a run read can be
-dumped back out and reparse to an identical object, which is how runs are
-made reproducible.
+and each of its dataclass-valued fields is a section of its own. Each
+section checks itself when built, and so does the config, so an invalid
+one is never made. An empty file yields the full desk-scale defaults. Each
+experiment reads only some keys (:data:`EXPERIMENTS`); unknown sections or
+keys, and keys the file's experiment does not read, are rejected with their
+line number, so no line silently falls back to a default or does nothing.
+The keys a run read can be dumped back out and reparse to an identical
+object, which is how runs are made reproducible.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from d2dgames.stackelberg import StackelbergConfig
 class Reads:
     """What one experiment reads: ``fields`` names the fields of
     :class:`ExperimentConfig` it reads, each a ``[harness]`` key or a section
-    read whole. ``drops`` and ``schemes`` are its defaults, None where it
-    reads neither; ``schemes`` is also every scheme it runs.
+    read whole; a file may set only these, and only the ``[harness]`` keys
+    among them are checked by the config. ``drops`` and ``schemes`` are its
+    defaults, None where it reads neither; ``schemes`` is also every scheme it
+    runs.
     """
 
     fields: tuple[str, ...]
@@ -74,10 +77,12 @@ def _reads(experiment: str) -> Reads:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run; ``drops`` and ``schemes`` left at ``None`` take the experiment's
-    defaults at construction, and stay ``None`` where it reads neither.
-    ``dataclasses.replace`` of ``experiment`` keeps them as resolved, so it
-    must also pass ``drops=None, schemes=None``.
+    """One run, checked by :meth:`validate` when built; ``drops`` and
+    ``schemes`` left at ``None`` take the experiment's defaults first, and
+    stay ``None`` where it reads neither. ``dataclasses.replace`` of
+    ``experiment`` keeps them as resolved, so it must also pass
+    ``drops=None, schemes=None``; without them it fails at once with
+    :class:`ConfigError` when the kept schemes are not the new experiment's.
     """
 
     experiment: str = "sumrate-vs-pairs"
@@ -94,15 +99,16 @@ class ExperimentConfig:
     stackelberg: StackelbergConfig = field(default_factory=StackelbergConfig)
 
     def __post_init__(self):
-        reads = EXPERIMENTS.get(self.experiment)  # an unknown one fails validate()
-        if reads is not None:
-            if self.drops is None:
-                object.__setattr__(self, "drops", reads.drops)
-            if self.schemes is None:
-                object.__setattr__(self, "schemes", reads.schemes)
+        reads = _reads(self.experiment)
+        if self.drops is None:
+            object.__setattr__(self, "drops", reads.drops)
+        if self.schemes is None:
+            object.__setattr__(self, "schemes", reads.schemes)
+        self.validate()
 
     def validate(self) -> "ExperimentConfig":
-        """Check the keys the experiment reads; the others are never used."""
+        """Check the ``[harness]`` keys the experiment reads, and the checks that
+        span sections; each section has checked itself when built."""
         reads = _reads(self.experiment)
         read = reads.fields
         if "drops" in read and self.drops < 1:
@@ -124,13 +130,6 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep values must be >= 0, got {self.sweep}")
         if "m_cue" in read and self.m_cue < 1:
             raise ConfigError(f"m_cue must be >= 1, got {self.m_cue}")
-        for f in fields(self):
-            section = getattr(self, f.name)
-            if f.name in read and is_dataclass(section):
-                try:
-                    section.validate()
-                except ValueError as exc:
-                    raise ConfigError(f"[{f.name}] {exc}") from exc
         # the two checks that span sections
         if "content" in read:
             try:
@@ -183,8 +182,7 @@ def _schema(cls) -> dict[str, dict[str, Callable[[str], object]]]:
 
     Plain fields form ``[harness]``; each dataclass-valued field is a section
     named after the field, holding that dataclass's fields in field order.
-    A field of a type without a parser, or a section without ``validate()``,
-    raises :class:`TypeError`.
+    A field of a type without a parser raises :class:`TypeError`.
     """
     schema: dict[str, dict] = {"harness": {}}
     hints = get_type_hints(cls)
@@ -193,8 +191,6 @@ def _schema(cls) -> dict[str, dict[str, Callable[[str], object]]]:
         if is_dataclass(hint):
             sub = get_type_hints(hint)
             schema[f.name] = {g.name: _parser(hint, g.name, sub[g.name]) for g in fields(hint)}
-            if not callable(getattr(hint, "validate", None)):
-                raise TypeError(f"{hint.__name__}: a config section needs a validate() method")
         else:
             schema["harness"][f.name] = _parser(cls, f.name, hint)
     return schema
@@ -243,8 +239,11 @@ def loads_config(text: str) -> ExperimentConfig:
     top = values.pop("harness", {})
     defaults = ExperimentConfig()
     for section, kwargs in values.items():
-        top[section] = replace(getattr(defaults, section), **kwargs)
-    return ExperimentConfig(**top).validate()
+        try:
+            top[section] = replace(getattr(defaults, section), **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+    return ExperimentConfig(**top)
 
 
 def load_config(path: str) -> ExperimentConfig:

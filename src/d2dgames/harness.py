@@ -244,7 +244,6 @@ def _run_drops(tasks, worker):
 
 
 def run_experiment(config: ExperimentConfig) -> RunSummary:
-    config.validate()
     started = time.monotonic()
     summary = RunSummary(experiment=config.experiment)
     if config.experiment == "sumrate-vs-pairs":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from d2dgames import radio
-from d2dgames.coalition import ContentInstance
+from d2dgames.coalition import ContentInstance, Partition
 from d2dgames.power_control import PowerGameInstance
 from d2dgames.stackelberg import StackelbergInstance, StackelbergOutcome
 
@@ -24,10 +24,9 @@ from d2dgames.stackelberg import StackelbergInstance, StackelbergOutcome
 class OracleBudget:
     max_assignments: int = 2_000_000
 
-    def validate(self) -> "OracleBudget":
+    def __post_init__(self):
         if self.max_assignments < 1:
             raise ValueError("oracle budget max_assignments must be >= 1")
-        return self
 
 
 def _assignment_sum_rate(assignment, topology, gains, params):
@@ -64,7 +63,6 @@ def exhaustive_best_allocation(
 
     Ties go to the lexicographically smallest assignment tuple (off first).
     """
-    budget.validate()
     m, n = topology.rb_count, topology.n_pairs
     n_states = (m + 1) ** n
     if n_states > budget.max_assignments:
@@ -131,9 +129,6 @@ def exhaustive_best_partition(
 ):
     """Enumerate all anchor assignments of UEs; return the best partition
     with the instance's seeds."""
-    from d2dgames.coalition import Partition
-
-    budget.validate()
     n = inst.scenario.n_d2d
     m = inst.scenario.m_cue
     if m**n > budget.max_assignments:

@@ -28,7 +28,7 @@ class PowerConfig:
     tol_w: float = 1e-9
     max_iters: int = 1000
 
-    def validate(self) -> "PowerConfig":
+    def __post_init__(self):
         if self.players < 0:
             raise ValueError(f"power players must be >= 0, got {self.players}")
         if not math.isfinite(self.sinr_target_db):
@@ -42,7 +42,6 @@ class PowerConfig:
             raise ValueError(f"tol_w must be finite and > 0, got {self.tol_w}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        return self
 
 
 @dataclass
@@ -125,7 +124,6 @@ def run_power_game(instance: PowerGameInstance, config: PowerConfig = PowerConfi
     :data:`SINR_SLACK`; an infeasible instance pins players at p_max with unmet
     targets and reports converged=False instead of raising.
     """
-    config.validate()
     n = instance.n_players
     p = np.zeros(n)
     trace = PowerTrace(iterates=[p.copy()])
@@ -153,7 +151,7 @@ def power_game_from_radio(
     config: PowerConfig = PowerConfig(),
 ) -> PowerGameInstance:
     """Build the co-channel game for a set of D2D pairs sharing one RB at ``config``'s target."""
-    target = 10.0 ** (config.validate().sinr_target_db / 10.0)
+    target = 10.0 ** (config.sinr_target_db / 10.0)
     n = len(pair_indices)
     sigma = radio.effective_noise_w(params)
     cell_tx = radio.cellular_tx_node(params, rb)

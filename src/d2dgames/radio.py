@@ -53,7 +53,7 @@ class RadioParams:
     carrier_ghz: float = 2.0
     link_direction: str = DOWNLINK
 
-    def validate(self) -> "RadioParams":
+    def __post_init__(self):
         if not (math.isfinite(self.cell_radius_m) and self.cell_radius_m > 0):
             raise ValueError(
                 "cell_radius_m must be finite and > 0 (invariant: cell_radius > 0), "
@@ -94,7 +94,6 @@ class RadioParams:
             raise ValueError(
                 f"link_direction must be '{UPLINK}' or '{DOWNLINK}', got {self.link_direction!r}"
             )
-        return self
 
     @property
     def p_cue_w(self) -> float:
@@ -367,8 +366,6 @@ def link_pathloss(
     inputs. Raises ``ValueError`` for a link distance that is not a number.
     """
     fc_ghz = params.carrier_ghz
-    if not 0 < fc_ghz < math.inf:
-        raise ValueError(f"carrier frequency must be finite and > 0 GHz, got {fc_ghz}")
     plan = _link_plan(len(cue), len(devices) // 2 if paired else len(devices), paired)
     points = [enb_pos, *cue, *devices]
     log10, hypot = math.log10, math.hypot
@@ -441,7 +438,6 @@ def generate_topology(params: RadioParams, m: int, n: int, rng_seed: int) -> Top
     receiver is uniform in a disc of radius ``max_d2d_distance_m`` around its
     transmitter, redrawn until it falls inside the cell.
     """
-    params.validate()
     if m < 1:
         raise ValueError(f"need at least one cellular user, got m={m}")
     if n < 0:
@@ -462,7 +458,6 @@ def generate_topology(params: RadioParams, m: int, n: int, rng_seed: int) -> Top
 
 def draw_gains(topology: Topology, params: RadioParams, rng_seed: int) -> GainTensor:
     """Draw the full gain tensor for one fading realization of a topology."""
-    params.validate()
     ends = [point for pair in topology.d2d_pairs for point in pair]
     return link_pathloss(params, topology.enb_pos, topology.cue, ends, paired=True).draw(rng_seed)
 

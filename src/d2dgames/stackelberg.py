@@ -36,14 +36,13 @@ class StackelbergConfig:
 
     lambda_points: int = 2000
     pair: int = 0
-    rb: int = 0  # checked against m_cue by the caller that knows it
+    rb: int = 0  # 0 <= rb < m_cue, checked by ExperimentConfig, which knows m_cue
 
-    def validate(self) -> "StackelbergConfig":
+    def __post_init__(self):
         if self.lambda_points < 2:
             raise ValueError(f"lambda_points must be >= 2, got {self.lambda_points}")
         if self.pair < 0:
             raise ValueError(f"stackelberg pair must be >= 0, got {self.pair}")
-        return self
 
 
 @dataclass
@@ -156,7 +155,7 @@ def stackelberg_from_radio(
     config: StackelbergConfig = StackelbergConfig(),
 ) -> StackelbergInstance:
     """Pricing instance of ``config.pair`` on ``config.rb`` from a channel realization."""
-    pair, rb = config.validate().pair, config.rb
+    pair, rb = config.pair, config.rb
     cell_tx = radio.cellular_tx_node(params, rb)
     cell_rx = radio.cellular_rx_node(params, rb)
     return StackelbergInstance(

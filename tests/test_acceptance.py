@@ -43,7 +43,7 @@ from d2dgames.stackelberg import (
     verify_equilibrium,
 )
 
-PARAMS = radio.RadioParams().validate()
+PARAMS = radio.RadioParams()
 MASTER_SEED = 1
 # criteria on radio-backed instances run in both link directions
 DIRECTIONS = (radio.DOWNLINK, radio.UPLINK)
@@ -215,7 +215,7 @@ def test_criterion_3_auction_properties():
 
 @pytest.mark.parametrize("direction", DIRECTIONS)
 def test_criterion_4_auction_near_optimality(direction):
-    params = replace(PARAMS, link_direction=direction).validate()
+    params = replace(PARAMS, link_direction=direction)
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 4))
     ratios = []
     for _ in range(100):
@@ -241,7 +241,7 @@ def test_criterion_4_auction_near_optimality(direction):
 
 @pytest.mark.parametrize("direction", DIRECTIONS)
 def test_criterion_5_coalition_dynamics(direction):
-    params = replace(PARAMS, link_direction=direction).validate()
+    params = replace(PARAMS, link_direction=direction)
     rng = np.random.default_rng(derive_seed(MASTER_SEED, 5))
     switch_violations = 0
     unstable = 0

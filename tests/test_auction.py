@@ -23,7 +23,7 @@ from d2dgames.auction import (
     run_auction,
 )
 
-PARAMS = radio.RadioParams().validate()
+PARAMS = radio.RadioParams()
 
 
 def _lookup_batch(values):
@@ -389,7 +389,7 @@ class TestGreedyMemo:
     def test_radio_instances_match_cache_free_greedy(self):
         rng = np.random.default_rng(29)
         for direction in (radio.DOWNLINK, radio.UPLINK):
-            params = replace(PARAMS, link_direction=direction).validate()
+            params = replace(PARAMS, link_direction=direction)
             topo = radio.generate_topology(params, m=3, n=14, rng_seed=61)
             gains = radio.draw_gains(topo, params, rng_seed=62)
             inst = auction_instance_from_radio(topo, gains, params)
@@ -487,7 +487,7 @@ class TestGreedyMissRows:
         # the misses of a whole price path: each bidder's blocks, call by
         # call, are the zero-built rows of its memo's masks in the order the
         # memo stored them, and the blocks of one call are of one package size
-        params = replace(PARAMS, link_direction=direction).validate()
+        params = replace(PARAMS, link_direction=direction)
         topo = radio.generate_topology(params, m=4, n=14, rng_seed=113)
         gains = radio.draw_gains(topo, params, rng_seed=114)
         inst = auction_instance_from_radio(topo, gains, params)
@@ -617,7 +617,7 @@ class TestArrayClock:
         rng = np.random.default_rng(41)
         count = 0
         for direction in (radio.DOWNLINK, radio.UPLINK):
-            params = replace(PARAMS, link_direction=direction).validate()
+            params = replace(PARAMS, link_direction=direction)
             for k in range(55):
                 n = 2 + k % 11
                 seed, m = 1000 + 2 * k, int(rng.integers(2, 5))
@@ -634,7 +634,7 @@ class TestArrayClock:
     def test_default_size_radio_instances(self, direction):
         # the default m_cue = 10 RBs at the largest exact size and at two
         # greedy sizes, one of them 16 items as in the paper's sweep
-        params = replace(PARAMS, link_direction=direction).validate()
+        params = replace(PARAMS, link_direction=direction)
         for n, seed in ((12, 1101), (13, 1103), (16, 1105)):
             topo = radio.generate_topology(params, m=10, n=n, rng_seed=seed)
             gains = radio.draw_gains(topo, params, rng_seed=seed + 1)
@@ -709,7 +709,7 @@ class TestArrayClock:
 
 
 def _radio_instance(direction, n, m, seed):
-    params = replace(PARAMS, link_direction=direction).validate()
+    params = replace(PARAMS, link_direction=direction)
     topo = radio.generate_topology(params, m=m, n=n, rng_seed=seed)
     gains = radio.draw_gains(topo, params, rng_seed=seed + 1)
     return auction_instance_from_radio(topo, gains, params)
@@ -909,7 +909,7 @@ def _prune_instances():
     for n_bidders in (3, 5, 8, 10):  # the more bidders, the more are priced out
         yield _quadratic_instance(rng, int(rng.integers(8, 11)), n_bidders, epsilon=0.01)
     for direction in (radio.DOWNLINK, radio.UPLINK):
-        params = replace(PARAMS, link_direction=direction).validate()
+        params = replace(PARAMS, link_direction=direction)
         for n, m, seed in ((8, 10, 1201), (10, 4, 1203), (9, 6, 1205), (12, 10, 1207)):
             topo = radio.generate_topology(params, m=m, n=n, rng_seed=seed)
             gains = radio.draw_gains(topo, params, rng_seed=seed + 1)
@@ -957,7 +957,7 @@ class TestDominatedPrune:
             kept.append((size, want, self._cand))
 
         monkeypatch.setattr(_DemandEngine, "prune", recorded)
-        params = replace(PARAMS, link_direction=direction).validate()
+        params = replace(PARAMS, link_direction=direction)
         for n, seed in ((9, 1301), (10, 1303), (12, 1305)):
             topo = radio.generate_topology(params, m=10, n=n, rng_seed=seed)
             gains = radio.draw_gains(topo, params, rng_seed=seed + 1)
@@ -1195,7 +1195,7 @@ class TestRadioValuationBits:
     @staticmethod
     def _instances(n, m=3, seed=131):
         for direction in (radio.DOWNLINK, radio.UPLINK):
-            params = replace(PARAMS, link_direction=direction).validate()
+            params = replace(PARAMS, link_direction=direction)
             topo = radio.generate_topology(params, m=m, n=n, rng_seed=seed + n)
             gains = radio.draw_gains(topo, params, rng_seed=seed + n + 1)
             with np.errstate(divide="raise", invalid="raise"):
@@ -1459,7 +1459,7 @@ class TestAllCellularAllocation:
         # leave every cellular link undisturbed and each adds half its
         # bottleneck hop.
         for direction in (radio.DOWNLINK, radio.UPLINK):
-            params = replace(PARAMS, link_direction=direction).validate()
+            params = replace(PARAMS, link_direction=direction)
             topo = radio.generate_topology(params, m=2, n=3, rng_seed=53)
             gains = radio.draw_gains(topo, params, rng_seed=54)
             alloc = all_cellular_allocation(topo)
@@ -1506,10 +1506,10 @@ class TestAllCellularAllocation:
             return total
 
         base = relay(PARAMS)
-        quiet = replace(PARAMS, p_d2d_dbm=0.0).validate()
+        quiet = replace(PARAMS, p_d2d_dbm=0.0)
         assert relay(quiet) == pytest.approx(expected(quiet, lambda j: quiet.p_d2d_w), rel=1e-12)
         assert relay(quiet) < base
-        loud_cue = replace(PARAMS, p_cue_dbm=0.0).validate()
+        loud_cue = replace(PARAMS, p_cue_dbm=0.0)
         assert relay(loud_cue) == base
 
     def test_nearest_rb_chosen(self):

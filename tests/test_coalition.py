@@ -30,7 +30,7 @@ from d2dgames.coalition import (
 )
 from d2dgames.seeding import derive_seed
 
-PARAMS = radio.RadioParams().validate()
+PARAMS = radio.RadioParams()
 
 
 def _instance(n=5, k=2, m=2, seed=0):
@@ -143,7 +143,7 @@ class TestRoundChannel:
     @pytest.mark.parametrize("n", [1, 2, 20])
     @pytest.mark.parametrize("m", [1, 6])
     def test_matches_per_entry_reference(self, direction, n, m):
-        params = radio.RadioParams(link_direction=direction).validate()
+        params = radio.RadioParams(link_direction=direction)
         inst = generate_content_instance(
             ContentScenario(n_d2d=n, k_seeds=1, m_cue=m), params, 60 + n + m
         )
@@ -164,7 +164,7 @@ class TestRoundChannel:
 
     @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
     def test_a_missing_link_raises_key_error(self, direction):
-        params = radio.RadioParams(link_direction=direction).validate()
+        params = radio.RadioParams(link_direction=direction)
         inst = _instance(n=3, k=1, m=2, seed=63)
         gains = draw_content_gains(inst, params, rng_seed=64)
         ContentRound(inst, gains, params)  # builds the plan on a complete tensor
@@ -203,7 +203,7 @@ class TestDerivedValue:
     def test_walk_matches_scratch(self, n, m, uplink, geometry, data):
         params = radio.RadioParams(
             link_direction=radio.UPLINK if uplink else radio.DOWNLINK
-        ).validate()
+        )
         scenario = ContentScenario(n_d2d=n, k_seeds=1, m_cue=m, hotspot_radius_m=60.0)
         inst = generate_content_instance(scenario, params, geometry)
         gains = draw_content_gains(inst, params, rng_seed=geometry + 1)
@@ -318,7 +318,7 @@ class TestSwitchDynamics:
         from d2dgames.oracle import exhaustive_best_partition
 
         for direction in (radio.DOWNLINK, radio.UPLINK):
-            params = radio.RadioParams(link_direction=direction).validate()
+            params = radio.RadioParams(link_direction=direction)
             for seed in range(10):
                 inst = _instance(n=4, k=2, m=2, seed=500 + seed)
                 gains = draw_content_gains(inst, params, rng_seed=600 + seed)
@@ -477,7 +477,7 @@ class TestNoncooperativeReference:
         rng = np.random.default_rng(2024)
         moved = 0
         for direction in (radio.DOWNLINK, radio.UPLINK):
-            params = radio.RadioParams(link_direction=direction).validate()
+            params = radio.RadioParams(link_direction=direction)
             for seed in range(16):
                 n = int(rng.integers(3, 10))
                 k = int(rng.integers(1, n))
@@ -610,7 +610,7 @@ class TestJoinQuery:
             return _sinr(rnd.uu[anchor], rnd.cell_at_ue[anchor], rnd.sigma, u, s, transmitting)
 
         for direction in (radio.DOWNLINK, radio.UPLINK):
-            params = radio.RadioParams(link_direction=direction).validate()
+            params = radio.RadioParams(link_direction=direction)
             for trial in range(20):
                 n = int(rng.integers(4, 12))
                 m = int(rng.integers(1, 4))
@@ -961,7 +961,7 @@ class TestEverySeedInvariant:
     def test_value_constant_and_switch_step_idle(self, n, k, m, uplink, seed, data):
         params = radio.RadioParams(
             link_direction=radio.UPLINK if uplink else radio.DOWNLINK
-        ).validate()
+        )
         scenario = ContentScenario(n_d2d=n, k_seeds=min(k, n), m_cue=m, hotspot_radius_m=60.0)
         inst = generate_content_instance(scenario, params, seed)
         gains = draw_content_gains(inst, params, rng_seed=seed + 1)
@@ -1058,7 +1058,7 @@ class TestSwitchSetsReused:
     def test_matches_fresh_set_reference(self, n, k, m, uplink, seed, data):
         params = radio.RadioParams(
             link_direction=radio.UPLINK if uplink else radio.DOWNLINK
-        ).validate()
+        )
         scenario = ContentScenario(n_d2d=n, k_seeds=min(k, n), m_cue=m, hotspot_radius_m=60.0)
         inst = generate_content_instance(scenario, params, seed)
         gains = draw_content_gains(inst, params, rng_seed=seed + 1)

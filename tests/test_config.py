@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -24,7 +25,9 @@ from d2dgames.config import (
     loads_config,
 )
 from d2dgames.harness import run_experiment
+from d2dgames.oracle import OracleBudget
 from d2dgames.power_control import power_game_from_radio, run_power_game
+from d2dgames.radio import RadioParams
 from d2dgames.stackelberg import stackelberg_from_radio
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -78,16 +81,6 @@ class _ComplexRoot:
     z: complex = 0j
 
 
-@dataclass(frozen=True)
-class _UncheckedSection:
-    n: int = 1
-
-
-@dataclass(frozen=True)
-class _UncheckedRoot:
-    extra: _UncheckedSection = field(default_factory=_UncheckedSection)
-
-
 class TestDefaults:
     def test_empty_file_gives_full_defaults(self):
         config = loads_config("")
@@ -121,8 +114,9 @@ class TestDefaults:
         assert (given.drops, given.schemes) == (3, ("coalition", "noncooperative"))
 
     def test_replace_of_experiment_resolves_defaults_only_when_reset(self):
-        kept = replace(ExperimentConfig(), experiment="content-distribution")
-        assert (kept.drops, kept.schemes) == (200, ("rica", "random", "all_cellular"))
+        # the kept sum-rate schemes are not content's, so the replace fails at once
+        with pytest.raises(ConfigError, match="schemes of content-distribution must be"):
+            replace(ExperimentConfig(), experiment="content-distribution")
         config = replace(
             ExperimentConfig(), experiment="content-distribution", drops=None, schemes=None
         )
@@ -391,10 +385,6 @@ class TestDerivedSchema:
             declared |= set(get_type_hints(hint).values()) if is_dataclass(hint) else {hint}
         assert set(_PARSERS) <= declared, set(_PARSERS) - declared
 
-    def test_section_without_validate_is_an_error(self):
-        with pytest.raises(TypeError, match="_UncheckedSection: a config section needs a validate"):
-            _schema(_UncheckedRoot)
-
     def test_content_section_is_the_content_scenario(self):
         config = loads_config(f"{CONTENT_RUN}[content]\nrounds = 7\nhotspot_radius_m = 20\n")
         assert config.content == ContentScenario(rounds=7, hotspot_radius_m=20.0)
@@ -403,7 +393,7 @@ class TestDerivedSchema:
         from d2dgames.cli import main
 
         with pytest.raises(ValueError, match="rounds must be >= 1, got 0"):
-            ContentScenario(rounds=0).validate()
+            ContentScenario(rounds=0)
         with pytest.raises(ConfigError, match="rounds must be >= 1, got 0"):
             loads_config(f"{CONTENT_RUN}[content]\nrounds = 0\n")
         cfg = tmp_path / "bad.cfg"
@@ -471,6 +461,79 @@ class TestExtremeValues:
     )
     def test_large_but_representable_values_load(self, line):
         loads_config(f"[radio]\n{line}\n")
+
+
+# one out-of-range value per check of each section: (section in a config
+# file, or None for OracleBudget, which no file sets; class; key; value;
+# the whole message)
+BAD_SECTION_VALUES = [
+    ("radio", RadioParams, "cell_radius_m", -1.0,
+     "cell_radius_m must be finite and > 0 (invariant: cell_radius > 0), got -1.0"),
+    ("radio", RadioParams, "max_d2d_distance_m", 600.0,
+     "max_d2d_distance_m must satisfy 0 < max_d2d_distance < cell_radius, got 600.0"),
+    ("radio", RadioParams, "p_cue_dbm", math.nan, "p_cue_dbm must be finite, got nan"),
+    ("radio", RadioParams, "p_d2d_dbm", 1e6,
+     "p_d2d_dbm must give a positive, finite power in watts, got 1000000.0"),
+    ("radio", RadioParams, "p_enb_dbm", -1e6,
+     "p_enb_dbm must give a positive, finite power in watts, got -1000000.0"),
+    ("radio", RadioParams, "noise_dbm", -1e6,
+     "noise_dbm + noise_figure_db must give a positive, finite noise power in watts, "
+     "got -1000000.0 + 7.0"),
+    ("radio", RadioParams, "noise_figure_db", math.inf, "noise_figure_db must be finite, got inf"),
+    ("radio", RadioParams, "carrier_ghz", 0.0, "carrier_ghz must be finite and > 0, got 0.0"),
+    ("radio", RadioParams, "carrier_ghz", 1e300,
+     "cell_radius_m and carrier_ghz must give a positive, finite path gain from 10 m to "
+     "2 * cell_radius_m, got cell_radius_m = 500.0, carrier_ghz = 1e+300"),
+    ("radio", RadioParams, "link_direction", "sideways",
+     "link_direction must be 'uplink' or 'downlink', got 'sideways'"),
+    ("auction", AuctionConfig, "c0", -1.0, "c0 must be finite and >= 0, got -1.0"),
+    ("auction", AuctionConfig, "epsilon", 0.0,
+     "epsilon must be finite and > 0, or auto, got 0.0"),
+    ("auction", AuctionConfig, "p0", math.nan, "p0 must be finite and >= 0, got nan"),
+    ("auction", AuctionConfig, "exact_cap", -1, "exact_cap must be >= 0, got -1"),
+    ("auction", AuctionConfig, "max_rounds", 0, "max_rounds must be >= 1, got 0"),
+    ("content", ContentScenario, "n_d2d", 3, "need 0 < k_seeds <= n_d2d, got K=4, N=3"),
+    ("content", ContentScenario, "k_seeds", 0, "need 0 < k_seeds <= n_d2d, got K=0, N=20"),
+    ("content", ContentScenario, "m_cue", 0, "m_cue must be >= 1, got 0"),
+    ("content", ContentScenario, "file_packets", 0, "file_packets must be >= 1, got 0"),
+    ("content", ContentScenario, "packets_per_rate_unit", -1.0,
+     "packets_per_rate_unit must be finite and >= 0, got -1.0"),
+    ("content", ContentScenario, "rounds", 0, "rounds must be >= 1, got 0"),
+    ("power", PowerConfig, "players", -1, "power players must be >= 0, got -1"),
+    ("power", PowerConfig, "sinr_target_db", math.inf, "sinr_target_db must be finite, got inf"),
+    ("power", PowerConfig, "sinr_target_db", 1e6,
+     "sinr_target_db must give a positive, finite linear target, got 1000000.0"),
+    ("power", PowerConfig, "tol_w", 0.0, "tol_w must be finite and > 0, got 0.0"),
+    ("power", PowerConfig, "max_iters", 0, "max_iters must be >= 1, got 0"),
+    ("stackelberg", StackelbergConfig, "lambda_points", 1, "lambda_points must be >= 2, got 1"),
+    ("stackelberg", StackelbergConfig, "pair", -1, "stackelberg pair must be >= 0, got -1"),
+    (None, OracleBudget, "max_assignments", 0, "oracle budget max_assignments must be >= 1"),
+]
+
+
+class TestSectionsCheckThemselves:
+    """A section cannot be built with a value out of range, so no engine re-checks one."""
+
+    @pytest.mark.parametrize(
+        "section, cls, key, value, message",
+        BAD_SECTION_VALUES,
+        ids=[f"{row[1].__name__}-{row[2]}-{row[3]}" for row in BAD_SECTION_VALUES],
+    )
+    def test_bad_value_rejected_when_built(
+        self, section, cls, key, value, message, tmp_path, capsys
+    ):
+        from d2dgames.cli import main
+
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(cls(), **{key: value})
+        if section is None:
+            return
+        experiment = next(e for e, reads in EXPERIMENTS.items() if section in reads.fields)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment = {experiment}\n[{section}]\n{key} = {_fmt(value)}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: [{section}] {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSchemesAndSweep:
@@ -598,14 +661,8 @@ class TestReadKeys:
             loads_config("[stackelberg]\nrb = 1\n[harness]\nexperiment = power-control\n")
 
     def test_validate_checks_only_read_keys(self):
-        bad = ContentScenario(rounds=0)
-        config = ExperimentConfig(
-            experiment="stackelberg", drops=0, sweep=(-1,), schemes=("bogus",), content=bad
-        )
+        config = ExperimentConfig(experiment="stackelberg", drops=0, sweep=(-1,), schemes=("bogus",))
         assert config.validate() is config
-        config = ExperimentConfig(experiment="content-distribution", content=bad)
-        with pytest.raises(ConfigError, match=r"\[content\] rounds must be >= 1"):
-            config.validate()
 
     @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
     def test_effective_config_holds_the_read_keys(self, experiment, tmp_path):
@@ -652,7 +709,7 @@ class TestOneHome:
     )
     def test_section_lives_in_its_engine(self, section, module):
         assert section.__module__ == module
-        assert section().validate() == section()
+        assert section() == section()
 
     @pytest.mark.parametrize(
         "entry, section",

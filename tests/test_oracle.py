@@ -32,9 +32,9 @@ from d2dgames.oracle import (
 from d2dgames.power_control import PowerGameInstance
 from d2dgames.stackelberg import StackelbergInstance
 
-PARAMS = radio.RadioParams().validate()
+PARAMS = radio.RadioParams()
 BOTH_DIRECTIONS = tuple(
-    replace(PARAMS, link_direction=d).validate() for d in (radio.DOWNLINK, radio.UPLINK)
+    replace(PARAMS, link_direction=d) for d in (radio.DOWNLINK, radio.UPLINK)
 )
 
 
@@ -67,7 +67,7 @@ class TestExhaustiveBestAllocation:
 
     def test_random_allocation_sum_rate_matches_link_by_link_oracle(self):
         for direction in (radio.DOWNLINK, radio.UPLINK):
-            params = replace(PARAMS, link_direction=direction).validate()
+            params = replace(PARAMS, link_direction=direction)
             for seed in range(10):
                 topo = radio.generate_topology(params, m=3, n=6, rng_seed=300 + seed)
                 gains = radio.draw_gains(topo, params, rng_seed=400 + seed)

@@ -196,7 +196,7 @@ class TestDirectGains:
 
 class TestFromRadio:
     def test_builds_co_channel_game(self):
-        params = radio.RadioParams().validate()
+        params = radio.RadioParams()
         topo = radio.generate_topology(params, m=3, n=4, rng_seed=5)
         gains = radio.draw_gains(topo, params, rng_seed=6)
         inst = power_game_from_radio(gains, params, rb=1, pair_indices=[0, 2, 3])
@@ -211,7 +211,7 @@ class TestFromRadio:
     def test_every_entry_matches_raw_gains(self, direction):
         # unsorted pairs on a nonzero RB pin the orientation: row a is pair
         # pairs[a]'s receiver, column b is pair pairs[b]'s transmitter
-        params = radio.RadioParams(link_direction=direction).validate()
+        params = radio.RadioParams(link_direction=direction)
         topo = radio.generate_topology(params, m=3, n=4, rng_seed=7)
         gains = radio.draw_gains(topo, params, rng_seed=8)
         rb, pairs = 2, [3, 0, 2]
@@ -228,7 +228,7 @@ class TestFromRadio:
             assert inst.noise_w[a] == sigma + p_cell * gains.get(cell_tx, ("drx", rx), rb)
 
     def test_no_pairs_gives_an_empty_game(self):
-        params = radio.RadioParams().validate()
+        params = radio.RadioParams()
         topo = radio.generate_topology(params, m=2, n=2, rng_seed=9)
         gains = radio.draw_gains(topo, params, rng_seed=10)
         inst = power_game_from_radio(gains, params, rb=1, pair_indices=[])
@@ -269,11 +269,6 @@ class TestInvalidInputs:
         ],
     )
     def test_invalid_config_rejected_by_both_entry_points(self, bad, message):
-        params = radio.RadioParams().validate()
-        topo = radio.generate_topology(params, m=2, n=2, rng_seed=7)
-        gains = radio.draw_gains(topo, params, rng_seed=8)
-        config = PowerConfig(**bad)
+        # the section cannot be built invalid, so neither entry point meets one
         with pytest.raises(ValueError, match=message):
-            power_game_from_radio(gains, params, rb=0, pair_indices=[0, 1], config=config)
-        with pytest.raises(ValueError, match=message):
-            run_power_game(_two_player_symmetric(), config)
+            PowerConfig(**bad)

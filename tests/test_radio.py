@@ -29,7 +29,7 @@ from d2dgames.radio import (
     sum_rate,
 )
 
-PARAMS = RadioParams().validate()
+PARAMS = RadioParams()
 _DEVICE_KINDS = frozenset({"dtx", "drx", "ue"})
 
 
@@ -273,7 +273,7 @@ class TestDenseGainTensor:
 
     def test_draw_gains_matches_per_link_loop(self):
         for direction in self.DIRECTIONS:
-            params = RadioParams(link_direction=direction).validate()
+            params = RadioParams(link_direction=direction)
             for seed in range(6):
                 topo = generate_topology(params, m=1 + seed % 4, n=seed, rng_seed=60 + seed)
                 gains = draw_gains(topo, params, rng_seed=70 + seed)
@@ -282,7 +282,7 @@ class TestDenseGainTensor:
 
     def test_draw_content_gains_matches_per_link_loop(self):
         for direction in self.DIRECTIONS:
-            params = RadioParams(link_direction=direction).validate()
+            params = RadioParams(link_direction=direction)
             for seed in range(6):
                 scenario = ContentScenario(n_d2d=2 + seed, k_seeds=1, m_cue=1 + seed % 3)
                 inst = generate_content_instance(scenario, params, rng_seed=80 + seed)
@@ -328,7 +328,7 @@ class TestRedraw:
 
     @staticmethod
     def _layouts(direction):
-        params = RadioParams(link_direction=direction).validate()
+        params = RadioParams(link_direction=direction)
         topo = generate_topology(params, m=3, n=4, rng_seed=31)
         inst = generate_content_instance(
             ContentScenario(n_d2d=5, k_seeds=2, m_cue=3), params, rng_seed=32
@@ -386,7 +386,7 @@ def _layout_gains(layout, direction, n, m=3, seed=150):
     ``auction``: a sum-rate cell, ``("dtx", j)`` against ``("drx", j)``;
     ``content``: standalone UEs, ``("ue", i)`` on both axes.
     """
-    params = RadioParams(link_direction=direction).validate()
+    params = RadioParams(link_direction=direction)
     if layout == "auction":
         topo = generate_topology(params, m=m, n=n, rng_seed=seed + n)
         gains = draw_gains(topo, params, rng_seed=seed + n + 1)
@@ -480,7 +480,7 @@ class TestSinr:
     def test_hand_computed_uplink_case(self):
         # One CUE and one D2D pair share RB 0 in uplink: frozen independent
         # evaluation of (p_d * 1e-9) / (sigma + p_c * 1e-10).
-        params = RadioParams(link_direction=radio.UPLINK).validate()
+        params = RadioParams(link_direction=radio.UPLINK)
         gains = _synthetic_gains(
             {
                 (("dtx", 0), ("drx", 0), 0): 1e-9,
@@ -617,19 +617,19 @@ class TestSumRate:
 
 class TestParamsValidation:
     def test_defaults_valid(self):
-        RadioParams().validate()
+        RadioParams()
 
     def test_bad_radius(self):
         with pytest.raises(ValueError, match="cell_radius"):
-            RadioParams(cell_radius_m=-1.0).validate()
+            RadioParams(cell_radius_m=-1.0)
 
     def test_bad_pair_distance(self):
         with pytest.raises(ValueError, match="max_d2d_distance"):
-            RadioParams(max_d2d_distance_m=600.0).validate()
+            RadioParams(max_d2d_distance_m=600.0)
 
     def test_bad_direction(self):
         with pytest.raises(ValueError, match="link_direction"):
-            RadioParams(link_direction="sideways").validate()
+            RadioParams(link_direction="sideways")
 
 
 def _disc_point(rng, center, radius):
@@ -698,7 +698,7 @@ class TestRadioLayerBits:
 
     @pytest.mark.parametrize("cell", [{}, SMALL], ids=["default", "small"])
     def test_topology_matches_per_point_draws(self, cell):
-        params = RadioParams(**cell).validate()
+        params = RadioParams(**cell)
         redraws = 0
         for seed in range(200):
             m, n = 1 + seed % 10, seed % 17
@@ -712,7 +712,7 @@ class TestRadioLayerBits:
 
     @pytest.mark.parametrize("cell", [{}, SMALL], ids=["default", "small"])
     def test_content_instance_matches_per_point_draws(self, cell):
-        params = RadioParams(**cell).validate()
+        params = RadioParams(**cell)
         rejected = 0
         for seed in range(100):
             scenario = ContentScenario(
@@ -731,7 +731,7 @@ class TestRadioLayerBits:
 
     @pytest.mark.parametrize("carrier_ghz", [2.0, 5.9])
     def test_link_pathloss_matches_pathloss_db(self, carrier_ghz):
-        params = RadioParams(carrier_ghz=carrier_ghz).validate()
+        params = RadioParams(carrier_ghz=carrier_ghz)
         enb, cue = (0.0, 0.0), [(3.0, 4.0), (120.5, -7.25), (0.0, 0.0)]  # CUE 2 sits on the eNB
         pairs = [
             ((30.0, 40.0), (30.0, 40.0)),  # coincident ends
@@ -762,7 +762,7 @@ class TestRadioLayerBits:
 
     @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
     def test_sum_rate_matches_per_receiver_sum(self, direction):
-        params = RadioParams(link_direction=direction).validate()
+        params = RadioParams(link_direction=direction)
         checked = 0
         for seed in range(60):
             m, n = 1 + seed % 6, seed % 9
@@ -791,7 +791,7 @@ class TestRadioLayerBits:
         below the last bit of the total: the total is then that listener's
         rate, whose denominator adds the co-channel pairs in ascending order,
         and at a D2D receiver the cellular transmitter after them."""
-        params = RadioParams(link_direction=direction).validate()
+        params = RadioParams(link_direction=direction)
         sigma = effective_noise_w(params)
         p_d = params.p_d2d_w
         p_c = params.p_enb_w if direction == radio.DOWNLINK else params.p_cue_w

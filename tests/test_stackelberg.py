@@ -193,7 +193,7 @@ class TestChannelChoice:
 
 class TestFromRadio:
     def test_instance_fields(self):
-        params = radio.RadioParams().validate()
+        params = radio.RadioParams()
         topo = radio.generate_topology(params, m=2, n=1, rng_seed=21)
         gains = radio.draw_gains(topo, params, rng_seed=22)
         inst = stackelberg_from_radio(gains, params, StackelbergConfig(pair=0, rb=1))
@@ -284,7 +284,7 @@ class TestLog2:
 class TestArraySweep:
     @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
     def test_sweep_matches_per_point_reference_bit_for_bit(self, direction):
-        params = replace(radio.RadioParams(), link_direction=direction).validate()
+        params = replace(radio.RadioParams(), link_direction=direction)
         config = StackelbergConfig(lambda_points=2000)
         seen = {"lambda_zero": 0, "clamped_zero": 0, "clamped_p_max": 0}
         for seed in range(50):
