@@ -86,6 +86,14 @@ class ContentInstance:
         """Row ``u``: every UE index by distance from UE ``u``, ties to the smaller index."""
         return np.argsort(self.distances(), axis=0, kind="stable").T
 
+    @cached_property
+    def distance_rank(self) -> list[list[int]]:
+        """Row ``u``: each UE's position in ``distance_order[u]``, so a UE
+        ``u`` ranks seed ``s`` ahead of seed ``t`` when ``rank[u][s] < rank[u][t]``."""
+        # a stable sort, as distance_order's: numpy's default one maps
+        # another 0.4 MB of sort kernels into the process
+        return np.argsort(self.distance_order, axis=1, kind="stable").tolist()
+
     def seed_ranking(self, seeds: frozenset[int]) -> list[list[int]]:
         """Row ``u``: the UEs of ``seeds`` by distance from UE ``u``, ties to the
         smaller index. Kept per seed set, which often holds over several rounds."""
@@ -335,20 +343,30 @@ def _derived(
     members: frozenset[int],
 ) -> _Valued | None:
     """``members``' value from ``prev``, the value of ``prev_members``, when the
-    two sets differ by one normal UE and share the transmitting set; otherwise None.
+    two sets differ by one UE and share the transmitting set; otherwise None.
 
-    Every other normal UE then keeps its serving seed and its interference,
-    so its term is reused and only the joining UE's term is computed; the
-    value is summed again by :func:`_sum_terms`, in the same order as from
-    scratch, so it is the same float.
+    For a normal UE, every other normal UE then keeps its serving seed and
+    its interference, so its term is reused and only the joining UE's term
+    is computed; the value is summed again by :func:`_sum_terms`, in the
+    same order as from scratch, so it is the same float. A seed that serves
+    no normal UE in either set changes nothing, so the value is ``prev``
+    itself: a leaving seed outside the transmitting set, or a joining seed
+    that every normal UE ranks behind the seed serving it (a normal UE
+    without a serving seed would take the newcomer).
     """
     diff = members ^ prev_members
     if len(diff) != 1:
         return None
     (u,) = diff
-    if u in rnd.seeds:
-        return None
     _, cell_term, normals, serving, transmitting, terms = prev
+    if u in rnd.seeds:
+        if u not in members:
+            return None if u in transmitting else prev
+        rank = rnd.inst.distance_rank
+        for v, s in zip(normals, serving):
+            if s is None or rank[v][u] < rank[v][s]:
+                return None
+        return prev
     if u in members:
         s = _serving_seed(rnd.ranked[u], members)
         if s is not None and s not in transmitting:
@@ -518,9 +536,15 @@ def noncooperative_baseline(rnd: ContentRound, partition0: Partition | None = No
     the smaller RB wins. A UE's SINR on an RB is :func:`_sinr` against that
     coalition's transmitting set from :func:`_serving`, the one it would get
     in that coalition, so both allocators score a UE with the same model.
+
+    A normal UE only ever moves to a seeded RB other than its own, so when
+    every UE sits in one coalition the first sweep moves no one; the
+    baseline then returns ``partition0`` before any set-up, which is exact.
     """
     if partition0 is None:
         partition0 = initial_partition(rnd.inst)
+    if sum(1 for ms in partition0.members if ms) <= 1:
+        return partition0
     coalitions = list(partition0.members)
     transmitting = [_serving(rnd, ms)[2] for ms in coalitions]
     rb_of = {u: r for r, ms in enumerate(coalitions) for u in ms}

@@ -113,6 +113,27 @@ def rows_to_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mean_std(lists: list[list[float]]) -> list[tuple[float, float | None]]:
+    """``np.mean`` and ``np.std(ddof=1)`` of each list, in order, with one call of
+    each per list length over the stacked lists; a list of one value is its
+    own mean and has no std (None). Row by row, the axis-1 reductions give
+    the floats the per-list calls give."""
+    stats: list = [None] * len(lists)
+    by_length: dict[int, list[int]] = {}
+    for i, values in enumerate(lists):
+        if len(values) == 1:
+            stats[i] = (values[0], None)
+        else:
+            by_length.setdefault(len(values), []).append(i)
+    for at in by_length.values():
+        stack = np.array([lists[i] for i in at])
+        means = np.mean(stack, axis=1).tolist()
+        stds = np.std(stack, axis=1, ddof=1).tolist()
+        for i, mean, std in zip(at, means, stds):
+            stats[i] = (mean, std)
+    return stats
+
+
 def summarize(rows: list[tuple]) -> tuple[dict, dict]:
     """Per-(sweep, scheme) mean/stddev plus paired scheme-vs-scheme differences.
 
@@ -127,40 +148,32 @@ def summarize(rows: list[tuple]) -> tuple[dict, dict]:
             continue
         by_group.setdefault((sweep, scheme), []).append(value)
         by_cell.setdefault(sweep, {}).setdefault(seed, {})[scheme] = value
+    keys = sorted(by_group)
     groups = {}
-    for key in sorted(by_group):
-        vals = by_group[key]
-        if len(vals) == 1:
-            groups[key] = GroupStats(mean=vals[0], stddev=0.0, count=1)
-        else:
-            groups[key] = GroupStats(
-                mean=float(np.mean(vals)),
-                stddev=float(np.std(vals, ddof=1)),
-                count=len(vals),
-            )
+    for key, (mean, std) in zip(keys, _mean_std([by_group[key] for key in keys])):
+        count = len(by_group[key])
+        groups[key] = GroupStats(mean=mean, stddev=0.0 if std is None else std, count=count)
     schemes = sorted({key[1] for key in by_group})
-    paired = {}
+    by_pair = {}
     for sweep in sorted(by_cell):
         cells = by_cell[sweep].values()
         for i, a in enumerate(schemes):
             for b in schemes[i + 1:]:
                 diffs = [cell[a] - cell[b] for cell in cells if a in cell and b in cell]
-                if not diffs:
-                    continue
-                n = len(diffs)
-                if n == 1:
-                    mean_diff, ci95 = float(diffs[0]), None
-                else:
-                    mean_diff = float(np.mean(diffs))
-                    ci95 = t975(n - 1) * float(np.std(diffs, ddof=1)) / math.sqrt(n)
-                paired[(sweep, a, b)] = PairedStats(
-                    mean_diff=mean_diff,
-                    wins_a=sum(1 for d in diffs if d > 0),
-                    wins_b=sum(1 for d in diffs if d < 0),
-                    ties=sum(1 for d in diffs if d == 0),
-                    count=n,
-                    ci95=ci95,
-                )
+                if diffs:
+                    by_pair[(sweep, a, b)] = diffs
+    paired = {}
+    for key, (mean_diff, std) in zip(by_pair, _mean_std(list(by_pair.values()))):
+        diffs = by_pair[key]
+        n = len(diffs)
+        paired[key] = PairedStats(
+            mean_diff=mean_diff,
+            wins_a=sum(1 for d in diffs if d > 0),
+            wins_b=sum(1 for d in diffs if d < 0),
+            ties=sum(1 for d in diffs if d == 0),
+            count=n,
+            ci95=None if std is None else t975(n - 1) * std / math.sqrt(n),
+        )
     return groups, paired
 
 

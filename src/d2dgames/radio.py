@@ -5,7 +5,9 @@ Nodes are identified by small tuples: ``("enb", 0)`` for the base station,
 ends of a D2D pair, and ``("ue", i)`` for standalone device nodes used by the
 group-communication scenario. Channel gains are linear power gains
 (path loss times small-scale fading); rates are spectral efficiencies in
-bits/s/Hz so that bandwidth never enters any reported number.
+bits/s/Hz so that bandwidth never enters any reported number. A
+:class:`GainTensor` keeps a draw as it comes, one gain per modeled link and
+RB in link order, and a table from (transmitter, receiver) to link.
 """
 
 from __future__ import annotations
@@ -161,23 +163,10 @@ def _node_axis(nodes: Iterable[Node]) -> tuple[tuple[Node, ...], dict[Node, int]
     return axis, {node: i for i, node in enumerate(axis)}
 
 
-@functools.lru_cache(maxsize=64)
-def _axis_index(nodes: tuple[Node, ...]) -> dict[Node, int]:
-    """Each node's index along a tensor axis; one dict per axis, shared by every
-    tensor over it (a redraw of a geometry keeps its axes), so it is read-only."""
-    return {node: i for i, node in enumerate(nodes)}
-
-
-def _check_gains(values: np.ndarray, nan_unmodelled: bool = False) -> None:
-    """Raise ``ValueError`` unless every value is positive and finite.
-
-    With ``nan_unmodelled``, NaN marks a link that is not modeled and passes;
-    the message names the first bad value in C order either way.
-    """
-    if nan_unmodelled:
-        bad = (values <= 0.0) | (values == math.inf)
-    else:
-        bad = ~((values > 0.0) & np.isfinite(values))
+def _check_gains(values: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every value is positive and finite; the
+    message names the first bad value in C order."""
+    bad = ~((values > 0.0) & np.isfinite(values))
     if bad.any():
         raise ValueError(
             f"gains must be positive and finite, got {float(values[bad][0])} "
@@ -185,80 +174,16 @@ def _check_gains(values: np.ndarray, nan_unmodelled: bool = False) -> None:
         )
 
 
-@dataclass
-class GainTensor:
-    """Per-RB linear power gains for every modeled transmitter→receiver link.
-
-    Dense layout: ``g[tx_index[tx], rx_index[rx], rb]``, where ``tx_nodes`` and
-    ``rx_nodes`` list the transmitters and receivers in index order (eNB,
-    cellular users, then devices). Links that are not modeled hold NaN and
-    :meth:`get` raises ``KeyError`` for them; every modeled gain must be
-    positive and finite. The engines read a tensor two ways: :meth:`get`
-    reads one raw gain and :func:`co_channel` reads blocks of received power.
-    """
-
-    tx_nodes: tuple[Node, ...]
-    rx_nodes: tuple[Node, ...]
-    g: np.ndarray
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        if self.g.shape[:2] != (len(self.tx_nodes), len(self.rx_nodes)) or self.g.ndim != 3:
-            raise ValueError(
-                f"gain array of shape {self.g.shape} does not match "
-                f"{len(self.tx_nodes)} transmitters x {len(self.rx_nodes)} receivers x RBs"
-            )
-        self.tx_nodes, self.rx_nodes = tuple(self.tx_nodes), tuple(self.rx_nodes)
-        self.tx_index = _axis_index(self.tx_nodes)
-        self.rx_index = _axis_index(self.rx_nodes)
-        _check_gains(self.g, nan_unmodelled=True)
-
-    @property
-    def rb_count(self) -> int:
-        return self.g.shape[2]
-
-    def get(self, tx: Node, rx: Node, rb: int) -> float:
-        try:
-            if rb < 0:
-                raise IndexError(rb)
-            value = self.g.item(self.tx_index[tx], self.rx_index[rx], rb)
-        except (KeyError, IndexError):
-            raise KeyError((tx, rx, rb)) from None
-        if value != value:  # NaN: the link is not modeled
-            raise KeyError((tx, rx, rb))
-        return value
-
-    def entries(self) -> Iterator[tuple[tuple[Node, Node, int], float]]:
-        """``((tx, rx, rb), gain)`` for every modeled link, in index order."""
-        for i, j, rb in zip(*np.nonzero(~np.isnan(self.g))):
-            yield (self.tx_nodes[i], self.rx_nodes[j], int(rb)), self.g.item(i, j, rb)
-
-    @classmethod
-    def from_entries(
-        cls, entries: Mapping[tuple[Node, Node, int], float], rb_count: int
-    ) -> "GainTensor":
-        keys = list(entries)
-        # checked here too: a NaN entry would otherwise read as "not modeled"
-        values = np.array([entries[k] for k in keys], dtype=float)
-        _check_gains(values)
-        if any(not 0 <= rb < rb_count for _, _, rb in keys):
-            raise ValueError(f"entry RB outside 0..{rb_count - 1}")
-        tx_nodes, tx_index = _node_axis(tx for tx, _, _ in keys)
-        rx_nodes, rx_index = _node_axis(rx for _, rx, _ in keys)
-        g = np.full((len(tx_nodes), len(rx_nodes), rb_count), np.nan)
-        for (tx, rx, rb), value in zip(keys, values):
-            g[tx_index[tx], rx_index[rx], rb] = value
-        return cls(tx_nodes, rx_nodes, g)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LinkPlan:
-    """The modeled links of a cell shape, fixed by its node lists alone.
+    """The modeled links of a tensor, over ``rb_count`` RBs.
 
     Link ``l`` runs from ``tx_nodes[tx[l]]`` to ``rx_nodes[rx[l]]``, and the
     link order fixes the order of the fading draw. ``ends[l]`` holds the
     indices of the link's two end points in the point list that
-    :func:`link_pathloss` reads, and whether the link is line-of-sight.
+    :func:`link_pathloss` reads, and whether the link is line-of-sight; it
+    is empty for a tensor built by link. A plan is shared by every tensor
+    over it and compares by identity, so :func:`co_channel` keys on it.
     """
 
     tx_nodes: tuple[Node, ...]
@@ -269,16 +194,87 @@ class _LinkPlan:
     rb_count: int
 
     @functools.cached_property
-    def scatter(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat index into ``g`` of each (link, RB) entry in draw order, and the
-        all-NaN cube a draw copies before filling those entries."""
-        shape = (len(self.tx_nodes), len(self.rx_nodes), self.rb_count)
-        rbs = np.arange(self.rb_count)
-        flat = np.ravel_multi_index((self.tx[:, None], self.rx[:, None], rbs), shape).reshape(-1)
-        template = np.full(shape, np.nan)
-        flat.setflags(write=False)  # shared by every draw over this plan
-        template.setflags(write=False)
-        return flat, template
+    def position(self) -> list[list[int]]:
+        """``position[i][j]``: the link from ``tx_nodes[i]`` to ``rx_nodes[j]``,
+        or -1 when the model does not have it; shared, so read-only."""
+        position = np.full((len(self.tx_nodes), len(self.rx_nodes)), -1, dtype=np.intp)
+        position[self.tx, self.rx] = np.arange(len(self.tx))
+        return position.tolist()
+
+    @functools.cached_property
+    def tx_index(self) -> dict[Node, int]:
+        return {node: i for i, node in enumerate(self.tx_nodes)}
+
+    @functools.cached_property
+    def rx_index(self) -> dict[Node, int]:
+        return {node: i for i, node in enumerate(self.rx_nodes)}
+
+
+@dataclass
+class GainTensor:
+    """Per-RB linear power gains for every modeled transmitter→receiver link.
+
+    ``values[l, rb]`` is the gain of ``plan``'s link ``l`` on ``rb``, in the
+    plan's link order, which is the order of the draw. Every gain must be
+    positive and finite; a link the plan does not have is not modeled, and
+    :meth:`get` raises ``KeyError`` for it. The engines read a tensor two
+    ways: :meth:`get` reads one raw gain and :func:`co_channel` reads blocks
+    of received power.
+    """
+
+    plan: _LinkPlan
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.values.shape != (len(self.plan.tx), self.plan.rb_count):
+            raise ValueError(
+                f"gain array of shape {self.values.shape} does not match "
+                f"{len(self.plan.tx)} links x {self.plan.rb_count} RBs"
+            )
+        _check_gains(self.values)
+
+    @property
+    def rb_count(self) -> int:
+        return self.plan.rb_count
+
+    def get(self, tx: Node, rx: Node, rb: int) -> float:
+        plan = self.plan
+        try:
+            link = plan.position[plan.tx_index[tx]][plan.rx_index[rx]]
+            if link < 0 or rb < 0:  # not modeled, or an RB counted from the end
+                raise IndexError(rb)
+            return self.values.item(link, rb)
+        except (KeyError, IndexError):
+            raise KeyError((tx, rx, rb)) from None
+
+    def entries(self) -> Iterator[tuple[tuple[Node, Node, int], float]]:
+        """``((tx, rx, rb), gain)`` for every modeled link, in (tx, rx, rb) index order."""
+        plan = self.plan
+        for tx, row in zip(plan.tx_nodes, plan.position):
+            for rx, link in zip(plan.rx_nodes, row):
+                if link >= 0:
+                    for rb in range(plan.rb_count):
+                        yield (tx, rx, rb), self.values.item(link, rb)
+
+    @classmethod
+    def from_entries(
+        cls, entries: Mapping[tuple[Node, Node, int], float], rb_count: int
+    ) -> "GainTensor":
+        """A tensor from ``{(tx, rx, rb): gain}``; each link needs a gain on every RB."""
+        if any(not 0 <= rb < rb_count for _, _, rb in entries):
+            raise ValueError(f"entry RB outside 0..{rb_count - 1}")
+        tx_nodes, tx_index = _node_axis(tx for tx, _, _ in entries)
+        rx_nodes, rx_index = _node_axis(rx for _, rx, _ in entries)
+        links = sorted({(tx_index[tx], rx_index[rx]) for tx, rx, _ in entries})
+        if len(entries) != len(links) * rb_count:
+            raise ValueError(f"every link needs a gain on each RB 0..{rb_count - 1}")
+        link_of = {pair: l for l, pair in enumerate(links)}
+        values = np.empty((len(links), rb_count))
+        for (tx, rx, rb), value in entries.items():
+            values[link_of[tx_index[tx], rx_index[rx]], rb] = value
+        tx = np.array([i for i, _ in links], dtype=np.intp)
+        rx = np.array([j for _, j in links], dtype=np.intp)
+        return cls(_LinkPlan(tx_nodes, rx_nodes, tx, rx, (), rb_count), values)
 
 
 @functools.lru_cache(maxsize=64)
@@ -337,15 +333,12 @@ class LinkPathLoss:
         draw of ``RBs`` values per link in link order would, so identical
         inputs give a bit-identical tensor. ``standard_exponential`` gives
         the values of ``exponential(1.0)``, whose scale multiplies by 1.0.
+        The product, in link order, is the tensor's ``values`` as it is.
         """
-        plan = self.plan
         rng = np.random.default_rng(rng_seed)
-        fading = rng.standard_exponential(size=(len(self.pathloss), plan.rb_count))
+        fading = rng.standard_exponential(size=(len(self.pathloss), self.plan.rb_count))
         fading *= self.pathloss[:, None]
-        flat, template = plan.scatter
-        g = template.copy()
-        g.reshape(-1)[flat] = fading.reshape(-1)
-        return GainTensor(plan.tx_nodes, plan.rx_nodes, g)
+        return GainTensor(self.plan, fading)
 
 
 def link_pathloss(
@@ -483,27 +476,30 @@ def default_power_w(params: RadioParams, node: Node) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _co_channel_plan(
-    params: RadioParams, tx_nodes: tuple[Node, ...], rx_nodes: tuple[Node, ...],
-    shape: tuple[int, ...], tx: tuple[Node, ...], rx: tuple[Node, ...], rb_count: int,
+    params: RadioParams, plan: _LinkPlan, tx: tuple[Node, ...], rx: tuple[Node, ...], rb_count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into a tensor's ``g`` of every entry :func:`co_channel`
+    """Flat positions in a tensor's ``values`` of every entry :func:`co_channel`
     reads, and the transmit power that scales each, both in block shape.
 
     A node's entry at itself reads its RB's cellular link at power 0.0, which
-    gives exactly 0.0. Raises ``KeyError`` for a node the layout lacks.
+    gives exactly 0.0. Raises ``KeyError`` for a node the plan lacks and for
+    any other entry whose link the plan does not have.
     """
-    tx_index, rx_index = _axis_index(tx_nodes), _axis_index(rx_nodes)
+    tx_index, rx_index = plan.tx_index, plan.rx_index
     txs = [(cellular_tx_node(params, rb), *tx) for rb in range(rb_count)]
     rxs = [(cellular_rx_node(params, rb), *rx) for rb in range(rb_count)]
     t = np.array([[tx_index[node] for node in row] for row in txs], dtype=np.intp)
     r = np.array([[rx_index[node] for node in row] for row in rxs], dtype=np.intp)
-    rbs = np.arange(rb_count)[:, None, None]
-    flat = np.ravel_multi_index(np.broadcast_arrays(t[:, :, None], r[:, None, :], rbs), shape)
     own = np.array([[[a == b for b in rx_r] for a in tx_r] for tx_r, rx_r in zip(txs, rxs)])
+    link = np.array(plan.position, dtype=np.intp)[t[:, :, None], r[:, None, :]]
+    link = np.where(own, link[:, :1, :1], link)
+    if (link < 0).any():
+        rb, a, b = (int(i[0]) for i in np.nonzero(link < 0))
+        raise KeyError((txs[rb][a], rxs[rb][b], rb))
+    index = link * plan.rb_count + np.arange(rb_count)[:, None, None]
     p_tx = np.array([[default_power_w(params, node) for node in row] for row in txs])
-    index = np.where(own, flat[:, :1, :1], flat)
     power = np.where(own, 0.0, p_tx[:, :, None])
-    index.setflags(write=False)  # shared by every draw over this layout
+    index.setflags(write=False)  # shared by every draw over this plan
     power.setflags(write=False)
     return index, power
 
@@ -523,20 +519,17 @@ def co_channel(
 
     This is the reader for the engines whose games are defined on received
     powers; the others read raw gains through :meth:`GainTensor.get`, so
-    ``radio`` is the only module that indexes ``g``. Its index plan is built
-    once per parameter set, tensor layout and device list, so a redraw of
-    the same geometry costs one fancy-indexed read and one product.
+    ``radio`` is the only module that knows the link layout. Its index plan
+    is built, and its links checked, once per parameter set, link plan and
+    device list, so a redraw of the same geometry costs one gather and one
+    product.
     """
     if gains.rb_count < rb_count:
         raise ValueError(
             f"{rb_count} RBs are read, but the gain tensor holds only {gains.rb_count}"
         )
-    layout = (gains.tx_nodes, gains.rx_nodes, gains.g.shape)
-    index, power = _co_channel_plan(params, *layout, tuple(tx), tuple(rx), rb_count)
-    block = power * gains.g.reshape(-1)[index]
-    if np.isnan(block).any():
-        raise KeyError("read a link the model does not have")
-    return block
+    index, power = _co_channel_plan(params, gains.plan, tuple(tx), tuple(rx), rb_count)
+    return power * gains.values.take(index)
 
 
 def _direct_by_rb(allocation: Allocation) -> dict[int, list[int]]:

@@ -170,21 +170,19 @@ class TestRoundChannel:
         ContentRound(inst, gains, params)  # builds the plan on a complete tensor
         cell_tx = radio.cellular_tx_node(params, 1)
         cell_rx = radio.cellular_rx_node(params, 1)
-        for tx, rx, rb in [
-            (cell_tx, cell_rx, 1),
-            (cell_tx, ("ue", 2), 1),
-            (("ue", 0), cell_rx, 1),
-            (("ue", 0), ("ue", 2), 1),
-        ]:
-            g = gains.g.copy()
-            g[gains.tx_index[tx], gains.rx_index[rx], rb] = np.nan
+        ue0, ue2 = ("ue", 0), ("ue", 2)
+        for tx, rx in [(cell_tx, cell_rx), (cell_tx, ue2), (ue0, cell_rx), (ue0, ue2)]:
+            entries = {key: g for key, g in gains.entries() if key[:2] != (tx, rx)}
+            missing = radio.GainTensor.from_entries(entries, gains.rb_count)
             with pytest.raises(KeyError):
-                ContentRound(inst, radio.GainTensor(gains.tx_nodes, gains.rx_nodes, g), params)
+                ContentRound(inst, missing, params)
 
     def test_a_tensor_with_fewer_rbs_raises_value_error(self):
         inst = _instance(n=3, k=1, m=2, seed=65)
         gains = draw_content_gains(inst, PARAMS, rng_seed=66)
-        short = radio.GainTensor(gains.tx_nodes, gains.rx_nodes, gains.g[:, :, :1])
+        short = radio.GainTensor.from_entries(
+            {key: g for key, g in gains.entries() if key[2] == 0}, rb_count=1
+        )
         with pytest.raises(ValueError, match="2 RBs are read, but the gain tensor holds only 1"):
             ContentRound(inst, short, PARAMS)
 
@@ -225,11 +223,46 @@ class TestDerivedValue:
             derived = _derived(rnd, anchor, prev_members, prev, members)
             diff = members ^ prev_members
             # (value, cell_term, normals, serving, transmitting, terms)
-            derivable = len(diff) == 1 and seeds.isdisjoint(diff) and scratch[4] == prev[4]
+            # a normal UE's move derives when the transmitting set holds, a
+            # seed's when it is in neither record's transmitting set
+            derivable = len(diff) == 1 and (
+                scratch[4] == prev[4]
+                if seeds.isdisjoint(diff)
+                else diff.isdisjoint(scratch[4]) and diff.isdisjoint(prev[4])
+            )
             assert (derived is not None) == derivable
             if derived is not None:
                 assert derived == scratch
             last[anchor] = (members, scratch)
+
+    def test_seed_moves_that_serve_no_one(self):
+        # seeds 0 and 1; normals 2 and 3 sit next to seed 0, normal 4 next to seed 1
+        inst = ContentInstance(
+            scenario=ContentScenario(n_d2d=5, k_seeds=2, m_cue=1),
+            ue_pos=((400.0, 0.0), (440.0, 0.0), (401.0, 0.0), (402.0, 0.0), (439.0, 0.0)),
+            cue_pos=((-100.0, 20.0),),
+            enb_pos=(0.0, 0.0),
+            seeds=frozenset({0, 1}),
+        )
+        rnd = ContentRound(inst, draw_content_gains(inst, PARAMS, rng_seed=3), PARAMS)
+        cases = [
+            # (previous set, set, derives): seed 1 joins or leaves where 2 and 3 keep seed 0
+            ({0, 2, 3}, {0, 1, 2, 3}, True),
+            ({0, 1, 2, 3}, {0, 2, 3}, True),
+            ({2, 3}, {0, 2, 3}, False),  # 2 and 3 had no serving seed: seed 0 serves them
+            ({0, 2, 4}, {0, 1, 2, 4}, False),  # seed 1 takes UE 4
+            ({0, 1, 2, 4}, {0, 2, 4}, False),  # seed 1 served UE 4
+            ({0, 1}, {1}, True),  # no normal UE at all
+        ]
+        for prev_members, members, derives in cases:
+            prev_members, members = frozenset(prev_members), frozenset(members)
+            prev = _valued(rnd, 0, prev_members)
+            derived = _derived(rnd, 0, prev_members, prev, members)
+            assert (derived is prev) == derives, (prev_members, members)
+            if derives:
+                assert derived == _valued(rnd, 0, members)
+            else:
+                assert derived is None
 
 
 def _lookup_value_fn(table):
@@ -415,11 +448,10 @@ class TestNoncooperativeBaseline:
             enb_pos=(0.0, 0.0),
             seeds=frozenset({0, 3}),
         )
-        weak = draw_content_gains(inst, PARAMS, rng_seed=0)
-        g = np.where(np.isnan(weak.g), np.nan, 1e-13)
+        weak = {key: 1e-13 for key, _ in draw_content_gains(inst, PARAMS, rng_seed=0).entries()}
         for tx, rx, rb in [(0, 1, 0), (3, 2, 2), (3, 4, 2)]:
-            g[weak.tx_index[("ue", tx)], weak.rx_index[("ue", rx)], rb] = 1e-7
-        gains = radio.GainTensor(weak.tx_nodes, weak.rx_nodes, g)
+            weak[(("ue", tx), ("ue", rx), rb)] = 1e-7
+        gains = radio.GainTensor.from_entries(weak, rb_count=3)
         start = Partition((frozenset({0}), frozenset({1, 2}), frozenset({3, 4})))
         got = noncooperative_baseline(ContentRound(inst, gains, PARAMS), partition0=start)
         # UE 1 leaves SINR 0 for seed 0's RB, whose transmitting set was empty;
@@ -507,6 +539,31 @@ class TestNoncooperativeReference:
                 moved += (got != start) + (got2 != got)
         # half of the 64 runs move some UE, so the scan and the tie test are exercised
         assert moved >= 32, moved
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_one_seeded_coalition_and_empty_rbs_return_at_once(self, direction):
+        params = radio.RadioParams(link_direction=direction)
+        for seed in range(6):
+            inst = _instance(n=6, k=2, m=3, seed=1100 + seed)
+            gains = draw_content_gains(inst, params, rng_seed=1200 + seed)
+            members = [frozenset()] * 3
+            members[seed % 3] = frozenset(range(6))
+            start = Partition(tuple(members))
+            got = noncooperative_baseline(ContentRound(inst, gains, params), partition0=start)
+            assert got is start  # returned before any setup
+            assert got.members == _noncoop_reference(gains, params, inst, inst.seeds, start)
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_a_normal_ue_on_an_unseeded_rb_moves(self, direction):
+        params = radio.RadioParams(link_direction=direction)
+        for seed in range(6):
+            inst = _instance(n=6, k=2, m=3, seed=1300 + seed)
+            gains = draw_content_gains(inst, params, rng_seed=1400 + seed)
+            # every UE but normal UE 5 in one coalition; UE 5 alone has SINR 0.0
+            start = Partition((frozenset(range(5)), frozenset({5}), frozenset()))
+            got = noncooperative_baseline(ContentRound(inst, gains, params), partition0=start)
+            assert got.members == _noncoop_reference(gains, params, inst, inst.seeds, start)
+            assert got.anchor_of(5) == 0
 
 
 def _tie_instance():

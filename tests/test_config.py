@@ -740,4 +740,4 @@ class TestReadme:
         blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
         assert len(blocks) == 1
         exec(compile(blocks[0], str(README), "exec"), {})
-        assert capsys.readouterr().out.count("\n") == 3
+        assert capsys.readouterr().out.count("\n") == 2

@@ -81,6 +81,42 @@ class TestSummarize:
             want = t975(n - 1) * float(np.std(diffs, ddof=1)) / math.sqrt(n)
             assert float.hex(st.ci95) == float.hex(want)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stats_match_per_group_numpy(self, seed):
+        # mixed group lengths, groups of one value and skipped NaN rows
+        rng = random.Random(100 + seed)
+        rows = []
+        for sweep in range(6):
+            for drop in range(rng.choice([1, 1, 2, 3, 7, 40])):
+                for scheme in ("a", "b", "c"):
+                    value = rng.choice([rng.uniform(-5, 5), rng.uniform(0, 1e6), math.nan])
+                    rows.append((sweep, scheme, drop, value, 0, 0))
+        groups, paired = summarize(rows)
+        kept = [row for row in rows if not math.isnan(row[3])]
+        assert len(kept) < len(rows)
+        lengths = set()
+        for (sweep, scheme), st in groups.items():
+            values = [row[3] for row in kept if row[:2] == (sweep, scheme)]
+            lengths.add(len(values))
+            assert st.count == len(values)
+            assert float.hex(st.mean) == float.hex(float(np.mean(values)))
+            want = 0.0 if len(values) == 1 else float(np.std(values, ddof=1))
+            assert float.hex(st.stddev) == float.hex(want)
+        assert 1 in lengths and len(lengths) > 2
+        for (sweep, a, b), st in paired.items():
+            cells = {}
+            for row in kept:
+                if row[0] == sweep:
+                    cells.setdefault(row[2], {})[row[1]] = row[3]
+            diffs = [c[a] - c[b] for c in cells.values() if a in c and b in c]
+            n = len(diffs)
+            assert float.hex(st.mean_diff) == float.hex(float(np.mean(diffs)))
+            if n == 1:
+                assert st.ci95 is None
+            else:
+                want = t975(n - 1) * float(np.std(diffs, ddof=1)) / math.sqrt(n)
+                assert float.hex(st.ci95) == float.hex(want)
+
     def test_single_row_flagged(self):
         groups, _ = summarize([(2, "rica", 111, 5.0, 0, 0)])
         st = groups[(2, "rica")]

@@ -204,8 +204,8 @@ class TestDrawGains:
         topo = generate_topology(PARAMS, m=3, n=2, rng_seed=2)
         a = draw_gains(topo, PARAMS, rng_seed=3)
         b = draw_gains(topo, PARAMS, rng_seed=3)
-        assert a.tx_nodes == b.tx_nodes and a.rx_nodes == b.rx_nodes
-        assert np.array_equal(a.g, b.g, equal_nan=True)
+        assert a.plan is b.plan  # one link plan per cell shape
+        assert list(a.entries()) == list(b.entries())
 
     def test_fading_factor_unit_mean(self):
         # Monte Carlo over >= 1e4 draws: gain / pathloss should average to 1.
@@ -279,6 +279,7 @@ class TestDenseGainTensor:
                 gains = draw_gains(topo, params, rng_seed=70 + seed)
                 ref = _reference_gains(_topology_links(topo), topo.rb_count, params, 70 + seed)
                 assert dict(gains.entries()) == ref
+                assert all(gains.get(*key) == value for key, value in ref.items())
 
     def test_draw_content_gains_matches_per_link_loop(self):
         for direction in self.DIRECTIONS:
@@ -289,10 +290,11 @@ class TestDenseGainTensor:
                 gains = draw_content_gains(inst, params, rng_seed=90 + seed)
                 ref = _reference_gains(_content_links(inst), scenario.m_cue, params, 90 + seed)
                 assert dict(gains.entries()) == ref
+                assert all(gains.get(*key) == value for key, value in ref.items())
                 reused = draw_content_gains(
                     inst, params, 90 + seed, pathloss=content_pathloss(inst, params)
                 )
-                assert np.array_equal(reused.g, gains.g, equal_nan=True)
+                assert list(reused.entries()) == list(gains.entries())
 
     def test_unmodelled_link_raises_key_error(self):
         topo = generate_topology(PARAMS, m=3, n=2, rng_seed=61)
@@ -315,16 +317,25 @@ class TestDenseGainTensor:
         entries = {(("dtx", 0), ("drx", 0), 0): 1e-9, (("enb", 0), ("drx", 0), 0): bad}
         with pytest.raises(ValueError, match="positive and finite"):
             GainTensor.from_entries(entries, rb_count=1)
-        if not math.isnan(bad):  # NaN in the dense array marks an unmodelled link
-            g = np.full((1, 1, 2), 1e-9)
-            g[0, 0, 1] = bad
-            with pytest.raises(ValueError, match="positive and finite"):
-                GainTensor((("dtx", 0),), (("drx", 0),), g)
+        link = {(("dtx", 0), ("drx", 0), rb): 1e-9 for rb in range(2)}
+        plan = GainTensor.from_entries(link, rb_count=2).plan
+        values = np.full((1, 2), 1e-9)
+        values[0, 1] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            GainTensor(plan, values)
+
+    def test_a_link_without_every_rb_rejected(self):
+        entries = {(("dtx", 0), ("drx", 0), 0): 1e-9, (("enb", 0), ("drx", 0), 1): 1e-9}
+        with pytest.raises(ValueError, match="every link needs a gain on each RB 0..1"):
+            GainTensor.from_entries(entries, rb_count=2)
+        with pytest.raises(ValueError, match="entry RB outside 0..1"):
+            GainTensor.from_entries({(("dtx", 0), ("drx", 0), 2): 1e-9}, rb_count=2)
 
 
 class TestRedraw:
-    """LinkPathLoss.draw fills a cached NaN cube through cached flat indices; the
-    cube, its checks and its readers are those of the plain construction."""
+    """LinkPathLoss.draw keeps its product of path loss and fading, in link order,
+    as the tensor's values; its checks and its readers are those of the plain
+    construction."""
 
     @staticmethod
     def _layouts(direction):
@@ -345,26 +356,33 @@ class TestRedraw:
         _, links = self._layouts(direction)
         for pl in links.values():
             plan = pl.plan
-            for seed in (0, 7, 7, 123):  # a repeated seed redraws from the cached cube
+            for seed in (0, 7, 7, 123):  # a repeated seed redraws over the shared plan
                 fading = np.random.default_rng(seed).exponential(
                     1.0, size=(len(pl.pathloss), plan.rb_count)
                 )
-                want = np.full((len(plan.tx_nodes), len(plan.rx_nodes), plan.rb_count), np.nan)
-                want[plan.tx, plan.rx] = pl.pathloss[:, None] * fading
-                assert np.array_equal(pl.draw(seed).g, want, equal_nan=True)
+                want = pl.pathloss[:, None] * fading
+                gains = pl.draw(seed)
+                assert np.array_equal(gains.values, want)
+                by_link = {
+                    (plan.tx_nodes[plan.tx[l]], plan.rx_nodes[plan.rx[l]], rb): want[l, rb]
+                    for l in range(len(plan.tx))
+                    for rb in range(plan.rb_count)
+                }
+                assert dict(gains.entries()) == by_link
+                assert all(gains.get(*key) == value for key, value in by_link.items())
 
     @pytest.mark.parametrize("bad", [0.0, math.inf])
     def test_zero_or_infinite_pathloss_raises_value_error(self, bad):
         _, links = self._layouts(radio.DOWNLINK)
         for pl in links.values():
-            pl.draw(1)  # builds the cached cube first
+            good = pl.draw(1)
             pathloss = pl.pathloss.copy()
             pathloss[3] = bad
             broken = dataclasses.replace(pl, pathloss=pathloss)
             want = f"gains must be positive and finite, got {bad} ({pl.plan.rb_count} bad entries)"
             with pytest.raises(ValueError, match=re.escape(want)):
                 broken.draw(1)
-            assert np.isnan(pl.draw(1).g).any()  # the cached cube stays NaN
+            assert list(pl.draw(1).entries()) == list(good.entries())  # the shared plan holds
 
     @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
     def test_unmodelled_link_raises_key_error(self, direction):
@@ -441,12 +459,22 @@ class TestCoChannel:
         radio.co_channel(gains, params, tx, rx, 3)  # builds the plan on a complete tensor
         cell_tx, cell_rx = _cell_nodes(direction, 1)
         for a, b in [(cell_tx, cell_rx), (cell_tx, rx[2]), (tx[0], cell_rx), (tx[0], rx[2])]:
-            g = gains.g.copy()
-            g[gains.tx_index[a], gains.rx_index[b], 1] = np.nan
+            entries = {key: g for key, g in gains.entries() if key[:2] != (a, b)}
+            missing = GainTensor.from_entries(entries, gains.rb_count)
             with pytest.raises(KeyError):
-                radio.co_channel(GainTensor(gains.tx_nodes, gains.rx_nodes, g), params, tx, rx, 3)
+                radio.co_channel(missing, params, tx, rx, 3)
         with pytest.raises(KeyError):
             radio.co_channel(gains, params, [*tx, ("dtx", 9)], rx, 3)
+
+    @pytest.mark.parametrize("direction", [radio.DOWNLINK, radio.UPLINK])
+    def test_a_missing_link_raises_when_the_plan_is_built(self, direction):
+        params, gains, tx, rx = _layout_gains("content", direction, 3)
+        # UE 2 no longer hears UE 0: the plan names the first entry that reads it
+        entries = {key: g for key, g in gains.entries() if key[:2] != (tx[0], rx[2])}
+        missing = GainTensor.from_entries(entries, gains.rb_count)
+        with pytest.raises(KeyError) as raised:
+            radio._co_channel_plan(params, missing.plan, tuple(tx), tuple(rx), 3)
+        assert raised.value.args == ((tx[0], rx[2], 0),)
 
     def test_fewer_rbs_than_read_raises_value_error(self):
         params, gains, tx, rx = _layout_gains("auction", radio.DOWNLINK, 2)

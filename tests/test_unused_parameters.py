@@ -117,6 +117,7 @@ def test_every_private_definition_is_used():
 _KEPT = {
     "auction.py bidder_demand": "the public single-bidder demand query",
     "coalition.py merge_split": "a paper mechanism beside the switch rule",
+    "coalition.py Partition.validate": "the test fixture that checks a partition covers each UE once",
     "oracle.py grid_equilibrium": "the oracle's own bilevel grid search",
     "radio.py GainTensor.entries": "the test fixture that lists a tensor by link",
     "radio.py GainTensor.from_entries": "the test fixture that builds a tensor by link",
@@ -124,18 +125,31 @@ _KEPT = {
 }
 
 
+def _is_self_load(node: ast.AST) -> bool:
+    """Whether ``node`` loads an attribute of ``self``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
 def _unloaded_public_definitions(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
     """``(module, line, name)`` of each public top-level function or class that
     no code in ``trees`` loads by name or as an attribute, and of each public
     method (as ``Class.method``) that no code loads as an attribute: a bare
-    name spelled like a method, such as a parameter, does not use it."""
+    name spelled like a method, such as a parameter, does not use it, and a
+    ``self.<name>`` load uses only a method of the class it is written in."""
     loads = [
         node
         for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     ]
-    attributes = {node.attr for node in loads if isinstance(node, ast.Attribute)}
+    attributes = {
+        node.attr for node in loads if isinstance(node, ast.Attribute) and not _is_self_load(node)
+    }
     loaded = attributes | {node.id for node in loads if isinstance(node, ast.Name)}
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
@@ -146,7 +160,8 @@ def _unloaded_public_definitions(trees: dict[str, ast.Module]) -> list[tuple[str
             defined = [(top, top.name, loaded)]
             if isinstance(top, ast.ClassDef):
                 methods = [f for f in top.body if isinstance(f, functions)]
-                defined += [(f, f"{top.name}.{f.name}", attributes) for f in methods]
+                own = attributes | {node.attr for node in ast.walk(top) if _is_self_load(node)}
+                defined += [(f, f"{top.name}.{f.name}", own) for f in methods]
             for node, name, used in defined:
                 if not node.name.startswith("_") and node.name not in used:
                     found.append((module, node.lineno, name))
@@ -164,14 +179,26 @@ def test_scanner_finds_unloaded_public_definitions():
             "    def _private(self):\n        pass\n"
             "    def items(self):\n        pass\n"
             "    def build(self, items):\n        return items\n"
+            "    def check(self):\n        pass\n"
+            "    def checked(self):\n        return self.check()\n"
+            "class Config:\n"
+            "    def validate(self):\n        pass\n"
+            "    def __post_init__(self):\n        self.validate()\n"
+            "class Part:\n"
+            "    def validate(self):\n        pass\n"
         ),
-        "b": ast.parse("import a\nx = a.Box().read\ny = a.Box().build\n"),
+        "b": ast.parse(
+            "import a\nx = a.Box().read\ny = a.Box().build\nz = a.Box().checked\n"
+            "w = a.Config, a.Part\n"
+        ),
     }
-    # ``items`` is read only as build's parameter, a name and not an attribute
+    # ``items`` is read only as build's parameter, a name and not an attribute;
+    # ``self.validate`` in Config uses Config.validate, not Part.validate
     assert _unloaded_public_definitions(trees) == [
         ("a", 3, "dead"),
         ("a", 8, "Box.unread"),
         ("a", 12, "Box.items"),
+        ("a", 26, "Part.validate"),
     ]
 
 
